@@ -45,7 +45,7 @@ def main():
     ap.add_argument("--spacing", type=float, default=0.5)
     ap.add_argument("--jitter", type=float, default=0.15)
     ap.add_argument("--theta", type=float, default=0.5)
-    ap.add_argument("--mode", choices=("heuristic", "fd_gradient", "hybrid"),
+    ap.add_argument("--mode", choices=("heuristic", "hybrid"),
                     default="hybrid")
     ap.add_argument("--max-iters", type=int, default=500)
     ap.add_argument("--seed", type=int, default=0)
@@ -70,7 +70,6 @@ def main():
         max_iters=args.max_iters,
         tau_tol=1e-8 * scale * scale,
         mode=args.mode,
-        seed=args.seed,
     )
     state = run(scene.balls, cfg)
     print(

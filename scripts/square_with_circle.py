@@ -36,7 +36,7 @@ def main():
     ap.add_argument("--spacing", type=float, default=0.8)
     ap.add_argument("--interior-spacing", type=float, default=0.45)
     ap.add_argument("--theta", type=float, default=0.5)
-    ap.add_argument("--mode", choices=("heuristic", "fd_gradient", "hybrid"),
+    ap.add_argument("--mode", choices=("heuristic", "hybrid"),
                     default="hybrid")
     ap.add_argument("--max-iters", type=int, default=2000)
     ap.add_argument("--seed", type=int, default=7)
@@ -60,7 +60,6 @@ def main():
         max_iters=args.max_iters,
         tau_tol=1e-8 * scale * scale,
         mode=args.mode,
-        seed=args.seed,
     )
     state = run(scene.balls, cfg)
     print(

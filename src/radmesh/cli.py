@@ -42,11 +42,10 @@ def _add_optimize(sub):
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--tau-tol", type=float, default=None)
     p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--mode", choices=["heuristic", "fd", "hybrid"], default=None)
+    p.add_argument("--mode", choices=["heuristic", "hybrid"], default=None)
     p.add_argument("--eliminate-redundant", action="store_true", default=None)
     p.add_argument("--frames", type=int, default=0, metavar="N",
                    help="write an SVG frame every N iterations")
-    p.add_argument("--seed", type=int, default=None)
 
 
 def _parse_mask(text):
@@ -81,11 +80,9 @@ def _cmd_optimize(args) -> int:
     if args.max_iters is not None:
         cfg.max_iters = args.max_iters
     if args.mode is not None:
-        cfg.mode = {"fd": "fd_gradient"}.get(args.mode, args.mode)
+        cfg.mode = args.mode
     if args.eliminate_redundant:
         cfg.eliminate_redundant = True
-    if args.seed is not None:
-        cfg.seed = args.seed
     os.makedirs(args.output, exist_ok=True)
 
     frame_cb = None

@@ -10,11 +10,12 @@ fan around the ball counterclockwise; hull balls own unbounded cells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import geom
 from .geom import Ball, Point2, paraboloid
 from .triangulation import RegularTriangulation
+from .unionfind import UnionFind
 
 
 @dataclass
@@ -44,6 +45,9 @@ class PowerDiagram:
     cells: list[PowerCell | None]  # per ball; None for redundant/dead balls
     dual_vertices: list[DualVertex]
     domain: list[Point2] | None = None
+    # auxiliary triangulations per ball index, filled on first use by
+    # dirichlet._cell_aux so every consumer of one diagram shares them
+    aux: dict[int, list] | None = field(default=None, repr=False, compare=False)
 
     def bounded_cells(self):
         return [c for c in self.cells if c is not None and c.bounded]
@@ -57,14 +61,7 @@ class PowerDiagram:
         (the partition is evaluated within the domain only), and unbounded
         cells contribute their in-domain vertices too.
         """
-        tol = 0.0
-        if self.domain is not None:
-            span = max(
-                math.hypot(p[0] - q[0], p[1] - q[1])
-                for p in self.domain
-                for q in self.domain
-            )
-            tol = 1e-9 * span
+        tol = 0.0 if self.domain is None else 1e-9 * geom.diameter(self.domain)
         seen = set()
         worst = 0.0
         for c in self.cells:
@@ -98,38 +95,23 @@ def _in_convex(p: Point2, domain: list[Point2], tol: float) -> bool:
 
 def default_merge_eps(balls) -> float:
     """1e-9 times the bounding-box diagonal of the alive ball centers."""
-    xs = [b.center[0] for b in balls if b.alive]
-    ys = [b.center[1] for b in balls if b.alive]
-    diag = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
-    return 1e-9 * (diag if diag > 0 else 1.0)
+    return 1e-9 * geom.bbox_diag([b.center for b in balls if b.alive])
 
 
 def _merge_orthocenters(t: RegularTriangulation, balls, merge_eps):
     """Union-find over adjacent triangles with coincident orthocenters."""
-    n = len(t.triangles)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(len(t.triangles))
     for ti, tri in enumerate(t.triangles):
         for nb in tri.neighbors:
             if nb is None:
                 continue
             o1, o2 = tri.orthocenter, t.triangles[nb].orthocenter
             if math.hypot(o1[0] - o2[0], o1[1] - o2[1]) <= merge_eps:
-                parent[find(ti)] = find(nb)
-
-    groups: dict[int, list[int]] = {}
-    for ti in range(n):
-        groups.setdefault(find(ti), []).append(ti)
+                uf.union(ti, nb)
 
     tri_to_vertex: dict[int, DualVertex] = {}
     dual_vertices = []
-    for members in groups.values():
+    for members in uf.groups():
         wsum = xsum = ysum = tsum = 0.0
         for ti in members:
             tri = t.triangles[ti]
@@ -346,11 +328,8 @@ def clip_cell(cell: PowerCell, domain: list[Point2]) -> list[Point2]:
     """
     pts = cell.vertex_positions()
     if not cell.bounded:
-        span = max(
-            math.hypot(p[0] - q[0], p[1] - q[1]) for p in domain for q in domain
-        )
         far = 10.0 * (
-            span
+            geom.diameter(domain)
             + max(
                 math.hypot(p[0] - domain[0][0], p[1] - domain[0][1]) for p in pts
             )

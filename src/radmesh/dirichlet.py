@@ -7,9 +7,13 @@ circumcenters of these auxiliary triangles, weighted by triangle area.  It
 vanishes exactly when every cell is cyclic about its own ball center, i.e.
 when the radical partition is a Delaunay partition.
 
-The iteration alternates diagram rebuilds with either the heuristic
-area-weighted center / least-squares radius update (with relaxation) or a
-finite-difference gradient descent step with Armijo backtracking.
+Each iteration rebuilds the triangulation and the diagram once; the
+auxiliary triangulations are computed on first use and kept on the diagram.
+The update is the heuristic area-weighted center / least-squares radius
+proposal, relaxed by ``theta``.  In ``hybrid`` mode, once that relaxation
+plateaus, a damped Gauss-Newton step on the dual-vertex power residuals
+takes over, falling back to relaxation whenever it fails.  ``fd_gradient``
+is a rebuild-based finite-difference oracle for tests; no mode uses it.
 """
 
 from __future__ import annotations
@@ -50,16 +54,14 @@ class OptimizerConfig:
     max_iters: int = 2000
     tau_tol: float | None = None  # None: 1e-10 * bbox_diag^2
     fi_tol: float = 0.0  # 0 disables the F_I stopping test
-    mode: str = "heuristic"  # heuristic | fd_gradient | hybrid
-    fd_step: float | None = None  # None: 1e-6 * bbox_diag
+    mode: str = "heuristic"  # heuristic | hybrid
     eliminate_redundant: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         if not 0 < self.theta <= 1:
             raise ValueError("theta must be in (0, 1]")
-        if self.mode not in ("heuristic", "fd_gradient", "hybrid"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        if self.mode not in ("heuristic", "hybrid"):
+            raise ValueError(f"mode must be 'heuristic' or 'hybrid', got {self.mode!r}")
         if self.tau_tol is not None and self.tau_tol <= 0:
             raise ValueError("tau_tol must be > 0")
 
@@ -152,10 +154,7 @@ def aux_triangulate_cell(cell: PowerCell, domain=None) -> list[AuxTriangle]:
         # clipping can emit the same corner twice (intersections computed on
         # both adjacent edges); drop near-duplicate consecutive vertices
         if pts:
-            span = max(
-                math.hypot(p[0] - q[0], p[1] - q[1]) for p in domain for q in domain
-            )
-            eps = 1e-9 * span
+            eps = 1e-9 * geom.diameter(domain)
             dedup = []
             for p in pts:
                 if not dedup or math.hypot(
@@ -227,39 +226,39 @@ def frozen_center_gradient(center: Point2, aux: list[AuxTriangle]) -> Point2:
     return (gx, gy)
 
 
-def _is_free(ball: Ball) -> bool:
-    return not (ball.fix_center and ball.fix_radius)
+def _cell_aux(diagram: PowerDiagram):
+    """Auxiliary triangulations of the usable cells of free balls, by ball.
 
-
-def _cell_aux(balls, diagram: PowerDiagram):
-    """Auxiliary triangulations of the bounded cells of free alive balls."""
-    aux_by_ball = {}
-    for cell in diagram.cells:
-        if cell is None or (not cell.bounded and diagram.domain is None):
-            continue
-        ball = balls[cell.ball_index]
-        if not ball.alive or not _is_free(ball):
-            continue
-        try:
-            aux_by_ball[cell.ball_index] = aux_triangulate_cell(cell, diagram.domain)
-        except DegenerateCell:
-            continue
-    return aux_by_ball
+    Cells of dead or redundant balls (``None``), of fully fixed balls, and
+    unbounded cells without a domain get none, nor do degenerate cells.
+    Computed once per diagram and kept in ``diagram.aux``.
+    """
+    if diagram.aux is None:
+        aux_by_ball = {}
+        for cell in diagram.cells:
+            if cell is None or not cell.free:
+                continue
+            if not cell.bounded and diagram.domain is None:
+                continue
+            try:
+                aux_by_ball[cell.ball_index] = aux_triangulate_cell(cell, diagram.domain)
+            except DegenerateCell:
+                continue
+        diagram.aux = aux_by_ball
+    return diagram.aux
 
 
 def evaluate_FI(balls: list[Ball], diagram: PowerDiagram) -> float:
     """Dirichlet functional: bounded cells of free balls only."""
     total = 0.0
-    for i, aux in _cell_aux(balls, diagram).items():
+    for i, aux in _cell_aux(diagram).items():
         total += cell_fi(balls[i].center, aux)
     return total
 
 
 def bbox_diag(balls) -> float:
-    xs = [b.center[0] for b in balls if b.alive]
-    ys = [b.center[1] for b in balls if b.alive]
-    d = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
-    return d if d > 0 else 1.0
+    """Bounding-box diagonal of the alive ball centers."""
+    return geom.bbox_diag([b.center for b in balls if b.alive])
 
 
 def _rebuild(balls, merge_eps=None):
@@ -270,7 +269,7 @@ def _rebuild(balls, merge_eps=None):
 def _proposals(balls, diagram):
     """Jacobi-style update targets (c_new, R_new) per free ball."""
     proposals = {}
-    for i, aux in _cell_aux(balls, diagram).items():
+    for i, aux in _cell_aux(diagram).items():
         cell = diagram.cells[i]
         try:
             c_new = heuristic_center(cell, aux)
@@ -474,52 +473,6 @@ def _gauss_newton_step(balls, triangulation, diagram, merge_eps):
     return balls, 0
 
 
-def _apply_descent(balls, grads, alpha):
-    out = []
-    for b, (gx, gy, gr) in zip(balls, grads):
-        nb = copy.copy(b)
-        if b.alive and not b.fix_center:
-            nb.center = (b.center[0] - alpha * gx, b.center[1] - alpha * gy)
-        if b.alive and not b.fix_radius:
-            nb.radius = max(0.0, b.radius - alpha * gr)
-        out.append(nb)
-    return out
-
-
-def _gradient_step(balls, diagram, fi, h, scale):
-    """One Armijo-backtracking descent step; returns (new_balls, moved)."""
-    for _ in range(4):
-        try:
-            grads = fd_gradient(balls, diagram, h)
-            break
-        except TopologyFlip:
-            h *= 0.25
-    else:
-        return balls, 0
-    gmax = max(max(abs(gx), abs(gy), abs(gr)) for gx, gy, gr in grads)
-    if gmax == 0.0:
-        return balls, 0
-    gnorm2 = sum(gx * gx + gy * gy + gr * gr for gx, gy, gr in grads)
-    alpha = scale / gmax
-    for _ in range(40):
-        trial = _apply_descent(balls, grads, alpha)
-        try:
-            _, d = _rebuild(trial)
-            fi_trial = evaluate_FI(trial, d)
-        except (TooFewBalls, AllCollinear):
-            alpha *= 0.5
-            continue
-        if fi_trial <= fi - 1e-4 * alpha * gnorm2:
-            moved = sum(
-                1
-                for g in grads
-                if abs(g[0]) + abs(g[1]) + abs(g[2]) > 0
-            )
-            return trial, moved
-        alpha *= 0.5
-    return balls, 0
-
-
 def run(
     initial_balls: list[Ball],
     config: OptimizerConfig,
@@ -532,12 +485,11 @@ def run(
     balls = [copy.copy(b) for b in initial_balls]
     scale = bbox_diag(balls)
     tau_tol = config.tau_tol if config.tau_tol is not None else 1e-10 * scale * scale
-    fd_h = config.fd_step if config.fd_step is not None else 1e-6 * scale
     merge_eps = default_merge_eps(balls)
 
     state = OptimizerState(balls, None, math.inf, math.inf, 0)
     skip_count = [0] * len(balls)
-    use_gradient = config.mode == "fd_gradient"
+    polish = False  # hybrid mode has switched to Gauss-Newton
     eliminated_total = 0
 
     for it in range(config.max_iters + 1):
@@ -568,7 +520,7 @@ def run(
         hist = state.history
         # the residual polish minimizes sum tau^2, under which F_I may rise
         # transiently, so the F_I divergence guard only applies before it
-        if not use_gradient and len(hist) >= 20:
+        if not polish and len(hist) >= 20:
             window = [h.fi for h in hist[-20:]] + [fi]
             if fi > 10 * window[0] and all(
                 b >= a for a, b in zip(window, window[1:])
@@ -576,7 +528,7 @@ def run(
                 raise Diverged(
                     f"F_I grew from {window[0]:.3e} to {fi:.3e} over 20 iterations"
                 )
-        if config.mode == "hybrid" and not use_gradient and len(hist) >= 10:
+        if config.mode == "hybrid" and not polish and len(hist) >= 10:
             # switch to the polishing phase once the relaxation has truly
             # plateaued (< 5% progress over 10 iterations), or after a long
             # preconditioning run when it is still creeping along a slow
@@ -586,13 +538,13 @@ def run(
             if r10 > 0 and (
                 fi / r10 > 0.95 or (len(hist) >= 100 and fi / r10 > 0.6)
             ):
-                use_gradient = True
+                polish = True
 
         # track balls without a usable cell this iteration
         eliminated = 0
         proposals = _proposals(balls, diagram)
         for i, b in enumerate(balls):
-            if not b.alive or not _is_free(b):
+            if not b.alive or b.fully_fixed:
                 continue
             if i in proposals:
                 skip_count[i] = 0
@@ -603,19 +555,14 @@ def run(
                     eliminated += 1
         eliminated_total += eliminated
 
-        if use_gradient:
-            if config.mode == "hybrid":
-                # once the local relaxation stalls, polish with damped
-                # Gauss-Newton on the dual-vertex power residuals; their zero
-                # set coincides with F_I = 0 and the local convergence is
-                # quadratic where the relaxation rate approaches 1
-                new_balls, moved = _gauss_newton_step(balls, tri, diagram, merge_eps)
-            else:
-                new_balls, moved = _gradient_step(balls, diagram, fi, fd_h, scale)
-            if moved == 0:
-                new_balls = relax_step(state, config)
-                moved = len(proposals)
-        else:
+        moved = 0
+        if polish:
+            # once the local relaxation stalls, polish with damped
+            # Gauss-Newton on the dual-vertex power residuals; their zero
+            # set coincides with F_I = 0 and the local convergence is
+            # quadratic where the relaxation rate approaches 1
+            new_balls, moved = _gauss_newton_step(balls, tri, diagram, merge_eps)
+        if moved == 0:
             new_balls = relax_step(state, config)
             moved = len(proposals)
 

@@ -228,3 +228,16 @@ def polygon_area(vertices) -> float:
         x2, y2 = vertices[(i + 1) % n]
         area += x1 * y2 - x2 * y1
     return 0.5 * area
+
+
+def bbox_diag(points) -> float:
+    """Bounding-box diagonal of a point sequence; 1.0 when the box is a point."""
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
+    d = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+    return d if d > 0 else 1.0
+
+
+def diameter(points) -> float:
+    """Largest distance between two points of a sequence (a polygon's span)."""
+    return max(math.hypot(p[0] - q[0], p[1] - q[1]) for p in points for q in points)

@@ -17,30 +17,7 @@ from scipy.spatial import Delaunay, QhullError
 from . import geom
 from .errors import AllCollinear, CollinearPoints, TooFewPoints
 from .geom import Ball, Point2
-
-
-class UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-    def groups(self) -> list[list[int]]:
-        out: dict[int, list[int]] = {}
-        for i in range(len(self.parent)):
-            out.setdefault(self.find(i), []).append(i)
-        return list(out.values())
+from .unionfind import UnionFind
 
 
 def _single_linkage(points: list[Point2], eps: float) -> list[list[int]]:
@@ -52,13 +29,6 @@ def _single_linkage(points: list[Point2], eps: float) -> list[list[int]]:
             if math.hypot(points[j][0] - xi, points[j][1] - yi) <= eps:
                 uf.union(i, j)
     return uf.groups()
-
-
-def _bbox_diag(points) -> float:
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    d = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
-    return d if d > 0 else 1.0
 
 
 def vertex_cluster_merge(points: list[Point2], vertex_eps: float) -> list[Point2]:
@@ -83,7 +53,7 @@ def recover_spheres(
     """Recover approximate Delaunay circles of a perturbed point set."""
     if len(points) < 3:
         raise TooFewPoints(f"need >= 3 points, got {len(points)}")
-    diag = _bbox_diag(points)
+    diag = geom.bbox_diag(points)
     if cluster_eps is None:
         cluster_eps = 1e-6 * diag
     pts = np.asarray(points, dtype=float)

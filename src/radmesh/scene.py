@@ -161,7 +161,7 @@ def gen_square_with_circle(
             balls.append(Ball(c, r))
 
     domain = [(0.0, 0.0), (L, 0.0), (L, L), (0.0, L)]
-    return Scene(balls, domain, OptimizerConfig(seed=seed), rng_seed=seed)
+    return Scene(balls, domain, OptimizerConfig(), rng_seed=seed)
 
 
 def gen_masked_lattice(
@@ -205,7 +205,7 @@ def gen_masked_lattice(
                 r = base_r * (1 + rng.uniform(-0.1, 0.1))
             if _point_in_polygon(cc, domain):
                 balls.append(Ball(cc, r))
-    return Scene(balls, list(domain), OptimizerConfig(seed=seed), rng_seed=seed)
+    return Scene(balls, list(domain), OptimizerConfig(), rng_seed=seed)
 
 
 def validate_scene(scene: Scene) -> None:
@@ -271,9 +271,7 @@ def scene_to_json(scene: Scene) -> str:
         f'"tau_tol": {_fmt(p.tau_tol)}, '
         f'"fi_tol": {_fmt(p.fi_tol)}, '
         f'"mode": {_fmt(p.mode)}, '
-        f'"fd_step": {_fmt(p.fd_step)}, '
-        f'"eliminate_redundant": {_fmt(p.eliminate_redundant)}, '
-        f'"seed": {_fmt(p.seed)}}},'
+        f'"eliminate_redundant": {_fmt(p.eliminate_redundant)}}},'
     )
     lines.append(f'  "rng_seed": {_fmt(scene.rng_seed)}')
     lines.append("}")
@@ -292,9 +290,7 @@ _PARAM_FIELDS = {
     "tau_tol",
     "fi_tol",
     "mode",
-    "fd_step",
     "eliminate_redundant",
-    "seed",
 }
 
 
@@ -338,14 +334,15 @@ def load_scene(path) -> Scene:
     extra = set(pd) - _PARAM_FIELDS
     if extra:
         warnings.warn(f"params: ignoring unknown fields {sorted(extra)}")
-    params = OptimizerConfig(
-        theta=float(pd.get("theta", 0.5)),
-        max_iters=int(pd.get("max_iters", 2000)),
-        tau_tol=None if pd.get("tau_tol") is None else float(pd["tau_tol"]),
-        fi_tol=float(pd.get("fi_tol", 0.0)),
-        mode=str(pd.get("mode", "heuristic")),
-        fd_step=None if pd.get("fd_step") is None else float(pd["fd_step"]),
-        eliminate_redundant=bool(pd.get("eliminate_redundant", False)),
-        seed=int(pd.get("seed", 0)),
-    )
+    try:
+        params = OptimizerConfig(
+            theta=float(pd.get("theta", 0.5)),
+            max_iters=int(pd.get("max_iters", 2000)),
+            tau_tol=None if pd.get("tau_tol") is None else float(pd["tau_tol"]),
+            fi_tol=float(pd.get("fi_tol", 0.0)),
+            mode=str(pd.get("mode", "heuristic")),
+            eliminate_redundant=bool(pd.get("eliminate_redundant", False)),
+        )
+    except (TypeError, ValueError) as e:
+        raise ParseError(f"params: {e}") from e
     return Scene(balls, domain, params, int(data.get("rng_seed", 0)))

@@ -21,6 +21,7 @@ from scipy.spatial import ConvexHull, Delaunay, QhullError
 from . import geom
 from .errors import AllCollinear, TooFewBalls
 from .geom import Ball, Point2
+from .unionfind import UnionFind
 
 
 @dataclass
@@ -113,6 +114,7 @@ def _legalize(balls, tris):
 
     Works off a queue of suspect edges with an incrementally maintained
     edge map, so each flip only re-examines the four quad boundary edges.
+    Returns that edge map, which matches ``tris`` on return.
     """
     edges = _edge_map(tris)
     queue = list(edges)
@@ -169,42 +171,33 @@ def _legalize(balls, tris):
         tris[t2] = [p, q, v]
         add_tri(t1)
         add_tri(t2)
+    return edges
 
 
-def _canonicalize_ties(balls, tris):
+def _canonicalize_ties(balls, tris, edges) -> bool:
     """Re-fan groups of triangles joined by exact power ties.
 
     Triangles whose lifted faces are exactly coplanar form a convex polygon
     on the lower envelope; any triangulation of it is regular.  Fanning from
-    the lowest ball index makes the choice order-independent.
+    the lowest ball index makes the choice order-independent.  ``edges`` is
+    the edge map of ``tris``; returns whether any group was re-fanned, in
+    which case the triangle indices and hence that map are stale.
     """
-    n = len(tris)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    edges = _edge_map(tris)
+    uf = UnionFind(len(tris))
     any_tie = False
-    for e, owners in edges.items():
+    for owners in edges.values():
         if len(owners) != 2:
             continue
         (t1, _), (t2, q) = owners
         a, b, c = (balls[i] for i in tris[t1])
         if geom.power_test(a, b, c, balls[q]) == 0:
-            parent[find(t1)] = find(t2)
+            uf.union(t1, t2)
             any_tie = True
     if not any_tie:
-        return
-    groups: dict[int, list[int]] = {}
-    for ti in range(n):
-        groups.setdefault(find(ti), []).append(ti)
+        return False
     new_tris = []
     handled = set()
-    for members in groups.values():
+    for members in uf.groups():
         if len(members) == 1:
             continue
         handled.update(members)
@@ -231,6 +224,7 @@ def _canonicalize_ties(balls, tris):
             new_tris.append([cycle[0], cycle[k], cycle[k + 1]])
     kept = [t for ti, t in enumerate(tris) if ti not in handled]
     tris[:] = kept + new_tris
+    return True
 
 
 def _orthocenters(balls, tris):
@@ -259,8 +253,7 @@ def _orthocenters(balls, tris):
     return vx, vy, tau
 
 
-def _hull_cycle(tris) -> list[tuple[int, int]]:
-    edges = _edge_map(tris)
+def _hull_cycle(tris, edges) -> list[tuple[int, int]]:
     succ = {}
     for e, owners in edges.items():
         if len(owners) != 2:
@@ -293,12 +286,12 @@ def build_regular(balls: list[Ball]) -> RegularTriangulation:
     else:
         tris = _lower_hull_triangles(balls, idx)
     _orient_ccw(balls, tris)
-    _legalize(balls, tris)
-    _canonicalize_ties(balls, tris)
-    _orient_ccw(balls, tris)
+    edges = _legalize(balls, tris)  # flips keep every triangle CCW
+    if _canonicalize_ties(balls, tris, edges):
+        _orient_ccw(balls, tris)
+        edges = _edge_map(tris)
 
     vx, vy, tau = _orthocenters(balls, tris)
-    edges = _edge_map(tris)
     triangles = []
     for ti, t in enumerate(tris):
         nbrs = []
@@ -313,7 +306,7 @@ def build_regular(balls: list[Ball]) -> RegularTriangulation:
     for t in tris:
         used.update(t)
     redundant = [b.alive and i not in used for i, b in enumerate(balls)]
-    return RegularTriangulation(triangles, redundant, _hull_cycle(tris))
+    return RegularTriangulation(triangles, redundant, _hull_cycle(tris, edges))
 
 
 def verify_regular(t: RegularTriangulation, balls: list[Ball]) -> list[tuple[int, int]]:

@@ -41,9 +41,23 @@ def test_optimize_two_ball_scene_exit_1(tmp_path, capsys):
     assert "TooFewBalls" in capsys.readouterr().err
 
 
+def test_optimize_invalid_params_exit_1(tmp_path, capsys):
+    scene = tmp_path / "scene.json"
+    assert main(gen_args(scene)) == 0
+    data = json.loads(scene.read_text())
+    data["params"]["mode"] = "fd_gradient"
+    scene.write_text(json.dumps(data))
+    assert main(["optimize", str(scene), "-o", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError:") and "mode" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_flag_exit_2(tmp_path, capsys):
     assert main(["optimize", "x.json", "--no-such-flag"]) == 2
     assert main(["frobnicate"]) == 2
+    assert main(["optimize", "x.json", "-o", str(tmp_path), "--mode", "fd"]) == 2
+    assert main(["optimize", "x.json", "-o", str(tmp_path), "--seed", "1"]) == 2
 
 
 def test_verify_command(tmp_path, capsys):

@@ -55,6 +55,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(mode="nonsense")
     with pytest.raises(ValueError):
+        OptimizerConfig(mode="fd_gradient")
+    with pytest.raises(ValueError):
         OptimizerConfig(tau_tol=-1.0)
 
 
@@ -304,6 +306,39 @@ def test_eliminate_redundant_ball():
     state = run(balls, cfg)
     assert not state.balls[-1].alive
     assert state.history[-1].eliminated == 1
+
+
+def test_run_triangulates_each_cell_once_per_iteration():
+    # evaluate_FI, the elimination bookkeeping and relax_step share the
+    # auxiliary triangulations kept on each iteration's diagram
+    import radmesh.dirichlet as dmod
+
+    rng = philox(49)
+    balls = jittered_grid(rng, 5, fix_boundary=True)
+    calls = []
+    orig = dmod.aux_triangulate_cell
+
+    def spy(cell, domain=None):
+        calls.append(cell)
+        return orig(cell, domain)
+
+    per_iteration = []
+
+    def on_iteration(state):
+        per_iteration.append((state.diagram, list(calls)))
+        calls.clear()
+
+    dmod.aux_triangulate_cell = spy
+    try:
+        run(balls, OptimizerConfig(theta=0.5, max_iters=5), on_iteration=on_iteration)
+    finally:
+        dmod.aux_triangulate_cell = orig
+    assert not calls  # nothing is triangulated after the last rebuild
+    assert len(per_iteration) == 6
+    for diagram, cells in per_iteration:
+        assert diagram.aux
+        assert sorted(c.ball_index for c in cells) == sorted(diagram.aux)
+        assert all(diagram.cells[c.ball_index] is c for c in cells)
 
 
 def test_write_history_csv(tmp_path):

@@ -154,6 +154,16 @@ def test_load_errors(tmp_path):
     with pytest.raises(ParseError, match="'r'"):
         load_scene(p)
 
+    # invalid optimizer settings name the field instead of escaping as ValueError
+    for params, field in (('{"mode": "fd_gradient"}', "mode"), ('{"theta": 0}', "theta")):
+        p.write_text(
+            '{"balls": [{"c": [0.0, 0.0], "r": 1.0}], "domain": [[0,0],[1,0],[1,1]],'
+            f' "params": {params}}}',
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError, match=field):
+            load_scene(p)
+
 
 def test_load_unknown_fields_warn(tmp_path):
     p = tmp_path / "extra.json"
