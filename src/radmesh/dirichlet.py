@@ -1,7 +1,8 @@
 """Discrete Dirichlet functional on power diagrams and the ball-relaxation loop.
 
 Each bounded cell is triangulated by the Delaunay triangulation of its own
-vertex set (the projection of its dual face onto the paraboloid).  The
+vertex set (the projection of its dual face onto the paraboloid), built by
+the shared ``triangulation.lawson_flip`` loop from a fan.  The
 functional sums, per cell, the squared distance from the ball center to the
 circumcenters of these auxiliary triangles, weighted by triangle area.  It
 vanishes exactly when every cell is cyclic about its own ball center, i.e.
@@ -37,7 +38,7 @@ from .errors import (
     ZeroArea,
 )
 from .geom import Ball, Point2
-from .triangulation import build_regular
+from .triangulation import build_regular, lawson_flip
 
 
 @dataclass
@@ -97,48 +98,24 @@ def _incircle(a, b, c, d) -> float:
     )
 
 
-def _delaunay_convex(points: list[Point2]) -> list[tuple[int, int, int]]:
+def _delaunay_convex(points: list[Point2], tol: float) -> list[list[int]]:
     """Delaunay triangulation of a CCW convex polygon's vertex set.
 
-    Fan triangulation followed by Lawson flips; the float in-circle test is
-    sufficient here because ties leave the circumcenters unchanged.
+    The fan from vertex 0, legalized by the shared Lawson flip loop with the
+    float in-circle test.  Edges whose in-circle value is within ``tol`` of
+    a tie stay as they are: a cocircular quad has the same circumcenter
+    whichever diagonal it takes.
     """
-    m = len(points)
-    tris = [[0, k, k + 1] for k in range(1, m - 1)]
-    for _ in range(4 * m * m):
-        edges: dict[frozenset, list[tuple[int, int]]] = {}
-        for ti, t in enumerate(tris):
-            for k in range(3):
-                e = frozenset((t[(k + 1) % 3], t[(k + 2) % 3]))
-                edges.setdefault(e, []).append((ti, t[k]))
-        done = True
-        for e, owners in edges.items():
-            if len(owners) != 2:
-                continue
-            (t1, p), (t2, q) = owners
-            u, v = tuple(e)
-            a, b, c = points[tris[t1][0]], points[tris[t1][1]], points[tris[t1][2]]
-            s = _incircle(a, b, c, points[q])
-            scale = max(abs(x) for pt in (a, b, c, points[q]) for x in pt) or 1.0
-            if s <= 1e-12 * scale**4:
-                continue
-            if (
-                geom.triangle_area(points[p], points[u], points[q]) <= 0
-                or geom.triangle_area(points[p], points[q], points[v]) <= 0
-            ):
-                u, v = v, u
-                if (
-                    geom.triangle_area(points[p], points[u], points[q]) <= 0
-                    or geom.triangle_area(points[p], points[q], points[v]) <= 0
-                ):
-                    continue
-            tris[t1] = [p, u, q]
-            tris[t2] = [p, q, v]
-            done = False
-            break
-        if done:
-            break
-    return [tuple(t) for t in tris]
+    tris = [[0, k, k + 1] for k in range(1, len(points) - 1)]
+
+    def illegal(a, b, c, q):
+        return _incircle(points[a], points[b], points[c], points[q]) > tol
+
+    def left_turn(p, u, q):
+        return geom.triangle_area(points[p], points[u], points[q]) > 0
+
+    lawson_flip(tris, illegal, left_turn)
+    return tris
 
 
 def aux_triangulate_cell(cell: PowerCell, domain=None) -> list[AuxTriangle]:
@@ -179,8 +156,11 @@ def aux_triangulate_cell(cell: PowerCell, domain=None) -> list[AuxTriangle]:
         raise DegenerateCell(f"cell of ball {cell.ball_index} has collapsed")
     if geom.polygon_area(pts) < 0:
         pts = pts[::-1]
+    # in-circle values scale as span^4; the tie tolerance reads only the
+    # cell's own size, so F_I does not depend on where the cell sits
+    tol = 1e-12 * span**4
     out = []
-    for i, j, k in _delaunay_convex(pts) if len(pts) > 3 else [(0, 1, 2)]:
+    for i, j, k in _delaunay_convex(pts, tol):
         tri = (pts[i], pts[j], pts[k])
         area = geom.triangle_area(*tri)
         if abs(area) <= 1e-14 * span * span:
@@ -441,14 +421,15 @@ def _active_triangles(triangulation, diagram):
 def _gauss_newton_step(balls, triangulation, diagram, merge_eps):
     """Damped Gauss-Newton step driving all active tau(v_k) to zero.
 
-    Returns (new_balls, moved) or (balls, 0) when no damping level helps.
+    Returns (new_balls, moved, (triangulation, diagram) of new_balls), or
+    (balls, 0, None) when no damping level helps.
     """
     active = _active_triangles(triangulation, diagram)
     if not active:
-        return balls, 0
+        return balls, 0, None
     r, J, cols = _tau_system(balls, triangulation, active)
     if not cols:
-        return balls, 0
+        return balls, 0, None
     base = float(r @ r)
     scale = float(np.abs(J).max()) or 1.0
     lam = 1e-10 * scale * scale
@@ -467,10 +448,10 @@ def _gauss_newton_step(balls, triangulation, diagram, merge_eps):
             a2 = _active_triangles(t2, d2)
             r2 = np.array([t2.triangles[ti].tau for ti in a2])
             if a2 and float(r2 @ r2) / len(a2) < base / len(active):
-                return trial, len({i for i, _ in cols})
+                return trial, len({i for i, _ in cols}), (t2, d2)
             alpha *= 0.5
         lam *= 100.0
-    return balls, 0
+    return balls, 0, None
 
 
 def run(
@@ -491,10 +472,11 @@ def run(
     skip_count = [0] * len(balls)
     polish = False  # hybrid mode has switched to Gauss-Newton
     eliminated_total = 0
+    built = None  # (triangulation, diagram) of ``balls`` if a GN step built it
 
     for it in range(config.max_iters + 1):
         try:
-            tri, diagram = _rebuild(balls, merge_eps)
+            tri, diagram = built or _rebuild(balls, merge_eps)
         except (TooFewBalls, AllCollinear) as e:
             if it == 0:
                 raise  # the input scene itself is unusable
@@ -556,12 +538,13 @@ def run(
         eliminated_total += eliminated
 
         moved = 0
+        built = None
         if polish:
             # once the local relaxation stalls, polish with damped
             # Gauss-Newton on the dual-vertex power residuals; their zero
             # set coincides with F_I = 0 and the local convergence is
             # quadratic where the relaxation rate approaches 1
-            new_balls, moved = _gauss_newton_step(balls, tri, diagram, merge_eps)
+            new_balls, moved, built = _gauss_newton_step(balls, tri, diagram, merge_eps)
         if moved == 0:
             new_balls = relax_step(state, config)
             moved = len(proposals)

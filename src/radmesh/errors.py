@@ -25,6 +25,10 @@ class AllCollinear(RadmeshError):
     """All input sites are collinear; the problem is degenerate."""
 
 
+class FlipBudgetExhausted(RadmeshError):
+    """Lawson flipping ran out of its flip budget; the result may be illegal."""
+
+
 class UnboundedCell(RadmeshError):
     """Operation requires a bounded power cell."""
 

@@ -302,15 +302,21 @@ def load_scene(path) -> Scene:
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON at line {e.lineno}: {e.msg}") from e
 
+    if not isinstance(data, dict):
+        raise ParseError("scene must be a JSON object")
     for key in ("balls", "domain"):
         if key not in data:
             raise ParseError(f"missing top-level field '{key}'")
     unknown = set(data) - {"balls", "domain", "params", "rng_seed"}
     if unknown:
         warnings.warn(f"ignoring unknown scene fields: {sorted(unknown)}")
+    if not isinstance(data["balls"], list):
+        raise ParseError("field 'balls' must be a list")
 
     balls = []
     for i, rec in enumerate(data["balls"]):
+        if not isinstance(rec, dict):
+            raise ParseError(f"ball {i}: must be an object")
         for req in ("c", "r"):
             if req not in rec:
                 raise ParseError(f"ball {i}: missing field '{req}'")
@@ -320,17 +326,25 @@ def load_scene(path) -> Scene:
         c = rec["c"]
         if not (isinstance(c, list) and len(c) == 2):
             raise ParseError(f"ball {i}: field 'c' must be [x, y]")
-        balls.append(
-            Ball(
-                (float(c[0]), float(c[1])),
-                float(rec["r"]),
-                bool(rec.get("fix_center", False)),
-                bool(rec.get("fix_radius", False)),
-                bool(rec.get("alive", True)),
+        try:
+            balls.append(
+                Ball(
+                    (float(c[0]), float(c[1])),
+                    float(rec["r"]),
+                    bool(rec.get("fix_center", False)),
+                    bool(rec.get("fix_radius", False)),
+                    bool(rec.get("alive", True)),
+                )
             )
-        )
-    domain = [(float(x), float(y)) for x, y in data["domain"]]
+        except (TypeError, ValueError) as e:
+            raise ParseError(f"ball {i}: {e}") from e
+    try:
+        domain = [(float(x), float(y)) for x, y in data["domain"]]
+    except (TypeError, ValueError) as e:
+        raise ParseError(f"domain: vertices must be [x, y] pairs of numbers ({e})") from e
     pd = data.get("params", {})
+    if not isinstance(pd, dict):
+        raise ParseError("field 'params' must be an object")
     extra = set(pd) - _PARAM_FIELDS
     if extra:
         warnings.warn(f"params: ignoring unknown fields {sorted(extra)}")
@@ -345,4 +359,7 @@ def load_scene(path) -> Scene:
         )
     except (TypeError, ValueError) as e:
         raise ParseError(f"params: {e}") from e
-    return Scene(balls, domain, params, int(data.get("rng_seed", 0)))
+    try:
+        return Scene(balls, domain, params, int(data.get("rng_seed", 0)))
+    except (TypeError, ValueError) as e:
+        raise ParseError(f"rng_seed: {e}") from e

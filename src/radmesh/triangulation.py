@@ -7,6 +7,10 @@ repairs any rounding-induced facet misclassification, and exact power ties
 are re-triangulated canonically (fan from the lowest ball index) so the
 result is a deterministic function of the input indices.
 
+``lawson_flip`` is the one Lawson flip loop in radmesh: legalization runs
+it with the exact power test, and the auxiliary cell triangulations of
+``dirichlet`` run it with a float in-circle test.
+
 Balls whose lifted point lies strictly above the lower envelope own no
 triangle; they are flagged redundant and kept in the ball set.
 """
@@ -19,7 +23,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, Delaunay, QhullError
 
 from . import geom
-from .errors import AllCollinear, TooFewBalls
+from .errors import AllCollinear, FlipBudgetExhausted, TooFewBalls
 from .geom import Ball, Point2
 from .unionfind import UnionFind
 
@@ -109,69 +113,99 @@ def _edge_map(tris):
     return edges
 
 
-def _legalize(balls, tris):
-    """Exact Lawson flips until every interior edge is locally regular.
+def lawson_flip(tris, illegal, left_turn):
+    """Lawson flips (Lawson 1977) on ``tris`` until no interior edge is illegal.
 
-    Works off a queue of suspect edges with an incrementally maintained
-    edge map, so each flip only re-examines the four quad boundary edges.
-    Returns that edge map, which matches ``tris`` on return.
+    ``tris`` holds CCW vertex triples and stays CCW.  ``illegal(a, b, c, q)``
+    says whether the edge of triangle ``(a, b, c)`` facing vertex ``q`` must
+    flip; ``left_turn(p, u, q)`` whether ``p, u, q`` turn strictly left, so
+    only strictly convex quads flip.  A queue of suspect edges and an
+    incrementally kept edge map mean each flip re-examines only the quad's
+    four sides.  Returns that edge map.  Raises ``FlipBudgetExhausted``
+    instead of returning a triangulation that may still be illegal.
     """
     edges = _edge_map(tris)
     queue = list(edges)
     in_queue = set(queue)
-
-    def push(e):
-        if e not in in_queue:
-            in_queue.add(e)
-            queue.append(e)
-
-    def drop_tri(ti):
-        t = tris[ti]
-        for k in range(3):
-            e = frozenset((t[(k + 1) % 3], t[(k + 2) % 3]))
-            owners = edges[e]
-            owners[:] = [o for o in owners if o[0] != ti]
-            if not owners:
-                del edges[e]
-
-    def add_tri(ti):
-        t = tris[ti]
-        for k in range(3):
-            e = frozenset((t[(k + 1) % 3], t[(k + 2) % 3]))
-            edges.setdefault(e, []).append((ti, t[k]))
-            push(e)
-
-    budget = 32 * max(1, len(tris)) ** 2
-    while queue and budget:
-        budget -= 1
+    limit = 32 * max(1, len(tris)) ** 2
+    flips = 0
+    while queue:
         e = queue.pop()
         in_queue.discard(e)
         owners = edges.get(e)
         if owners is None or len(owners) != 2:
             continue
         (t1, p), (t2, q) = owners
-        u, v = tuple(e)
-        a, b, c = (balls[i] for i in tris[t1])
-        if geom.power_test(a, b, c, balls[q]) >= 0:
+        if not illegal(*tris[t1], q):
             continue
-        # quad must be strictly convex for the flip to be valid
-        if (
-            geom.orient2d(balls[p].center, balls[u].center, balls[q].center) <= 0
-            or geom.orient2d(balls[p].center, balls[q].center, balls[v].center) <= 0
-        ):
+        u, v = e
+        if not (left_turn(p, u, q) and left_turn(p, q, v)):
             u, v = v, u
-            if (
-                geom.orient2d(balls[p].center, balls[u].center, balls[q].center) <= 0
-                or geom.orient2d(balls[p].center, balls[q].center, balls[v].center) <= 0
-            ):
+            if not (left_turn(p, u, q) and left_turn(p, q, v)):
                 continue
-        drop_tri(t1)
-        drop_tri(t2)
+        if flips == limit:
+            raise FlipBudgetExhausted(f"edges still illegal after {limit} flips")
+        flips += 1
+        for ti in (t1, t2):
+            t = tris[ti]
+            for k in range(3):
+                f = frozenset((t[k - 2], t[k - 1]))
+                owners = edges[f]
+                owners[:] = [o for o in owners if o[0] != ti]
+                if not owners:
+                    del edges[f]
         tris[t1] = [p, u, q]
         tris[t2] = [p, q, v]
-        add_tri(t1)
-        add_tri(t2)
+        for ti in (t1, t2):
+            t = tris[ti]
+            for k in range(3):
+                f = frozenset((t[k - 2], t[k - 1]))
+                edges.setdefault(f, []).append((ti, t[k]))
+                if f not in in_queue:
+                    in_queue.add(f)
+                    queue.append(f)
     return edges
+
+
+def _legalize(balls, tris):
+    """Exact Lawson legalization of ``tris`` under the power test."""
+
+    def illegal(a, b, c, q):
+        return geom.power_test(balls[a], balls[b], balls[c], balls[q]) < 0
+
+    def left_turn(p, u, q):
+        return geom.orient2d(balls[p].center, balls[u].center, balls[q].center) > 0
+
+    return lawson_flip(tris, illegal, left_turn)
+
+
+def _boundary_cycle(tris, edges, members) -> list[int]:
+    """CCW vertex cycle around the union of the triangles ``members``.
+
+    A boundary edge has no other member triangle beside it; directed as in
+    its CCW triangle, it keeps the union on its left.  ``edges`` is the edge
+    map of ``tris``.  The cycle starts at its lowest vertex.
+    """
+    member_set = set(members)
+    succ = {}
+    for ti in members:
+        t = tris[ti]
+        for k in range(3):
+            a, b = t[k - 2], t[k - 1]
+            owners = edges[frozenset((a, b))]  # ti and the triangle across, if any
+            if (
+                len(owners) == 1
+                or owners[0][0] not in member_set
+                or owners[1][0] not in member_set
+            ):
+                succ[a] = b
+    start = min(succ)
+    cycle = [start]
+    cur = succ[start]
+    while cur != start:
+        cycle.append(cur)
+        cur = succ[cur]
+    return cycle
 
 
 def _canonicalize_ties(balls, tris, edges) -> bool:
@@ -201,25 +235,7 @@ def _canonicalize_ties(balls, tris, edges) -> bool:
         if len(members) == 1:
             continue
         handled.update(members)
-        # boundary edges of the group, directed CCW (edge (a, b) of a CCW
-        # triangle keeps the triangle on its left)
-        member_set = set(members)
-        boundary = {}
-        for ti in members:
-            t = tris[ti]
-            for k in range(3):
-                a, b = t[(k + 1) % 3], t[(k + 2) % 3]
-                owners = edges[frozenset((a, b))]
-                if all(o[0] not in member_set or o[0] == ti for o in owners):
-                    boundary[a] = b
-        start = min(boundary)
-        cycle = [start]
-        cur = boundary[start]
-        while cur != start:
-            cycle.append(cur)
-            cur = boundary[cur]
-        apex = cycle.index(min(cycle))
-        cycle = cycle[apex:] + cycle[:apex]
+        cycle = _boundary_cycle(tris, edges, members)
         for k in range(1, len(cycle) - 1):
             new_tris.append([cycle[0], cycle[k], cycle[k + 1]])
     kept = [t for ti, t in enumerate(tris) if ti not in handled]
@@ -253,28 +269,6 @@ def _orthocenters(balls, tris):
     return vx, vy, tau
 
 
-def _hull_cycle(tris, edges) -> list[tuple[int, int]]:
-    succ = {}
-    for e, owners in edges.items():
-        if len(owners) != 2:
-            ti, _ = owners[0]
-            t = tris[ti]
-            for k in range(3):
-                a, b = t[(k + 1) % 3], t[(k + 2) % 3]
-                if frozenset((a, b)) == e:
-                    succ[a] = b
-    if not succ:
-        return []
-    start = min(succ)
-    cycle = [(start, succ[start])]
-    cur = succ[start]
-    while cur != start:
-        nxt = succ[cur]
-        cycle.append((cur, nxt))
-        cur = nxt
-    return cycle
-
-
 def build_regular(balls: list[Ball]) -> RegularTriangulation:
     """Build the regular triangulation of the alive balls."""
     idx = _alive_indices(balls)
@@ -306,7 +300,8 @@ def build_regular(balls: list[Ball]) -> RegularTriangulation:
     for t in tris:
         used.update(t)
     redundant = [b.alive and i not in used for i, b in enumerate(balls)]
-    return RegularTriangulation(triangles, redundant, _hull_cycle(tris, edges))
+    hull = _boundary_cycle(tris, edges, range(len(tris)))
+    return RegularTriangulation(triangles, redundant, list(zip(hull, hull[1:] + hull[:1])))
 
 
 def verify_regular(t: RegularTriangulation, balls: list[Ball]) -> list[tuple[int, int]]:

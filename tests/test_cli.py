@@ -53,6 +53,24 @@ def test_optimize_invalid_params_exit_1(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_optimize_invalid_ball_or_domain_exit_1(tmp_path, capsys):
+    scene = tmp_path / "scene.json"
+    assert main(gen_args(scene)) == 0
+    good = json.loads(scene.read_text())
+    for edit, prefix in (
+        (lambda d: d["balls"][3].update(r=-1), "error: ParseError: ball 3: "),
+        (lambda d: d["balls"][3].update(c=["x", 0]), "error: ParseError: ball 3: "),
+        (lambda d: d["domain"][0].append(0.0), "error: ParseError: domain: "),
+    ):
+        data = json.loads(json.dumps(good))
+        edit(data)
+        scene.write_text(json.dumps(data))
+        assert main(["optimize", str(scene), "-o", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(prefix)
+        assert "Traceback" not in err
+
+
 def test_unknown_flag_exit_2(tmp_path, capsys):
     assert main(["optimize", "x.json", "--no-such-flag"]) == 2
     assert main(["frobnicate"]) == 2

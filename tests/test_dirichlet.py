@@ -103,6 +103,28 @@ def test_aux_cyclic_pentagon():
         assert a.circumcenter == pytest.approx((0.0, 0.0), abs=1e-9)
 
 
+def test_aux_translation_invariance():
+    # a thin quad whose Delaunay diagonal is the short vertical one, which
+    # the fan from vertex 0 does not take; far from the origin as well
+    from radmesh.diagram import DualVertex, PowerCell
+
+    quad = [(0.0, 0.0), (0.1, -0.03), (0.2, 0.0), (0.1, 0.03)]
+
+    def circumcenters(ox, oy):
+        cell = PowerCell(
+            0, [DualVertex((x + ox, y + oy), 0.0, []) for x, y in quad], bounded=True
+        )
+        found = sorted(
+            (a.circumcenter[0] - ox, a.circumcenter[1] - oy)
+            for a in aux_triangulate_cell(cell)
+        )
+        return [x for cc in found for x in cc]
+
+    expected = [0.0545, 0.0, 0.1455, 0.0]
+    assert circumcenters(0.0, 0.0) == pytest.approx(expected, abs=1e-12)
+    assert circumcenters(1e3, -1e3) == pytest.approx(expected, abs=1e-9)
+
+
 def test_aux_unbounded_raises():
     from radmesh.diagram import PowerCell
 

@@ -142,6 +142,9 @@ def test_load_errors(tmp_path):
     p.write_text("{not json", encoding="utf-8")
     with pytest.raises(ParseError):
         load_scene(p)
+    p.write_text("5", encoding="utf-8")
+    with pytest.raises(ParseError, match="JSON object"):
+        load_scene(p)
 
     p.write_text('{"domain": [[0,0],[1,0],[1,1]]}', encoding="utf-8")
     with pytest.raises(ParseError, match="balls"):
@@ -154,14 +157,24 @@ def test_load_errors(tmp_path):
     with pytest.raises(ParseError, match="'r'"):
         load_scene(p)
 
-    # invalid optimizer settings name the field instead of escaping as ValueError
-    for params, field in (('{"mode": "fd_gradient"}', "mode"), ('{"theta": 0}', "theta")):
-        p.write_text(
-            '{"balls": [{"c": [0.0, 0.0], "r": 1.0}], "domain": [[0,0],[1,0],[1,1]],'
-            f' "params": {params}}}',
-            encoding="utf-8",
-        )
-        with pytest.raises(ParseError, match=field):
+    def write(balls='[{"c": [0.0, 0.0], "r": 1.0}]', domain="[[0,0],[1,0],[1,1]]", extra=""):
+        p.write_text(f'{{"balls": {balls}, "domain": {domain}{extra}}}', encoding="utf-8")
+
+    # invalid records and settings name the field instead of escaping as a
+    # ValueError, TypeError or AttributeError traceback
+    for fields, match in (
+        ({"balls": '[{"c": [0.0, 0.0], "r": -1}]'}, "ball 0: .*radius"),
+        ({"balls": '[{"c": ["x", 0], "r": 1.0}]'}, "ball 0: .*'x'"),
+        ({"balls": '{"c": [0.0, 0.0], "r": 1.0}'}, "'balls' must be a list"),
+        ({"balls": "[1.0]"}, "ball 0: must be an object"),
+        ({"domain": "[[0,0,0],[1,0],[1,1]]"}, "domain: "),
+        ({"extra": ', "params": "fast"'}, "'params' must be"),
+        ({"extra": ', "params": {"mode": "fd_gradient"}'}, "mode"),
+        ({"extra": ', "params": {"theta": 0}'}, "theta"),
+        ({"extra": ', "rng_seed": "x"'}, "rng_seed"),
+    ):
+        write(**fields)
+        with pytest.raises(ParseError, match=match):
             load_scene(p)
 
 
