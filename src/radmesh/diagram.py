@@ -31,7 +31,6 @@ class PowerCell:
     vertices: list[DualVertex]  # CCW
     bounded: bool
     free: bool = True  # ball has at least one free degree of freedom
-    clipped: bool = False
     # outward ray directions of the two infinite edges (unbounded cells only)
     ray_start: Point2 | None = None
     ray_end: Point2 | None = None
@@ -61,7 +60,7 @@ class PowerDiagram:
         (the partition is evaluated within the domain only), and unbounded
         cells contribute their in-domain vertices too.
         """
-        tol = 0.0 if self.domain is None else 1e-9 * geom.diameter(self.domain)
+        tol = 0.0 if self.domain is None else 1e-9 * geom.bbox_diag(self.domain)
         seen = set()
         worst = 0.0
         for c in self.cells:
@@ -329,7 +328,7 @@ def clip_cell(cell: PowerCell, domain: list[Point2]) -> list[Point2]:
     pts = cell.vertex_positions()
     if not cell.bounded:
         far = 10.0 * (
-            geom.diameter(domain)
+            geom.bbox_diag(domain)
             + max(
                 math.hypot(p[0] - domain[0][0], p[1] - domain[0][1]) for p in pts
             )

@@ -9,7 +9,9 @@ vanishes exactly when every cell is cyclic about its own ball center, i.e.
 when the radical partition is a Delaunay partition.
 
 Each iteration rebuilds the triangulation and the diagram once; the
-auxiliary triangulations are computed on first use and kept on the diagram.
+auxiliary triangulations are computed on first use and kept on the diagram,
+and the update proposals are computed once and shared by the elimination
+bookkeeping and ``relax_step``.
 The update is the heuristic area-weighted center / least-squares radius
 proposal, relaxed by ``theta``.  In ``hybrid`` mode, once that relaxation
 plateaus, a damped Gauss-Newton step on the dual-vertex power residuals
@@ -54,7 +56,6 @@ class OptimizerConfig:
     theta: float = 0.5
     max_iters: int = 2000
     tau_tol: float | None = None  # None: 1e-10 * bbox_diag^2
-    fi_tol: float = 0.0  # 0 disables the F_I stopping test
     mode: str = "heuristic"  # heuristic | hybrid
     eliminate_redundant: bool = False
 
@@ -131,7 +132,7 @@ def aux_triangulate_cell(cell: PowerCell, domain=None) -> list[AuxTriangle]:
         # clipping can emit the same corner twice (intersections computed on
         # both adjacent edges); drop near-duplicate consecutive vertices
         if pts:
-            eps = 1e-9 * geom.diameter(domain)
+            eps = 1e-9 * geom.bbox_diag(domain)
             dedup = []
             for p in pts:
                 if not dedup or math.hypot(
@@ -271,11 +272,11 @@ def _proposals(balls, diagram):
     return proposals
 
 
-def relax_step(state: OptimizerState, config: OptimizerConfig) -> list[Ball]:
-    """One relaxed heuristic update of all free balls (simultaneous commit)."""
-    balls = state.balls
-    proposals = _proposals(balls, state.diagram)
-    theta = config.theta
+def relax_step(balls: list[Ball], proposals, theta: float) -> list[Ball]:
+    """One relaxed update of all free balls toward ``proposals`` (simultaneous commit).
+
+    ``proposals`` maps ball index to the target (c_new, R_new) of ``_proposals``.
+    """
     new_balls = []
     for i, b in enumerate(balls):
         if i not in proposals or not b.alive:
@@ -491,12 +492,10 @@ def run(
         if on_iteration is not None:
             on_iteration(state)
 
-        if max_tau <= tau_tol or (config.fi_tol > 0 and fi <= config.fi_tol):
+        converged = max_tau <= tau_tol
+        if converged or it == config.max_iters:
             state.history.append(HistoryRecord(it, fi, max_tau, 0, eliminated_total))
-            state.converged = True
-            return state
-        if it == config.max_iters:
-            state.history.append(HistoryRecord(it, fi, max_tau, 0, eliminated_total))
+            state.converged = converged
             return state
 
         hist = state.history
@@ -546,7 +545,7 @@ def run(
             # quadratic where the relaxation rate approaches 1
             new_balls, moved, built = _gauss_newton_step(balls, tri, diagram, merge_eps)
         if moved == 0:
-            new_balls = relax_step(state, config)
+            new_balls = relax_step(balls, proposals, config.theta)
             moved = len(proposals)
 
         state.history.append(HistoryRecord(it, fi, max_tau, moved, eliminated_total))

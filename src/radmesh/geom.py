@@ -4,7 +4,9 @@ Decisions (orient2d, power_test) use a floating-point filter with a
 conservative error bound and fall back to exact rational arithmetic, so the
 returned sign is always correct for representable inputs.  Constructions
 (orthocenter, circumcenter) are plain double precision with a conditioning
-guard on the 2x2 system determinant.
+guard on the 2x2 system determinant.  ``orthocenters`` is the one
+orthocenter kernel: the regular triangulation runs it on all its triangles,
+``orthocenter`` on one.  ``bbox_diag`` is the one scale measure.
 
 All functions here are pure; they can be called from any thread.
 """
@@ -13,6 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import CollinearCenters, CollinearPoints
 
@@ -169,33 +173,59 @@ def _power_test_exact(b1: Ball, b2: Ball, b3: Ball, b4: Ball) -> int:
     return (det > 0) - (det < 0)
 
 
-def _solve2x2(a11, a12, a21, a22, r1, r2, scale_sq, exc, what):
+def lifted_heights(centers, radii):
+    """Heights (|c|^2 - R^2) / 2 of an (N, 2) center and (N,) radius array."""
+    return 0.5 * (centers[:, 0] ** 2 + centers[:, 1] ** 2 - radii**2)
+
+
+def orthocenters(centers, radii, tris):
+    """Orthocenters and their power values for many triangles at once.
+
+    ``centers`` is an (N, 2) and ``radii`` an (N,) array; ``tris`` holds
+    index triples into them.  Each triangle solves v . (c_i - c_1) =
+    h_i - h_1 for i = 2, 3, with h the lifted heights; tau is the mean
+    power of v to the three balls.  Returns the arrays (vx, vy, tau).
+    No conditioning guard: ``orthocenter`` adds one for a single triangle.
+    """
+    idx = np.array(tris, dtype=int)
+    c, r = centers, radii
+    h = lifted_heights(c, r)
+    c1, c2, c3 = c[idx[:, 0]], c[idx[:, 1]], c[idx[:, 2]]
+    h1, h2, h3 = h[idx[:, 0]], h[idx[:, 1]], h[idx[:, 2]]
+    a11 = c2[:, 0] - c1[:, 0]
+    a12 = c2[:, 1] - c1[:, 1]
+    a21 = c3[:, 0] - c1[:, 0]
+    a22 = c3[:, 1] - c1[:, 1]
     det = a11 * a22 - a12 * a21
-    if abs(det) <= CONDITIONING_GUARD * scale_sq:
-        raise exc(what)
-    x = (r1 * a22 - r2 * a12) / det
-    y = (a11 * r2 - a21 * r1) / det
-    return x, y
+    rhs1 = h2 - h1
+    rhs2 = h3 - h1
+    vx = (rhs1 * a22 - rhs2 * a12) / det
+    vy = (a11 * rhs2 - a21 * rhs1) / det
+    tau = np.zeros(len(idx))
+    for col in range(3):
+        ci = c[idx[:, col]]
+        ri = r[idx[:, col]]
+        tau += (ci[:, 0] - vx) ** 2 + (ci[:, 1] - vy) ** 2 - ri**2
+    tau /= 3.0
+    return vx, vy, tau
 
 
 def orthocenter(b1: Ball, b2: Ball, b3: Ball) -> tuple[Point2, float]:
     """Point with equal power to three balls, and that common power value.
 
-    Solves v . (c_i - c_1) = h_i - h_1 for i = 2, 3.  For equal radii this
-    is the circumcenter of the three centers.
+    The one-triangle call of ``orthocenters``.  For equal radii this is the
+    circumcenter of the three centers.
     """
-    h1, h2, h3 = lift(b1).height, lift(b2).height, lift(b3).height
     c1, c2, c3 = b1.center, b2.center, b3.center
     a11, a12 = c2[0] - c1[0], c2[1] - c1[1]
     a21, a22 = c3[0] - c1[0], c3[1] - c1[1]
     scale_sq = max(a11 * a11 + a12 * a12, a21 * a21 + a22 * a22)
-    vx, vy = _solve2x2(
-        a11, a12, a21, a22, h2 - h1, h3 - h1, scale_sq,
-        CollinearCenters, "orthocenter: centers are (nearly) collinear",
-    )
-    v = (vx, vy)
-    tau = (power(b1, v) + power(b2, v) + power(b3, v)) / 3.0
-    return v, tau
+    if abs(a11 * a22 - a12 * a21) <= CONDITIONING_GUARD * scale_sq:
+        raise CollinearCenters("orthocenter: centers are (nearly) collinear")
+    centers = np.array([c1, c2, c3], dtype=float)
+    radii = np.array([b1.radius, b2.radius, b3.radius], dtype=float)
+    vx, vy, tau = orthocenters(centers, radii, [(0, 1, 2)])
+    return (float(vx[0]), float(vy[0])), float(tau[0])
 
 
 def circumcenter(p1: Point2, p2: Point2, p3: Point2) -> Point2:
@@ -205,11 +235,10 @@ def circumcenter(p1: Point2, p2: Point2, p3: Point2) -> Point2:
     scale_sq = max(a11 * a11 + a12 * a12, a21 * a21 + a22 * a22)
     r1 = 0.5 * (a11 * a11 + a12 * a12)
     r2 = 0.5 * (a21 * a21 + a22 * a22)
-    ux, uy = _solve2x2(
-        a11, a12, a21, a22, r1, r2, scale_sq,
-        CollinearPoints, "circumcenter: points are (nearly) collinear",
-    )
-    return (p1[0] + ux, p1[1] + uy)
+    det = a11 * a22 - a12 * a21
+    if abs(det) <= CONDITIONING_GUARD * scale_sq:
+        raise CollinearPoints("circumcenter: points are (nearly) collinear")
+    return (p1[0] + (r1 * a22 - r2 * a12) / det, p1[1] + (a11 * r2 - a21 * r1) / det)
 
 
 def triangle_area(p1: Point2, p2: Point2, p3: Point2) -> float:
@@ -237,7 +266,3 @@ def bbox_diag(points) -> float:
     d = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
     return d if d > 0 else 1.0
 
-
-def diameter(points) -> float:
-    """Largest distance between two points of a sequence (a polygon's span)."""
-    return max(math.hypot(p[0] - q[0], p[1] - q[1]) for p in points for q in points)

@@ -48,7 +48,6 @@ def recover_spheres(
     points: list[Point2],
     cluster_eps: float | None = None,
     area_tol: float = 1e-12,
-    shape_tol: float = 1e-7,
 ) -> list[Ball]:
     """Recover approximate Delaunay circles of a perturbed point set."""
     if len(points) < 3:
@@ -80,7 +79,7 @@ def recover_spheres(
             (p2[0] - p3[0]) ** 2 + (p2[1] - p3[1]) ** 2,
             (p3[0] - p1[0]) ** 2 + (p3[1] - p1[1]) ** 2,
         )
-        if area < shape_tol * lmax2:
+        if area < 1e-7 * lmax2:
             continue
         try:
             centers.append(geom.circumcenter(p1, p2, p3))

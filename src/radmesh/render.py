@@ -20,25 +20,21 @@ LAYERS = (
     "domain",
 )
 
-PALETTES = {
-    "default": {
-        "power_diagram": "#1f5fa8",
-        "regular_triangulation": "#999999",
-        "ball_free": "#2e8b57",
-        "ball_fixed": "#555555",
-        "ortho_pos": "#c02020",
-        "ortho_neg": "#e08080",
-        "aux": "#d4a017",
-        "domain": "#000000",
-    },
+COLORS = {
+    "power_diagram": "#1f5fa8",
+    "regular_triangulation": "#999999",
+    "ball_free": "#2e8b57",
+    "ball_fixed": "#555555",
+    "ortho_pos": "#c02020",
+    "ortho_neg": "#e08080",
+    "aux": "#d4a017",
+    "domain": "#000000",
 }
 
 
 @dataclass
 class RenderSpec:
     layers: tuple[str, ...] = ("power_diagram", "balls", "domain")
-    palette: str = "default"
-    stroke_width: float = 0.0  # 0: auto from scene size
 
     def __post_init__(self):
         if not self.layers:
@@ -46,8 +42,6 @@ class RenderSpec:
         unknown = set(self.layers) - set(LAYERS)
         if unknown:
             raise ValueError(f"unknown layers: {sorted(unknown)}")
-        if self.palette not in PALETTES:
-            raise ValueError(f"unknown palette {self.palette!r}")
 
 
 def _f(x: float) -> str:
@@ -78,17 +72,16 @@ def render_svg(
     aux_triangles=None,
 ) -> None:
     """Write an SVG 1.1 file; identical inputs give identical bytes."""
-    pal = PALETTES[spec.palette]
     xs = [p[0] for p in scene.domain] + [b.center[0] for b in scene.balls if b.alive]
     ys = [p[1] for p in scene.domain] + [b.center[1] for b in scene.balls if b.alive]
     pad = 0.05 * max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
     x0, y0 = min(xs) - pad, min(ys) - pad
     w, h = max(xs) - x0 + pad, max(ys) - y0 + pad
-    sw = spec.stroke_width if spec.stroke_width > 0 else 0.002 * max(w, h)
+    sw = 0.002 * max(w, h)  # stroke width scales with the scene
 
     body = []
     if "domain" in spec.layers:
-        body.append(_poly(scene.domain, pal["domain"], 2 * sw))
+        body.append(_poly(scene.domain, COLORS["domain"], 2 * sw))
     if "power_diagram" in spec.layers and diagram is not None:
         for cell in diagram.cells:
             if cell is None:
@@ -99,26 +92,26 @@ def render_svg(
                 else clip_cell(cell, scene.domain)
             )
             if len(pts) >= 3:
-                body.append(_poly(pts, pal["power_diagram"], sw))
+                body.append(_poly(pts, COLORS["power_diagram"], sw))
     if "regular_triangulation" in spec.layers and triangulation is not None:
         for tri in triangulation.triangles:
             pts = [scene.balls[i].center for i in tri.ball_indices]
-            body.append(_poly(pts, pal["regular_triangulation"], sw))
+            body.append(_poly(pts, COLORS["regular_triangulation"], sw))
     if "aux_triangles" in spec.layers and aux_triangles:
         for t in aux_triangles:
-            body.append(_poly(t.vertex_positions, pal["aux"], 0.5 * sw))
+            body.append(_poly(t.vertex_positions, COLORS["aux"], 0.5 * sw))
     if "balls" in spec.layers:
         for b in scene.balls:
             if not b.alive:
                 continue
-            color = pal["ball_fixed"] if b.fix_center else pal["ball_free"]
+            color = COLORS["ball_fixed"] if b.fix_center else COLORS["ball_free"]
             body.append(_circle(b.center, b.radius, color, sw))
     if "orthocircles" in spec.layers and diagram is not None:
         for v in diagram.dual_vertices:
             r = math.sqrt(abs(v.tau))
             if r <= 0:
                 continue
-            color = pal["ortho_pos"] if v.tau >= 0 else pal["ortho_neg"]
+            color = COLORS["ortho_pos"] if v.tau >= 0 else COLORS["ortho_neg"]
             body.append(_circle(v.position, r, color, sw))
 
     svg = (

@@ -269,7 +269,6 @@ def scene_to_json(scene: Scene) -> str:
         f'"theta": {_fmt(p.theta)}, '
         f'"max_iters": {_fmt(p.max_iters)}, '
         f'"tau_tol": {_fmt(p.tau_tol)}, '
-        f'"fi_tol": {_fmt(p.fi_tol)}, '
         f'"mode": {_fmt(p.mode)}, '
         f'"eliminate_redundant": {_fmt(p.eliminate_redundant)}}},'
     )
@@ -288,10 +287,17 @@ _PARAM_FIELDS = {
     "theta",
     "max_iters",
     "tau_tol",
-    "fi_tol",
     "mode",
     "eliminate_redundant",
 }
+
+
+def _flag(rec: dict, key: str, default: bool) -> bool:
+    """A JSON boolean field; ``bool()`` would read the string "false" as true."""
+    value = rec.get(key, default)
+    if not isinstance(value, bool):
+        raise TypeError(f"field '{key}' must be true or false, got {value!r}")
+    return value
 
 
 def load_scene(path) -> Scene:
@@ -331,9 +337,9 @@ def load_scene(path) -> Scene:
                 Ball(
                     (float(c[0]), float(c[1])),
                     float(rec["r"]),
-                    bool(rec.get("fix_center", False)),
-                    bool(rec.get("fix_radius", False)),
-                    bool(rec.get("alive", True)),
+                    _flag(rec, "fix_center", False),
+                    _flag(rec, "fix_radius", False),
+                    _flag(rec, "alive", True),
                 )
             )
         except (TypeError, ValueError) as e:
@@ -353,9 +359,8 @@ def load_scene(path) -> Scene:
             theta=float(pd.get("theta", 0.5)),
             max_iters=int(pd.get("max_iters", 2000)),
             tau_tol=None if pd.get("tau_tol") is None else float(pd["tau_tol"]),
-            fi_tol=float(pd.get("fi_tol", 0.0)),
             mode=str(pd.get("mode", "heuristic")),
-            eliminate_redundant=bool(pd.get("eliminate_redundant", False)),
+            eliminate_redundant=_flag(pd, "eliminate_redundant", False),
         )
     except (TypeError, ValueError) as e:
         raise ParseError(f"params: {e}") from e

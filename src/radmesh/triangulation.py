@@ -5,7 +5,8 @@ ball centers lifted to height (|c|^2 - R^2)/2.  The heavy lifting is done
 by qhull on the lifted 3D point set; an exact legalization pass afterwards
 repairs any rounding-induced facet misclassification, and exact power ties
 are re-triangulated canonically (fan from the lowest ball index) so the
-result is a deterministic function of the input indices.
+result is a deterministic function of the input indices.  The dual
+vertices and their power values come from ``geom.orthocenters``.
 
 ``lawson_flip`` is the one Lawson flip loop in radmesh: legalization runs
 it with the exact power test, and the auxiliary cell triangulations of
@@ -40,7 +41,6 @@ class Triangle:
 class RegularTriangulation:
     triangles: list[Triangle]
     redundant: list[bool]  # per-ball; True = alive but hidden
-    hull: list[tuple[int, int]]  # ordered CCW boundary edges (ball indices)
 
     def edge_set(self) -> set[frozenset[int]]:
         edges = set()
@@ -71,13 +71,10 @@ def _check_not_collinear(balls, idx):
     raise AllCollinear("all ball centers are collinear")
 
 
-def _lower_hull_triangles(balls, idx) -> list[list[int]]:
+def _lower_hull_triangles(balls, idx, centers, radii) -> list[list[int]]:
     """Candidate triangles (global ball indices, CCW) of the lifted lower hull."""
-    pts = np.array([balls[i].center for i in idx], dtype=float)
-    heights = 0.5 * (
-        pts[:, 0] ** 2 + pts[:, 1] ** 2 - np.array([balls[i].radius for i in idx]) ** 2
-    )
-    lifted = np.column_stack([pts, heights])
+    pts = centers[idx]
+    lifted = np.column_stack([pts, geom.lifted_heights(pts, radii[idx])])
     try:
         hull = ConvexHull(lifted)
     except QhullError:
@@ -243,49 +240,25 @@ def _canonicalize_ties(balls, tris, edges) -> bool:
     return True
 
 
-def _orthocenters(balls, tris):
-    """Vectorized orthocenter/tau computation for all triangles."""
-    idx = np.array(tris, dtype=int)
-    c = np.array([b.center for b in balls], dtype=float)
-    r = np.array([b.radius for b in balls], dtype=float)
-    h = 0.5 * (c[:, 0] ** 2 + c[:, 1] ** 2 - r**2)
-    c1, c2, c3 = c[idx[:, 0]], c[idx[:, 1]], c[idx[:, 2]]
-    h1, h2, h3 = h[idx[:, 0]], h[idx[:, 1]], h[idx[:, 2]]
-    a11 = c2[:, 0] - c1[:, 0]
-    a12 = c2[:, 1] - c1[:, 1]
-    a21 = c3[:, 0] - c1[:, 0]
-    a22 = c3[:, 1] - c1[:, 1]
-    det = a11 * a22 - a12 * a21
-    rhs1 = h2 - h1
-    rhs2 = h3 - h1
-    vx = (rhs1 * a22 - rhs2 * a12) / det
-    vy = (a11 * rhs2 - a21 * rhs1) / det
-    tau = np.zeros(len(tris))
-    for col in range(3):
-        ci = c[idx[:, col]]
-        ri = r[idx[:, col]]
-        tau += (ci[:, 0] - vx) ** 2 + (ci[:, 1] - vy) ** 2 - ri**2
-    tau /= 3.0
-    return vx, vy, tau
-
-
 def build_regular(balls: list[Ball]) -> RegularTriangulation:
     """Build the regular triangulation of the alive balls."""
     idx = _alive_indices(balls)
     if len(idx) < 3:
         raise TooFewBalls(f"need >= 3 alive balls, got {len(idx)}")
     _check_not_collinear(balls, idx)
+    centers = np.array([b.center for b in balls], dtype=float)
+    radii = np.array([b.radius for b in balls], dtype=float)
     if len(idx) == 3:
         tris = [list(idx)]
     else:
-        tris = _lower_hull_triangles(balls, idx)
+        tris = _lower_hull_triangles(balls, idx, centers, radii)
     _orient_ccw(balls, tris)
     edges = _legalize(balls, tris)  # flips keep every triangle CCW
     if _canonicalize_ties(balls, tris, edges):
         _orient_ccw(balls, tris)
         edges = _edge_map(tris)
 
-    vx, vy, tau = _orthocenters(balls, tris)
+    vx, vy, tau = geom.orthocenters(centers, radii, tris)
     triangles = []
     for ti, t in enumerate(tris):
         nbrs = []
@@ -300,8 +273,7 @@ def build_regular(balls: list[Ball]) -> RegularTriangulation:
     for t in tris:
         used.update(t)
     redundant = [b.alive and i not in used for i, b in enumerate(balls)]
-    hull = _boundary_cycle(tris, edges, range(len(tris)))
-    return RegularTriangulation(triangles, redundant, list(zip(hull, hull[1:] + hull[:1])))
+    return RegularTriangulation(triangles, redundant)
 
 
 def verify_regular(t: RegularTriangulation, balls: list[Ball]) -> list[tuple[int, int]]:

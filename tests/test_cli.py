@@ -61,6 +61,9 @@ def test_optimize_invalid_ball_or_domain_exit_1(tmp_path, capsys):
         (lambda d: d["balls"][3].update(r=-1), "error: ParseError: ball 3: "),
         (lambda d: d["balls"][3].update(c=["x", 0]), "error: ParseError: ball 3: "),
         (lambda d: d["domain"][0].append(0.0), "error: ParseError: domain: "),
+        (lambda d: d["balls"][3].update(fix_center="false"), "error: ParseError: ball 3: "),
+        (lambda d: d["balls"][3].update(alive=0.0), "error: ParseError: ball 3: "),
+        (lambda d: d["params"].update(eliminate_redundant="no"), "error: ParseError: params: "),
     ):
         data = json.loads(json.dumps(good))
         edit(data)

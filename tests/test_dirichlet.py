@@ -1,14 +1,13 @@
 """Dirichlet functional, heuristic updates, gradients, and the main loop."""
 
 import math
-from types import SimpleNamespace
 
 import pytest
 
 from radmesh.diagram import extract_diagram
 from radmesh.dirichlet import (
     OptimizerConfig,
-    OptimizerState,
+    _proposals,
     aux_triangulate_cell,
     bbox_diag,
     cell_fi,
@@ -196,39 +195,48 @@ def test_frozen_center_gradient_matches_fd():
     assert gy == pytest.approx(fdy, rel=1e-5)
 
 
-def make_state(balls):
+def proposals_of(balls):
     t = build_regular(balls)
-    d = extract_diagram(t, balls)
-    return OptimizerState(balls, d, evaluate_FI(balls, d), d.max_abs_tau(), 0)
+    return _proposals(balls, extract_diagram(t, balls))
 
 
 def test_relax_step_theta_limits():
     rng = philox(41)
     balls = jittered_grid(rng, 4)
-    state = make_state(balls)
+    proposals = proposals_of(balls)
+    assert proposals
 
-    frozen = relax_step(state, SimpleNamespace(theta=0.0))
+    frozen = relax_step(balls, proposals, 0.0)
     for a, b in zip(balls, frozen):
         assert a.center == b.center and a.radius == b.radius
 
-    full = relax_step(state, SimpleNamespace(theta=1.0))
-    half = relax_step(state, SimpleNamespace(theta=0.5))
-    for a, f, h in zip(balls, full, half):
+    full = relax_step(balls, proposals, 1.0)
+    half = relax_step(balls, proposals, 0.5)
+    for i, (a, f, h) in enumerate(zip(balls, full, half)):
+        if i in proposals:
+            assert (f.center, f.radius) == proposals[i]
         assert h.center[0] == pytest.approx((a.center[0] + f.center[0]) / 2)
         assert h.center[1] == pytest.approx((a.center[1] + f.center[1]) / 2)
         assert h.radius == pytest.approx((a.radius + f.radius) / 2)
 
 
 def test_relax_step_honors_fix_flags():
+    # proposals for every ball, applied to balls with fixed coordinates:
+    # a fixed center or radius keeps its value, the free one moves
     rng = philox(42)
     balls = jittered_grid(rng, 4)
+    proposals = proposals_of(balls)
+    flags = [(k % 3 == 0, k % 3 == 1) for k in range(len(balls))]
     pinned = [
-        Ball(b.center, b.radius, fix_center=True, fix_radius=True) for b in balls
+        Ball(b.center, b.radius, fix_center=fc, fix_radius=fr)
+        for b, (fc, fr) in zip(balls, flags)
     ]
-    state = make_state(pinned)
-    out = relax_step(state, SimpleNamespace(theta=1.0))
-    for a, b in zip(pinned, out):
-        assert a.center == b.center and a.radius == b.radius
+    out = relax_step(pinned, proposals, 1.0)
+    for i, (a, b) in enumerate(zip(pinned, out)):
+        assert (b.fix_center, b.fix_radius) == (a.fix_center, a.fix_radius)
+        c_new, r_new = proposals.get(i, (a.center, a.radius))
+        assert b.center == (a.center if a.fix_center else c_new)
+        assert b.radius == (a.radius if a.fix_radius else r_new)
 
 
 def test_fd_gradient_zero_rows_for_fixed_balls():
@@ -361,6 +369,38 @@ def test_run_triangulates_each_cell_once_per_iteration():
         assert diagram.aux
         assert sorted(c.ball_index for c in cells) == sorted(diagram.aux)
         assert all(diagram.cells[c.ball_index] is c for c in cells)
+
+
+def test_run_computes_proposals_once_per_iteration():
+    # the elimination bookkeeping and relax_step share one set of
+    # proposals, so heuristic_center runs once per usable cell
+    import radmesh.dirichlet as dmod
+
+    rng = philox(49)
+    balls = jittered_grid(rng, 5, fix_boundary=True)
+    calls = []
+    orig = dmod.heuristic_center
+
+    def spy(cell, aux):
+        calls.append(cell.ball_index)
+        return orig(cell, aux)
+
+    seen = []  # (diagram, heuristic_center calls since the previous iteration)
+
+    def on_iteration(state):
+        seen.append((state.diagram, list(calls)))
+        calls.clear()
+
+    dmod.heuristic_center = spy
+    try:
+        run(balls, OptimizerConfig(theta=0.5, max_iters=5), on_iteration=on_iteration)
+    finally:
+        dmod.heuristic_center = orig
+    assert not calls  # the last iteration only stops
+    assert len(seen) == 6
+    for (diagram, _), (_, balls_updated) in zip(seen, seen[1:]):
+        assert diagram.aux
+        assert sorted(balls_updated) == sorted(diagram.aux)
 
 
 def test_write_history_csv(tmp_path):

@@ -13,8 +13,6 @@ def test_render_spec_validation():
         RenderSpec(layers=())
     with pytest.raises(ValueError):
         RenderSpec(layers=("no_such_layer",))
-    with pytest.raises(ValueError):
-        RenderSpec(palette="neon")
     assert RenderSpec().layers == ("power_diagram", "balls", "domain")
 
 

@@ -172,6 +172,11 @@ def test_load_errors(tmp_path):
         ({"extra": ', "params": {"mode": "fd_gradient"}'}, "mode"),
         ({"extra": ', "params": {"theta": 0}'}, "theta"),
         ({"extra": ', "rng_seed": "x"'}, "rng_seed"),
+        # flags are JSON booleans; bool() would read "false" as true
+        ({"balls": '[{"c": [0.0, 0.0], "r": 1.0, "fix_center": "false"}]'}, "ball 0: .*fix_center"),
+        ({"balls": '[{"c": [0.0, 0.0], "r": 1.0, "fix_radius": 1}]'}, "ball 0: .*fix_radius"),
+        ({"balls": '[{"c": [0.0, 0.0], "r": 1.0, "alive": 0.0}]'}, "ball 0: .*alive"),
+        ({"extra": ', "params": {"eliminate_redundant": "no"}'}, "params: .*eliminate_redundant"),
     ):
         write(**fields)
         with pytest.raises(ParseError, match=match):
@@ -189,3 +194,14 @@ def test_load_unknown_fields_warn(tmp_path):
         scene = load_scene(p)
     assert len(scene.balls) == 1
     assert scene.balls[0].radius == 1.0
+
+    # files written before the F_I stopping test was removed still load
+    p.write_text(
+        '{"balls": [{"c": [0.0, 0.0], "r": 1.0}], "domain": [[0,0],[1,0],[1,1]],'
+        ' "params": {"theta": 0.25, "fi_tol": 0.0}}',
+        encoding="utf-8",
+    )
+    with pytest.warns(UserWarning, match="fi_tol"):
+        scene = load_scene(p)
+    assert scene.params.theta == 0.25
+    assert not hasattr(scene.params, "fi_tol")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.spatial import Delaunay
+from scipy.spatial import ConvexHull, Delaunay
 
 from radmesh import geom
 from radmesh.errors import AllCollinear, FlipBudgetExhausted, TooFewBalls
@@ -109,16 +109,21 @@ def test_verify_regular_three_balls_empty():
     assert verify_regular(build_regular(balls), balls) == []
 
 
-def test_triangles_ccw_and_orthocenter_consistency():
-    rng = philox(8)
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**6))
+@example(8)
+def test_triangles_ccw_and_orthocenter_consistency(seed):
+    # build_regular's dual vertices come from geom.orthocenters, the kernel
+    # geom.orthocenter runs too, so they agree bit for bit
+    rng = philox(seed)
     balls = random_balls(rng, 25)
     t = build_regular(balls)
     for tr in t.triangles:
         c1, c2, c3 = (balls[i].center for i in tr.ball_indices)
         assert geom.orient2d(c1, c2, c3) == 1
         v, tau = geom.orthocenter(*(balls[i] for i in tr.ball_indices))
-        assert tr.orthocenter == pytest.approx(v, abs=1e-9)
-        assert tr.tau == pytest.approx(tau, abs=1e-9)
+        assert tr.orthocenter == v
+        assert tr.tau == tau
 
 
 def test_neighbor_adjacency_symmetric():
@@ -150,8 +155,8 @@ def test_area_additivity_covers_hull():
         geom.triangle_area(*(balls[i].center for i in tr.ball_indices))
         for tr in t.triangles
     )
-    hull_pts = [balls[a].center for a, _ in t.hull]
-    assert tri_area == pytest.approx(geom.polygon_area(hull_pts), rel=1e-9)
+    hull = ConvexHull(np.array([b.center for b in balls]))
+    assert tri_area == pytest.approx(hull.volume, rel=1e-9)
 
 
 @settings(max_examples=30, deadline=None)
@@ -210,15 +215,6 @@ def test_exact_tie_canonical_fan():
     t = build_regular(balls)
     tris = sorted(tuple(sorted(tr.ball_indices)) for tr in t.triangles)
     assert tris == [(0, 1, 2), (0, 2, 3)]
-
-
-def test_hull_cycle_is_closed():
-    rng = philox(13)
-    balls = random_balls(rng, 20)
-    t = build_regular(balls)
-    assert len(t.hull) >= 3
-    for (a1, b1), (a2, _) in zip(t.hull, t.hull[1:] + t.hull[:1]):
-        assert b1 == a2
 
 
 def test_flip_budget_exhaustion_raises():
