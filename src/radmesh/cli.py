@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -72,17 +73,13 @@ def _cmd_generate(args) -> int:
 
 def _cmd_optimize(args) -> int:
     sc = scene_mod.load_scene(args.scene)
-    cfg = sc.params
-    if args.theta is not None:
-        cfg.theta = args.theta
-    if args.tau_tol is not None:
-        cfg.tau_tol = args.tau_tol
-    if args.max_iters is not None:
-        cfg.max_iters = args.max_iters
-    if args.mode is not None:
-        cfg.mode = args.mode
-    if args.eliminate_redundant:
-        cfg.eliminate_redundant = True
+    names = ("theta", "tau_tol", "max_iters", "mode", "eliminate_redundant")
+    overrides = {n: getattr(args, n) for n in names if getattr(args, n) is not None}
+    try:
+        cfg = dataclasses.replace(sc.params, **overrides)  # validates the flags
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     os.makedirs(args.output, exist_ok=True)
 
     frame_cb = None
@@ -126,7 +123,7 @@ def _cmd_recover(args) -> int:
     points = [b.center for b in sc.balls if b.alive]
     if args.vertex_eps:
         points = recovery.vertex_cluster_merge(points, args.vertex_eps)
-    balls = recovery.recover_spheres(points, args.cluster_eps, args.area_tol)
+    balls = recovery.recover_spheres(points, args.cluster_eps)
     out = scene_mod.Scene(balls, sc.domain, sc.params, sc.rng_seed)
     scene_mod.save_scene(out, args.output)
     print(f"recovered {len(balls)} circles from {len(points)} points")
@@ -163,7 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("scene")
     r.add_argument("-o", "--output", required=True)
     r.add_argument("--cluster-eps", type=float, default=None)
-    r.add_argument("--area-tol", type=float, default=1e-12)
     r.add_argument("--vertex-eps", type=float, default=0.0)
 
     rd = sub.add_parser("render", help="render a scene to SVG")

@@ -8,6 +8,15 @@ circumcenters of these auxiliary triangles, weighted by triangle area.  It
 vanishes exactly when every cell is cyclic about its own ball center, i.e.
 when the radical partition is a Delaunay partition.
 
+``run`` keeps the ball set as one ``(N, 3)`` array of ``[cx, cy, R]`` rows,
+a ``free`` mask of the same shape (alive and not fixed, per coordinate)
+and an ``alive`` vector; ``Ball`` lists, with Python floats for the exact
+predicates, are built from the rows only for the triangulation, the
+proposals, the callback and the result.  The three operations on the set
+all go through the mask: relaxation and the Gauss-Newton step write the
+free coordinates of the rows, and elimination clears a ball's rows in
+``alive`` and ``free``.
+
 Each iteration rebuilds the triangulation and the diagram once; the
 auxiliary triangulations are computed on first use and kept on the diagram,
 and the update proposals are computed once and shared by the elimination
@@ -62,9 +71,11 @@ class OptimizerConfig:
     def __post_init__(self):
         if not 0 < self.theta <= 1:
             raise ValueError("theta must be in (0, 1]")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be >= 0")
         if self.mode not in ("heuristic", "hybrid"):
             raise ValueError(f"mode must be 'heuristic' or 'hybrid', got {self.mode!r}")
-        if self.tau_tol is not None and self.tau_tol <= 0:
+        if self.tau_tol is not None and not self.tau_tol > 0:
             raise ValueError("tau_tol must be > 0")
 
 
@@ -272,28 +283,30 @@ def _proposals(balls, diagram):
     return proposals
 
 
-def relax_step(balls: list[Ball], proposals, theta: float) -> list[Ball]:
-    """One relaxed update of all free balls toward ``proposals`` (simultaneous commit).
+def _coords(balls):
+    """``[cx, cy, R]`` rows, the free mask and the alive vector of ``balls``.
 
-    ``proposals`` maps ball index to the target (c_new, R_new) of ``_proposals``.
+    A coordinate is free when its ball is alive and does not fix it.
     """
-    new_balls = []
-    for i, b in enumerate(balls):
-        if i not in proposals or not b.alive:
-            new_balls.append(copy.copy(b))
-            continue
-        c_new, r_new = proposals[i]
-        cx, cy = b.center
-        r = b.radius
-        if not b.fix_center:
-            cx = cx * (1 - theta) + c_new[0] * theta
-            cy = cy * (1 - theta) + c_new[1] * theta
-        if not b.fix_radius:
-            r = r * (1 - theta) + r_new * theta
-        new_balls.append(
-            Ball((cx, cy), r, b.fix_center, b.fix_radius, b.alive)
-        )
-    return new_balls
+    x = np.array([(b.center[0], b.center[1], b.radius) for b in balls], dtype=float)
+    alive = np.array([b.alive for b in balls], dtype=bool)
+    fixed = np.array([(b.fix_center, b.fix_center, b.fix_radius) for b in balls], dtype=bool)
+    return x, alive[:, None] & ~fixed, alive
+
+
+def relax_step(x, free, proposals, theta: float):
+    """One relaxed update of the free coordinates toward ``proposals`` (simultaneous commit).
+
+    ``x`` holds one ``[cx, cy, R]`` row per ball, ``free`` marks the
+    coordinates that may move, and ``proposals`` maps ball index to the
+    target (c_new, R_new) of ``_proposals``.  Returns the new rows.
+    """
+    target = x.copy()
+    proposed = np.zeros(free.shape, dtype=bool)
+    for i, ((cx, cy), r) in proposals.items():
+        target[i] = cx, cy, r
+        proposed[i] = True
+    return np.where(free & proposed, x * (1 - theta) + target * theta, x)
 
 
 def fd_gradient(balls: list[Ball], diagram: PowerDiagram, h: float, on_flip="raise"):
@@ -345,67 +358,36 @@ def fd_gradient(balls: list[Ball], diagram: PowerDiagram, h: float, on_flip="rai
     return grads
 
 
-def _free_coord_index(balls):
-    """Map free ball coordinates to positions in the unknown vector."""
-    cols = {}
-    k = 0
-    for i, b in enumerate(balls):
-        if not b.alive:
-            continue
-        if not b.fix_center:
-            cols[(i, "x")] = k
-            cols[(i, "y")] = k + 1
-            k += 2
-        if not b.fix_radius:
-            cols[(i, "r")] = k
-            k += 1
-    return cols, k
-
-
-def _tau_system(balls, triangulation, active):
+def _tau_system(x, free, triangulation, active):
     """Power residuals tau(v_k) and their Jacobian w.r.t. the free coordinates.
 
     v_k solves the 2x2 dual-vertex system of its triangle; differentiating
     that system gives closed-form rows, so no diagram rebuilds are needed.
+    The unknowns are the free entries of ``x``: column k of J belongs to
+    ``x.flat[cols[k]]``.
     """
-    cols, ncols = _free_coord_index(balls)
-    r = np.zeros(len(active))
-    J = np.zeros((len(active), ncols))
-    for row, ti in enumerate(active):
-        tri = triangulation.triangles[ti]
-        i, j, l = tri.ball_indices
-        ci = np.array(balls[i].center)
-        cj = np.array(balls[j].center)
-        cl = np.array(balls[l].center)
-        v = np.array(tri.orthocenter)
-        A = np.array([cj - ci, cl - ci])
-        w = np.linalg.solve(A.T, v - ci)  # A^{-T} (v - c_i)
-        r[row] = tri.tau
-        d_i = 2.0 * (ci - v) * (1.0 - (w[0] + w[1]))
-        d_j = 2.0 * w[0] * (cj - v)
-        d_l = 2.0 * w[1] * (cl - v)
-        for bi, dc, wk in ((i, d_i, 1.0 - (w[0] + w[1])), (j, d_j, w[0]), (l, d_l, w[1])):
-            if (bi, "x") in cols:
-                J[row, cols[(bi, "x")]] += dc[0]
-                J[row, cols[(bi, "y")]] += dc[1]
-            if (bi, "r") in cols:
-                J[row, cols[(bi, "r")]] += -2.0 * balls[bi].radius * wk
+    cols = np.flatnonzero(free.ravel())
+    col_of = np.full(free.size, -1)
+    col_of[cols] = np.arange(len(cols))
+    tris = np.array([triangulation.triangles[ti].ball_indices for ti in active])
+    centers, radii = x[:, :2], x[:, 2]
+    vx, vy, r = geom.orthocenters(centers, radii, tris)
+    v = np.stack([vx, vy], axis=1)
+    ci, cj, cl = centers[tris[:, 0]], centers[tris[:, 1]], centers[tris[:, 2]]
+    # w = A^{-T} (v - c_i), with the rows of A the edges c_j - c_i, c_l - c_i
+    w = np.linalg.solve(np.stack([cj - ci, cl - ci], axis=2), (v - ci)[:, :, None])[:, :, 0]
+    wi = 1.0 - (w[:, 0] + w[:, 1])
+    vals = np.empty((len(tris), 3, 3))  # (row, corner, coordinate)
+    vals[:, 0, :2] = 2.0 * (ci - v) * wi[:, None]
+    vals[:, 1, :2] = 2.0 * w[:, :1] * (cj - v)
+    vals[:, 2, :2] = 2.0 * w[:, 1:] * (cl - v)
+    vals[:, :, 2] = -2.0 * radii[tris] * np.stack([wi, w[:, 0], w[:, 1]], axis=1)
+    col = col_of[3 * tris[:, :, None] + np.arange(3)]
+    keep = col >= 0
+    rows = np.broadcast_to(np.arange(len(tris))[:, None, None], col.shape)
+    J = np.zeros((len(tris), len(cols)))
+    J[rows[keep], col[keep]] += vals[keep]
     return r, J, cols
-
-
-def _apply_delta(balls, cols, dx):
-    out = []
-    for i, b in enumerate(balls):
-        nb = copy.copy(b)
-        if (i, "x") in cols:
-            nb.center = (
-                b.center[0] + dx[cols[(i, "x")]],
-                b.center[1] + dx[cols[(i, "y")]],
-            )
-        if (i, "r") in cols:
-            nb.radius = max(0.0, b.radius + dx[cols[(i, "r")]])
-        out.append(nb)
-    return out
 
 
 def _active_triangles(triangulation, diagram):
@@ -419,18 +401,19 @@ def _active_triangles(triangulation, diagram):
     return sorted(active)
 
 
-def _gauss_newton_step(balls, triangulation, diagram, merge_eps):
+def _gauss_newton_step(x, free, as_balls, triangulation, diagram, merge_eps):
     """Damped Gauss-Newton step driving all active tau(v_k) to zero.
 
-    Returns (new_balls, moved, (triangulation, diagram) of new_balls), or
-    (balls, 0, None) when no damping level helps.
+    ``as_balls`` turns coordinate rows into the ball list to rebuild.
+    Returns (new rows, moved, (triangulation, diagram) of the new rows), or
+    (x, 0, None) when no damping level helps.
     """
     active = _active_triangles(triangulation, diagram)
     if not active:
-        return balls, 0, None
-    r, J, cols = _tau_system(balls, triangulation, active)
-    if not cols:
-        return balls, 0, None
+        return x, 0, None
+    r, J, cols = _tau_system(x, free, triangulation, active)
+    if not len(cols):
+        return x, 0, None
     base = float(r @ r)
     scale = float(np.abs(J).max()) or 1.0
     lam = 1e-10 * scale * scale
@@ -440,19 +423,22 @@ def _gauss_newton_step(balls, triangulation, diagram, merge_eps):
         dx, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
         alpha = 1.0
         for _ in range(6):
-            trial = _apply_delta(balls, cols, alpha * dx)
+            trial = x.copy()
+            trial.ravel()[cols] += alpha * dx
+            radii = trial[:, 2]
+            radii[free[:, 2] & ~(radii > 0.0)] = 0.0  # max(0, R) on the free radii
             try:
-                t2, d2 = _rebuild(trial, merge_eps)
+                t2, d2 = _rebuild(as_balls(trial), merge_eps)
             except (TooFewBalls, AllCollinear):
                 alpha *= 0.5
                 continue
             a2 = _active_triangles(t2, d2)
             r2 = np.array([t2.triangles[ti].tau for ti in a2])
             if a2 and float(r2 @ r2) / len(a2) < base / len(active):
-                return trial, len({i for i, _ in cols}), (t2, d2)
+                return trial, int(free.any(axis=1).sum()), (t2, d2)
             alpha *= 0.5
         lam *= 100.0
-    return balls, 0, None
+    return x, 0, None
 
 
 def run(
@@ -464,18 +450,26 @@ def run(
 
     ``on_iteration`` is called with the state after each diagram rebuild.
     """
-    balls = [copy.copy(b) for b in initial_balls]
-    scale = bbox_diag(balls)
-    tau_tol = config.tau_tol if config.tau_tol is not None else 1e-10 * scale * scale
-    merge_eps = default_merge_eps(balls)
+    x, free, alive = _coords(initial_balls)
 
-    state = OptimizerState(balls, None, math.inf, math.inf, 0)
-    skip_count = [0] * len(balls)
+    def as_balls(rows):
+        return [
+            Ball((cx, cy), r, b.fix_center, b.fix_radius, a)
+            for (cx, cy, r), a, b in zip(rows.tolist(), alive.tolist(), initial_balls)
+        ]
+
+    scale = bbox_diag(initial_balls)
+    tau_tol = config.tau_tol if config.tau_tol is not None else 1e-10 * scale * scale
+    merge_eps = default_merge_eps(initial_balls)
+
+    state = OptimizerState([], None, math.inf, math.inf, 0)
+    skip_count = [0] * len(x)
     polish = False  # hybrid mode has switched to Gauss-Newton
     eliminated_total = 0
-    built = None  # (triangulation, diagram) of ``balls`` if a GN step built it
+    built = None  # (triangulation, diagram) of ``x`` if a GN step built it
 
     for it in range(config.max_iters + 1):
+        balls = as_balls(x)
         try:
             tri, diagram = built or _rebuild(balls, merge_eps)
         except (TooFewBalls, AllCollinear) as e:
@@ -524,15 +518,14 @@ def run(
         # track balls without a usable cell this iteration
         eliminated = 0
         proposals = _proposals(balls, diagram)
-        for i, b in enumerate(balls):
-            if not b.alive or b.fully_fixed:
-                continue
+        for i in np.flatnonzero(free.any(axis=1)).tolist():
             if i in proposals:
                 skip_count[i] = 0
             else:
                 skip_count[i] += 1
                 if config.eliminate_redundant and skip_count[i] >= 3:
-                    b.alive = False
+                    alive[i] = False
+                    free[i] = False
                     eliminated += 1
         eliminated_total += eliminated
 
@@ -543,13 +536,13 @@ def run(
             # Gauss-Newton on the dual-vertex power residuals; their zero
             # set coincides with F_I = 0 and the local convergence is
             # quadratic where the relaxation rate approaches 1
-            new_balls, moved, built = _gauss_newton_step(balls, tri, diagram, merge_eps)
+            x_new, moved, built = _gauss_newton_step(x, free, as_balls, tri, diagram, merge_eps)
         if moved == 0:
-            new_balls = relax_step(balls, proposals, config.theta)
+            x_new = relax_step(x, free, proposals, config.theta)
             moved = len(proposals)
 
         state.history.append(HistoryRecord(it, fi, max_tau, moved, eliminated_total))
-        balls = new_balls
+        x = x_new
     return state
 
 

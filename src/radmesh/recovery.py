@@ -44,11 +44,7 @@ def vertex_cluster_merge(points: list[Point2], vertex_eps: float) -> list[Point2
     return merged
 
 
-def recover_spheres(
-    points: list[Point2],
-    cluster_eps: float | None = None,
-    area_tol: float = 1e-12,
-) -> list[Ball]:
+def recover_spheres(points: list[Point2], cluster_eps: float | None = None) -> list[Ball]:
     """Recover approximate Delaunay circles of a perturbed point set."""
     if len(points) < 3:
         raise TooFewPoints(f"need >= 3 points, got {len(points)}")
@@ -69,7 +65,7 @@ def recover_spheres(
     for s in tri.simplices:
         p1, p2, p3 = (tuple(pts[k]) for k in s)
         area = abs(geom.triangle_area(p1, p2, p3))
-        if area < area_tol * diag * diag:
+        if area < 1e-12 * diag * diag:
             continue
         # shape guard: area relative to the squared longest edge bounds the
         # circumcenter's conditioning, so near-collinear slivers (whose

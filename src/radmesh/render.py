@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 
 from .diagram import PowerDiagram, clip_cell
+from .dirichlet import _cell_aux
 from .errors import IoError
 from .geom import Point2
 from .scene import Scene
@@ -69,7 +70,6 @@ def render_svg(
     triangulation: RegularTriangulation | None,
     spec: RenderSpec,
     path,
-    aux_triangles=None,
 ) -> None:
     """Write an SVG 1.1 file; identical inputs give identical bytes."""
     xs = [p[0] for p in scene.domain] + [b.center[0] for b in scene.balls if b.alive]
@@ -97,9 +97,11 @@ def render_svg(
         for tri in triangulation.triangles:
             pts = [scene.balls[i].center for i in tri.ball_indices]
             body.append(_poly(pts, COLORS["regular_triangulation"], sw))
-    if "aux_triangles" in spec.layers and aux_triangles:
-        for t in aux_triangles:
-            body.append(_poly(t.vertex_positions, COLORS["aux"], 0.5 * sw))
+    if "aux_triangles" in spec.layers and diagram is not None:
+        # the auxiliary cell triangulations F_I is evaluated on
+        for aux in _cell_aux(diagram).values():
+            for t in aux:
+                body.append(_poly(t.vertex_positions, COLORS["aux"], 0.5 * sw))
     if "balls" in spec.layers:
         for b in scene.balls:
             if not b.alive:

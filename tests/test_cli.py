@@ -79,6 +79,23 @@ def test_unknown_flag_exit_2(tmp_path, capsys):
     assert main(["frobnicate"]) == 2
     assert main(["optimize", "x.json", "-o", str(tmp_path), "--mode", "fd"]) == 2
     assert main(["optimize", "x.json", "-o", str(tmp_path), "--seed", "1"]) == 2
+    assert main(["recover", "x.json", "-o", str(tmp_path / "r.json"), "--area-tol", "1e-9"]) == 2
+
+    # flag values the optimizer settings reject are usage errors as well
+    scene = tmp_path / "scene.json"
+    assert main(gen_args(scene)) == 0
+    capsys.readouterr()
+    out = tmp_path / "o"
+    for flag, value in (
+        ("--theta", "5"),
+        ("--theta", "0"),
+        ("--tau-tol", "-1"),
+        ("--max-iters", "-1"),
+    ):
+        assert main(["optimize", str(scene), "-o", str(out), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
 
 
 def test_verify_command(tmp_path, capsys):

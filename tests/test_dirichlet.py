@@ -2,12 +2,16 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from radmesh.diagram import extract_diagram
 from radmesh.dirichlet import (
     OptimizerConfig,
+    _active_triangles,
+    _coords,
     _proposals,
+    _tau_system,
     aux_triangulate_cell,
     bbox_diag,
     cell_fi,
@@ -21,7 +25,7 @@ from radmesh.dirichlet import (
     write_history_csv,
 )
 from radmesh.errors import UnboundedCell
-from radmesh.geom import Ball, circumcenter
+from radmesh.geom import Ball, circumcenter, orthocenters
 from radmesh.triangulation import build_regular
 
 from conftest import jittered_grid, philox
@@ -57,6 +61,11 @@ def test_config_validation():
         OptimizerConfig(mode="fd_gradient")
     with pytest.raises(ValueError):
         OptimizerConfig(tau_tol=-1.0)
+    with pytest.raises(ValueError):
+        OptimizerConfig(tau_tol=math.nan)
+    with pytest.raises(ValueError):
+        OptimizerConfig(max_iters=-1)
+    OptimizerConfig(max_iters=0)
 
 
 def test_aux_triangle_cell_is_itself():
@@ -205,19 +214,18 @@ def test_relax_step_theta_limits():
     balls = jittered_grid(rng, 4)
     proposals = proposals_of(balls)
     assert proposals
+    x, free, _ = _coords(balls)
 
-    frozen = relax_step(balls, proposals, 0.0)
-    for a, b in zip(balls, frozen):
-        assert a.center == b.center and a.radius == b.radius
+    frozen = relax_step(x, free, proposals, 0.0)
+    assert np.array_equal(frozen, x)
 
-    full = relax_step(balls, proposals, 1.0)
-    half = relax_step(balls, proposals, 0.5)
-    for i, (a, f, h) in enumerate(zip(balls, full, half)):
+    full = relax_step(x, free, proposals, 1.0)
+    half = relax_step(x, free, proposals, 0.5)
+    for i in range(len(balls)):
         if i in proposals:
-            assert (f.center, f.radius) == proposals[i]
-        assert h.center[0] == pytest.approx((a.center[0] + f.center[0]) / 2)
-        assert h.center[1] == pytest.approx((a.center[1] + f.center[1]) / 2)
-        assert h.radius == pytest.approx((a.radius + f.radius) / 2)
+            (cx, cy), r = proposals[i]
+            assert full[i].tolist() == [cx, cy, r]
+        assert half[i] == pytest.approx((x[i] + full[i]) / 2)
 
 
 def test_relax_step_honors_fix_flags():
@@ -231,12 +239,12 @@ def test_relax_step_honors_fix_flags():
         Ball(b.center, b.radius, fix_center=fc, fix_radius=fr)
         for b, (fc, fr) in zip(balls, flags)
     ]
-    out = relax_step(pinned, proposals, 1.0)
-    for i, (a, b) in enumerate(zip(pinned, out)):
-        assert (b.fix_center, b.fix_radius) == (a.fix_center, a.fix_radius)
+    x, free, _ = _coords(pinned)
+    out = relax_step(x, free, proposals, 1.0)
+    for i, a in enumerate(pinned):
         c_new, r_new = proposals.get(i, (a.center, a.radius))
-        assert b.center == (a.center if a.fix_center else c_new)
-        assert b.radius == (a.radius if a.fix_radius else r_new)
+        assert tuple(out[i, :2]) == (a.center if a.fix_center else c_new)
+        assert out[i, 2] == (a.radius if a.fix_radius else r_new)
 
 
 def test_fd_gradient_zero_rows_for_fixed_balls():
@@ -274,6 +282,45 @@ def test_fd_gradient_near_zero_at_delaunay():
     grads = fd_gradient(state.balls, state.diagram, 1e-7 * scale, on_flip="ignore")
     gmax = max(max(abs(g) for g in row) for row in grads)
     assert gmax <= 1e-6 * scale
+
+
+def test_tau_system_jacobian_matches_central_differences():
+    # every column of the closed-form Jacobian of the active dual-vertex
+    # residuals against central differences of tau on the same triangles
+    # (geom.orthocenters, so the combinatorics stay fixed), on a scene that
+    # mixes fixed centers and fixed radii
+    rng = philox(53)
+    grid = jittered_grid(rng, 5)
+    scales = rng.uniform(0.9, 1.1, len(grid))
+    balls = [
+        Ball(b.center, b.radius * float(s), fix_center=k % 4 == 1, fix_radius=k % 3 == 2)
+        for k, (b, s) in enumerate(zip(grid, scales))
+    ]
+    t = build_regular(balls)
+    active = _active_triangles(t, extract_diagram(t, balls))
+    x, free, _ = _coords(balls)
+    r, J, cols = _tau_system(x, free, t, active)
+    tris = [t.triangles[ti].ball_indices for ti in active]
+
+    def tau(x):
+        return orthocenters(x[:, :2], x[:, 2], tris)[2]
+
+    unknowns = [
+        3 * i + c
+        for i, b in enumerate(balls)
+        for c in range(3)
+        if not (b.fix_center if c < 2 else b.fix_radius)
+    ]
+    assert cols.tolist() == unknowns
+    assert J.shape == (len(active), len(unknowns))
+    assert np.array_equal(r, tau(x))
+    h = 1e-6
+    for k, flat in enumerate(cols):
+        up, down = x.copy(), x.copy()
+        up.flat[flat] += h
+        down.flat[flat] -= h
+        fd = (tau(up) - tau(down)) / (2 * h)
+        np.testing.assert_allclose(J[:, k], fd, rtol=1e-6, atol=1e-7)
 
 
 def test_frozen_gradient_square_cell_slope():

@@ -28,6 +28,11 @@ def test_render_all_layers_well_formed(tmp_path):
     assert root.tag.endswith("svg")
     assert len(list(root)) > len(scene.balls)  # circles plus polygons
 
+    # the aux layer draws the diagram's own auxiliary cell triangulations
+    render_svg(scene, d, t, RenderSpec(("aux_triangles",)), path)
+    polygons = [e for e in ET.parse(path).getroot() if e.tag.endswith("polygon")]
+    assert len(polygons) == sum(len(aux) for aux in d.aux.values()) > 0
+
 
 def test_render_byte_identical(tmp_path):
     scene = gen_square_with_circle(8.0, 1.0, 0.8, interior_spacing=0.5, seed=2)

@@ -171,6 +171,7 @@ def test_load_errors(tmp_path):
         ({"extra": ', "params": "fast"'}, "'params' must be"),
         ({"extra": ', "params": {"mode": "fd_gradient"}'}, "mode"),
         ({"extra": ', "params": {"theta": 0}'}, "theta"),
+        ({"extra": ', "params": {"max_iters": -1}'}, "params: max_iters"),
         ({"extra": ', "rng_seed": "x"'}, "rng_seed"),
         # flags are JSON booleans; bool() would read "false" as true
         ({"balls": '[{"c": [0.0, 0.0], "r": 1.0, "fix_center": "false"}]'}, "ball 0: .*fix_center"),
