@@ -3,7 +3,8 @@
 
 Places fixed protecting circles on a square lattice inside letter-shaped
 mask polygons, scatters jittered free circles around them, runs the
-optimizer, and writes history.csv plus before/after SVG renders.
+optimizer (relaxation, then the Gauss-Newton polish once it plateaus), and
+writes history.csv plus before/after SVG renders.
 
 Usage:
     python scripts/masked_lattice.py -o out/logo [--spacing 0.5]
@@ -45,8 +46,6 @@ def main():
     ap.add_argument("--spacing", type=float, default=0.5)
     ap.add_argument("--jitter", type=float, default=0.15)
     ap.add_argument("--theta", type=float, default=0.5)
-    ap.add_argument("--mode", choices=("heuristic", "hybrid"),
-                    default="hybrid")
     ap.add_argument("--max-iters", type=int, default=500)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
@@ -69,7 +68,6 @@ def main():
         theta=args.theta,
         max_iters=args.max_iters,
         tau_tol=1e-8 * scale * scale,
-        mode=args.mode,
     )
     state = run(scene.balls, cfg)
     print(

@@ -2,13 +2,14 @@
 """Square-with-circle experiment.
 
 Generates the square scene with a protecting circle inside, runs the
-Dirichlet-energy optimizer, and writes history.csv, the final scene, and
-before/after SVG renders to the output directory.
+Dirichlet-energy optimizer (relaxation, then the Gauss-Newton polish once it
+plateaus), and writes history.csv, the final scene, and before/after SVG
+renders to the output directory.
 
 Usage:
     python scripts/square_with_circle.py -o out/square [--side 10.0]
         [--inner-radius 2.0] [--spacing 0.8] [--interior-spacing 0.45]
-        [--theta 0.5] [--mode hybrid] [--max-iters 2000] [--seed 7]
+        [--theta 0.5] [--max-iters 2000] [--seed 7]
 """
 
 import argparse
@@ -36,8 +37,6 @@ def main():
     ap.add_argument("--spacing", type=float, default=0.8)
     ap.add_argument("--interior-spacing", type=float, default=0.45)
     ap.add_argument("--theta", type=float, default=0.5)
-    ap.add_argument("--mode", choices=("heuristic", "hybrid"),
-                    default="hybrid")
     ap.add_argument("--max-iters", type=int, default=2000)
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
@@ -59,7 +58,6 @@ def main():
         theta=args.theta,
         max_iters=args.max_iters,
         tau_tol=1e-8 * scale * scale,
-        mode=args.mode,
     )
     state = run(scene.balls, cfg)
     print(

@@ -12,7 +12,7 @@ from .diagram import (
     dual_height,
     extract_diagram,
 )
-from .geom import Ball, lift, orient2d, power, power_test
+from .geom import Ball, orient2d, power, power_test
 from .recovery import recover_spheres, vertex_cluster_merge
 from .scene import Scene, gen_masked_lattice, gen_square_with_circle, load_scene, save_scene
 from .triangulation import RegularTriangulation, build_regular, verify_regular
@@ -33,7 +33,6 @@ __all__ = [
     "extract_diagram",
     "gen_masked_lattice",
     "gen_square_with_circle",
-    "lift",
     "load_scene",
     "orient2d",
     "power",

@@ -43,7 +43,6 @@ def _add_optimize(sub):
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--tau-tol", type=float, default=None)
     p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--mode", choices=["heuristic", "hybrid"], default=None)
     p.add_argument("--eliminate-redundant", action="store_true", default=None)
     p.add_argument("--frames", type=int, default=0, metavar="N",
                    help="write an SVG frame every N iterations")
@@ -73,7 +72,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_optimize(args) -> int:
     sc = scene_mod.load_scene(args.scene)
-    names = ("theta", "tau_tol", "max_iters", "mode", "eliminate_redundant")
+    names = ("theta", "tau_tol", "max_iters", "eliminate_redundant")
     overrides = {n: getattr(args, n) for n in names if getattr(args, n) is not None}
     try:
         cfg = dataclasses.replace(sc.params, **overrides)  # validates the flags

@@ -21,11 +21,11 @@ Each iteration rebuilds the triangulation and the diagram once; the
 auxiliary triangulations are computed on first use and kept on the diagram,
 and the update proposals are computed once and shared by the elimination
 bookkeeping and ``relax_step``.
-The update is the heuristic area-weighted center / least-squares radius
-proposal, relaxed by ``theta``.  In ``hybrid`` mode, once that relaxation
+There is one optimizer.  The update is the heuristic area-weighted center /
+least-squares radius proposal, relaxed by ``theta``; once that relaxation
 plateaus, a damped Gauss-Newton step on the dual-vertex power residuals
 takes over, falling back to relaxation whenever it fails.  ``fd_gradient``
-is a rebuild-based finite-difference oracle for tests; no mode uses it.
+is a rebuild-based finite-difference oracle for tests; the loop never uses it.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ class OptimizerConfig:
     theta: float = 0.5
     max_iters: int = 2000
     tau_tol: float | None = None  # None: 1e-10 * bbox_diag^2
-    mode: str = "heuristic"  # heuristic | hybrid
+    mode: str = "hybrid"  # the loop never reads it; kept for callers passing mode="hybrid"
     eliminate_redundant: bool = False
 
     def __post_init__(self):
@@ -73,8 +73,8 @@ class OptimizerConfig:
             raise ValueError("theta must be in (0, 1]")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
-        if self.mode not in ("heuristic", "hybrid"):
-            raise ValueError(f"mode must be 'heuristic' or 'hybrid', got {self.mode!r}")
+        if self.mode != "hybrid":
+            raise ValueError(f"mode {self.mode!r}: the heuristic mode was removed")
         if self.tau_tol is not None and not self.tau_tol > 0:
             raise ValueError("tau_tol must be > 0")
 
@@ -464,7 +464,7 @@ def run(
 
     state = OptimizerState([], None, math.inf, math.inf, 0)
     skip_count = [0] * len(x)
-    polish = False  # hybrid mode has switched to Gauss-Newton
+    polish = False  # the relaxation has plateaued; Gauss-Newton leads
     eliminated_total = 0
     built = None  # (triangulation, diagram) of ``x`` if a GN step built it
 
@@ -503,7 +503,7 @@ def run(
                 raise Diverged(
                     f"F_I grew from {window[0]:.3e} to {fi:.3e} over 20 iterations"
                 )
-        if config.mode == "hybrid" and not polish and len(hist) >= 10:
+        if not polish and len(hist) >= 10:
             # switch to the polishing phase once the relaxation has truly
             # plateaued (< 5% progress over 10 iterations), or after a long
             # preconditioning run when it is still creeping along a slow

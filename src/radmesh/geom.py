@@ -55,25 +55,11 @@ class Ball:
         return self.fix_center and self.fix_radius
 
 
-@dataclass(frozen=True)
-class LiftedPoint:
-    """A ball center lifted to the paraboloid, offset by half its squared radius."""
-
-    base: Point2
-    height: float
-
-
 def power(b: Ball, a: Point2) -> float:
     """Power of point ``a`` with respect to ``b``: |c - a|^2 - R^2."""
     dx = b.center[0] - a[0]
     dy = b.center[1] - a[1]
     return dx * dx + dy * dy - b.radius * b.radius
-
-
-def lift(b: Ball) -> LiftedPoint:
-    """Lift a ball to 3D: height (|c|^2 - R^2) / 2."""
-    x, y = b.center
-    return LiftedPoint(b.center, 0.5 * (x * x + y * y - b.radius * b.radius))
 
 
 def paraboloid(p: Point2) -> float:

@@ -95,8 +95,12 @@ def gen_square_with_circle(
     """
     if square_side <= 0 or boundary_spacing <= 0 or inner_radius < 0:
         raise InconsistentGeometry("side, spacing must be > 0 and inner radius >= 0")
+    if layer_count < 0:
+        raise InconsistentGeometry(f"layer count must be >= 0, got {layer_count}")
     if interior_spacing is None:
         interior_spacing = boundary_spacing
+    if interior_spacing <= 0:
+        raise InconsistentGeometry(f"interior spacing must be > 0, got {interior_spacing:g}")
     if jitter_amplitude is None:
         jitter_amplitude = 0.2 * interior_spacing
     if inner_radius > 0:
@@ -172,6 +176,8 @@ def gen_masked_lattice(
     domain: list[Point2] | None = None,
 ) -> Scene:
     """Lattice scene where balls inside mask polygons become fixed protectors."""
+    if spacing <= 0:
+        raise InconsistentGeometry(f"spacing must be > 0, got {spacing:g}")
     if domain is None:
         domain = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
     xs = [p[0] for p in domain]
@@ -269,7 +275,6 @@ def scene_to_json(scene: Scene) -> str:
         f'"theta": {_fmt(p.theta)}, '
         f'"max_iters": {_fmt(p.max_iters)}, '
         f'"tau_tol": {_fmt(p.tau_tol)}, '
-        f'"mode": {_fmt(p.mode)}, '
         f'"eliminate_redundant": {_fmt(p.eliminate_redundant)}}},'
     )
     lines.append(f'  "rng_seed": {_fmt(scene.rng_seed)}')
@@ -283,13 +288,7 @@ def save_scene(scene: Scene, path) -> None:
 
 
 _BALL_FIELDS = {"c", "r", "fix_center", "fix_radius", "alive"}
-_PARAM_FIELDS = {
-    "theta",
-    "max_iters",
-    "tau_tol",
-    "mode",
-    "eliminate_redundant",
-}
+_PARAM_FIELDS = {"theta", "max_iters", "tau_tol", "eliminate_redundant"}
 
 
 def _flag(rec: dict, key: str, default: bool) -> bool:
@@ -359,7 +358,6 @@ def load_scene(path) -> Scene:
             theta=float(pd.get("theta", 0.5)),
             max_iters=int(pd.get("max_iters", 2000)),
             tau_tol=None if pd.get("tau_tol") is None else float(pd["tau_tol"]),
-            mode=str(pd.get("mode", "heuristic")),
             eliminate_redundant=_flag(pd, "eliminate_redundant", False),
         )
     except (TypeError, ValueError) as e:

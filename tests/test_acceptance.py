@@ -27,7 +27,7 @@ from radmesh.dirichlet import (
     frozen_center_gradient,
     run,
 )
-from radmesh.geom import Ball, lift, orthocenter, power
+from radmesh.geom import Ball, orthocenter, power
 from radmesh.recovery import recover_spheres
 from radmesh.scene import gen_square_with_circle
 from radmesh.triangulation import build_regular, verify_regular
@@ -77,9 +77,10 @@ def test_criterion_2_duality_identities():
         assert max(powers) - min(powers) <= tol
         assert abs(powers[0] - tau) <= tol
         z = dual_height(DualVertex(v, tau, []))
-        for b in balls:
+        heights = geom.lifted_heights(pts, np.array([b.radius for b in balls]))
+        for b, h in zip(balls, heights.tolist()):
             vc = v[0] * b.center[0] + v[1] * b.center[1]
-            assert abs(z - (vc - lift(b).height)) <= tol
+            assert abs(z - (vc - h)) <= tol
         done += 1
 
 
@@ -121,12 +122,7 @@ def test_criterion_4_square_with_circle_convergence():
     scene = gen_square_with_circle(10.0, 2.0, 0.8, interior_spacing=0.45, seed=7)
     assert 200 <= len(scene.balls) <= 400
     scale = bbox_diag(scene.balls)
-    cfg = OptimizerConfig(
-        theta=0.5,
-        max_iters=2000,
-        tau_tol=1e-8 * scale * scale,
-        mode="hybrid",
-    )
+    cfg = OptimizerConfig(theta=0.5, max_iters=2000, tau_tol=1e-8 * scale * scale)
     state = run(scene.balls, cfg)
     assert state.converged
     assert state.max_abs_tau <= 1e-8 * scale * scale
@@ -182,10 +178,7 @@ def test_criterion_5_full_fd_gradient_at_convergence():
             balls.append(Ball((float(i), float(j)), 0.5, fix_center=fix))
     scale = bbox_diag(balls)
     state = run(
-        balls,
-        OptimizerConfig(
-            theta=0.5, max_iters=500, tau_tol=1e-12 * scale * scale, mode="hybrid"
-        ),
+        balls, OptimizerConfig(theta=0.5, max_iters=500, tau_tol=1e-12 * scale * scale)
     )
     assert state.converged
     grads = fd_gradient(state.balls, state.diagram, 1e-7 * scale, on_flip="ignore")
@@ -212,7 +205,7 @@ def test_criterion_6_radius_update_zero_sum(monkeypatch):
         return r
 
     monkeypatch.setattr(dmod, "heuristic_radius", spy)
-    run(balls, OptimizerConfig(theta=0.5, max_iters=30, mode="hybrid"))
+    run(balls, OptimizerConfig(theta=0.5, max_iters=30))
     assert calls
     for c, verts, r in calls:
         total = sum(
@@ -297,7 +290,7 @@ def test_criterion_7_recovery_round_trip():
 # 8. determinism: byte-identical history.csv
 
 
-def test_criterion_8_determinism(tmp_path):
+def test_criterion_8_determinism(tmp_path, capsys):
     from radmesh.cli import main
 
     scene = tmp_path / "scene.json"
@@ -307,13 +300,15 @@ def test_criterion_8_determinism(tmp_path):
         "--interior-spacing", "0.45", "--seed", "7", "-o", str(scene),
     ]
     assert main(args) == 0
+    capsys.readouterr()
     histories = []
     for name in ("run1", "run2"):
         out = tmp_path / name
         assert main(
-            ["optimize", str(scene), "-o", str(out),
-             "--mode", "hybrid", "--theta", "0.5", "--max-iters", "300"]
+            ["optimize", str(scene), "-o", str(out), "--theta", "0.5", "--max-iters", "300"]
         ) == 0
+        # the default optimizer reaches tau_tol within the budget
+        assert capsys.readouterr().out.startswith("converged at iteration")
         histories.append((out / "history.csv").read_bytes())
     assert histories[0] == histories[1]
     assert len(histories[0]) > 0

@@ -41,15 +41,24 @@ def test_optimize_two_ball_scene_exit_1(tmp_path, capsys):
     assert "TooFewBalls" in capsys.readouterr().err
 
 
+def test_generate_unusable_spacing_exit_1(tmp_path, capsys):
+    out = tmp_path / "g.json"
+    assert main(["generate", "masked-lattice", "--spacing", "0", "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: InconsistentGeometry:") and "spacing" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_optimize_invalid_params_exit_1(tmp_path, capsys):
     scene = tmp_path / "scene.json"
     assert main(gen_args(scene)) == 0
     data = json.loads(scene.read_text())
-    data["params"]["mode"] = "fd_gradient"
+    data["params"]["max_iters"] = -1
     scene.write_text(json.dumps(data))
     assert main(["optimize", str(scene), "-o", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ParseError:") and "mode" in err
+    assert err.startswith("error: ParseError:") and "max_iters" in err
     assert "Traceback" not in err
 
 
@@ -78,6 +87,7 @@ def test_unknown_flag_exit_2(tmp_path, capsys):
     assert main(["optimize", "x.json", "--no-such-flag"]) == 2
     assert main(["frobnicate"]) == 2
     assert main(["optimize", "x.json", "-o", str(tmp_path), "--mode", "fd"]) == 2
+    assert main(["optimize", "x.json", "-o", str(tmp_path), "--mode", "hybrid"]) == 2
     assert main(["optimize", "x.json", "-o", str(tmp_path), "--seed", "1"]) == 2
     assert main(["recover", "x.json", "-o", str(tmp_path / "r.json"), "--area-tol", "1e-9"]) == 2
 

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from radmesh import geom
@@ -12,7 +13,7 @@ from radmesh.diagram import (
     dual_height,
     extract_diagram,
 )
-from radmesh.geom import Ball, lift, power
+from radmesh.geom import Ball, power
 from radmesh.triangulation import build_regular
 
 from conftest import philox, random_balls
@@ -65,9 +66,13 @@ def test_dual_height_examples():
     v, tau = geom.orthocenter(b1, b2, b3)
     z = dual_height(DualVertex(v, tau, []))
     assert z == pytest.approx(1.0)
-    for b in (b1, b2, b3):
+    trio = (b1, b2, b3)
+    heights = geom.lifted_heights(
+        np.array([b.center for b in trio]), np.array([b.radius for b in trio])
+    )
+    for b, h in zip(trio, heights.tolist()):
         vc = v[0] * b.center[0] + v[1] * b.center[1]
-        assert z == pytest.approx(vc - lift(b).height)
+        assert z == pytest.approx(vc - h)
 
 
 def test_equal_power_at_dual_vertices():

@@ -59,6 +59,8 @@ def test_config_validation():
         OptimizerConfig(mode="nonsense")
     with pytest.raises(ValueError):
         OptimizerConfig(mode="fd_gradient")
+    with pytest.raises(ValueError, match="heuristic mode was removed"):
+        OptimizerConfig(mode="heuristic")
     with pytest.raises(ValueError):
         OptimizerConfig(tau_tol=-1.0)
     with pytest.raises(ValueError):
@@ -276,7 +278,7 @@ def test_fd_gradient_near_zero_at_delaunay():
     scale = bbox_diag(balls)
     state = run(
         balls,
-        OptimizerConfig(theta=0.5, max_iters=500, tau_tol=1e-12 * scale**2, mode="hybrid"),
+        OptimizerConfig(theta=0.5, max_iters=500, tau_tol=1e-12 * scale**2),
     )
     assert state.converged
     grads = fd_gradient(state.balls, state.diagram, 1e-7 * scale, on_flip="ignore")
@@ -347,9 +349,7 @@ def test_run_jittered_grid_converges():
     rng = philox(44)
     balls = jittered_grid(rng, 5, fix_boundary=True)
     scale = bbox_diag(balls)
-    cfg = OptimizerConfig(
-        theta=0.5, max_iters=500, tau_tol=1e-8 * scale * scale, mode="hybrid"
-    )
+    cfg = OptimizerConfig(theta=0.5, max_iters=500, tau_tol=1e-8 * scale * scale)
     state = run(balls, cfg)
     assert state.converged
     assert state.max_abs_tau <= 1e-8 * scale * scale

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,7 @@ from radmesh.errors import CollinearCenters, CollinearPoints
 from radmesh.geom import (
     Ball,
     circumcenter,
-    lift,
+    lifted_heights,
     orient2d,
     orthocenter,
     paraboloid,
@@ -30,9 +31,9 @@ def test_power_examples():
 
 
 def test_lift_heights():
-    assert lift(Ball((3.0, 4.0), 5.0)).height == 0.0
-    assert lift(Ball((0.0, 0.0), 1.0)).height == -0.5
-    assert lift(Ball((2.0, 0.0), 1.0)).height == 1.5
+    centers = np.array([(3.0, 4.0), (0.0, 0.0), (2.0, 0.0)])
+    radii = np.array([5.0, 1.0, 1.0])
+    assert lifted_heights(centers, radii).tolist() == [0.0, -0.5, 1.5]
 
 
 def test_paraboloid():

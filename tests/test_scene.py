@@ -64,6 +64,19 @@ def test_inner_circle_too_large_raises():
         gen_square_with_circle(10.0, 2.0, 1.0)  # 2 + 3*1 = 5 >= side/2
     with pytest.raises(InconsistentGeometry):
         gen_square_with_circle(-1.0, 0.0, 1.0)
+    # spacings and layer counts the generators cannot use
+    for kwargs in (
+        {"interior_spacing": 0.0},
+        {"interior_spacing": -0.1},
+        {"layer_count": -3},
+    ):
+        with pytest.raises(InconsistentGeometry):
+            gen_square_with_circle(10.0, 2.0, 0.8, **kwargs)
+    with pytest.raises(InconsistentGeometry):
+        gen_square_with_circle(10.0, 0.0, 0.8, interior_spacing=0.0)
+    for spacing in (0.0, -0.1):
+        with pytest.raises(InconsistentGeometry):
+            gen_masked_lattice([], spacing, 0.0)
 
 
 def test_jitter_zero_lattice_converges_quickly():
@@ -72,10 +85,7 @@ def test_jitter_zero_lattice_converges_quickly():
     scene = gen_square_with_circle(4.0, 0.0, 1.0, jitter_amplitude=0.0)
     scale = bbox_diag(scene.balls)
     state = run(
-        scene.balls,
-        OptimizerConfig(
-            theta=0.5, max_iters=30, tau_tol=1e-9 * scale * scale, mode="hybrid"
-        ),
+        scene.balls, OptimizerConfig(theta=0.5, max_iters=30, tau_tol=1e-9 * scale * scale)
     )
     assert state.converged
     assert state.iteration <= 30
@@ -169,7 +179,6 @@ def test_load_errors(tmp_path):
         ({"balls": "[1.0]"}, "ball 0: must be an object"),
         ({"domain": "[[0,0,0],[1,0],[1,1]]"}, "domain: "),
         ({"extra": ', "params": "fast"'}, "'params' must be"),
-        ({"extra": ', "params": {"mode": "fd_gradient"}'}, "mode"),
         ({"extra": ', "params": {"theta": 0}'}, "theta"),
         ({"extra": ', "params": {"max_iters": -1}'}, "params: max_iters"),
         ({"extra": ', "rng_seed": "x"'}, "rng_seed"),
@@ -206,3 +215,14 @@ def test_load_unknown_fields_warn(tmp_path):
         scene = load_scene(p)
     assert scene.params.theta == 0.25
     assert not hasattr(scene.params, "fi_tol")
+
+    # files written before the heuristic mode was removed load and run the
+    # one optimizer
+    p.write_text(
+        '{"balls": [{"c": [0.0, 0.0], "r": 1.0}], "domain": [[0,0],[1,0],[1,1]],'
+        ' "params": {"theta": 0.25, "mode": "heuristic"}}',
+        encoding="utf-8",
+    )
+    with pytest.warns(UserWarning, match="mode"):
+        scene = load_scene(p)
+    assert scene.params == OptimizerConfig(theta=0.25)
