@@ -20,7 +20,7 @@ def _add_generate(sub):
     sq = kind.add_parser("square-circle", help="square domain with protected inner circle")
     sq.add_argument("--side", type=float, default=10.0)
     sq.add_argument("--inner-radius", type=float, default=2.0)
-    sq.add_argument("--spacing", type=float, default=1.0)
+    sq.add_argument("--spacing", type=float, default=0.8)
     sq.add_argument("--layers", type=int, default=2)
     sq.add_argument("--interior-spacing", type=float, default=None)
     sq.add_argument("--jitter", type=float, default=None)
@@ -183,7 +183,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except RadmeshError as e:
+    except (RadmeshError, OSError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
 

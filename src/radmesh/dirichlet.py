@@ -263,10 +263,7 @@ def _proposals(balls, diagram):
     proposals = {}
     for i, aux in _cell_aux(diagram).items():
         cell = diagram.cells[i]
-        try:
-            c_new = heuristic_center(cell, aux)
-        except ZeroArea:
-            continue
+        c_new = heuristic_center(cell, aux)
         r_new = heuristic_radius(c_new, cell.vertex_positions())
         proposals[i] = (c_new, r_new)
     # fixed-center balls with unbounded cells (boundary protectors) still

@@ -59,7 +59,3 @@ class InconsistentGeometry(RadmeshError):
 
 class ParseError(RadmeshError):
     """Scene file could not be parsed; message names the offending field."""
-
-
-class IoError(RadmeshError):
-    """File output failed."""

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.spatial import Delaunay, QhullError
 
 from . import geom
-from .errors import AllCollinear, CollinearPoints, TooFewPoints
+from .errors import AllCollinear, TooFewPoints
 from .geom import Ball, Point2
 from .unionfind import UnionFind
 
@@ -69,7 +69,8 @@ def recover_spheres(points: list[Point2], cluster_eps: float | None = None) -> l
             continue
         # shape guard: area relative to the squared longest edge bounds the
         # circumcenter's conditioning, so near-collinear slivers (whose
-        # circumcenters fly off to infinity) are rejected here
+        # circumcenters fly off to infinity) are rejected here, and the
+        # survivors pass circumcenter's far weaker conditioning guard
         lmax2 = max(
             (p1[0] - p2[0]) ** 2 + (p1[1] - p2[1]) ** 2,
             (p2[0] - p3[0]) ** 2 + (p2[1] - p3[1]) ** 2,
@@ -77,10 +78,7 @@ def recover_spheres(points: list[Point2], cluster_eps: float | None = None) -> l
         )
         if area < 1e-7 * lmax2:
             continue
-        try:
-            centers.append(geom.circumcenter(p1, p2, p3))
-        except CollinearPoints:
-            continue  # unstable circumcircle: ignore the sliver
+        centers.append(geom.circumcenter(p1, p2, p3))
         areas.append(area)
         members.append(tuple(int(k) for k in s))
     if not centers:

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 from .diagram import PowerDiagram, clip_cell
 from .dirichlet import _cell_aux
-from .errors import IoError
 from .geom import Point2
 from .scene import Scene
 from .triangulation import RegularTriangulation
@@ -122,8 +121,5 @@ def render_svg(
         + "\n".join(body)
         + "\n</svg>\n"
     )
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(svg)
-    except OSError as e:
-        raise IoError(f"cannot write {path}: {e}") from e
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(svg)

@@ -76,6 +76,15 @@ def _square_perimeter_points(side: float, spacing: float) -> list[Point2]:
     return pts
 
 
+def _check_jitter(jitter: float, spacing: float) -> None:
+    # from half the spacing on, jittered centers pass their neighbours, and
+    # the generators drop those that leave the domain or land in a protector
+    if not 0 <= jitter < spacing / 2:
+        raise InconsistentGeometry(
+            f"jitter must be >= 0 and < spacing / 2 = {spacing / 2:g}, got {jitter:g}"
+        )
+
+
 def gen_square_with_circle(
     square_side: float,
     inner_radius: float,
@@ -89,7 +98,8 @@ def gen_square_with_circle(
 
     ``inner_radius = 0`` drops the inner circle entirely (plain jittered
     lattice in a protected square).  ``jitter_amplitude`` is the absolute
-    center jitter of interior circles; radii are jittered by up to 10%
+    center jitter of interior circles, at least 0 and below half the interior
+    spacing; radii are jittered by up to 10%
     whenever it is nonzero.  Defaults: interior spacing equals the boundary
     spacing, jitter is 0.2 x interior spacing.
     """
@@ -103,6 +113,7 @@ def gen_square_with_circle(
         raise InconsistentGeometry(f"interior spacing must be > 0, got {interior_spacing:g}")
     if jitter_amplitude is None:
         jitter_amplitude = 0.2 * interior_spacing
+    _check_jitter(jitter_amplitude, interior_spacing)
     if inner_radius > 0:
         reach = inner_radius + (layer_count + 1) * boundary_spacing
         if reach >= square_side / 2:
@@ -175,9 +186,14 @@ def gen_masked_lattice(
     seed: int = 0,
     domain: list[Point2] | None = None,
 ) -> Scene:
-    """Lattice scene where balls inside mask polygons become fixed protectors."""
+    """Lattice scene where balls inside mask polygons become fixed protectors.
+
+    ``jitter`` moves the free centers by up to that much per coordinate; it
+    must be at least 0 and below ``spacing / 2``.
+    """
     if spacing <= 0:
         raise InconsistentGeometry(f"spacing must be > 0, got {spacing:g}")
+    _check_jitter(jitter, spacing)
     if domain is None:
         domain = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
     xs = [p[0] for p in domain]

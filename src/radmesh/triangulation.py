@@ -3,10 +3,10 @@
 The triangulation is the projection of the lower convex envelope of the
 ball centers lifted to height (|c|^2 - R^2)/2.  The heavy lifting is done
 by qhull on the lifted 3D point set; an exact legalization pass afterwards
-repairs any rounding-induced facet misclassification, and exact power ties
-are re-triangulated canonically (fan from the lowest ball index) so the
-result is a deterministic function of the input indices.  The dual
-vertices and their power values come from ``geom.orthocenters``.
+repairs any rounding-induced facet misclassification and settles exact
+power ties in favour of the lowest ball index (a tied polygon is fanned from
+it), so the result is a deterministic function of the input indices.  The
+dual vertices and their power values come from ``geom.orthocenters``.
 
 ``lawson_flip`` is the one Lawson flip loop in radmesh: legalization runs
 it with the exact power test, and the auxiliary cell triangulations of
@@ -26,7 +26,6 @@ from scipy.spatial import ConvexHull, Delaunay, QhullError
 from . import geom
 from .errors import AllCollinear, FlipBudgetExhausted, TooFewBalls
 from .geom import Ball, Point2
-from .unionfind import UnionFind
 
 
 @dataclass
@@ -78,8 +77,8 @@ def _lower_hull_triangles(balls, idx, centers, radii) -> list[list[int]]:
     try:
         hull = ConvexHull(lifted)
     except QhullError:
-        # All lifted points coplanar: every triangulation of the centers is
-        # regular (all power ties); use the plain Delaunay triangulation.
+        # Three balls, or all lifted points coplanar: every triangulation of
+        # the centers is regular; start from the plain Delaunay one.
         tri = Delaunay(pts, qhull_options="Qbb Qc Qz")
         simplices = tri.simplices
         return [[idx[int(a)] for a in s] for s in simplices]
@@ -165,79 +164,28 @@ def lawson_flip(tris, illegal, left_turn):
 
 
 def _legalize(balls, tris):
-    """Exact Lawson legalization of ``tris`` under the power test."""
+    """Exact Lawson legalization of ``tris`` under the power test.
+
+    An exact tie is decided by simulation of simplicity (Edelsbrunner and
+    Mucke 1990): the lifted point of the quad's lowest ball index counts as
+    infinitesimally lower, so a tied edge is illegal exactly when that ball
+    is off the edge, and a tied polygon ends up fanned from its lowest index.
+    """
 
     def illegal(a, b, c, q):
-        return geom.power_test(balls[a], balls[b], balls[c], balls[q]) < 0
+        s = geom.power_test(balls[a], balls[b], balls[c], balls[q])
+        if s != 0:
+            return s < 0
+        low = min(a, b, c, q)
+        if low == q:
+            return True
+        pts = [balls[q if i == low else i].center for i in (a, b, c)]
+        return geom.orient2d(*pts) < 0
 
     def left_turn(p, u, q):
         return geom.orient2d(balls[p].center, balls[u].center, balls[q].center) > 0
 
     return lawson_flip(tris, illegal, left_turn)
-
-
-def _boundary_cycle(tris, edges, members) -> list[int]:
-    """CCW vertex cycle around the union of the triangles ``members``.
-
-    A boundary edge has no other member triangle beside it; directed as in
-    its CCW triangle, it keeps the union on its left.  ``edges`` is the edge
-    map of ``tris``.  The cycle starts at its lowest vertex.
-    """
-    member_set = set(members)
-    succ = {}
-    for ti in members:
-        t = tris[ti]
-        for k in range(3):
-            a, b = t[k - 2], t[k - 1]
-            owners = edges[frozenset((a, b))]  # ti and the triangle across, if any
-            if (
-                len(owners) == 1
-                or owners[0][0] not in member_set
-                or owners[1][0] not in member_set
-            ):
-                succ[a] = b
-    start = min(succ)
-    cycle = [start]
-    cur = succ[start]
-    while cur != start:
-        cycle.append(cur)
-        cur = succ[cur]
-    return cycle
-
-
-def _canonicalize_ties(balls, tris, edges) -> bool:
-    """Re-fan groups of triangles joined by exact power ties.
-
-    Triangles whose lifted faces are exactly coplanar form a convex polygon
-    on the lower envelope; any triangulation of it is regular.  Fanning from
-    the lowest ball index makes the choice order-independent.  ``edges`` is
-    the edge map of ``tris``; returns whether any group was re-fanned, in
-    which case the triangle indices and hence that map are stale.
-    """
-    uf = UnionFind(len(tris))
-    any_tie = False
-    for owners in edges.values():
-        if len(owners) != 2:
-            continue
-        (t1, _), (t2, q) = owners
-        a, b, c = (balls[i] for i in tris[t1])
-        if geom.power_test(a, b, c, balls[q]) == 0:
-            uf.union(t1, t2)
-            any_tie = True
-    if not any_tie:
-        return False
-    new_tris = []
-    handled = set()
-    for members in uf.groups():
-        if len(members) == 1:
-            continue
-        handled.update(members)
-        cycle = _boundary_cycle(tris, edges, members)
-        for k in range(1, len(cycle) - 1):
-            new_tris.append([cycle[0], cycle[k], cycle[k + 1]])
-    kept = [t for ti, t in enumerate(tris) if ti not in handled]
-    tris[:] = kept + new_tris
-    return True
 
 
 def build_regular(balls: list[Ball]) -> RegularTriangulation:
@@ -248,15 +196,9 @@ def build_regular(balls: list[Ball]) -> RegularTriangulation:
     _check_not_collinear(balls, idx)
     centers = np.array([b.center for b in balls], dtype=float)
     radii = np.array([b.radius for b in balls], dtype=float)
-    if len(idx) == 3:
-        tris = [list(idx)]
-    else:
-        tris = _lower_hull_triangles(balls, idx, centers, radii)
+    tris = _lower_hull_triangles(balls, idx, centers, radii)
     _orient_ccw(balls, tris)
     edges = _legalize(balls, tris)  # flips keep every triangle CCW
-    if _canonicalize_ties(balls, tris, edges):
-        _orient_ccw(balls, tris)
-        edges = _edge_map(tris)
 
     vx, vy, tau = geom.orthocenters(centers, radii, tris)
     triangles = []

@@ -1,5 +1,4 @@
-"""Disjoint-set forest shared by tie canonicalization, orthocenter merging
-and circle recovery."""
+"""Disjoint-set forest shared by orthocenter merging and circle recovery."""
 
 from __future__ import annotations
 

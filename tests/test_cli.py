@@ -43,11 +43,39 @@ def test_optimize_two_ball_scene_exit_1(tmp_path, capsys):
 
 def test_generate_unusable_spacing_exit_1(tmp_path, capsys):
     out = tmp_path / "g.json"
-    assert main(["generate", "masked-lattice", "--spacing", "0", "-o", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: InconsistentGeometry:") and "spacing" in err
-    assert "Traceback" not in err
-    assert not out.exists()
+    for args, word in (
+        (["masked-lattice", "--spacing", "0"], "spacing"),
+        (["masked-lattice", "--jitter", "5"], "jitter"),
+        (["masked-lattice", "--jitter", "-0.3"], "jitter"),
+        (["square-circle", "--spacing", "0.8", "--jitter", "50"], "jitter"),
+        (["square-circle", "--spacing", "0.8", "--jitter", "-0.3"], "jitter"),
+    ):
+        assert main(["generate", *args, "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: InconsistentGeometry:") and word in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+def test_generate_square_circle_defaults_exit_0(tmp_path, capsys):
+    out = tmp_path / "bare.json"
+    assert main(["generate", "square-circle", "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["balls"]
+
+
+def test_unreadable_or_unwritable_file_exit_1(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    for argv in (
+        ["optimize", missing, "-o", str(tmp_path / "o")],
+        ["verify", missing],
+        ["recover", missing, "-o", str(tmp_path / "r.json")],
+        ["render", missing, "-o", str(tmp_path / "p.svg")],
+        ["generate", "masked-lattice", "-o", str(tmp_path / "no" / "such" / "m.json")],
+    ):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: FileNotFoundError:") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 def test_optimize_invalid_params_exit_1(tmp_path, capsys):

@@ -77,6 +77,13 @@ def test_inner_circle_too_large_raises():
     for spacing in (0.0, -0.1):
         with pytest.raises(InconsistentGeometry):
             gen_masked_lattice([], spacing, 0.0)
+    # jitters that would push centers out of the domain or do nothing
+    for jitter in (5.0, 0.05, -0.3):
+        with pytest.raises(InconsistentGeometry, match="jitter"):
+            gen_masked_lattice([], 0.1, jitter)
+    for jitter in (50.0, 0.225, -0.3):
+        with pytest.raises(InconsistentGeometry, match="jitter"):
+            gen_square_with_circle(10.0, 2.0, 0.8, interior_spacing=0.45, jitter_amplitude=jitter)
 
 
 def test_jitter_zero_lattice_converges_quickly():

@@ -11,7 +11,7 @@ from scipy.spatial import ConvexHull, Delaunay
 from radmesh import geom
 from radmesh.errors import AllCollinear, FlipBudgetExhausted, TooFewBalls
 from radmesh.geom import Ball
-from radmesh.triangulation import build_regular, lawson_flip, verify_regular
+from radmesh.triangulation import _legalize, build_regular, lawson_flip, verify_regular
 
 from conftest import philox, random_balls
 
@@ -215,6 +215,64 @@ def test_exact_tie_canonical_fan():
     t = build_regular(balls)
     tris = sorted(tuple(sorted(tr.ball_indices)) for tr in t.triangles)
     assert tris == [(0, 1, 2), (0, 2, 3)]
+
+
+def test_legalize_breaks_ties_by_lowest_index():
+    # the tied square of test_exact_tie_canonical_fan, started from each
+    # diagonal in each triangle order: the lowest index 0 is off the edge
+    # 1-3 (flip) and on the edge 0-2 (keep), so every start ends at 0-2
+    pts = [(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)]
+    balls = [Ball(p, 1.0) for p in pts]
+    for start in (
+        [[0, 1, 2], [0, 2, 3]],
+        [[0, 2, 3], [0, 1, 2]],
+        [[0, 1, 3], [1, 2, 3]],
+        [[1, 2, 3], [0, 1, 3]],
+    ):
+        tris = [list(t) for t in start]
+        edges = _legalize(balls, tris)
+        interior = [e for e, owners in edges.items() if len(owners) == 2]
+        assert interior == [frozenset((0, 2))]
+        assert sorted(tuple(sorted(t)) for t in tris) == [(0, 1, 2), (0, 2, 3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 5),
+    st.integers(2, 5),
+    st.sampled_from(["equal", "zero", "mixed"]),
+    st.integers(0, 10**6),
+)
+def test_lattice_ties_fan_from_lowest_index(nx, ny, radii, seed):
+    # integer lattices tie every unit square (and, with mixed radii, other
+    # coplanar lifted groups); each strictly convex tied quad must keep the
+    # diagonal through its lowest index, whatever the ball order
+    rng = philox(seed)
+    pts = [(float(i), float(j)) for i in range(nx) for j in range(ny)]
+    if radii == "equal":
+        rs = [1.0] * len(pts)
+    elif radii == "zero":
+        rs = [0.0] * len(pts)
+    else:
+        rs = [float(r) for r in rng.choice([0.0, 0.5, 1.0], len(pts))]
+    perm = rng.permutation(len(pts))
+    balls = [Ball(pts[k], rs[k]) for k in perm]
+    t = build_regular(balls)
+    assert verify_regular(t, balls) == []
+    ctr = [b.center for b in balls]
+    for tr in t.triangles:
+        for k, nb in enumerate(tr.neighbors):
+            if nb is None:
+                continue
+            p = tr.ball_indices[k]
+            u, v = tr.ball_indices[k - 2], tr.ball_indices[k - 1]
+            (q,) = set(t.triangles[nb].ball_indices) - {u, v}
+            convex = geom.orient2d(ctr[p], ctr[q], ctr[u]) * geom.orient2d(
+                ctr[p], ctr[q], ctr[v]
+            ) < 0
+            tied = geom.power_test(*(balls[i] for i in tr.ball_indices), balls[q]) == 0
+            if convex and tied:
+                assert min(p, q, u, v) in (u, v)
 
 
 def test_flip_budget_exhaustion_raises():
