@@ -76,6 +76,8 @@ def _cmd_optimize(args) -> int:
     overrides = {n: getattr(args, n) for n in names if getattr(args, n) is not None}
     try:
         cfg = dataclasses.replace(sc.params, **overrides)  # validates the flags
+        if args.frames < 0:
+            raise ValueError(f"frames must be >= 0, got {args.frames}")
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -120,9 +122,13 @@ def _cmd_verify(args) -> int:
 def _cmd_recover(args) -> int:
     sc = scene_mod.load_scene(args.scene)
     points = [b.center for b in sc.balls if b.alive]
-    if args.vertex_eps:
-        points = recovery.vertex_cluster_merge(points, args.vertex_eps)
-    balls = recovery.recover_spheres(points, args.cluster_eps)
+    try:  # the recovery rejects negative or non-finite tolerances
+        if args.vertex_eps:
+            points = recovery.vertex_cluster_merge(points, args.vertex_eps)
+        balls = recovery.recover_spheres(points, args.cluster_eps)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     out = scene_mod.Scene(balls, sc.domain, sc.params, sc.rng_seed)
     scene_mod.save_scene(out, args.output)
     print(f"recovered {len(balls)} circles from {len(points)} points")

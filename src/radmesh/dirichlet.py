@@ -398,9 +398,32 @@ def _active_triangles(triangulation, diagram):
     return sorted(active)
 
 
+def _damped_steps(J, r, lam):
+    """Steps ``argmin |J dx + r|^2 + lam |dx|^2`` for ``lam``, ``100 lam``, ... (8 levels).
+
+    The minimizer lies in range(J^T), so with the reduced QR ``J^T = Q R``
+    (``Q`` has k = min(m, n) orthonormal columns) each level solves
+    ``[R^T; sqrt(lam) I_k] z = [-r; 0]`` by least squares in k unknowns and
+    yields ``Q z``.  The one factorization serves every level; it is made
+    when the first step is asked for.
+    """
+    Q, R = np.linalg.qr(J.T)
+    k = R.shape[0]
+    rhs = np.concatenate([-r, np.zeros(k)])
+    for _ in range(8):
+        lhs = np.vstack([R.T, math.sqrt(lam) * np.eye(k)])
+        z, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
+        yield Q @ z
+        lam *= 100.0
+
+
 def _gauss_newton_step(x, free, as_balls, triangulation, diagram, merge_eps):
     """Damped Gauss-Newton step driving all active tau(v_k) to zero.
 
+    The m x n Jacobian ``J`` of the m active residuals in the n free
+    coordinates is factored once per step as ``J^T = Q R``, so
+    ``J = R^T Q^T`` and every damping level is a least-squares solve in
+    min(m, n) unknowns (``_damped_steps``).
     ``as_balls`` turns coordinate rows into the ball list to rebuild.
     Returns (new rows, moved, (triangulation, diagram) of the new rows), or
     (x, 0, None) when no damping level helps.
@@ -413,11 +436,7 @@ def _gauss_newton_step(x, free, as_balls, triangulation, diagram, merge_eps):
         return x, 0, None
     base = float(r @ r)
     scale = float(np.abs(J).max()) or 1.0
-    lam = 1e-10 * scale * scale
-    for _ in range(8):
-        lhs = np.vstack([J, math.sqrt(lam) * np.eye(J.shape[1])])
-        rhs = np.concatenate([-r, np.zeros(J.shape[1])])
-        dx, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
+    for dx in _damped_steps(J, r, 1e-10 * scale * scale):
         alpha = 1.0
         for _ in range(6):
             trial = x.copy()
@@ -434,7 +453,6 @@ def _gauss_newton_step(x, free, as_balls, triangulation, diagram, merge_eps):
             if a2 and float(r2 @ r2) / len(a2) < base / len(active):
                 return trial, int(free.any(axis=1).sum()), (t2, d2)
             alpha *= 0.5
-        lam *= 100.0
     return x, 0, None
 
 

@@ -31,8 +31,14 @@ def _single_linkage(points: list[Point2], eps: float) -> list[list[int]]:
     return uf.groups()
 
 
+def _check_eps(name: str, eps: float) -> None:
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {eps!r}")
+
+
 def vertex_cluster_merge(points: list[Point2], vertex_eps: float) -> list[Point2]:
     """Glue clusters of nearly coincident points into their centroids."""
+    _check_eps("vertex_eps", vertex_eps)
     merged = []
     for group in _single_linkage(points, vertex_eps):
         merged.append(
@@ -46,6 +52,8 @@ def vertex_cluster_merge(points: list[Point2], vertex_eps: float) -> list[Point2
 
 def recover_spheres(points: list[Point2], cluster_eps: float | None = None) -> list[Ball]:
     """Recover approximate Delaunay circles of a perturbed point set."""
+    if cluster_eps is not None:
+        _check_eps("cluster_eps", cluster_eps)
     if len(points) < 3:
         raise TooFewPoints(f"need >= 3 points, got {len(points)}")
     diag = geom.bbox_diag(points)

@@ -119,18 +119,24 @@ def test_unknown_flag_exit_2(tmp_path, capsys):
     assert main(["optimize", "x.json", "-o", str(tmp_path), "--seed", "1"]) == 2
     assert main(["recover", "x.json", "-o", str(tmp_path / "r.json"), "--area-tol", "1e-9"]) == 2
 
-    # flag values the optimizer settings reject are usage errors as well
+    # flag values the optimizer settings or the recovery reject are usage
+    # errors as well, reported before anything is written
     scene = tmp_path / "scene.json"
     assert main(gen_args(scene)) == 0
     capsys.readouterr()
     out = tmp_path / "o"
-    for flag, value in (
-        ("--theta", "5"),
-        ("--theta", "0"),
-        ("--tau-tol", "-1"),
-        ("--max-iters", "-1"),
+    for command, flag, value in (
+        ("optimize", "--theta", "5"),
+        ("optimize", "--theta", "0"),
+        ("optimize", "--tau-tol", "-1"),
+        ("optimize", "--max-iters", "-1"),
+        ("optimize", "--frames", "-2"),
+        ("recover", "--cluster-eps", "-1"),
+        ("recover", "--cluster-eps", "nan"),
+        ("recover", "--vertex-eps", "-1"),
+        ("recover", "--vertex-eps", "nan"),
     ):
-        assert main(["optimize", str(scene), "-o", str(out), flag, value]) == 2
+        assert main([command, str(scene), "-o", str(out), flag, value]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()

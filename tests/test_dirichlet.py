@@ -10,6 +10,8 @@ from radmesh.dirichlet import (
     OptimizerConfig,
     _active_triangles,
     _coords,
+    _damped_steps,
+    _gauss_newton_step,
     _proposals,
     _tau_system,
     aux_triangulate_cell,
@@ -24,7 +26,7 @@ from radmesh.dirichlet import (
     run,
     write_history_csv,
 )
-from radmesh.errors import UnboundedCell
+from radmesh.errors import TooFewBalls, UnboundedCell
 from radmesh.geom import Ball, circumcenter, orthocenters
 from radmesh.triangulation import build_regular
 
@@ -286,18 +288,23 @@ def test_fd_gradient_near_zero_at_delaunay():
     assert gmax <= 1e-6 * scale
 
 
+def mixed_flags_grid():
+    """Jittered 5 x 5 grid, radii scaled, mixing fixed centers and fixed radii."""
+    rng = philox(53)
+    grid = jittered_grid(rng, 5)
+    scales = rng.uniform(0.9, 1.1, len(grid))
+    return [
+        Ball(b.center, b.radius * float(s), fix_center=k % 4 == 1, fix_radius=k % 3 == 2)
+        for k, (b, s) in enumerate(zip(grid, scales))
+    ]
+
+
 def test_tau_system_jacobian_matches_central_differences():
     # every column of the closed-form Jacobian of the active dual-vertex
     # residuals against central differences of tau on the same triangles
     # (geom.orthocenters, so the combinatorics stay fixed), on a scene that
     # mixes fixed centers and fixed radii
-    rng = philox(53)
-    grid = jittered_grid(rng, 5)
-    scales = rng.uniform(0.9, 1.1, len(grid))
-    balls = [
-        Ball(b.center, b.radius * float(s), fix_center=k % 4 == 1, fix_radius=k % 3 == 2)
-        for k, (b, s) in enumerate(zip(grid, scales))
-    ]
+    balls = mixed_flags_grid()
     t = build_regular(balls)
     active = _active_triangles(t, extract_diagram(t, balls))
     x, free, _ = _coords(balls)
@@ -323,6 +330,105 @@ def test_tau_system_jacobian_matches_central_differences():
         down.flat[flat] -= h
         fd = (tau(up) - tau(down)) / (2 * h)
         np.testing.assert_allclose(J[:, k], fd, rtol=1e-6, atol=1e-7)
+
+
+def mixed_flags_tau_system():
+    balls = mixed_flags_grid()
+    t = build_regular(balls)
+    d = extract_diagram(t, balls)
+    x, free, _ = _coords(balls)
+    r, J, _ = _tau_system(x, free, t, _active_triangles(t, d))
+    return balls, t, d, x, free, r, J
+
+
+def damped_system(kind):
+    """(J, r) of one shape the Gauss-Newton solve meets."""
+    rng = philox(54)
+    if kind == "wide":  # fewer residuals than unknowns, as in the real scenes
+        J = rng.standard_normal((20, 35))
+    elif kind == "tall":
+        J = rng.standard_normal((35, 20))
+    elif kind == "rank_deficient":  # duplicate rows and a zero column
+        J = rng.standard_normal((20, 30))
+        J = np.vstack([J, J[:4]])
+        J[:, 7] = 0.0
+    else:
+        *_, r, J = mixed_flags_tau_system()
+        return J, r
+    return J, rng.standard_normal(J.shape[0])
+
+
+@pytest.mark.parametrize("kind", ["wide", "tall", "rank_deficient", "tau_system"])
+def test_damped_steps_match_unreduced_lstsq(kind):
+    # the reduced solve in min(m, n) unknowns against lstsq on the stacked
+    # [J; sqrt(lam) I_n] system, at each of the 8 damping levels
+    J, r = damped_system(kind)
+    m, n = J.shape
+    scale = float(np.abs(J).max())
+    smax = float(np.linalg.norm(J, 2))
+    eps = np.finfo(float).eps
+    lam = 1e-10 * scale * scale
+    steps = list(_damped_steps(J, r, lam))
+    assert len(steps) == 8
+    for dx in steps:
+        lhs = np.vstack([J, math.sqrt(lam) * np.eye(n)])
+        ref, *_ = np.linalg.lstsq(lhs, np.concatenate([-r, np.zeros(n)]), rcond=None)
+        # A = [J; sqrt(lam) I] has |A| = hypot(smax, sqrt(lam)) and smallest
+        # singular value >= sqrt(lam), so cond(A) <= cond = |A| / sqrt(lam)
+        # (smax / sqrt(lam) at the small levels).  Both solves are backward
+        # stable, so by the least-squares perturbation bound each lies within
+        # max(m, n) eps (cond |ref| + cond^2 |b| / |A|) of the exact step,
+        # with |b| = |r| bounding the residual
+        norm_a = math.hypot(smax, math.sqrt(lam))
+        cond = norm_a / math.sqrt(lam)
+        bound = max(m, n) * eps * (
+            cond * np.linalg.norm(ref) + cond**2 * np.linalg.norm(r) / norm_a
+        )
+        assert bound < 1e-3 * np.linalg.norm(ref)  # tight enough to tell a wrong step
+        assert np.linalg.norm(dx - ref) <= bound
+        lam *= 100.0
+
+
+def test_gauss_newton_step_factors_once_per_step():
+    # one QR of J^T serves every damping level a Gauss-Newton step tries
+    import radmesh.dirichlet as dmod
+
+    balls, t, d, x, free, _, _ = mixed_flags_tau_system()
+
+    def as_balls(rows):
+        return [
+            Ball((cx, cy), r, b.fix_center, b.fix_radius)
+            for (cx, cy, r), b in zip(rows.tolist(), balls)
+        ]
+
+    calls = {"qr": 0, "lstsq": 0}
+    orig_qr, orig_lstsq, orig_rebuild = np.linalg.qr, np.linalg.lstsq, dmod._rebuild
+
+    def qr(*args, **kwargs):
+        calls["qr"] += 1
+        return orig_qr(*args, **kwargs)
+
+    def lstsq(*args, **kwargs):
+        calls["lstsq"] += 1
+        return orig_lstsq(*args, **kwargs)
+
+    def failing_rebuild(balls, merge_eps=None):
+        raise TooFewBalls("every trial fails")
+
+    np.linalg.qr, np.linalg.lstsq = qr, lstsq
+    try:
+        # accepted at the first damping level
+        x_new, moved, built = _gauss_newton_step(x, free, as_balls, t, d, None)
+        assert moved > 0 and built is not None and not np.array_equal(x_new, x)
+        assert calls == {"qr": 1, "lstsq": 1}
+        # no trial rebuilds, so the step tries all 8 levels
+        calls.update(qr=0, lstsq=0)
+        dmod._rebuild = failing_rebuild
+        x_new, moved, built = _gauss_newton_step(x, free, as_balls, t, d, None)
+        assert x_new is x and moved == 0 and built is None
+        assert calls == {"qr": 1, "lstsq": 8}
+    finally:
+        np.linalg.qr, np.linalg.lstsq, dmod._rebuild = orig_qr, orig_lstsq, orig_rebuild
 
 
 def test_frozen_gradient_square_cell_slope():

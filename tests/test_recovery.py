@@ -50,6 +50,15 @@ def test_errors():
         recover_spheres([(0.0, 0.0), (1.0, 1.0)])
     with pytest.raises(AllCollinear):
         recover_spheres([(float(i), 0.0) for i in range(5)])
+    # a negative or non-finite tolerance is refused, not read as "no clustering"
+    lattice = [(float(i), float(j)) for i in range(5) for j in range(5)]
+    for eps in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="cluster_eps"):
+            recover_spheres(lattice, cluster_eps=eps)
+        with pytest.raises(ValueError, match="vertex_eps"):
+            vertex_cluster_merge(lattice, eps)
+    assert len(recover_spheres(lattice, cluster_eps=0.0)) == 16  # coincident centers merge
+    assert vertex_cluster_merge(lattice, 0.0) == lattice
 
 
 def test_vertex_cluster_merge_examples():
