@@ -44,9 +44,10 @@ class PowerDiagram:
     cells: list[PowerCell | None]  # per ball; None for redundant/dead balls
     dual_vertices: list[DualVertex]
     domain: list[Point2] | None = None
-    # auxiliary triangulations per ball index, filled on first use by
-    # dirichlet._cell_aux so every consumer of one diagram shares them
-    aux: dict[int, list] | None = field(default=None, repr=False, compare=False)
+    # the auxiliary triangulations of the usable cells (a dirichlet.AuxMesh),
+    # filled on first use by dirichlet._cell_aux so every consumer of one
+    # diagram shares them
+    aux: object | None = field(default=None, repr=False, compare=False)
 
     def bounded_cells(self):
         return [c for c in self.cells if c is not None and c.bounded]

@@ -4,9 +4,10 @@ Decisions (orient2d, power_test) use a floating-point filter with a
 conservative error bound and fall back to exact rational arithmetic, so the
 returned sign is always correct for representable inputs.  Constructions
 (orthocenter, circumcenter) are plain double precision with a conditioning
-guard on the 2x2 system determinant.  ``orthocenters`` is the one
-orthocenter kernel: the regular triangulation runs it on all its triangles,
-``orthocenter`` on one.  ``bbox_diag`` is the one scale measure.
+guard on the 2x2 system determinant; ``circumcenters`` evaluates
+circumcenter's expressions on arrays, bit for bit.  ``orthocenters`` is
+the one orthocenter kernel: the regular triangulation runs it on all its
+triangles, ``orthocenter`` on one.  ``bbox_diag`` is the one scale measure.
 
 All functions here are pure; they can be called from any thread.
 """
@@ -227,8 +228,32 @@ def circumcenter(p1: Point2, p2: Point2, p3: Point2) -> Point2:
     return (p1[0] + (r1 * a22 - r2 * a12) / det, p1[1] + (a11 * r2 - a21 * r1) / det)
 
 
+def circumcenters(p1, p2, p3):
+    """``circumcenter`` for many triangles: ``p1``, ``p2``, ``p3`` are (N, 2) arrays.
+
+    The expressions are circumcenter's, evaluated in the same order, so each
+    row equals circumcenter's result bit for bit.  Returns the (N, 2)
+    centers and an (N,) mask of the rows that pass the conditioning guard;
+    the other rows, on which circumcenter raises, hold no meaningful value.
+    """
+    a11, a12 = p2[:, 0] - p1[:, 0], p2[:, 1] - p1[:, 1]
+    a21, a22 = p3[:, 0] - p1[:, 0], p3[:, 1] - p1[:, 1]
+    scale_sq = np.maximum(a11 * a11 + a12 * a12, a21 * a21 + a22 * a22)
+    r1 = 0.5 * (a11 * a11 + a12 * a12)
+    r2 = 0.5 * (a21 * a21 + a22 * a22)
+    det = a11 * a22 - a12 * a21
+    ok = np.abs(det) > CONDITIONING_GUARD * scale_sq
+    det = np.where(ok, det, 1.0)
+    x = p1[:, 0] + (r1 * a22 - r2 * a12) / det
+    y = p1[:, 1] + (a11 * r2 - a21 * r1) / det
+    return np.stack([x, y], axis=1), ok
+
+
 def triangle_area(p1: Point2, p2: Point2, p3: Point2) -> float:
-    """Signed area of the triangle (positive if counterclockwise)."""
+    """Signed area of the triangle (positive if counterclockwise).
+
+    The coordinates may also be equal-shape arrays, one area per element.
+    """
     return 0.5 * (
         (p2[0] - p1[0]) * (p3[1] - p1[1]) - (p2[1] - p1[1]) * (p3[0] - p1[0])
     )

@@ -98,9 +98,8 @@ def render_svg(
             body.append(_poly(pts, COLORS["regular_triangulation"], sw))
     if "aux_triangles" in spec.layers and diagram is not None:
         # the auxiliary cell triangulations F_I is evaluated on
-        for aux in _cell_aux(diagram).values():
-            for t in aux:
-                body.append(_poly(t.vertex_positions, COLORS["aux"], 0.5 * sw))
+        for corners in _cell_aux(diagram).vertices.tolist():
+            body.append(_poly(corners, COLORS["aux"], 0.5 * sw))
     if "balls" in spec.layers:
         for b in scene.balls:
             if not b.alive:

@@ -26,7 +26,7 @@ from radmesh.dirichlet import (
     run,
     write_history_csv,
 )
-from radmesh.errors import TooFewBalls, UnboundedCell
+from radmesh.errors import DegenerateCell, TooFewBalls, UnboundedCell
 from radmesh.geom import Ball, circumcenter, orthocenters
 from radmesh.triangulation import build_regular
 
@@ -142,6 +142,154 @@ def test_aux_unbounded_raises():
 
     with pytest.raises(UnboundedCell):
         aux_triangulate_cell(PowerCell(0, [], bounded=False))
+
+
+def polygon_cells(polygons):
+    """Bounded cells, one per vertex list, with ball index = list position."""
+    from radmesh.diagram import DualVertex, PowerCell
+
+    return [
+        PowerCell(i, [DualVertex(p, 0.0, []) for p in pts], bounded=True)
+        for i, pts in enumerate(polygons)
+    ]
+
+
+def assert_batched_matches_scalar(cells, domain=None):
+    """Run aux_triangulate_cells and compare every cell with the scalar path.
+
+    Triangles, circumcenters and areas must agree bit for bit, degenerate
+    cells must be listed as such.  Returns the ball indices of the cells
+    that went through the scalar path.
+    """
+    import radmesh.dirichlet as dmod
+
+    scalar = []
+    orig = dmod.aux_triangulate_cell
+
+    def spy(cell, domain=None, points=None):
+        scalar.append(cell.ball_index)
+        return orig(cell, domain, points)
+
+    dmod.aux_triangulate_cell = spy
+    try:
+        mesh = dmod.aux_triangulate_cells(cells, domain)
+    finally:
+        dmod.aux_triangulate_cell = orig
+    assert np.all(np.diff(mesh.ball) >= 0)  # cell after cell
+    for cell in cells:
+        rows = mesh.ball == cell.ball_index
+        try:
+            ref = aux_triangulate_cell(cell, domain)
+        except DegenerateCell:
+            assert cell.ball_index in mesh.degenerate and not rows.any()
+            continue
+        assert cell.ball_index not in mesh.degenerate
+        for got, want in (
+            (mesh.vertices[rows], [t.vertex_positions for t in ref]),
+            (mesh.circumcenter[rows], [t.circumcenter for t in ref]),
+            (mesh.area[rows], [t.area for t in ref]),
+        ):
+            want = np.array(want, dtype=float)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    return scalar
+
+
+def regular_polygon(k, r=1.0):
+    angles = [2 * math.pi * j / k for j in range(k)]
+    return [(r * math.cos(a), r * math.sin(a)) for a in angles]
+
+
+def test_aux_batched_regular_polygons_go_scalar():
+    # every quad of a regular k-gon is a tie; a triangle has nothing to test
+    polygons = [regular_polygon(k) for k in range(3, 21)]
+    scalar = assert_batched_matches_scalar(polygon_cells(polygons))
+    assert scalar == list(range(18))
+
+
+def test_aux_batched_matches_scalar_on_adversarial_cells():
+    rng = philox(61)
+    polygons, must_go_scalar = [], []
+    for k in range(4, 13):
+        for j in range(k):
+            for way in (np.inf, -np.inf):
+                # cocircular, then one coordinate moved by 1 ulp: a near tie
+                pts = regular_polygon(k, 0.7)
+                pts[j] = (float(np.nextafter(pts[j][0], way)), pts[j][1])
+                must_go_scalar.append(len(polygons))
+                polygons.append(pts)
+    for h in (1e-3, 1e-7, 1e-15):
+        # thin slivers; the thinnest falls under the area guard
+        if h < 1e-14:
+            must_go_scalar.append(len(polygons))
+        polygons.append([(0.0, 0.0), (1.0, -h), (2.0, -0.5 * h), (3.0, 0.0), (1.5, h)])
+    # a 180 degree vertex: (1, 0) lies on the edge from (0, 0) to (2, 0)
+    must_go_scalar.append(len(polygons))
+    polygons.append([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (2.5, 1.5), (1.0, 2.2), (-0.4, 1.1)])
+    for offset in ((0.0, 0.0), (1e3, -1e3), (1e6, 1e6)):
+        for k in range(3, 15):
+            # general position: points on a random ellipse
+            ang = np.sort(rng.uniform(0.0, 2 * math.pi, k))
+            a, b = rng.uniform(0.2, 1.0, 2)
+            pts = [(offset[0] + a * math.cos(t), offset[1] + b * math.sin(t)) for t in ang]
+            polygons.append(pts[::-1] if k % 2 else pts)  # clockwise ones too
+    scalar = assert_batched_matches_scalar(polygon_cells(polygons))
+    assert set(must_go_scalar) <= set(scalar)
+    assert len(scalar) < len(polygons)  # the batched path does decide
+
+
+def test_aux_batched_matches_scalar_on_scenes():
+    from radmesh.scene import gen_square_with_circle
+
+    rng = philox(62)
+    balls = jittered_grid(rng, 8)
+    d = extract_diagram(build_regular(balls), balls)
+    cells = d.bounded_cells()
+    scalar = assert_batched_matches_scalar(cells)
+    assert len(scalar) < len(cells)
+
+    scene = gen_square_with_circle(8.0, 1.0, 0.8, interior_spacing=0.5, seed=2)
+    d = extract_diagram(build_regular(scene.balls), scene.balls, domain=scene.domain)
+    for domain, cells in (
+        (None, d.bounded_cells()),
+        (scene.domain, [c for c in d.cells if c is not None]),
+    ):
+        scalar = assert_batched_matches_scalar(cells, domain)
+        assert len(scalar) < len(cells)
+
+
+def test_fi_and_proposals_match_per_cell_reference():
+    # evaluate_FI and _proposals reduce over the triangle arrays; cell_fi and
+    # heuristic_center on aux_triangulate_cell's lists are the reference.
+    # The centers sum the same products in the same order, so they agree
+    # exactly; F_I sums its terms in another order, within n eps of the sum.
+    rng = philox(63)
+    balls = jittered_grid(rng, 7)
+    d = extract_diagram(build_regular(balls), balls)
+    ref = {c.ball_index: aux_triangulate_cell(c) for c in d.bounded_cells()}
+    want = sum(cell_fi(balls[i].center, aux) for i, aux in ref.items())
+    fi = evaluate_FI(balls, d)
+    assert sorted(ref) == np.unique(d.aux.ball).tolist()
+    assert abs(fi - want) <= len(d.aux.area) * np.finfo(float).eps * want
+    proposals = _proposals(balls, d)
+    for i, aux in ref.items():
+        assert proposals[i][0] == heuristic_center(d.cells[i], aux)
+
+
+def test_collapsed_cell_is_recorded_not_triangulated():
+    # a cell whose vertices all coincide, next to an ordinary square cell
+    from radmesh.diagram import DualVertex, PowerCell, PowerDiagram
+    from radmesh.dirichlet import _cell_aux
+
+    square = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+    cells = [
+        PowerCell(0, [DualVertex(p, 0.0, []) for p in square], bounded=True),
+        PowerCell(1, [DualVertex((0.5, 0.5), 0.0, [])] * 3, bounded=True),
+    ]
+    aux = _cell_aux(PowerDiagram(cells, []))
+    assert aux.degenerate == [1]
+    assert aux.ball.tolist() == [0, 0]
+    with pytest.raises(DegenerateCell, match="collapsed"):
+        aux_triangulate_cell(cells[1])
 
 
 def test_heuristic_center_examples():
@@ -499,11 +647,11 @@ def test_run_triangulates_each_cell_once_per_iteration():
     rng = philox(49)
     balls = jittered_grid(rng, 5, fix_boundary=True)
     calls = []
-    orig = dmod.aux_triangulate_cell
+    orig = dmod.aux_triangulate_cells
 
-    def spy(cell, domain=None):
-        calls.append(cell)
-        return orig(cell, domain)
+    def spy(cells, domain=None):
+        calls.append(list(cells))
+        return orig(cells, domain)
 
     per_iteration = []
 
@@ -511,49 +659,56 @@ def test_run_triangulates_each_cell_once_per_iteration():
         per_iteration.append((state.diagram, list(calls)))
         calls.clear()
 
-    dmod.aux_triangulate_cell = spy
+    dmod.aux_triangulate_cells = spy
     try:
         run(balls, OptimizerConfig(theta=0.5, max_iters=5), on_iteration=on_iteration)
     finally:
-        dmod.aux_triangulate_cell = orig
+        dmod.aux_triangulate_cells = orig
     assert not calls  # nothing is triangulated after the last rebuild
     assert len(per_iteration) == 6
-    for diagram, cells in per_iteration:
-        assert diagram.aux
-        assert sorted(c.ball_index for c in cells) == sorted(diagram.aux)
+    for diagram, batches in per_iteration:
+        assert len(batches) == 1
+        (cells,) = batches
+        assert len(diagram.aux.ball) > 0
+        assert [c.ball_index for c in cells] == np.unique(diagram.aux.ball).tolist()
         assert all(diagram.cells[c.ball_index] is c for c in cells)
 
 
 def test_run_computes_proposals_once_per_iteration():
     # the elimination bookkeeping and relax_step share one set of
-    # proposals, so heuristic_center runs once per usable cell
+    # proposals, computed once per iteration for every usable cell
     import radmesh.dirichlet as dmod
 
     rng = philox(49)
     balls = jittered_grid(rng, 5, fix_boundary=True)
     calls = []
-    orig = dmod.heuristic_center
+    orig = dmod._proposals
 
-    def spy(cell, aux):
-        calls.append(cell.ball_index)
-        return orig(cell, aux)
+    def spy(balls, diagram):
+        proposals = orig(balls, diagram)
+        calls.append((diagram, proposals))
+        return proposals
 
-    seen = []  # (diagram, heuristic_center calls since the previous iteration)
+    seen = []  # (diagram, _proposals calls since the previous iteration)
 
     def on_iteration(state):
         seen.append((state.diagram, list(calls)))
         calls.clear()
 
-    dmod.heuristic_center = spy
+    dmod._proposals = spy
     try:
         run(balls, OptimizerConfig(theta=0.5, max_iters=5), on_iteration=on_iteration)
     finally:
-        dmod.heuristic_center = orig
+        dmod._proposals = orig
     assert not calls  # the last iteration only stops
     assert len(seen) == 6
-    for (diagram, _), (_, balls_updated) in zip(seen, seen[1:]):
-        assert diagram.aux
-        assert sorted(balls_updated) == sorted(diagram.aux)
+    for (diagram, _), (_, proposed) in zip(seen, seen[1:]):
+        assert len(proposed) == 1
+        (called_on, proposals), = proposed
+        assert called_on is diagram
+        # every usable cell, plus the hull balls' radius-only proposals
+        hull = {c.ball_index for c in diagram.cells if c is not None and not c.bounded}
+        assert set(proposals) == set(diagram.aux.ball.tolist()) | hull
 
 
 def test_write_history_csv(tmp_path):

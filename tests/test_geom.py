@@ -203,3 +203,21 @@ def test_areas():
     assert geom.triangle_area((0.0, 0.0), (0.0, 1.0), (1.0, 0.0)) == -0.5
     square = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
     assert geom.polygon_area(square) == 1.0
+
+
+def test_circumcenters_match_circumcenter_bit_for_bit():
+    from radmesh.geom import circumcenters
+
+    rng = np.random.Generator(np.random.Philox(64))
+    p = rng.uniform(-1.0, 1.0, (300, 3, 2)) * np.array([1.0, 1e-3])  # some slivers
+    p[:100] += 1e6
+    p[250:, 2] = p[250:, 0] + 0.5 * (p[250:, 1] - p[250:, 0])  # collinear: the guard trips
+    got, ok = circumcenters(p[:, 0], p[:, 1], p[:, 2])
+    for row, good, pts in zip(got.tolist(), ok.tolist(), p.tolist()):
+        try:
+            want = circumcenter(*map(tuple, pts))
+        except CollinearPoints:
+            assert not good
+            continue
+        assert good and tuple(row) == want
+    assert ok.sum() >= 200 and not ok.all()

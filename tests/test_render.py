@@ -31,7 +31,7 @@ def test_render_all_layers_well_formed(tmp_path):
     # the aux layer draws the diagram's own auxiliary cell triangulations
     render_svg(scene, d, t, RenderSpec(("aux_triangles",)), path)
     polygons = [e for e in ET.parse(path).getroot() if e.tag.endswith("polygon")]
-    assert len(polygons) == sum(len(aux) for aux in d.aux.values()) > 0
+    assert len(polygons) == len(d.aux.area) > 0
 
 
 def test_render_byte_identical(tmp_path):

@@ -286,3 +286,104 @@ def test_flip_budget_exhaustion_raises():
 
     with pytest.raises(FlipBudgetExhausted):
         lawson_flip(tris, lambda a, b, c, q: True, left_turn)
+
+
+def filter_cases():
+    """Ball sets on which float filters are hardest: ties, ulps, offsets, duplicates."""
+    lattice = [(float(i), float(j)) for i in range(5) for j in range(5)]
+    rng = philox(77)
+    nudged = [
+        (x if rng.random() < 0.5 else float(np.nextafter(x, np.inf)), y) for x, y in lattice
+    ]
+    # the twelve integer points of the circle x^2 + y^2 = 25: an exactly
+    # cocircular polygon, alone and as a fan around its center
+    ring = sorted(
+        {(float(sx * a), float(sy * b)) for a, b in ((0, 5), (3, 4), (4, 3), (5, 0))
+         for sx in (1, -1) for sy in (1, -1)}
+    )
+    cases = {
+        "lattice": [Ball(p, 1.0) for p in lattice],
+        "lattice_ulp": [Ball(p, 1.0) for p in nudged],
+        "lattice_offset_1e8": [Ball((x + 1e8, y - 1e8), 1.0) for x, y in nudged],
+        "lattice_zero_radii": [Ball(p, 0.0) for p in nudged],
+        "ring": [Ball(p, 1.0) for p in ring],
+        "ring_fan": [Ball(p, 1.0) for p in ring] + [Ball((0.0, 0.0), 1.0)],
+        "ring_offset_1e8": [Ball((x + 1e8, y + 1e8), 0.0) for x, y in ring + [(0.0, 0.0)]],
+        "duplicates": [Ball(p, 1.0) for p in lattice]
+        + [Ball(lattice[7], 1.0), Ball(lattice[12], 0.5), Ball(lattice[12], 1.5)],
+        # a shuffled 6 x 4 lattice, x nudged by 1 ulp at six points; the
+        # one at (0, 2) moves 2.2e-16 inward, denting the hull side x = 0
+        "lattice_ulp_hull_side": [
+            Ball((x, y), r) for x, y, r in [
+                (1.0, 0.0, 0.5), (1.0000000000000002, 3.0, 0.5), (3.0, 0.0, 1.0),
+                (2.0, 3.0, 0.5), (0.0, 1.0, 0.5), (3.0, 3.0, 0.0), (4.0, 0.0, 0.0),
+                (4.0, 2.0, 0.0), (4.0, 3.0, 1.0), (2.0, 2.0, 1.0), (3.0, 1.0, 1.0),
+                (0.0, 0.0, 0.5), (1.0000000000000002, 1.0, 0.0), (2.0000000000000004, 1.0, 1.0),
+                (2.0, 0.0, 0.5), (4.000000000000001, 1.0, 0.5), (5.0, 1.0, 1.0),
+                (0.0, 3.0, 0.5), (2.220446049250313e-16, 2.0, 0.5), (3.0, 2.0, 0.5),
+                (5.0, 3.0, 0.5), (5.000000000000001, 2.0, 0.5), (5.0, 0.0, 0.0), (1.0, 2.0, 1.0),
+            ]
+        ],
+    }
+    return list(cases.items())
+
+
+@pytest.mark.parametrize("name,balls", filter_cases(), ids=[n for n, _ in filter_cases()])
+def test_batched_filters_agree_with_exact_predicates(name, balls):
+    # every sign the batched float filters decide is the exact predicate's,
+    # on the qhull triangles before legalization and on the final ones
+    from radmesh.triangulation import (
+        _interior_pairs,
+        _lower_hull_triangles,
+        _orient_filter,
+        _power_filter,
+    )
+
+    centers = np.array([b.center for b in balls])
+    radii = np.array([b.radius for b in balls])
+    idx = [i for i, b in enumerate(balls) if b.alive]
+    final = np.array([tr.ball_indices for tr in build_regular(balls).triangles])
+    decided = 0
+    for tris in (_lower_hull_triangles(balls, idx, centers, radii), final):
+        # both orientations of every triangle, plus collinear triples
+        triples = np.concatenate([tris, tris[:, [0, 2, 1]], [[0, 1, 2], [0, 5, 10]]])
+        sign = _orient_filter(centers, triples)
+        for s, tri in zip(sign.tolist(), triples.tolist()):
+            if s:
+                assert s == geom.orient2d(*(balls[i].center for i in tri))
+        first, second = _interior_pairs(tris, len(balls))
+        abc, q = tris[first // 3], tris.ravel()[second]
+        sign = _power_filter(centers, radii, abc, q)
+        for s, tri, other in zip(sign.tolist(), abc.tolist(), q.tolist()):
+            if s:
+                decided += 1
+                assert s == geom.power_test(*(balls[i] for i in tri), balls[other])
+    if name not in ("ring", "lattice_offset_1e8", "ring_offset_1e8"):
+        # ties, and rounding at 1e8, leave every edge there to the exact path
+        assert decided > 0
+
+
+# Known defects of the qhull start, which the 2-2 flips of the Lawson pass
+# cannot repair because they never add or remove a vertex: far from the
+# origin the lifted heights swamp qhull's resolution and its lower hull
+# loses vertices; along a hull side dented by 1 ulp it leaves overlapping
+# slivers.  The triangulation is then not regular.
+_QHULL_START = {
+    "lattice_offset_1e8": "qhull drops vertices at offset 1e8",
+    "ring_offset_1e8": "qhull drops vertices at offset 1e8",
+    "lattice_ulp_hull_side": "qhull leaves overlapping slivers along the dented hull side",
+}
+
+
+@pytest.mark.parametrize(
+    "name,balls",
+    [
+        pytest.param(n, b, marks=[pytest.mark.xfail(strict=True, reason=_QHULL_START[n])])
+        if n in _QHULL_START
+        else (n, b)
+        for n, b in filter_cases()
+    ],
+    ids=[n for n, _ in filter_cases()],
+)
+def test_filter_cases_are_regular(name, balls):
+    assert verify_regular(build_regular(balls), balls) == []
