@@ -115,7 +115,7 @@ def _cmd_verify(args) -> int:
         for ti, bi in violations[:20]:
             print(f"  triangle {ti} vs ball {bi}", file=sys.stderr)
         return 1
-    print(f"ok: {len(t.triangles)} triangles, no regularity violations")
+    print(f"ok: {len(t.tris)} triangles, no regularity violations")
     return 0
 
 

@@ -1,10 +1,13 @@
 """Power diagram (radical partition) extraction, dual to the regular triangulation.
 
-Dual vertices are the triangle orthocenters; orthocenters of adjacent
-triangles that coincide within a merge tolerance (exact-tie artifacts,
-cocircular fans) collapse into one vertex.  Each non-redundant ball owns a
-convex polygonal cell whose vertices are collected by walking the triangle
-fan around the ball counterclockwise; hull balls own unbounded cells.
+Everything is read off the triangle table of ``RegularTriangulation``.
+Dual vertices are the triangle orthocenters; adjacent triangles whose
+orthocenters lie within a merge tolerance (exact-tie artifacts, cocircular
+fans) are grouped by the connected components of that relation
+(``geom.components``), and each group collapses into one vertex, the
+polygonal vertex of the paper's non-simplicial cells.  Each non-redundant
+ball owns a convex polygonal cell whose vertices follow the ball's corners
+counterclockwise through the neighbor array; hull balls own unbounded cells.
 """
 
 from __future__ import annotations
@@ -12,10 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import geom
+from .errors import CollinearPoints, RadmeshError
 from .geom import Ball, Point2, paraboloid
 from .triangulation import RegularTriangulation
-from .unionfind import UnionFind
 
 
 @dataclass
@@ -99,86 +104,41 @@ def default_merge_eps(balls) -> float:
 
 
 def _merge_orthocenters(t: RegularTriangulation, balls, merge_eps):
-    """Union-find over adjacent triangles with coincident orthocenters."""
-    uf = UnionFind(len(t.triangles))
-    for ti, tri in enumerate(t.triangles):
-        for nb in tri.neighbors:
-            if nb is None:
-                continue
-            o1, o2 = tri.orthocenter, t.triangles[nb].orthocenter
-            if math.hypot(o1[0] - o2[0], o1[1] - o2[1]) <= merge_eps:
-                uf.union(ti, nb)
+    """Dual vertices: components of adjacent triangles with coincident orthocenters.
 
-    tri_to_vertex: dict[int, DualVertex] = {}
-    dual_vertices = []
-    for members in uf.groups():
-        wsum = xsum = ysum = tsum = 0.0
-        for ti in members:
-            tri = t.triangles[ti]
-            b1, b2, b3 = (balls[i].center for i in tri.ball_indices)
-            w = abs(geom.triangle_area(b1, b2, b3))
-            wsum += w
-            xsum += w * tri.orthocenter[0]
-            ysum += w * tri.orthocenter[1]
-            tsum += w * tri.tau
-        if wsum > 0:
-            v = DualVertex((xsum / wsum, ysum / wsum), tsum / wsum, list(members))
-        else:
-            m = len(members)
-            v = DualVertex(
-                (
-                    sum(t.triangles[ti].orthocenter[0] for ti in members) / m,
-                    sum(t.triangles[ti].orthocenter[1] for ti in members) / m,
-                ),
-                sum(t.triangles[ti].tau for ti in members) / m,
-                list(members),
-            )
-        dual_vertices.append(v)
-        for ti in members:
-            tri_to_vertex[ti] = v
-    return dual_vertices, tri_to_vertex
+    Each vertex sits at the area-weighted mean of its triangles' orthocenters
+    and power values (the plain mean if they have no area).  Returns the
+    vertices and each triangle's vertex number.
+    """
+    f, k = np.nonzero(t.neighbors > np.arange(len(t.tris))[:, None])
+    nb = t.neighbors[f, k]
+    d = t.orthocenters[f] - t.orthocenters[nb]
+    close = np.hypot(d[:, 0], d[:, 1]) <= merge_eps
+    labels, groups = geom.components(len(t.tris), f[close], nb[close])
+
+    c = np.array([b.center for b in balls], dtype=float)
+    w = np.abs(geom.triangle_area(*(c[t.tris[:, m]].T for m in range(3))))
+    n = len(groups)
+    w = np.where(np.bincount(labels, w, n)[labels] > 0, w, 1.0)  # no area: plain mean
+    wsum = np.bincount(labels, w, n)
+    x, y = (np.bincount(labels, w * t.orthocenters[:, m], n) / wsum for m in range(2))
+    tau = np.bincount(labels, w * t.tau, n) / wsum
+    dual_vertices = [
+        DualVertex((vx, vy), s, members)
+        for vx, vy, s, members in zip(x.tolist(), y.tolist(), tau.tolist(), groups)
+    ]
+    return dual_vertices, labels
 
 
-def _fan_around(t: RegularTriangulation, ball: int, start: int):
-    """Incident triangles of ``ball`` in CCW order, and whether the fan closes."""
+def _outward_ray(balls, ball: int, other: int, third: int) -> Point2:
+    """Unit direction of the unbounded dual edge across hull edge (ball, other).
 
-    def local(ti):
-        return t.triangles[ti].ball_indices.index(ball)
-
-    def ccw_next(ti):
-        tri = t.triangles[ti]
-        return tri.neighbors[(local(ti) + 1) % 3]
-
-    def cw_next(ti):
-        tri = t.triangles[ti]
-        return tri.neighbors[(local(ti) + 2) % 3]
-
-    # rewind clockwise to the fan start (a closed fan stops at the cycle)
-    first = start
-    while True:
-        prev = cw_next(first)
-        if prev is None or prev == start:
-            break
-        first = prev
-    fan = [first]
-    cur = first
-    while True:
-        nxt = ccw_next(cur)
-        if nxt is None:
-            return fan, False
-        if nxt == first:
-            return fan, True
-        fan.append(nxt)
-        cur = nxt
-
-
-def _outward_ray(balls, tri, ball: int, other: int) -> Point2:
-    """Unit direction of the unbounded dual edge across hull edge (ball, other)."""
+    ``third`` is the third ball of the triangle on that edge.
+    """
     ci, cj = balls[ball].center, balls[other].center
     dx, dy = cj[0] - ci[0], cj[1] - ci[1]
     nrm = math.hypot(dx, dy)
     n = (dy / nrm, -dx / nrm)
-    third = next(k for k in tri.ball_indices if k != ball and k != other)
     ck = balls[third].center
     mid = ((ci[0] + cj[0]) / 2, (ci[1] + cj[1]) / 2)
     if n[0] * (ck[0] - mid[0]) + n[1] * (ck[1] - mid[1]) > 0:
@@ -192,38 +152,55 @@ def extract_diagram(
     merge_eps: float | None = None,
     domain: list[Point2] | None = None,
 ) -> PowerDiagram:
-    """Extract the radical partition dual to a regular triangulation."""
+    """Extract the radical partition dual to a regular triangulation.
+
+    Corner ``3 f + k`` of the table is ball ``t.tris[f, k]`` in triangle
+    ``f``.  A ball's cell follows its corners counterclockwise, from its
+    corner on a hull edge if it has one (an unbounded cell), else from the
+    corner after its first one in table order.
+    """
     if merge_eps is None:
         merge_eps = default_merge_eps(balls)
-    dual_vertices, tri_to_vertex = _merge_orthocenters(t, balls, merge_eps)
+    dual_vertices, labels = _merge_orthocenters(t, balls, merge_eps)
 
-    incident: dict[int, int] = {}
-    for ti, tri in enumerate(t.triangles):
-        for i in tri.ball_indices:
-            incident.setdefault(i, ti)
+    corner_ball = t.tris.ravel()
+    # the same ball's corner in the next triangle counterclockwise, -1 past the hull
+    ccw = t.neighbors[:, [1, 2, 0]].ravel()
+    at = np.argmax(t.tris[ccw] == corner_ball[:, None], axis=1)
+    nxt = np.where(ccw < 0, -1, 3 * ccw + at).tolist()
+    # a corner with the hull clockwise of it starts its ball's open fan
+    hull = np.flatnonzero(t.neighbors[:, [2, 0, 1]].ravel() < 0)
+    hull_start = dict(zip(corner_ball[hull].tolist(), hull.tolist()))
+    owners, first_corner, corners = np.unique(corner_ball, return_index=True, return_counts=True)
+    vertex = [dual_vertices[v] for v in labels.tolist()]
+    tris = t.tris.tolist()
 
     cells: list[PowerCell | None] = [None] * len(balls)
-    for i, ball in enumerate(balls):
-        if not ball.alive or i not in incident:
-            continue
-        fan, closed = _fan_around(t, i, incident[i])
+    for i, start, n in zip(owners.tolist(), first_corner.tolist(), corners.tolist()):
+        first = hull_start.get(i, nxt[start])
+        fan = [first]
+        c = nxt[first]
+        while c >= 0 and c != first:
+            if len(fan) == n:  # only a table with overlapping triangles gets here
+                raise RadmeshError(
+                    f"the triangles around ball {i} neither close nor end on the hull"
+                )
+            fan.append(c)
+            c = nxt[c]
+        closed = c == first
         verts: list[DualVertex] = []
-        for ti in fan:
-            v = tri_to_vertex[ti]
+        for c in fan:
+            v = vertex[c // 3]
             if not verts or verts[-1] is not v:
                 verts.append(v)
         if closed and len(verts) > 1 and verts[0] is verts[-1]:
             verts.pop()
-        cell = PowerCell(i, verts, bounded=closed, free=not ball.fully_fixed)
+        cell = PowerCell(i, verts, bounded=closed, free=not balls[i].fully_fixed)
         if not closed:
-            first_tri = t.triangles[fan[0]]
-            l = first_tri.ball_indices.index(i)
-            nxt = first_tri.ball_indices[(l + 1) % 3]
-            cell.ray_start = _outward_ray(balls, first_tri, i, nxt)
-            last_tri = t.triangles[fan[-1]]
-            l = last_tri.ball_indices.index(i)
-            prv = last_tri.ball_indices[(l + 2) % 3]
-            cell.ray_end = _outward_ray(balls, last_tri, i, prv)
+            f, k = divmod(fan[0], 3)
+            cell.ray_start = _outward_ray(balls, i, tris[f][k - 2], tris[f][k - 1])
+            f, k = divmod(fan[-1], 3)
+            cell.ray_end = _outward_ray(balls, i, tris[f][k - 1], tris[f][k - 2])
         cells[i] = cell
     return PowerDiagram(cells, dual_vertices, domain)
 
@@ -247,8 +224,6 @@ def delaunay_limit_violations(
     of the partition, so their centers are exempt.  Returns violating
     (cell ball, other ball) pairs.
     """
-    from .errors import CollinearPoints
-
     out = []
     alive = [
         i for i, b in enumerate(balls) if b.alive and diagram.cells[i] is not None
@@ -265,8 +240,7 @@ def delaunay_limit_violations(
         # (protecting rings), which is fine for a Delaunay partition
         incident = set()
         for v in verts:
-            for ti in v.source_triangles:
-                incident.update(t.triangles[ti].ball_indices)
+            incident.update(t.tris[v.source_triangles].ravel().tolist())
         for k in range(m if m > 3 else 1):
             triple = [verts[(k + d) % m] for d in range(3)]
             try:

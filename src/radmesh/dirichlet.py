@@ -526,7 +526,7 @@ def _tau_system(x, free, triangulation, active):
     cols = np.flatnonzero(free.ravel())
     col_of = np.full(free.size, -1)
     col_of[cols] = np.arange(len(cols))
-    tris = np.array([triangulation.triangles[ti].ball_indices for ti in active])
+    tris = triangulation.tris[active]
     centers, radii = x[:, :2], x[:, 2]
     vx, vy, r = geom.orthocenters(centers, radii, tris)
     v = np.stack([vx, vy], axis=1)
@@ -609,7 +609,7 @@ def _gauss_newton_step(x, free, as_balls, triangulation, diagram, merge_eps):
                 alpha *= 0.5
                 continue
             a2 = _active_triangles(t2, d2)
-            r2 = np.array([t2.triangles[ti].tau for ti in a2])
+            r2 = t2.tau[a2]
             if a2 and float(r2 @ r2) / len(a2) < base / len(active):
                 return trial, int(free.any(axis=1).sum()), (t2, d2)
             alpha *= 0.5

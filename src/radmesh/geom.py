@@ -7,7 +7,8 @@ returned sign is always correct for representable inputs.  Constructions
 guard on the 2x2 system determinant; ``circumcenters`` evaluates
 circumcenter's expressions on arrays, bit for bit.  ``orthocenters`` is
 the one orthocenter kernel: the regular triangulation runs it on all its
-triangles, ``orthocenter`` on one.  ``bbox_diag`` is the one scale measure.
+triangles, ``orthocenter`` on one.  ``bbox_diag`` is the one scale measure,
+and ``components`` the one connected-components (union-find) helper.
 
 All functions here are pure; they can be called from any thread.
 """
@@ -271,9 +272,32 @@ def polygon_area(vertices) -> float:
 
 
 def bbox_diag(points) -> float:
-    """Bounding-box diagonal of a point sequence; 1.0 when the box is a point."""
+    """Bounding-box diagonal of a point sequence; 1.0 when the box is a point or empty."""
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
+    if not xs:
+        return 1.0
     d = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
     return d if d > 0 else 1.0
 
+
+def components(n: int, i, j):
+    """Connected components of the graph on nodes ``0..n-1`` with edges ``(i[k], j[k])``.
+
+    Returns ``(labels, groups)``: ``labels`` is the (n,) array of component
+    numbers and ``groups[l]`` lists the nodes of component ``l`` ascending.
+    Components are numbered in the order of their smallest node.  Each
+    round hooks the larger root of every edge under the smaller one, then
+    points every node at its root (Shiloach and Vishkin 1982), so a root
+    is always the smallest node of its tree.
+    """
+    root = np.arange(n)
+    while not np.array_equal(root[i], root[j]):
+        ri, rj = root[i], root[j]
+        np.minimum.at(root, np.maximum(ri, rj), np.minimum(ri, rj))
+        while not np.array_equal(root[root], root):
+            root = root[root]
+    labels = np.unique(root, return_inverse=True)[1]
+    members = np.argsort(labels, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(labels)).tolist()
+    return labels, [members[a:b] for a, b in zip([0] + ends, ends)]

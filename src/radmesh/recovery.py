@@ -1,7 +1,8 @@
 """Sliver-robust circle recovery from a perturbed point set.
 
 Circumcircles of the Delaunay triangles of the input points are clustered
-by single linkage; each cluster yields one circle with an area-weighted
+by single linkage (all pairs within the tolerance, grouped by
+``geom.components``); each cluster yields one circle with an area-weighted
 center and a least-squares radius over the union of the member triangles'
 vertices.  Near-degenerate triangles (tiny area or ill-conditioned
 circumcenter) are excluded before clustering, so they contribute nothing.
@@ -17,18 +18,18 @@ from scipy.spatial import Delaunay, QhullError
 from . import geom
 from .errors import AllCollinear, TooFewPoints
 from .geom import Ball, Point2
-from .unionfind import UnionFind
 
 
 def _single_linkage(points: list[Point2], eps: float) -> list[list[int]]:
     """Connected components of the graph joining points closer than eps."""
-    uf = UnionFind(len(points))
+    pairs = []
     for i in range(len(points)):
         xi, yi = points[i]
         for j in range(i + 1, len(points)):
             if math.hypot(points[j][0] - xi, points[j][1] - yi) <= eps:
-                uf.union(i, j)
-    return uf.groups()
+                pairs.append((i, j))
+    i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
+    return geom.components(len(points), i, j)[1]
 
 
 def _check_eps(name: str, eps: float) -> None:

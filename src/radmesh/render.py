@@ -93,8 +93,8 @@ def render_svg(
             if len(pts) >= 3:
                 body.append(_poly(pts, COLORS["power_diagram"], sw))
     if "regular_triangulation" in spec.layers and triangulation is not None:
-        for tri in triangulation.triangles:
-            pts = [scene.balls[i].center for i in tri.ball_indices]
+        for tri in triangulation.tris.tolist():
+            pts = [scene.balls[i].center for i in tri]
             body.append(_poly(pts, COLORS["regular_triangulation"], sw))
     if "aux_triangles" in spec.layers and diagram is not None:
         # the auxiliary cell triangulations F_I is evaluated on

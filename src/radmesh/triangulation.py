@@ -5,8 +5,13 @@ ball centers lifted to height (|c|^2 - R^2)/2.  The heavy lifting is done
 by qhull on the lifted 3D point set; an exact legalization pass afterwards
 repairs any rounding-induced facet misclassification and settles exact
 power ties in favour of the lowest ball index (a tied polygon is fanned from
-it), so the result is a deterministic function of the input indices.  The
-dual vertices and their power values come from ``geom.orthocenters``.
+it), so the result is a deterministic function of the input indices.
+
+The result, ``RegularTriangulation``, is one triangle table: per triangle
+its CCW ball indices, its dual vertex and power value (both from
+``geom.orthocenters``) and its three neighbors, one row each in numpy
+arrays.  ``diagram.extract_diagram`` and the Gauss-Newton step read these
+arrays directly.
 
 Before the exact pass, batched numpy float filters (the stage-A filters
 of ``geom.orient2d`` and ``geom.power_test``, Shewchuk 1997) orient every
@@ -31,30 +36,21 @@ from scipy.spatial import ConvexHull, Delaunay, QhullError
 
 from . import geom
 from .errors import AllCollinear, FlipBudgetExhausted, TooFewBalls
-from .geom import Ball, Point2
-
-
-@dataclass
-class Triangle:
-    ball_indices: tuple[int, int, int]  # CCW order of centers
-    orthocenter: Point2
-    tau: float
-    neighbors: tuple[int | None, int | None, int | None] = (None, None, None)
+from .geom import Ball
 
 
 @dataclass
 class RegularTriangulation:
-    triangles: list[Triangle]
+    """The triangle table: row f describes triangle f."""
+
+    tris: np.ndarray  # (F, 3) ball indices, CCW order of centers
+    orthocenters: np.ndarray  # (F, 2) dual vertices
+    tau: np.ndarray  # (F,) power of each dual vertex
+    neighbors: np.ndarray  # (F, 3) triangle across the edge facing each corner, -1 on the hull
     redundant: list[bool]  # per-ball; True = alive but hidden
 
     def edge_set(self) -> set[frozenset[int]]:
-        edges = set()
-        for t in self.triangles:
-            a, b, c = t.ball_indices
-            edges.add(frozenset((a, b)))
-            edges.add(frozenset((b, c)))
-            edges.add(frozenset((c, a)))
-        return edges
+        return {frozenset(e) for e in self.tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2).tolist()}
 
 
 def _alive_indices(balls) -> list[int]:
@@ -288,21 +284,17 @@ def build_regular(balls: list[Ball]) -> RegularTriangulation:
     _check_not_collinear(balls, idx)
     centers = np.array([b.center for b in balls], dtype=float)
     radii = np.array([b.radius for b in balls], dtype=float)
-    tri_array = _lower_hull_triangles(balls, idx, centers, radii)
-    tris = tri_array.tolist()
+    tris = _lower_hull_triangles(balls, idx, centers, radii)
+    flipped = tris.tolist()
     # flips keep every triangle CCW
-    _legalize(balls, tris, _suspect_edges(tri_array, centers, radii))
-    tri_array = np.array(tris).reshape(-1, 3)
-
-    vx, vy, tau = geom.orthocenters(centers, radii, tri_array)
-    nbrs = _neighbors(tri_array, len(balls)).tolist()
-    triangles = [
-        Triangle(tuple(t), (x, y), s, tuple(None if o < 0 else o for o in nb))
-        for t, x, y, s, nb in zip(tris, vx.tolist(), vy.tolist(), tau.tolist(), nbrs)
-    ]
-    used = set(tri_array.ravel().tolist())
+    _legalize(balls, flipped, _suspect_edges(tris, centers, radii))
+    tris = np.array(flipped).reshape(-1, 3)
+    vx, vy, tau = geom.orthocenters(centers, radii, tris)
+    used = set(tris.ravel().tolist())
     redundant = [b.alive and i not in used for i, b in enumerate(balls)]
-    return RegularTriangulation(triangles, redundant)
+    return RegularTriangulation(
+        tris, np.column_stack([vx, vy]), tau, _neighbors(tris, len(balls)), redundant
+    )
 
 
 def verify_regular(t: RegularTriangulation, balls: list[Ball]) -> list[tuple[int, int]]:
@@ -313,9 +305,9 @@ def verify_regular(t: RegularTriangulation, balls: list[Ball]) -> list[tuple[int
     """
     violations = []
     alive = _alive_indices(balls)
-    for ti, tri in enumerate(t.triangles):
-        b1, b2, b3 = (balls[i] for i in tri.ball_indices)
-        members = set(tri.ball_indices)
+    for ti, tri in enumerate(t.tris.tolist()):
+        b1, b2, b3 = (balls[i] for i in tri)
+        members = set(tri)
         for j in alive:
             if j in members:
                 continue

@@ -41,6 +41,15 @@ def test_optimize_two_ball_scene_exit_1(tmp_path, capsys):
     assert "TooFewBalls" in capsys.readouterr().err
 
 
+def test_optimize_empty_scene_one_line_error(tmp_path, capsys):
+    scene = Scene([], [(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)], OptimizerConfig())
+    p = tmp_path / "empty.json"
+    save_scene(scene, p)
+    assert main(["optimize", str(p), "-o", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: TooFewBalls: need >= 3 alive balls, got 0"]
+
+
 def test_generate_unusable_spacing_exit_1(tmp_path, capsys):
     out = tmp_path / "g.json"
     for args, word in (

@@ -9,10 +9,12 @@ from radmesh import geom
 from radmesh.diagram import (
     DualVertex,
     clip_polygon,
+    default_merge_eps,
     delaunay_limit_violations,
     dual_height,
     extract_diagram,
 )
+from radmesh.errors import RadmeshError
 from radmesh.geom import Ball, power
 from radmesh.triangulation import build_regular
 
@@ -49,7 +51,7 @@ def test_lattice_interior_cell_is_unit_square():
 def test_cocircular_quad_merges_to_degree_four_vertex():
     balls = [Ball(p, 1.0) for p in [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]]
     t, d = build_both(balls)
-    assert len(t.triangles) == 2
+    assert len(t.tris) == 2
     assert len(d.dual_vertices) == 1
     v = d.dual_vertices[0]
     assert v.position == pytest.approx((0.5, 0.5))
@@ -82,7 +84,7 @@ def test_equal_power_at_dual_vertices():
     for v in d.dual_vertices:
         tol = 1e-9 * (1.0 + v.position[0] ** 2 + v.position[1] ** 2)
         for ti in v.source_triangles:
-            for i in t.triangles[ti].ball_indices:
+            for i in t.tris[ti].tolist():
                 assert abs(power(balls[i], v.position) - v.tau) <= tol
 
 
@@ -90,16 +92,12 @@ def test_radical_axis_property():
     rng = philox(22)
     balls = random_balls(rng, 25)
     t, d = build_both(balls)
-    for tr in t.triangles:
-        for k, nb in enumerate(tr.neighbors):
-            if nb is None:
+    for tr, nbs, a in zip(t.tris.tolist(), t.neighbors.tolist(), t.orthocenters.tolist()):
+        for k, nb in enumerate(nbs):
+            if nb < 0:
                 continue
-            i, j = (
-                tr.ball_indices[(k + 1) % 3],
-                tr.ball_indices[(k + 2) % 3],
-            )
-            a = tr.orthocenter
-            b = t.triangles[nb].orthocenter
+            i, j = tr[(k + 1) % 3], tr[(k + 2) % 3]
+            b = t.orthocenters[nb].tolist()
             mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
             tol = 1e-9 * (1.0 + mid[0] * mid[0] + mid[1] * mid[1])
             assert abs(power(balls[i], mid) - power(balls[j], mid)) <= tol
@@ -179,3 +177,131 @@ def test_delaunay_limit_check_flags_generic_diagram():
     balls = random_balls(rng, 30)
     t, d = build_both(balls)
     assert delaunay_limit_violations(t, d, balls, 1e-9) != []
+
+
+def _on_hull(p, points):
+    """Whether ``p`` lies on the boundary of the convex hull of ``points`` (exact).
+
+    It does when the line from ``p`` to some other point has all points on
+    one closed side.
+    """
+    for q in points:
+        if q == p:
+            continue
+        signs = {geom.orient2d(p, q, r) for r in points}
+        if signs <= {0, 1} or signs <= {0, -1}:
+            return True
+    return False
+
+
+def reference_cases():
+    lattice = [(float(i), float(j)) for i in range(4) for j in range(4)]
+    rng = philox(77)
+    # 1 ulp on interior points only: a hull side dented by 1 ulp is the
+    # qhull-start defect of test_triangulation's lattice_ulp_hull_side
+    nudged = [
+        (float(np.nextafter(x, np.inf)) if 0 < min(x, y) and max(x, y) < 3 and rng.random() < 0.5
+         else x, y)
+        for x, y in lattice
+    ]
+    # six integer points of the circle x^2 + y^2 = 25: one fanned hexagon
+    hexagon = [(5.0, 0.0), (3.0, 4.0), (-3.0, 4.0), (-5.0, 0.0), (-3.0, -4.0), (3.0, -4.0)]
+    cases = {
+        "random": random_balls(philox(40), 40),
+        "lattice": [Ball(p, 1.0) for p in lattice],
+        "lattice_ulp": [Ball(p, 1.0) for p in nudged],
+        # the lifted center ball lies 0.05 above the plane of its unit square
+        "redundant": [Ball(p, 1.0) for p in lattice] + [Ball((1.5, 1.5), math.sqrt(0.4))],
+        "six_on_circle": [Ball(p, 1.0) for p in hexagon],
+    }
+    return list(cases.items())
+
+
+@pytest.mark.parametrize("name,balls", reference_cases(), ids=[n for n, _ in reference_cases()])
+def test_extract_diagram_matches_definitions(name, balls):
+    t, d = build_both(balls)
+    eps = default_merge_eps(balls)
+    tris = t.tris.tolist()
+    ortho = t.orthocenters.tolist()
+    groups = [v.source_triangles for v in d.dual_vertices]
+    vertex_of = {f: k for k, g in enumerate(groups) for f in g}
+
+    # the dual vertices partition the triangles, ordered by smallest member
+    assert sorted(vertex_of) == list(range(len(tris)))
+    assert all(g == sorted(g) for g in groups)
+    assert [g[0] for g in groups] == sorted(g[0] for g in groups)
+
+    def close(a, b):
+        return math.hypot(ortho[a][0] - ortho[b][0], ortho[a][1] - ortho[b][1]) <= eps
+
+    # each vertex is one component of "adjacent with orthocenters within eps"
+    for g in groups:
+        reached, todo = {g[0]}, [g[0]]
+        while todo:
+            a = todo.pop()
+            for b in t.neighbors[a].tolist():
+                if b < 0:
+                    continue
+                if b not in g:
+                    assert not close(a, b)
+                elif close(a, b) and b not in reached:
+                    reached.add(b)
+                    todo.append(b)
+        assert reached == set(g)
+
+    owners = sorted({i for tr in tris for i in tr})
+    centers = [balls[i].center for i in owners]
+    index = {id(v): k for k, v in enumerate(d.dual_vertices)}
+    for i, b in enumerate(balls):
+        cell = d.cells[i]
+        assert (cell is None) == (i not in owners)
+        if cell is None:
+            continue
+        # the ball's triangles counterclockwise by the angle of their centroids
+        cx, cy = b.center
+        around = sorted(
+            (math.atan2(sum(balls[j].center[1] for j in tr) / 3 - cy,
+                        sum(balls[j].center[0] for j in tr) / 3 - cx), f)
+            for f, tr in enumerate(tris)
+            if i in tr
+        )
+        on_hull = _on_hull(b.center, centers)
+        assert cell.bounded == (not on_hull)
+        if on_hull:  # the fan runs from the end of its widest angular gap
+            angles = [a for a, _ in around]
+            gaps = [angles[0] + 2 * math.pi - angles[-1]] + [
+                y - x for x, y in zip(angles, angles[1:])
+            ]
+            k = gaps.index(max(gaps))
+            around = around[k:] + around[:k]
+        ref = []
+        for _, f in around:
+            if not ref or ref[-1] != vertex_of[f]:
+                ref.append(vertex_of[f])
+        got = [index[id(v)] for v in cell.vertices]
+        if on_hull:
+            assert got == ref
+        else:
+            if len(ref) > 1 and ref[0] == ref[-1]:
+                ref.pop()
+            assert len(got) == len(ref)
+            assert any(got == ref[k:] + ref[:k] for k in range(len(ref)))
+
+    if name == "redundant":
+        assert t.redundant[-1] and d.cells[-1] is None
+    if name == "six_on_circle":
+        assert [len(g) for g in groups] == [4]
+
+
+def test_extract_diagram_ends_on_overlapping_triangles():
+    # the qhull start leaves overlapping slivers along a hull side dented by
+    # 1 ulp (test_triangulation's lattice_ulp_hull_side); the fan walk must
+    # stop there instead of circling forever
+    from test_triangulation import filter_cases
+
+    balls = dict(filter_cases())["lattice_ulp_hull_side"]
+    t = build_regular(balls)
+    try:
+        extract_diagram(t, balls)
+    except RadmeshError as e:
+        assert "neither close nor end on the hull" in str(e)

@@ -457,7 +457,7 @@ def test_tau_system_jacobian_matches_central_differences():
     active = _active_triangles(t, extract_diagram(t, balls))
     x, free, _ = _coords(balls)
     r, J, cols = _tau_system(x, free, t, active)
-    tris = [t.triangles[ti].ball_indices for ti in active]
+    tris = t.tris[active]
 
     def tau(x):
         return orthocenters(x[:, :2], x[:, 2], tris)[2]
@@ -597,6 +597,15 @@ def test_run_already_converged():
     assert state.converged
     assert state.iteration == 0
     assert len(state.history) == 1
+
+
+@pytest.mark.parametrize(
+    "balls", [[], [Ball((float(i), float(i % 2)), 1.0, alive=False) for i in range(4)]],
+    ids=["empty", "all_dead"],
+)
+def test_run_without_alive_balls_raises_too_few(balls):
+    with pytest.raises(TooFewBalls, match="got 0"):
+        run(balls, OptimizerConfig(max_iters=5))
 
 
 def test_run_jittered_grid_converges():

@@ -28,7 +28,7 @@ def delaunay_edge_oracle(points):
 def test_three_balls_single_triangle():
     balls = [Ball((0.0, 0.0), 1.0), Ball((3.0, 0.0), 0.5), Ball((1.0, 2.0), 2.0)]
     t = build_regular(balls)
-    assert len(t.triangles) == 1
+    assert len(t.tris) == 1
     assert not any(t.redundant)
     assert verify_regular(t, balls) == []
 
@@ -54,7 +54,7 @@ def test_center_ball_redundant():
         Ball((0.5, 0.5), math.sqrt(0.4)),
     ]
     t = build_regular(balls)
-    assert len(t.triangles) == 2
+    assert len(t.tris) == 2
     assert t.redundant == [False, False, False, False, True]
     assert verify_regular(t, balls) == []
 
@@ -91,7 +91,7 @@ def test_verify_regular_detects_flipped_diagonal():
     ]
     t = build_regular(balls)
     assert verify_regular(t, balls) == []
-    good = {tuple(sorted(tr.ball_indices)) for tr in t.triangles}
+    good = {tuple(sorted(tr)) for tr in t.tris.tolist()}
     if good == {(0, 1, 2), (0, 2, 3)}:
         flipped = [(0, 1, 3), (1, 2, 3)]
     else:
@@ -99,8 +99,7 @@ def test_verify_regular_detects_flipped_diagonal():
     import copy
 
     bad = copy.deepcopy(t)
-    for tr, idx in zip(bad.triangles, flipped):
-        tr.ball_indices = idx
+    bad.tris = np.array(flipped)
     assert len(verify_regular(bad, balls)) == 2
 
 
@@ -118,22 +117,22 @@ def test_triangles_ccw_and_orthocenter_consistency(seed):
     rng = philox(seed)
     balls = random_balls(rng, 25)
     t = build_regular(balls)
-    for tr in t.triangles:
-        c1, c2, c3 = (balls[i].center for i in tr.ball_indices)
+    for tr, o, s in zip(t.tris.tolist(), t.orthocenters.tolist(), t.tau.tolist()):
+        c1, c2, c3 = (balls[i].center for i in tr)
         assert geom.orient2d(c1, c2, c3) == 1
-        v, tau = geom.orthocenter(*(balls[i] for i in tr.ball_indices))
-        assert tr.orthocenter == v
-        assert tr.tau == tau
+        v, tau = geom.orthocenter(*(balls[i] for i in tr))
+        assert tuple(o) == v
+        assert s == tau
 
 
 def test_neighbor_adjacency_symmetric():
     rng = philox(9)
     balls = random_balls(rng, 30)
     t = build_regular(balls)
-    for ti, tr in enumerate(t.triangles):
-        for nb in tr.neighbors:
-            if nb is not None:
-                assert ti in t.triangles[nb].neighbors
+    for ti, nbs in enumerate(t.neighbors.tolist()):
+        for nb in nbs:
+            if nb >= 0:
+                assert ti in t.neighbors[nb]
 
 
 def test_euler_relation():
@@ -141,9 +140,9 @@ def test_euler_relation():
     for _ in range(10):
         balls = random_balls(rng, int(rng.integers(4, 41)))
         t = build_regular(balls)
-        verts = {i for tr in t.triangles for i in tr.ball_indices}
+        verts = set(t.tris.ravel().tolist())
         edges = t.edge_set()
-        faces = len(t.triangles) + 1  # outer face
+        faces = len(t.tris) + 1  # outer face
         assert len(verts) - len(edges) + faces == 2
 
 
@@ -152,8 +151,8 @@ def test_area_additivity_covers_hull():
     balls = random_balls(rng, 30)
     t = build_regular(balls)
     tri_area = sum(
-        geom.triangle_area(*(balls[i].center for i in tr.ball_indices))
-        for tr in t.triangles
+        geom.triangle_area(*(balls[i].center for i in tr))
+        for tr in t.tris.tolist()
     )
     hull = ConvexHull(np.array([b.center for b in balls]))
     assert tri_area == pytest.approx(hull.volume, rel=1e-9)
@@ -194,17 +193,18 @@ def test_translation_equivariance(seed):
     t1 = build_regular(balls)
     t2 = build_regular(moved)
     assert t1.edge_set() == t2.edge_set()
-    by_idx = {tuple(sorted(tr.ball_indices)): tr for tr in t2.triangles}
+    by_idx = {tuple(sorted(tr)): f for f, tr in enumerate(t2.tris.tolist())}
     u = 2.0**-53
-    for a in t1.triangles:
-        b = by_idx[tuple(sorted(a.ball_indices))]
-        c1, c2, c3 = (balls[i].center for i in a.ball_indices)
+    for a, tr in enumerate(t1.tris.tolist()):
+        b = by_idx[tuple(sorted(tr))]
+        c1, c2, c3 = (balls[i].center for i in tr)
         det = (c2[0] - c1[0]) * (c3[1] - c1[1]) - (c2[1] - c1[1]) * (c3[0] - c1[0])
-        R = 20.0 + math.hypot(*a.orthocenter)  # centers lie within 20 of the origin
+        oa, ob = t1.orthocenters[a].tolist(), t2.orthocenters[b].tolist()
+        R = 20.0 + math.hypot(*oa)  # centers lie within 20 of the origin
         err_v = 64 * u * R * R / abs(det)
-        assert b.orthocenter[0] == pytest.approx(a.orthocenter[0] + tx, abs=err_v)
-        assert b.orthocenter[1] == pytest.approx(a.orthocenter[1] + ty, abs=err_v)
-        assert b.tau == pytest.approx(a.tau, abs=2 * R * err_v)
+        assert ob[0] == pytest.approx(oa[0] + tx, abs=err_v)
+        assert ob[1] == pytest.approx(oa[1] + ty, abs=err_v)
+        assert t2.tau[b] == pytest.approx(t1.tau[a], abs=2 * R * err_v)
 
 
 def test_exact_tie_canonical_fan():
@@ -213,7 +213,7 @@ def test_exact_tie_canonical_fan():
     pts = [(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)]
     balls = [Ball(p, 1.0) for p in pts]
     t = build_regular(balls)
-    tris = sorted(tuple(sorted(tr.ball_indices)) for tr in t.triangles)
+    tris = sorted(tuple(sorted(tr)) for tr in t.tris.tolist())
     assert tris == [(0, 1, 2), (0, 2, 3)]
 
 
@@ -260,17 +260,18 @@ def test_lattice_ties_fan_from_lowest_index(nx, ny, radii, seed):
     t = build_regular(balls)
     assert verify_regular(t, balls) == []
     ctr = [b.center for b in balls]
-    for tr in t.triangles:
-        for k, nb in enumerate(tr.neighbors):
-            if nb is None:
+    tris = t.tris.tolist()
+    for tr, nbs in zip(tris, t.neighbors.tolist()):
+        for k, nb in enumerate(nbs):
+            if nb < 0:
                 continue
-            p = tr.ball_indices[k]
-            u, v = tr.ball_indices[k - 2], tr.ball_indices[k - 1]
-            (q,) = set(t.triangles[nb].ball_indices) - {u, v}
+            p = tr[k]
+            u, v = tr[k - 2], tr[k - 1]
+            (q,) = set(tris[nb]) - {u, v}
             convex = geom.orient2d(ctr[p], ctr[q], ctr[u]) * geom.orient2d(
                 ctr[p], ctr[q], ctr[v]
             ) < 0
-            tied = geom.power_test(*(balls[i] for i in tr.ball_indices), balls[q]) == 0
+            tied = geom.power_test(*(balls[i] for i in tr), balls[q]) == 0
             if convex and tied:
                 assert min(p, q, u, v) in (u, v)
 
@@ -342,7 +343,7 @@ def test_batched_filters_agree_with_exact_predicates(name, balls):
     centers = np.array([b.center for b in balls])
     radii = np.array([b.radius for b in balls])
     idx = [i for i, b in enumerate(balls) if b.alive]
-    final = np.array([tr.ball_indices for tr in build_regular(balls).triangles])
+    final = build_regular(balls).tris
     decided = 0
     for tris in (_lower_hull_triangles(balls, idx, centers, radii), final):
         # both orientations of every triangle, plus collinear triples
