@@ -8,10 +8,16 @@ fans) are grouped by the connected components of that relation
 polygonal vertex of the paper's non-simplicial cells.  Each non-redundant
 ball owns a convex polygonal cell whose vertices follow the ball's corners
 counterclockwise through the neighbor array; hull balls own unbounded cells.
+
+The result, ``PowerDiagram``, is one cell table of numpy arrays: the dual
+vertices' positions and power ``tau``, the dual vertex of each triangle,
+each ball's CCW cycle of dual vertex ids in CSR form, per-ball ``bounded``
+and ``free`` masks and the outward rays of unbounded cells.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -23,39 +29,55 @@ from .geom import Ball, Point2, paraboloid
 from .triangulation import RegularTriangulation
 
 
-@dataclass
-class DualVertex:
-    position: Point2
-    tau: float
-    source_triangles: list[int]
-
-
-@dataclass
-class PowerCell:
-    ball_index: int
-    vertices: list[DualVertex]  # CCW
-    bounded: bool
-    free: bool = True  # ball has at least one free degree of freedom
-    # outward ray directions of the two infinite edges (unbounded cells only)
-    ray_start: Point2 | None = None
-    ray_end: Point2 | None = None
-
-    def vertex_positions(self) -> list[Point2]:
-        return [v.position for v in self.vertices]
-
-
-@dataclass
+@dataclass(eq=False)
 class PowerDiagram:
-    cells: list[PowerCell | None]  # per ball; None for redundant/dead balls
-    dual_vertices: list[DualVertex]
+    """The cell table: dual vertex v is row v, ball i's cell is a CSR range.
+
+    Ball i's cell is the CCW cycle of dual vertex ids
+    ``cell_vertices[offsets[i]:offsets[i + 1]]``, empty for redundant and
+    dead balls.  For an unbounded cell, ``rays[i]`` holds the outward unit
+    directions of its two infinite edges, the one before its first vertex
+    and the one after its last (NaN for other balls).
+    """
+
+    vertices: np.ndarray  # (V, 2) dual vertex positions
+    tau: np.ndarray  # (V,) power of each dual vertex
+    vertex_of: np.ndarray  # (F,) dual vertex of each triangle
+    offsets: np.ndarray  # (N + 1,) cell ranges into cell_vertices
+    cell_vertices: np.ndarray  # dual vertex ids, cell after cell
+    bounded: np.ndarray  # (N,) the ball owns a bounded cell
+    free: np.ndarray  # (N,) the ball has at least one free degree of freedom
+    rays: np.ndarray  # (N, 2, 2) outward rays (start, end) of unbounded cells
     domain: list[Point2] | None = None
     # the auxiliary triangulations of the usable cells (a dirichlet.AuxMesh),
     # filled on first use by dirichlet._cell_aux so every consumer of one
     # diagram shares them
-    aux: object | None = field(default=None, repr=False, compare=False)
+    aux: object | None = field(default=None, repr=False)
 
-    def bounded_cells(self):
-        return [c for c in self.cells if c is not None and c.bounded]
+    @property
+    def has_cell(self) -> np.ndarray:
+        """(N,) mask of the balls that own a cell."""
+        return self.offsets[1:] > self.offsets[:-1]
+
+    @property
+    def usable(self) -> np.ndarray:
+        """(N,) mask of the cells of free balls, bounded ones unless a domain clips them."""
+        return self.has_cell & self.free & (self.bounded | (self.domain is not None))
+
+    @functools.cached_property
+    def _rows(self) -> tuple[list, list, list]:
+        """``vertices`` (as tuples), ``cell_vertices``, ``offsets`` as lists, converted once."""
+        xy = list(map(tuple, self.vertices.tolist()))
+        return xy, self.cell_vertices.tolist(), self.offsets.tolist()
+
+    def points(self, i: int) -> list[Point2]:
+        """Vertex positions of ball ``i``'s cell, CCW, as pairs of Python floats."""
+        xy, ids, offsets = self._rows
+        return [xy[v] for v in ids[offsets[i] : offsets[i + 1]]]
+
+    def vertex_ids(self, mask: np.ndarray) -> np.ndarray:
+        """Sorted ids of the dual vertices on the cells of the balls in ``mask``."""
+        return np.unique(self.cell_vertices[np.repeat(mask, np.diff(self.offsets))])
 
     def max_abs_tau(self) -> float:
         """Largest |tau| over dual vertices of bounded cells of free balls.
@@ -66,36 +88,20 @@ class PowerDiagram:
         (the partition is evaluated within the domain only), and unbounded
         cells contribute their in-domain vertices too.
         """
-        tol = 0.0 if self.domain is None else 1e-9 * geom.bbox_diag(self.domain)
-        seen = set()
-        worst = 0.0
-        for c in self.cells:
-            if c is None or not c.free:
-                continue
-            if not c.bounded and self.domain is None:
-                continue
-            for v in c.vertices:
-                if id(v) in seen:
-                    continue
-                seen.add(id(v))
-                if self.domain is not None and not _in_convex(
-                    v.position, self.domain, tol
-                ):
-                    continue
-                worst = max(worst, abs(v.tau))
-        return worst
+        ids = self.vertex_ids(self.usable)
+        if self.domain is not None:
+            tol = 1e-9 * geom.bbox_diag(self.domain)
+            ids = ids[_in_convex(self.vertices[ids], self.domain, tol)]
+        return float(np.abs(self.tau[ids]).max(initial=0.0))
 
 
-def _in_convex(p: Point2, domain: list[Point2], tol: float) -> bool:
-    """Point inside (or within tol of) a convex CCW polygon."""
-    n = len(domain)
-    for k in range(n):
-        a, b = domain[k], domain[(k + 1) % n]
+def _in_convex(p: np.ndarray, domain: list[Point2], tol: float) -> np.ndarray:
+    """Mask of the points ``p`` (M, 2) inside (or within tol of) a convex CCW polygon."""
+    outside = np.zeros(len(p), dtype=bool)
+    for a, b in zip(domain, [*domain[1:], domain[0]]):
         ex, ey = b[0] - a[0], b[1] - a[1]
-        nrm = math.hypot(ex, ey)
-        if ex * (p[1] - a[1]) - ey * (p[0] - a[0]) < -tol * nrm:
-            return False
-    return True
+        outside |= ex * (p[:, 1] - a[1]) - ey * (p[:, 0] - a[0]) < -tol * math.hypot(ex, ey)
+    return ~outside
 
 
 def default_merge_eps(balls) -> float:
@@ -108,26 +114,22 @@ def _merge_orthocenters(t: RegularTriangulation, balls, merge_eps):
 
     Each vertex sits at the area-weighted mean of its triangles' orthocenters
     and power values (the plain mean if they have no area).  Returns the
-    vertices and each triangle's vertex number.
+    (V, 2) positions, the (V,) powers and each triangle's vertex number.
     """
     f, k = np.nonzero(t.neighbors > np.arange(len(t.tris))[:, None])
     nb = t.neighbors[f, k]
     d = t.orthocenters[f] - t.orthocenters[nb]
     close = np.hypot(d[:, 0], d[:, 1]) <= merge_eps
-    labels, groups = geom.components(len(t.tris), f[close], nb[close])
+    labels = geom.components(len(t.tris), f[close], nb[close])
 
     c = np.array([b.center for b in balls], dtype=float)
     w = np.abs(geom.triangle_area(*(c[t.tris[:, m]].T for m in range(3))))
-    n = len(groups)
+    n = int(labels.max(initial=-1)) + 1
     w = np.where(np.bincount(labels, w, n)[labels] > 0, w, 1.0)  # no area: plain mean
     wsum = np.bincount(labels, w, n)
     x, y = (np.bincount(labels, w * t.orthocenters[:, m], n) / wsum for m in range(2))
     tau = np.bincount(labels, w * t.tau, n) / wsum
-    dual_vertices = [
-        DualVertex((vx, vy), s, members)
-        for vx, vy, s, members in zip(x.tolist(), y.tolist(), tau.tolist(), groups)
-    ]
-    return dual_vertices, labels
+    return np.stack([x, y], axis=1), tau, labels
 
 
 def _outward_ray(balls, ball: int, other: int, third: int) -> Point2:
@@ -161,7 +163,7 @@ def extract_diagram(
     """
     if merge_eps is None:
         merge_eps = default_merge_eps(balls)
-    dual_vertices, labels = _merge_orthocenters(t, balls, merge_eps)
+    vertices, tau, vertex_of = _merge_orthocenters(t, balls, merge_eps)
 
     corner_ball = t.tris.ravel()
     # the same ball's corner in the next triangle counterclockwise, -1 past the hull
@@ -172,42 +174,48 @@ def extract_diagram(
     hull = np.flatnonzero(t.neighbors[:, [2, 0, 1]].ravel() < 0)
     hull_start = dict(zip(corner_ball[hull].tolist(), hull.tolist()))
     owners, first_corner, corners = np.unique(corner_ball, return_index=True, return_counts=True)
-    vertex = [dual_vertices[v] for v in labels.tolist()]
+    label = vertex_of.tolist()
     tris = t.tris.tolist()
 
-    cells: list[PowerCell | None] = [None] * len(balls)
-    for i, start, n in zip(owners.tolist(), first_corner.tolist(), corners.tolist()):
+    n = len(balls)
+    counts = np.zeros(n, dtype=int)
+    bounded = np.zeros(n, dtype=bool)
+    rays = np.full((n, 2, 2), np.nan)
+    ids: list[int] = []
+    for i, start, m in zip(owners.tolist(), first_corner.tolist(), corners.tolist()):
         first = hull_start.get(i, nxt[start])
         fan = [first]
         c = nxt[first]
         while c >= 0 and c != first:
-            if len(fan) == n:  # only a table with overlapping triangles gets here
+            if len(fan) == m:  # only a table with overlapping triangles gets here
                 raise RadmeshError(
                     f"the triangles around ball {i} neither close nor end on the hull"
                 )
             fan.append(c)
             c = nxt[c]
-        closed = c == first
-        verts: list[DualVertex] = []
-        for c in fan:
-            v = vertex[c // 3]
-            if not verts or verts[-1] is not v:
-                verts.append(v)
-        if closed and len(verts) > 1 and verts[0] is verts[-1]:
-            verts.pop()
-        cell = PowerCell(i, verts, bounded=closed, free=not balls[i].fully_fixed)
-        if not closed:
+        cycle = [label[c // 3] for c in fan]
+        cycle = [v for k, v in enumerate(cycle) if k == 0 or v != cycle[k - 1]]
+        if c == first:
+            bounded[i] = True
+            if len(cycle) > 1 and cycle[0] == cycle[-1]:
+                cycle.pop()
+        else:
             f, k = divmod(fan[0], 3)
-            cell.ray_start = _outward_ray(balls, i, tris[f][k - 2], tris[f][k - 1])
+            rays[i, 0] = _outward_ray(balls, i, tris[f][k - 2], tris[f][k - 1])
             f, k = divmod(fan[-1], 3)
-            cell.ray_end = _outward_ray(balls, i, tris[f][k - 1], tris[f][k - 2])
-        cells[i] = cell
-    return PowerDiagram(cells, dual_vertices, domain)
+            rays[i, 1] = _outward_ray(balls, i, tris[f][k - 1], tris[f][k - 2])
+        counts[i] = len(cycle)
+        ids += cycle
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    free = np.array([not b.fully_fixed for b in balls], dtype=bool)
+    return PowerDiagram(
+        vertices, tau, vertex_of, offsets, np.array(ids, dtype=int), bounded, free, rays, domain
+    )
 
 
-def dual_height(v: DualVertex) -> float:
-    """Height of the dual-surface vertex above the base plane."""
-    return paraboloid(v.position) - 0.5 * v.tau
+def dual_height(position: Point2, tau: float) -> float:
+    """Height above the base plane of the dual-surface vertex at ``position`` with power ``tau``."""
+    return paraboloid(position) - 0.5 * tau
 
 
 def delaunay_limit_violations(
@@ -225,37 +233,29 @@ def delaunay_limit_violations(
     (cell ball, other ball) pairs.
     """
     out = []
-    alive = [
-        i for i, b in enumerate(balls) if b.alive and diagram.cells[i] is not None
-    ]
-    for cell in diagram.cells:
-        if cell is None or not cell.bounded or not cell.free:
-            continue
-        verts = cell.vertices
+    centers = np.array([b.center for b in balls], dtype=float).reshape(-1, 2)
+    alive = np.array([b.alive for b in balls], dtype=bool) & diagram.has_cell
+    positions, ids, offsets = diagram._rows
+    cells = diagram.bounded & diagram.free & (np.diff(diagram.offsets) >= 3)
+    for i in np.flatnonzero(cells).tolist():
+        verts = ids[offsets[i] : offsets[i + 1]]
         m = len(verts)
-        if m < 3:
-            continue
         # balls sharing a vertex with the cell are its neighbors; their
         # centers may lie inside the circumcircle when circles overlap
         # (protecting rings), which is fine for a Delaunay partition
-        incident = set()
-        for v in verts:
-            incident.update(t.tris[v.source_triangles].ravel().tolist())
+        others = alive.copy()
+        others[t.tris[np.isin(diagram.vertex_of, verts)]] = False
+        others = np.flatnonzero(others)
         for k in range(m if m > 3 else 1):
-            triple = [verts[(k + d) % m] for d in range(3)]
+            triple = [positions[verts[(k + d) % m]] for d in range(3)]
             try:
-                cc = geom.circumcenter(*(v.position for v in triple))
+                cc = geom.circumcenter(*triple)
             except CollinearPoints:
                 continue
-            rad = math.hypot(
-                triple[0].position[0] - cc[0], triple[0].position[1] - cc[1]
-            )
-            for j in alive:
-                if j in incident:
-                    continue
-                c = balls[j].center
-                if math.hypot(c[0] - cc[0], c[1] - cc[1]) < rad - margin:
-                    out.append((cell.ball_index, j))
+            rad = math.hypot(triple[0][0] - cc[0], triple[0][1] - cc[1])
+            dc = centers[others] - cc
+            inside = others[np.hypot(dc[:, 0], dc[:, 1]) < rad - margin]
+            out += [(i, j) for j in inside.tolist()]
     return out
 
 
@@ -294,14 +294,14 @@ def clip_polygon(polygon: list[Point2], domain: list[Point2]) -> list[Point2]:
     return output
 
 
-def clip_cell(cell: PowerCell, domain: list[Point2]) -> list[Point2]:
-    """Intersect a cell with a convex CCW domain polygon.
+def clip_cell(diagram: PowerDiagram, i: int, domain: list[Point2]) -> list[Point2]:
+    """Intersect ball ``i``'s cell with a convex CCW domain polygon.
 
     Unbounded cells are first closed by extending their boundary rays well
     beyond the domain.
     """
-    pts = cell.vertex_positions()
-    if not cell.bounded:
+    pts = diagram.points(i)
+    if not diagram.bounded[i]:
         far = 10.0 * (
             geom.bbox_diag(domain)
             + max(
@@ -309,7 +309,7 @@ def clip_cell(cell: PowerCell, domain: list[Point2]) -> list[Point2]:
             )
             + 1.0
         )
-        ra, rb = cell.ray_start, cell.ray_end
+        ra, rb = diagram.rays[i].tolist()
         a = pts[0]
         b = pts[-1]
         mx, my = ra[0] + rb[0], ra[1] + rb[1]

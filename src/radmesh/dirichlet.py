@@ -7,6 +7,11 @@ circumcenters of these auxiliary triangles, weighted by triangle area.  It
 vanishes exactly when every cell is cyclic about its own ball center, i.e.
 when the radical partition is a Delaunay partition.
 
+Everything here reads the cell table of ``diagram.PowerDiagram``: the
+cells it triangulates are its ``usable`` mask, and the Gauss-Newton
+residuals are the triangles whose ``vertex_of`` lies on a bounded cell of
+a free ball.
+
 ``aux_triangulate_cells`` builds the auxiliary triangulations of all cells
 of one diagram as arrays (an ``AuxMesh``).  A batched float stage takes the
 cells grouped by vertex count and tests every candidate triangle of a group
@@ -49,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geom
-from .diagram import PowerCell, PowerDiagram, clip_cell, default_merge_eps, extract_diagram
+from .diagram import PowerDiagram, clip_cell, default_merge_eps, extract_diagram
 from .errors import (
     DegenerateCell,
     DegenerateScene,
@@ -66,7 +71,6 @@ from .triangulation import build_regular, lawson_flip
 
 @dataclass
 class AuxTriangle:
-    cell_index: int
     vertex_positions: tuple[Point2, Point2, Point2]
     circumcenter: Point2
     area: float
@@ -186,13 +190,13 @@ def _delaunay_convex(points: list[Point2], tol: float) -> list[list[int]]:
     return tris
 
 
-def _cell_points(cell: PowerCell, domain) -> list[Point2]:
-    """The cell's vertex positions; with a domain, the cell clipped to it."""
+def _cell_points(diagram: PowerDiagram, i: int, domain) -> list[Point2]:
+    """Ball ``i``'s cell vertex positions; with a domain, the cell clipped to it."""
     if domain is None:
-        if not cell.bounded:
-            raise UnboundedCell(f"cell of ball {cell.ball_index} is unbounded")
-        return cell.vertex_positions()
-    pts = clip_cell(cell, domain)
+        if not diagram.bounded[i]:
+            raise UnboundedCell(f"cell of ball {i} is unbounded")
+        return diagram.points(i)
+    pts = clip_cell(diagram, i, domain)
     # clipping can emit the same corner twice (intersections computed on
     # both adjacent edges); drop near-duplicate consecutive vertices
     if pts:
@@ -209,24 +213,23 @@ def _cell_points(cell: PowerCell, domain) -> list[Point2]:
     return pts
 
 
-def aux_triangulate_cell(cell: PowerCell, domain=None, points=None) -> list[AuxTriangle]:
-    """Delaunay triangulation of a bounded convex cell's vertex set.
+def aux_triangulate_cell(pts: list[Point2], ball: int) -> list[AuxTriangle]:
+    """Delaunay triangulation of the vertex set of ball ``ball``'s convex cell.
 
-    With a convex ``domain`` polygon the cell is clipped to it first, which
-    also gives unbounded cells a finite auxiliary triangulation; a caller
-    that has clipped it already passes the result as ``points``.  This is
-    the scalar path of ``aux_triangulate_cells``: Lawson flips from a fan.
-    The triangles come in canonical order: each is rotated so that its
-    lowest vertex index (in the CCW vertex list) comes first, then sorted.
+    ``pts`` are the cell's vertices (``_cell_points``: clipped to the
+    domain if there is one, which gives unbounded cells a finite auxiliary
+    triangulation).  This is the scalar path of ``aux_triangulate_cells``:
+    Lawson flips from a fan.  The triangles come in canonical order: each
+    is rotated so that its lowest vertex index (in the CCW vertex list)
+    comes first, then sorted.
     """
-    pts = _cell_points(cell, domain) if points is None else points
     if len(pts) < 3:
-        raise DegenerateCell(f"cell of ball {cell.ball_index} has < 3 vertices")
+        raise DegenerateCell(f"cell of ball {ball} has < 3 vertices")
     span = max(
         max(abs(p[0] - pts[0][0]), abs(p[1] - pts[0][1])) for p in pts
     )
     if span == 0.0:
-        raise DegenerateCell(f"cell of ball {cell.ball_index} has collapsed")
+        raise DegenerateCell(f"cell of ball {ball} has collapsed")
     if geom.polygon_area(pts) < 0:
         pts = pts[::-1]
     tris = _delaunay_convex(pts, _tie_tol(span))
@@ -237,9 +240,9 @@ def aux_triangulate_cell(cell: PowerCell, domain=None, points=None) -> list[AuxT
         area = geom.triangle_area(*tri)
         if abs(area) <= 1e-14 * span * span:
             continue
-        out.append(AuxTriangle(cell.ball_index, tri, geom.circumcenter(*tri), abs(area)))
+        out.append(AuxTriangle(tri, geom.circumcenter(*tri), abs(area)))
     if not out:
-        raise DegenerateCell(f"cell of ball {cell.ball_index} is degenerate")
+        raise DegenerateCell(f"cell of ball {ball} is degenerate")
     return out
 
 
@@ -302,18 +305,18 @@ def _aux_group(P):
     return decided, cell[rows], corners[rows], centers[rows], np.abs(area[cell, t])[rows]
 
 
-def aux_triangulate_cells(cells: list[PowerCell], domain=None) -> AuxMesh:
+def aux_triangulate_cells(points: list[list[Point2]], cells: np.ndarray) -> AuxMesh:
     """Auxiliary triangulations of many cells at once, as one ``AuxMesh``.
 
-    The cells are grouped by vertex count and each group goes through the
-    batched float stage ``_aux_group``.  The cells it cannot decide (near
-    ties, area-guard candidates) and the groups it does not take
-    (triangles, and above ``_BATCH_MAX_VERTICES``) go through
+    ``points[p]`` are the vertices (``_cell_points``) of the cell of ball
+    ``cells[p]``.  The cells are grouped by vertex count and each group
+    goes through the batched float stage ``_aux_group``.  The cells it
+    cannot decide (near ties, area-guard candidates) and the groups it does
+    not take (triangles, and above ``_BATCH_MAX_VERTICES``) go through
     ``aux_triangulate_cell``; on the cells both can decide, the two give
     the same triangles bit for bit.  Degenerate cells get no triangles and
     are listed in ``degenerate``.
     """
-    points = [_cell_points(cell, domain) for cell in cells]
     groups: dict[int, list[int]] = {}
     for pos, pts in enumerate(points):
         groups.setdefault(len(pts), []).append(pos)
@@ -330,24 +333,23 @@ def aux_triangulate_cells(cells: list[PowerCell], domain=None) -> AuxMesh:
     degenerate, rows = [], []
     for pos in sorted(scalar):
         try:
-            aux = aux_triangulate_cell(cells[pos], domain, points[pos])
+            aux = aux_triangulate_cell(points[pos], int(cells[pos]))
         except DegenerateCell:
-            degenerate.append(cells[pos].ball_index)
+            degenerate.append(int(cells[pos]))
             continue
         rows += [(pos, t.vertex_positions, t.circumcenter, t.area) for t in aux]
     if rows:
         parts.append(tuple(np.array(x) for x in zip(*rows)))
     pos, corners, centers, area = (np.concatenate(x) for x in zip(*parts))
     order = np.argsort(pos, kind="stable")
-    ball = np.array([cell.ball_index for cell in cells], dtype=int)
-    return AuxMesh(ball[pos[order]], corners[order], centers[order], area[order], degenerate)
+    return AuxMesh(cells[pos[order]], corners[order], centers[order], area[order], degenerate)
 
 
-def heuristic_center(cell: PowerCell, aux: list[AuxTriangle]) -> Point2:
-    """Area-weighted mean of the auxiliary circumcenters."""
+def heuristic_center(aux: list[AuxTriangle]) -> Point2:
+    """Area-weighted mean of the auxiliary circumcenters of one cell."""
     total = sum(t.area for t in aux)
     if total <= 0:
-        raise ZeroArea(f"cell of ball {cell.ball_index} has zero aux area")
+        raise ZeroArea("the auxiliary triangles have zero total area")
     x = sum(t.circumcenter[0] * t.area for t in aux) / total
     y = sum(t.circumcenter[1] * t.area for t in aux) / total
     return (x, y)
@@ -381,18 +383,15 @@ def frozen_center_gradient(center: Point2, aux: list[AuxTriangle]) -> Point2:
 def _cell_aux(diagram: PowerDiagram) -> AuxMesh:
     """Auxiliary triangulations of the usable cells of free balls.
 
-    Cells of dead or redundant balls (``None``), of fully fixed balls, and
+    Dead and redundant balls (which own no cell), fully fixed balls, and
     unbounded cells without a domain get none; degenerate cells get none
     and are listed in ``degenerate``.  Computed once per diagram and kept
     in ``diagram.aux``.
     """
     if diagram.aux is None:
-        cells = [
-            cell
-            for cell in diagram.cells
-            if cell is not None and cell.free and (cell.bounded or diagram.domain is not None)
-        ]
-        diagram.aux = aux_triangulate_cells(cells, diagram.domain)
+        cells = np.flatnonzero(diagram.usable)
+        points = [_cell_points(diagram, i, diagram.domain) for i in cells.tolist()]
+        diagram.aux = aux_triangulate_cells(points, cells)
     return diagram.aux
 
 
@@ -425,18 +424,13 @@ def _proposals(balls, diagram):
     cy = np.bincount(aux.ball, aux.circumcenter[:, 1] * aux.area)[cells] / area
     proposals = {}
     for i, x, y in zip(cells.tolist(), cx.tolist(), cy.tolist()):
-        proposals[i] = ((x, y), heuristic_radius((x, y), diagram.cells[i].vertex_positions()))
+        proposals[i] = ((x, y), heuristic_radius((x, y), diagram.points(i)))
     # fixed-center balls with unbounded cells (boundary protectors) still
     # adapt their free radii to the finite dual vertices of their fan
-    for cell in diagram.cells:
-        if cell is None or cell.bounded or not cell.vertices:
-            continue
-        b = balls[cell.ball_index]
+    for i in np.flatnonzero(diagram.has_cell & ~diagram.bounded).tolist():
+        b = balls[i]
         if b.alive and b.fix_center and not b.fix_radius:
-            proposals[cell.ball_index] = (
-                b.center,
-                heuristic_radius(b.center, cell.vertex_positions()),
-            )
+            proposals[i] = (b.center, heuristic_radius(b.center, diagram.points(i)))
     return proposals
 
 
@@ -547,15 +541,11 @@ def _tau_system(x, free, triangulation, active):
     return r, J, cols
 
 
-def _active_triangles(triangulation, diagram):
-    """Triangles whose dual vertex belongs to a bounded cell of a free ball."""
-    active = set()
-    for cell in diagram.bounded_cells():
-        if not cell.free:
-            continue
-        for v in cell.vertices:
-            active.update(v.source_triangles)
-    return sorted(active)
+def _active_triangles(diagram):
+    """Triangles whose dual vertex belongs to a bounded cell of a free ball, ascending."""
+    usable = np.zeros(len(diagram.tau), dtype=bool)
+    usable[diagram.vertex_ids(diagram.bounded & diagram.free)] = True
+    return np.flatnonzero(usable[diagram.vertex_of])
 
 
 def _damped_steps(J, r, lam):
@@ -588,8 +578,8 @@ def _gauss_newton_step(x, free, as_balls, triangulation, diagram, merge_eps):
     Returns (new rows, moved, (triangulation, diagram) of the new rows), or
     (x, 0, None) when no damping level helps.
     """
-    active = _active_triangles(triangulation, diagram)
-    if not active:
+    active = _active_triangles(diagram)
+    if not len(active):
         return x, 0, None
     r, J, cols = _tau_system(x, free, triangulation, active)
     if not len(cols):
@@ -608,9 +598,9 @@ def _gauss_newton_step(x, free, as_balls, triangulation, diagram, merge_eps):
             except (TooFewBalls, AllCollinear):
                 alpha *= 0.5
                 continue
-            a2 = _active_triangles(t2, d2)
+            a2 = _active_triangles(d2)
             r2 = t2.tau[a2]
-            if a2 and float(r2 @ r2) / len(a2) < base / len(active):
+            if len(a2) and float(r2 @ r2) / len(a2) < base / len(active):
                 return trial, int(free.any(axis=1).sum()), (t2, d2)
             alpha *= 0.5
     return x, 0, None

@@ -284,12 +284,10 @@ def bbox_diag(points) -> float:
 def components(n: int, i, j):
     """Connected components of the graph on nodes ``0..n-1`` with edges ``(i[k], j[k])``.
 
-    Returns ``(labels, groups)``: ``labels`` is the (n,) array of component
-    numbers and ``groups[l]`` lists the nodes of component ``l`` ascending.
-    Components are numbered in the order of their smallest node.  Each
-    round hooks the larger root of every edge under the smaller one, then
-    points every node at its root (Shiloach and Vishkin 1982), so a root
-    is always the smallest node of its tree.
+    Returns the (n,) array of component numbers, numbered in the order of
+    their smallest node.  Each round hooks the larger root of every edge
+    under the smaller one, then points every node at its root (Shiloach and
+    Vishkin 1982), so a root is always the smallest node of its tree.
     """
     root = np.arange(n)
     while not np.array_equal(root[i], root[j]):
@@ -297,7 +295,4 @@ def components(n: int, i, j):
         np.minimum.at(root, np.maximum(ri, rj), np.minimum(ri, rj))
         while not np.array_equal(root[root], root):
             root = root[root]
-    labels = np.unique(root, return_inverse=True)[1]
-    members = np.argsort(labels, kind="stable").tolist()
-    ends = np.cumsum(np.bincount(labels)).tolist()
-    return labels, [members[a:b] for a, b in zip([0] + ends, ends)]
+    return np.unique(root, return_inverse=True)[1]

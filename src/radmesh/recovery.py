@@ -29,7 +29,10 @@ def _single_linkage(points: list[Point2], eps: float) -> list[list[int]]:
             if math.hypot(points[j][0] - xi, points[j][1] - yi) <= eps:
                 pairs.append((i, j))
     i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
-    return geom.components(len(points), i, j)[1]
+    labels = geom.components(len(points), i, j)
+    members = np.argsort(labels, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(labels)).tolist()
+    return [members[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def _check_eps(name: str, eps: float) -> None:

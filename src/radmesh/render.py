@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .diagram import PowerDiagram, clip_cell
 from .dirichlet import _cell_aux
 from .geom import Point2
@@ -82,14 +84,8 @@ def render_svg(
     if "domain" in spec.layers:
         body.append(_poly(scene.domain, COLORS["domain"], 2 * sw))
     if "power_diagram" in spec.layers and diagram is not None:
-        for cell in diagram.cells:
-            if cell is None:
-                continue
-            pts = (
-                cell.vertex_positions()
-                if cell.bounded
-                else clip_cell(cell, scene.domain)
-            )
+        for i in np.flatnonzero(diagram.has_cell).tolist():
+            pts = diagram.points(i) if diagram.bounded[i] else clip_cell(diagram, i, scene.domain)
             if len(pts) >= 3:
                 body.append(_poly(pts, COLORS["power_diagram"], sw))
     if "regular_triangulation" in spec.layers and triangulation is not None:
@@ -107,12 +103,12 @@ def render_svg(
             color = COLORS["ball_fixed"] if b.fix_center else COLORS["ball_free"]
             body.append(_circle(b.center, b.radius, color, sw))
     if "orthocircles" in spec.layers and diagram is not None:
-        for v in diagram.dual_vertices:
-            r = math.sqrt(abs(v.tau))
+        for position, tau in zip(diagram.vertices.tolist(), diagram.tau.tolist()):
+            r = math.sqrt(abs(tau))
             if r <= 0:
                 continue
-            color = COLORS["ortho_pos"] if v.tau >= 0 else COLORS["ortho_neg"]
-            body.append(_circle(v.position, r, color, sw))
+            color = COLORS["ortho_pos"] if tau >= 0 else COLORS["ortho_neg"]
+            body.append(_circle(position, r, color, sw))
 
     svg = (
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

@@ -227,6 +227,10 @@ def gen_masked_lattice(
                 r = base_r * (1 + rng.uniform(-0.1, 0.1))
             if _point_in_polygon(cc, domain):
                 balls.append(Ball(cc, r))
+    if len(balls) < 3:
+        raise InconsistentGeometry(
+            f"spacing {spacing:g} leaves {len(balls)} lattice point(s) in the domain, fewer than 3"
+        )
     return Scene(balls, list(domain), OptimizerConfig(), rng_seed=seed)
 
 
@@ -307,6 +311,15 @@ _BALL_FIELDS = {"c", "r", "fix_center", "fix_radius", "alive"}
 _PARAM_FIELDS = {"theta", "max_iters", "tau_tol", "eliminate_redundant"}
 
 
+def _number(value, what: str, integral: bool = False):
+    """A JSON number: ``float()`` and ``int()`` would take "0.5" and true, ``int()`` 12.9."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+        integral and isinstance(value, float) and not value.is_integer()
+    ):
+        raise TypeError(f"{what} must be {'an integer' if integral else 'a number'}, got {value!r}")
+    return int(value) if integral else float(value)
+
+
 def _flag(rec: dict, key: str, default: bool) -> bool:
     """A JSON boolean field; ``bool()`` would read the string "false" as true."""
     value = rec.get(key, default)
@@ -350,18 +363,18 @@ def load_scene(path) -> Scene:
         try:
             balls.append(
                 Ball(
-                    (float(c[0]), float(c[1])),
-                    float(rec["r"]),
+                    (_number(c[0], "field 'c'"), _number(c[1], "field 'c'")),
+                    _number(rec["r"], "field 'r'"),
                     _flag(rec, "fix_center", False),
                     _flag(rec, "fix_radius", False),
                     _flag(rec, "alive", True),
                 )
             )
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise ParseError(f"ball {i}: {e}") from e
     try:
-        domain = [(float(x), float(y)) for x, y in data["domain"]]
-    except (TypeError, ValueError) as e:
+        domain = [(_number(x, "x"), _number(y, "y")) for x, y in data["domain"]]
+    except (TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"domain: vertices must be [x, y] pairs of numbers ({e})") from e
     pd = data.get("params", {})
     if not isinstance(pd, dict):
@@ -371,14 +384,14 @@ def load_scene(path) -> Scene:
         warnings.warn(f"params: ignoring unknown fields {sorted(extra)}")
     try:
         params = OptimizerConfig(
-            theta=float(pd.get("theta", 0.5)),
-            max_iters=int(pd.get("max_iters", 2000)),
-            tau_tol=None if pd.get("tau_tol") is None else float(pd["tau_tol"]),
+            theta=_number(pd.get("theta", 0.5), "theta"),
+            max_iters=_number(pd.get("max_iters", 2000), "max_iters", integral=True),
+            tau_tol=None if pd.get("tau_tol") is None else _number(pd["tau_tol"], "tau_tol"),
             eliminate_redundant=_flag(pd, "eliminate_redundant", False),
         )
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"params: {e}") from e
     try:
-        return Scene(balls, domain, params, int(data.get("rng_seed", 0)))
-    except (TypeError, ValueError) as e:
+        return Scene(balls, domain, params, _number(data.get("rng_seed", 0), "value", True))
+    except TypeError as e:
         raise ParseError(f"rng_seed: {e}") from e

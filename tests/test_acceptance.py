@@ -12,7 +12,6 @@ import numpy as np
 
 from radmesh import geom
 from radmesh.diagram import (
-    DualVertex,
     delaunay_limit_violations,
     dual_height,
     extract_diagram,
@@ -76,7 +75,7 @@ def test_criterion_2_duality_identities():
         powers = [power(b, v) for b in balls]
         assert max(powers) - min(powers) <= tol
         assert abs(powers[0] - tau) <= tol
-        z = dual_height(DualVertex(v, tau, []))
+        z = dual_height(v, tau)
         heights = geom.lifted_heights(pts, np.array([b.radius for b in balls]))
         for b, h in zip(balls, heights.tolist()):
             vc = v[0] * b.center[0] + v[1] * b.center[1]
@@ -146,11 +145,11 @@ def test_criterion_5_frozen_gradient_matches_fd():
         d = extract_diagram(t, balls)
         scale = bbox_diag(balls)
         h = 1e-6 * scale
-        for cell in d.bounded_cells():
+        for i in np.flatnonzero(d.bounded).tolist():
             if checked >= 50:
                 break
-            aux = aux_triangulate_cell(cell)
-            c = balls[cell.ball_index].center
+            aux = aux_triangulate_cell(d.points(i), i)
+            c = balls[i].center
             gx, gy = frozen_center_gradient(c, aux)
             fdx = (cell_fi((c[0] + h, c[1]), aux) - cell_fi((c[0] - h, c[1]), aux)) / (2 * h)
             fdy = (cell_fi((c[0], c[1] + h), aux) - cell_fi((c[0], c[1] - h), aux)) / (2 * h)
@@ -226,11 +225,11 @@ def expected_lattice_circles(n):
     ]
 
 
-def clipped_cell_polygon(cell, domain, eps):
-    """Cell clipped to the domain with near-duplicate vertices removed."""
+def clipped_cell_polygon(d, i, domain, eps):
+    """Ball ``i``'s cell clipped to the domain with near-duplicate vertices removed."""
     from radmesh.diagram import clip_cell
 
-    pts = clip_cell(cell, domain)
+    pts = clip_cell(d, i, domain)
     out = []
     for p in pts:
         if not out or math.hypot(p[0] - out[-1][0], p[1] - out[-1][1]) > eps:
@@ -276,7 +275,7 @@ def test_criterion_7_recovery_round_trip():
         d = extract_diagram(t, balls, domain=domain)
         tol = 1e-6 * diag
         for (i, j), bi in index_of.items():
-            poly = clipped_cell_polygon(d.cells[bi], domain, tol)
+            poly = clipped_cell_polygon(d, bi, domain, tol)
             corners = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
             assert len(poly) == 4
             for cx, cy in corners:

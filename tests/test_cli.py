@@ -54,6 +54,8 @@ def test_generate_unusable_spacing_exit_1(tmp_path, capsys):
     out = tmp_path / "g.json"
     for args, word in (
         (["masked-lattice", "--spacing", "0"], "spacing"),
+        (["masked-lattice", "--spacing", "2.0"], "fewer than 3"),
+        (["masked-lattice", "--spacing", "1.0"], "fewer than 3"),
         (["masked-lattice", "--jitter", "5"], "jitter"),
         (["masked-lattice", "--jitter", "-0.3"], "jitter"),
         (["square-circle", "--spacing", "0.8", "--jitter", "50"], "jitter"),
@@ -106,6 +108,7 @@ def test_optimize_invalid_ball_or_domain_exit_1(tmp_path, capsys):
     for edit, prefix in (
         (lambda d: d["balls"][3].update(r=-1), "error: ParseError: ball 3: "),
         (lambda d: d["balls"][3].update(c=["x", 0]), "error: ParseError: ball 3: "),
+        (lambda d: d["balls"][3].update(c=["0.5", 0]), "error: ParseError: ball 3: "),
         (lambda d: d["domain"][0].append(0.0), "error: ParseError: domain: "),
         (lambda d: d["balls"][3].update(fix_center="false"), "error: ParseError: ball 3: "),
         (lambda d: d["balls"][3].update(alive=0.0), "error: ParseError: ball 3: "),
@@ -116,7 +119,7 @@ def test_optimize_invalid_ball_or_domain_exit_1(tmp_path, capsys):
         scene.write_text(json.dumps(data))
         assert main(["optimize", str(scene), "-o", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(prefix)
+        assert err.startswith(prefix) and err.count("\n") == 1
         assert "Traceback" not in err
 
 

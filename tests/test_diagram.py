@@ -7,7 +7,6 @@ import pytest
 
 from radmesh import geom
 from radmesh.diagram import (
-    DualVertex,
     clip_polygon,
     default_merge_eps,
     delaunay_limit_violations,
@@ -29,10 +28,9 @@ def build_both(balls, **kw):
 def test_three_balls_one_vertex_three_unbounded_cells():
     balls = [Ball((0.0, 0.0), 1.0), Ball((3.0, 0.0), 0.5), Ball((1.0, 2.0), 0.8)]
     _, d = build_both(balls)
-    assert len(d.dual_vertices) == 1
-    cells = [c for c in d.cells if c is not None]
-    assert len(cells) == 3
-    assert all(not c.bounded for c in cells)
+    assert len(d.vertices) == len(d.tau) == 1
+    assert d.has_cell.tolist() == [True] * 3
+    assert not d.bounded.any()
 
 
 def test_lattice_interior_cell_is_unit_square():
@@ -41,9 +39,8 @@ def test_lattice_interior_cell_is_unit_square():
     center_idx = next(
         i for i, b in enumerate(balls) if b.center == (1.0, 1.0)
     )
-    cell = d.cells[center_idx]
-    assert cell.bounded
-    pts = sorted(cell.vertex_positions())
+    assert d.bounded[center_idx]
+    pts = sorted(d.points(center_idx))
     expect = sorted([(0.5, 0.5), (1.5, 0.5), (1.5, 1.5), (0.5, 1.5)])
     assert pts == pytest.approx(expect)
 
@@ -52,21 +49,20 @@ def test_cocircular_quad_merges_to_degree_four_vertex():
     balls = [Ball(p, 1.0) for p in [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]]
     t, d = build_both(balls)
     assert len(t.tris) == 2
-    assert len(d.dual_vertices) == 1
-    v = d.dual_vertices[0]
-    assert v.position == pytest.approx((0.5, 0.5))
-    assert len(v.source_triangles) == 2
+    assert len(d.vertices) == 1
+    assert d.vertices[0].tolist() == pytest.approx([0.5, 0.5])
+    assert d.vertex_of.tolist() == [0, 0]
 
 
 def test_dual_height_examples():
-    assert dual_height(DualVertex((1.0, 1.0), 0.0, [])) == 1.0
-    assert dual_height(DualVertex((0.0, 0.0), 2.0, [])) == -1.0
+    assert dual_height((1.0, 1.0), 0.0) == 1.0
+    assert dual_height((0.0, 0.0), 2.0) == -1.0
     # weighted orthocenter example: z = paraboloid(v) - tau/2 = 2.25 - 1.25
     b1 = Ball((0.0, 0.0), math.sqrt(2.0))
     b2 = Ball((2.0, 0.0), 0.0)
     b3 = Ball((0.0, 2.0), 0.0)
     v, tau = geom.orthocenter(b1, b2, b3)
-    z = dual_height(DualVertex(v, tau, []))
+    z = dual_height(v, tau)
     assert z == pytest.approx(1.0)
     trio = (b1, b2, b3)
     heights = geom.lifted_heights(
@@ -81,11 +77,12 @@ def test_equal_power_at_dual_vertices():
     rng = philox(21)
     balls = random_balls(rng, 30)
     t, d = build_both(balls)
-    for v in d.dual_vertices:
-        tol = 1e-9 * (1.0 + v.position[0] ** 2 + v.position[1] ** 2)
-        for ti in v.source_triangles:
-            for i in t.tris[ti].tolist():
-                assert abs(power(balls[i], v.position) - v.tau) <= tol
+    positions, taus = d.vertices.tolist(), d.tau.tolist()
+    for tri, v in zip(t.tris.tolist(), d.vertex_of.tolist()):
+        p, tau = positions[v], taus[v]
+        tol = 1e-9 * (1.0 + p[0] ** 2 + p[1] ** 2)
+        for i in tri:
+            assert abs(power(balls[i], p) - tau) <= tol
 
 
 def test_radical_axis_property():
@@ -108,9 +105,9 @@ def test_bounded_cells_convex_ccw():
     balls = random_balls(rng, 40)
     _, d = build_both(balls)
     saw_bounded = False
-    for c in d.bounded_cells():
+    for i in np.flatnonzero(d.bounded).tolist():
         saw_bounded = True
-        pts = c.vertex_positions()
+        pts = d.points(i)
         m = len(pts)
         assert geom.polygon_area(pts) > 0
         for k in range(m):
@@ -128,9 +125,9 @@ def test_center_containment_for_disjoint_balls():
         for j in range(4)
     ]
     _, d = build_both(balls)
-    for c in d.bounded_cells():
-        pts = c.vertex_positions()
-        cx, cy = balls[c.ball_index].center
+    for i in np.flatnonzero(d.bounded).tolist():
+        pts = d.points(i)
+        cx, cy = balls[i].center
         m = len(pts)
         for k in range(m):
             a, b = pts[k], pts[(k + 1) % m]
@@ -146,6 +143,67 @@ def test_max_abs_tau_skips_fully_fixed_cells():
     balls[center_idx] = Ball((1.0, 1.0), 1.0, fix_center=True, fix_radius=True)
     _, d2 = build_both(balls)
     assert d2.max_abs_tau() == 0.0  # only the center cell is bounded
+
+
+def max_abs_tau_reference(d, balls, domain):
+    """The dual vertices ``max_abs_tau`` reads, straight from its definition.
+
+    Each vertex of a cell of a ball that is not fully fixed counts once;
+    without a domain only bounded cells count, with one every cell counts
+    but only its vertices inside the domain or within 1e-9 bbox_diag of it.
+    """
+    tol = 0.0 if domain is None else 1e-9 * geom.bbox_diag(domain)
+    sides = [] if domain is None else list(zip(domain, domain[1:] + domain[:1]))
+    counted = set()
+    for i, b in enumerate(balls):
+        if b.fully_fixed or (domain is None and not d.bounded[i]):
+            continue
+        for v in d.cell_vertices[d.offsets[i] : d.offsets[i + 1]].tolist():
+            x, y = d.vertices[v].tolist()
+            if all(
+                (bx - ax) * (y - ay) - (by - ay) * (x - ax) >= -tol * math.hypot(bx - ax, by - ay)
+                for (ax, ay), (bx, by) in sides
+            ):
+                counted.add(v)
+    return counted
+
+
+@pytest.mark.parametrize("with_domain", [False, True], ids=["no_domain", "domain"])
+def test_max_abs_tau_matches_definition(with_domain):
+    # the balls of the bottom band are fully fixed, so some dual vertices
+    # lie on fully fixed cells only
+    balls = [
+        Ball(b.center, b.radius, fix_center=b.center[1] < 3.0, fix_radius=b.center[1] < 3.0)
+        for b in random_balls(philox(81), 60)
+    ]
+    t, d = build_both(balls)
+    if with_domain:
+        # a box through the scene whose left side passes half the tolerance
+        # inside a dual vertex of unbounded cells only, and whose right side
+        # passes twice the tolerance inside another dual vertex: the first
+        # counts, the second does not
+        xs = d.vertices[:, 0]
+        unbounded_only = np.setdiff1d(
+            d.vertex_ids(d.free & ~d.bounded), d.vertex_ids(d.free & d.bounded)
+        )
+        v_in = int(unbounded_only[np.argmin(xs[unbounded_only])])
+        on_free = d.vertex_ids(d.free)
+        v_out = int(on_free[np.argsort(xs[on_free])[-len(on_free) // 4]])
+        lo, hi = d.vertices[:, 1].min() - 1.0, d.vertices[:, 1].max() + 1.0
+        tol = 1e-9 * math.hypot(xs[v_out] - xs[v_in], hi - lo)
+        left, right = float(xs[v_in]) + 0.5 * tol, float(xs[v_out]) - 2.0 * tol
+        d.domain = [(left, lo), (right, lo), (right, hi), (left, hi)]
+    counted = max_abs_tau_reference(d, balls, d.domain)
+    if with_domain:
+        assert v_in in counted and v_out not in counted
+    fixed_only = set(range(len(d.tau))) - set(d.vertex_ids(d.free).tolist())
+    assert fixed_only and 0 < len(counted) < len(d.tau)
+    assert d.max_abs_tau() == max(abs(d.tau[v]) for v in counted)
+    # each dual vertex alone carries a power: it counts iff the definition reads it
+    n = len(d.tau)
+    for v in range(n):
+        d.tau = np.where(np.arange(n) == v, -1.0, 0.0)
+        assert d.max_abs_tau() == (1.0 if v in counted else 0.0)
 
 
 def test_clip_polygon_examples():
@@ -223,8 +281,10 @@ def test_extract_diagram_matches_definitions(name, balls):
     eps = default_merge_eps(balls)
     tris = t.tris.tolist()
     ortho = t.orthocenters.tolist()
-    groups = [v.source_triangles for v in d.dual_vertices]
-    vertex_of = {f: k for k, g in enumerate(groups) for f in g}
+    vertex_of = dict(enumerate(d.vertex_of.tolist()))
+    groups = [[] for _ in range(len(d.vertices))]
+    for f, k in vertex_of.items():
+        groups[k].append(f)
 
     # the dual vertices partition the triangles, ordered by smallest member
     assert sorted(vertex_of) == list(range(len(tris)))
@@ -251,11 +311,12 @@ def test_extract_diagram_matches_definitions(name, balls):
 
     owners = sorted({i for tr in tris for i in tr})
     centers = [balls[i].center for i in owners]
-    index = {id(v): k for k, v in enumerate(d.dual_vertices)}
+    assert len(d.offsets) == len(balls) + 1 and d.offsets[0] == 0
+    assert d.offsets[-1] == len(d.cell_vertices)
     for i, b in enumerate(balls):
-        cell = d.cells[i]
-        assert (cell is None) == (i not in owners)
-        if cell is None:
+        assert d.has_cell[i] == (i in owners)
+        if i not in owners:
+            assert not d.bounded[i]
             continue
         # the ball's triangles counterclockwise by the angle of their centroids
         cx, cy = b.center
@@ -266,7 +327,7 @@ def test_extract_diagram_matches_definitions(name, balls):
             if i in tr
         )
         on_hull = _on_hull(b.center, centers)
-        assert cell.bounded == (not on_hull)
+        assert d.bounded[i] == (not on_hull)
         if on_hull:  # the fan runs from the end of its widest angular gap
             angles = [a for a, _ in around]
             gaps = [angles[0] + 2 * math.pi - angles[-1]] + [
@@ -278,7 +339,7 @@ def test_extract_diagram_matches_definitions(name, balls):
         for _, f in around:
             if not ref or ref[-1] != vertex_of[f]:
                 ref.append(vertex_of[f])
-        got = [index[id(v)] for v in cell.vertices]
+        got = d.cell_vertices[d.offsets[i] : d.offsets[i + 1]].tolist()
         if on_hull:
             assert got == ref
         else:
@@ -288,7 +349,7 @@ def test_extract_diagram_matches_definitions(name, balls):
             assert any(got == ref[k:] + ref[:k] for k in range(len(ref)))
 
     if name == "redundant":
-        assert t.redundant[-1] and d.cells[-1] is None
+        assert t.redundant[-1] and not d.has_cell[-1]
     if name == "six_on_circle":
         assert [len(g) for g in groups] == [4]
 

@@ -9,6 +9,7 @@ from radmesh.diagram import extract_diagram
 from radmesh.dirichlet import (
     OptimizerConfig,
     _active_triangles,
+    _cell_points,
     _coords,
     _damped_steps,
     _gauss_newton_step,
@@ -39,17 +40,12 @@ def lattice_balls(n=3, radius=None):
     return [Ball((float(i), float(j)), radius) for i in range(n) for j in range(n)]
 
 
-def bounded_cell(balls, idx):
-    t = build_regular(balls)
-    d = extract_diagram(t, balls)
-    return d.cells[idx], d
-
-
 def center_cell():
+    """The lattice's center ball, its cell's vertices and the diagram."""
     balls = lattice_balls(3)
     idx = next(i for i, b in enumerate(balls) if b.center == (1.0, 1.0))
-    cell, d = bounded_cell(balls, idx)
-    return balls, idx, cell, d
+    d = extract_diagram(build_regular(balls), balls)
+    return balls, idx, d.points(idx), d
 
 
 def test_config_validation():
@@ -82,16 +78,16 @@ def test_aux_triangle_cell_is_itself():
     ]
     t = build_regular(balls)
     d = extract_diagram(t, balls)
-    cell = d.cells[3]
-    assert cell.bounded and len(cell.vertices) == 3
-    aux = aux_triangulate_cell(cell)
+    pts = d.points(3)
+    assert d.bounded[3] and len(pts) == 3
+    aux = aux_triangulate_cell(pts, 3)
     assert len(aux) == 1
-    assert aux[0].circumcenter == pytest.approx(circumcenter(*cell.vertex_positions()))
+    assert aux[0].circumcenter == pytest.approx(circumcenter(*pts))
 
 
 def test_aux_square_cell():
     _, idx, cell, _ = center_cell()
-    aux = aux_triangulate_cell(cell)
+    aux = aux_triangulate_cell(cell, idx)
     assert len(aux) == 2
     for a in aux:
         assert a.area == pytest.approx(0.5)
@@ -100,16 +96,11 @@ def test_aux_square_cell():
 
 def test_aux_cyclic_pentagon():
     # vertices on a common circle: every circumcenter is the circle center
-    from radmesh.diagram import PowerCell
-
     pts = [
         (math.cos(2 * math.pi * k / 5), math.sin(2 * math.pi * k / 5))
         for k in range(5)
     ]
-    from radmesh.diagram import DualVertex
-
-    cell = PowerCell(0, [DualVertex(p, 0.0, []) for p in pts], bounded=True)
-    aux = aux_triangulate_cell(cell)
+    aux = aux_triangulate_cell(pts, 0)
     assert len(aux) == 3
     for a in aux:
         assert a.circumcenter == pytest.approx((0.0, 0.0), abs=1e-9)
@@ -118,17 +109,12 @@ def test_aux_cyclic_pentagon():
 def test_aux_translation_invariance():
     # a thin quad whose Delaunay diagonal is the short vertical one, which
     # the fan from vertex 0 does not take; far from the origin as well
-    from radmesh.diagram import DualVertex, PowerCell
-
     quad = [(0.0, 0.0), (0.1, -0.03), (0.2, 0.0), (0.1, 0.03)]
 
     def circumcenters(ox, oy):
-        cell = PowerCell(
-            0, [DualVertex((x + ox, y + oy), 0.0, []) for x, y in quad], bounded=True
-        )
         found = sorted(
             (a.circumcenter[0] - ox, a.circumcenter[1] - oy)
-            for a in aux_triangulate_cell(cell)
+            for a in aux_triangulate_cell([(x + ox, y + oy) for x, y in quad], 0)
         )
         return [x for cc in found for x in cc]
 
@@ -138,52 +124,53 @@ def test_aux_translation_invariance():
 
 
 def test_aux_unbounded_raises():
-    from radmesh.diagram import PowerCell
-
+    # a hull ball's cell has no vertex list to triangulate without a domain
+    balls = lattice_balls(3)
+    d = extract_diagram(build_regular(balls), balls)
     with pytest.raises(UnboundedCell):
-        aux_triangulate_cell(PowerCell(0, [], bounded=False))
+        _cell_points(d, 0, None)
+    assert len(_cell_points(d, 0, [(-1.0, -1.0), (3.0, -1.0), (3.0, 3.0), (-1.0, 3.0)])) == 4
 
 
-def polygon_cells(polygons):
-    """Bounded cells, one per vertex list, with ball index = list position."""
-    from radmesh.diagram import DualVertex, PowerCell
-
-    return [
-        PowerCell(i, [DualVertex(p, 0.0, []) for p in pts], bounded=True)
-        for i, pts in enumerate(polygons)
-    ]
+def cell_points(d, domain=None):
+    """Vertex lists of the cells of ``d`` usable with ``domain``, and their balls."""
+    cells = np.flatnonzero(d.has_cell & (d.bounded | (domain is not None)))
+    return [_cell_points(d, i, domain) for i in cells.tolist()], cells
 
 
-def assert_batched_matches_scalar(cells, domain=None):
+def assert_batched_matches_scalar(points, balls=None):
     """Run aux_triangulate_cells and compare every cell with the scalar path.
 
-    Triangles, circumcenters and areas must agree bit for bit, degenerate
-    cells must be listed as such.  Returns the ball indices of the cells
-    that went through the scalar path.
+    ``points`` are the cells' vertex lists and ``balls`` their ball indices
+    (default: list positions).  Triangles, circumcenters and areas must
+    agree bit for bit, degenerate cells must be listed as such.  Returns
+    the ball indices of the cells that went through the scalar path.
     """
     import radmesh.dirichlet as dmod
 
+    if balls is None:
+        balls = np.arange(len(points))
     scalar = []
     orig = dmod.aux_triangulate_cell
 
-    def spy(cell, domain=None, points=None):
-        scalar.append(cell.ball_index)
-        return orig(cell, domain, points)
+    def spy(pts, ball):
+        scalar.append(ball)
+        return orig(pts, ball)
 
     dmod.aux_triangulate_cell = spy
     try:
-        mesh = dmod.aux_triangulate_cells(cells, domain)
+        mesh = dmod.aux_triangulate_cells(points, balls)
     finally:
         dmod.aux_triangulate_cell = orig
     assert np.all(np.diff(mesh.ball) >= 0)  # cell after cell
-    for cell in cells:
-        rows = mesh.ball == cell.ball_index
+    for pts, ball in zip(points, balls.tolist()):
+        rows = mesh.ball == ball
         try:
-            ref = aux_triangulate_cell(cell, domain)
+            ref = aux_triangulate_cell(pts, ball)
         except DegenerateCell:
-            assert cell.ball_index in mesh.degenerate and not rows.any()
+            assert ball in mesh.degenerate and not rows.any()
             continue
-        assert cell.ball_index not in mesh.degenerate
+        assert ball not in mesh.degenerate
         for got, want in (
             (mesh.vertices[rows], [t.vertex_positions for t in ref]),
             (mesh.circumcenter[rows], [t.circumcenter for t in ref]),
@@ -202,7 +189,7 @@ def regular_polygon(k, r=1.0):
 def test_aux_batched_regular_polygons_go_scalar():
     # every quad of a regular k-gon is a tie; a triangle has nothing to test
     polygons = [regular_polygon(k) for k in range(3, 21)]
-    scalar = assert_batched_matches_scalar(polygon_cells(polygons))
+    scalar = assert_batched_matches_scalar(polygons)
     assert scalar == list(range(18))
 
 
@@ -232,7 +219,7 @@ def test_aux_batched_matches_scalar_on_adversarial_cells():
             a, b = rng.uniform(0.2, 1.0, 2)
             pts = [(offset[0] + a * math.cos(t), offset[1] + b * math.sin(t)) for t in ang]
             polygons.append(pts[::-1] if k % 2 else pts)  # clockwise ones too
-    scalar = assert_batched_matches_scalar(polygon_cells(polygons))
+    scalar = assert_batched_matches_scalar(polygons)
     assert set(must_go_scalar) <= set(scalar)
     assert len(scalar) < len(polygons)  # the batched path does decide
 
@@ -243,17 +230,15 @@ def test_aux_batched_matches_scalar_on_scenes():
     rng = philox(62)
     balls = jittered_grid(rng, 8)
     d = extract_diagram(build_regular(balls), balls)
-    cells = d.bounded_cells()
-    scalar = assert_batched_matches_scalar(cells)
+    points, cells = cell_points(d)
+    scalar = assert_batched_matches_scalar(points, cells)
     assert len(scalar) < len(cells)
 
     scene = gen_square_with_circle(8.0, 1.0, 0.8, interior_spacing=0.5, seed=2)
     d = extract_diagram(build_regular(scene.balls), scene.balls, domain=scene.domain)
-    for domain, cells in (
-        (None, d.bounded_cells()),
-        (scene.domain, [c for c in d.cells if c is not None]),
-    ):
-        scalar = assert_batched_matches_scalar(cells, domain)
+    for domain in (None, scene.domain):
+        points, cells = cell_points(d, domain)
+        scalar = assert_batched_matches_scalar(points, cells)
         assert len(scalar) < len(cells)
 
 
@@ -265,47 +250,49 @@ def test_fi_and_proposals_match_per_cell_reference():
     rng = philox(63)
     balls = jittered_grid(rng, 7)
     d = extract_diagram(build_regular(balls), balls)
-    ref = {c.ball_index: aux_triangulate_cell(c) for c in d.bounded_cells()}
+    ref = {i: aux_triangulate_cell(d.points(i), i) for i in np.flatnonzero(d.bounded).tolist()}
     want = sum(cell_fi(balls[i].center, aux) for i, aux in ref.items())
     fi = evaluate_FI(balls, d)
     assert sorted(ref) == np.unique(d.aux.ball).tolist()
     assert abs(fi - want) <= len(d.aux.area) * np.finfo(float).eps * want
     proposals = _proposals(balls, d)
     for i, aux in ref.items():
-        assert proposals[i][0] == heuristic_center(d.cells[i], aux)
+        assert proposals[i][0] == heuristic_center(aux)
 
 
 def test_collapsed_cell_is_recorded_not_triangulated():
     # a cell whose vertices all coincide, next to an ordinary square cell
-    from radmesh.diagram import DualVertex, PowerCell, PowerDiagram
+    from radmesh.diagram import PowerDiagram
     from radmesh.dirichlet import _cell_aux
 
     square = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
-    cells = [
-        PowerCell(0, [DualVertex(p, 0.0, []) for p in square], bounded=True),
-        PowerCell(1, [DualVertex((0.5, 0.5), 0.0, [])] * 3, bounded=True),
-    ]
-    aux = _cell_aux(PowerDiagram(cells, []))
+    d = PowerDiagram(
+        vertices=np.array(square + [(0.5, 0.5)]),
+        tau=np.zeros(5),
+        vertex_of=np.zeros(0, dtype=int),
+        offsets=np.array([0, 4, 7]),
+        cell_vertices=np.array([0, 1, 2, 3, 4, 4, 4]),
+        bounded=np.array([True, True]),
+        free=np.array([True, True]),
+        rays=np.full((2, 2, 2), np.nan),
+    )
+    aux = _cell_aux(d)
     assert aux.degenerate == [1]
     assert aux.ball.tolist() == [0, 0]
     with pytest.raises(DegenerateCell, match="collapsed"):
-        aux_triangulate_cell(cells[1])
+        aux_triangulate_cell(d.points(1), 1)
 
 
 def test_heuristic_center_examples():
     from radmesh.dirichlet import AuxTriangle
-    from radmesh.diagram import PowerCell
 
-    cell = PowerCell(0, [], bounded=True)
     aux = [
-        AuxTriangle(0, ((0.0, 0.0),) * 3, (0.0, 0.0), 1.0),
-        AuxTriangle(0, ((0.0, 0.0),) * 3, (1.0, 0.0), 3.0),
+        AuxTriangle(((0.0, 0.0),) * 3, (0.0, 0.0), 1.0),
+        AuxTriangle(((0.0, 0.0),) * 3, (1.0, 0.0), 3.0),
     ]
-    assert heuristic_center(cell, aux) == pytest.approx((0.75, 0.0))
+    assert heuristic_center(aux) == pytest.approx((0.75, 0.0))
     _, idx, sq_cell, _ = center_cell()
-    assert heuristic_center(sq_cell, aux_triangulate_cell(sq_cell)) == pytest.approx(
-        (1.0, 1.0)
-    )
+    assert heuristic_center(aux_triangulate_cell(sq_cell, idx)) == pytest.approx((1.0, 1.0))
 
 
 def test_heuristic_radius_examples():
@@ -326,7 +313,7 @@ def test_fi_square_cell_offset():
     # one unit-square cell with the ball center offset by d along y:
     # both aux circumcenters sit at the square center, so F_I = d^2 / 2
     _, idx, cell, _ = center_cell()
-    aux = aux_triangulate_cell(cell)
+    aux = aux_triangulate_cell(cell, idx)
     d = 0.17
     assert cell_fi((1.0, 1.0 + d), aux) == pytest.approx(d * d / 2)
 
@@ -346,7 +333,7 @@ def test_fi_translation_invariance():
 
 def test_frozen_center_gradient_matches_fd():
     _, idx, cell, _ = center_cell()
-    aux = aux_triangulate_cell(cell)
+    aux = aux_triangulate_cell(cell, idx)
     c = (1.13, 0.94)
     gx, gy = frozen_center_gradient(c, aux)
     h = 1e-6
@@ -454,7 +441,7 @@ def test_tau_system_jacobian_matches_central_differences():
     # mixes fixed centers and fixed radii
     balls = mixed_flags_grid()
     t = build_regular(balls)
-    active = _active_triangles(t, extract_diagram(t, balls))
+    active = _active_triangles(extract_diagram(t, balls))
     x, free, _ = _coords(balls)
     r, J, cols = _tau_system(x, free, t, active)
     tris = t.tris[active]
@@ -485,7 +472,7 @@ def mixed_flags_tau_system():
     t = build_regular(balls)
     d = extract_diagram(t, balls)
     x, free, _ = _coords(balls)
-    r, J, _ = _tau_system(x, free, t, _active_triangles(t, d))
+    r, J, _ = _tau_system(x, free, t, _active_triangles(d))
     return balls, t, d, x, free, r, J
 
 
@@ -584,7 +571,7 @@ def test_frozen_gradient_square_cell_slope():
     # so the frozen-combinatorics derivative w.r.t. the offset is d
     d = 1e-3
     _, idx, cell, _ = center_cell()
-    aux = aux_triangulate_cell(cell)
+    aux = aux_triangulate_cell(cell, idx)
     gx, gy = frozen_center_gradient((1.0, 1.0 + d), aux)
     assert gx == pytest.approx(0.0, abs=1e-12)
     assert gy == pytest.approx(d, rel=1e-9)
@@ -658,9 +645,9 @@ def test_run_triangulates_each_cell_once_per_iteration():
     calls = []
     orig = dmod.aux_triangulate_cells
 
-    def spy(cells, domain=None):
-        calls.append(list(cells))
-        return orig(cells, domain)
+    def spy(points, cells):
+        calls.append(cells.tolist())
+        return orig(points, cells)
 
     per_iteration = []
 
@@ -679,8 +666,7 @@ def test_run_triangulates_each_cell_once_per_iteration():
         assert len(batches) == 1
         (cells,) = batches
         assert len(diagram.aux.ball) > 0
-        assert [c.ball_index for c in cells] == np.unique(diagram.aux.ball).tolist()
-        assert all(diagram.cells[c.ball_index] is c for c in cells)
+        assert cells == np.unique(diagram.aux.ball).tolist()
 
 
 def test_run_computes_proposals_once_per_iteration():
@@ -716,7 +702,7 @@ def test_run_computes_proposals_once_per_iteration():
         (called_on, proposals), = proposed
         assert called_on is diagram
         # every usable cell, plus the hull balls' radius-only proposals
-        hull = {c.ball_index for c in diagram.cells if c is not None and not c.bounded}
+        hull = set(np.flatnonzero(diagram.has_cell & ~diagram.bounded).tolist())
         assert set(proposals) == set(diagram.aux.ball.tolist()) | hull
 
 

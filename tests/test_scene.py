@@ -130,6 +130,14 @@ def test_masked_lattice_mask_outside_domain_raises():
         gen_masked_lattice([[(0.0, 0.0), (2.0, 0.0), (2.0, 2.0)]], 0.25, 0.0)
 
 
+@pytest.mark.parametrize("spacing,left", [(2.0, 0), (1.0, 2)])
+def test_masked_lattice_too_few_balls_raises(spacing, left):
+    # with the CLI's default jitter, the unit domain keeps no lattice point
+    # at spacing 2 and two at spacing 1
+    with pytest.raises(InconsistentGeometry, match=f"leaves {left} lattice point"):
+        gen_masked_lattice([], spacing, 0.02)
+
+
 def test_validate_scene_rejects_bad_domain():
     ball_scene = gen_square_with_circle(4.0, 0.0, 1.0)
     with pytest.raises(InconsistentGeometry):
@@ -194,10 +202,67 @@ def test_load_errors(tmp_path):
         ({"balls": '[{"c": [0.0, 0.0], "r": 1.0, "fix_radius": 1}]'}, "ball 0: .*fix_radius"),
         ({"balls": '[{"c": [0.0, 0.0], "r": 1.0, "alive": 0.0}]'}, "ball 0: .*alive"),
         ({"extra": ', "params": {"eliminate_redundant": "no"}'}, "params: .*eliminate_redundant"),
+        # an integer literal beyond the float range would escape as an OverflowError
+        ({"balls": '[{"c": [0.0, 0.0], "r": 1%s}]' % ("0" * 400)}, "ball 0: .*too large"),
+        ({"domain": "[[0,0],[1,0],[1,1%s]]" % ("0" * 400)}, "domain: .*too large"),
+        ({"extra": ', "params": {"theta": 1%s}' % ("0" * 400)}, "params: .*too large"),
     ):
         write(**fields)
         with pytest.raises(ParseError, match=match):
             load_scene(p)
+
+
+NUMBER_FIELDS = {
+    # field: (scene text with a string, with a boolean, the error message)
+    "c": ('"balls": [{"c": ["0.5", 0.0], "r": 1.0}]', '"balls": [{"c": [0.5, true], "r": 1.0}]',
+          "ball 0: field 'c' must be a number"),
+    "r": ('"balls": [{"c": [0.0, 0.0], "r": "1"}]', '"balls": [{"c": [0.0, 0.0], "r": true}]',
+          "ball 0: field 'r' must be a number"),
+    "domain": ('"domain": [[0, "0"], [1, 0], [1, 1]]', '"domain": [[0, 0], [true, 0], [1, 1]]',
+               "domain: vertices must be"),
+    "theta": ('"params": {"theta": "0.5"}', '"params": {"theta": true}',
+              "params: theta must be a number"),
+    "tau_tol": ('"params": {"tau_tol": "1e-9"}', '"params": {"tau_tol": true}',
+                "params: tau_tol must be a number"),
+    "max_iters": ('"params": {"max_iters": "12"}', '"params": {"max_iters": true}',
+                  "params: max_iters must be an integer"),
+    "rng_seed": ('"rng_seed": "2"', '"rng_seed": true', "rng_seed: value must be an integer"),
+}
+
+
+def scene_text(*fields):
+    """A valid one-ball scene with ``fields`` replacing its top-level fields."""
+    base = {
+        "balls": '"balls": [{"c": [0.0, 0.0], "r": 1.0}]',
+        "domain": '"domain": [[0, 0], [1, 0], [1, 1]]',
+    }
+    for f in fields:
+        base[f.split('"')[1]] = f
+    return "{" + ", ".join(base.values()) + "}"
+
+
+@pytest.mark.parametrize("field", sorted(NUMBER_FIELDS))
+def test_load_rejects_strings_and_booleans_as_numbers(tmp_path, field):
+    # float() and int() read "0.5" as 0.5 and true as 1; a scene file must not
+    p = tmp_path / "bad.json"
+    *texts, match = NUMBER_FIELDS[field]
+    for text in texts:
+        p.write_text(scene_text(text), encoding="utf-8")
+        with pytest.raises(ParseError, match=match):
+            load_scene(p)
+
+
+@pytest.mark.parametrize("field", ["max_iters", "rng_seed"])
+def test_load_rejects_non_integral_counts(tmp_path, field):
+    # int() would truncate 12.9 to 12; an integral float still loads
+    p = tmp_path / "scene.json"
+    text = {"max_iters": '"params": {"max_iters": %s}', "rng_seed": '"rng_seed": %s'}[field]
+    p.write_text(scene_text(text % "12.9"), encoding="utf-8")
+    with pytest.raises(ParseError, match=f"{field}.*must be an integer, got 12.9"):
+        load_scene(p)
+    p.write_text(scene_text(text % "12.0"), encoding="utf-8")
+    scene = load_scene(p)
+    assert (scene.params.max_iters if field == "max_iters" else scene.rng_seed) == 12
 
 
 def test_load_unknown_fields_warn(tmp_path):
