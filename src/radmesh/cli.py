@@ -9,7 +9,7 @@ import sys
 
 from . import dirichlet, recovery, render, scene as scene_mod
 from .diagram import extract_diagram
-from .errors import RadmeshError
+from .errors import ParseError, RadmeshError
 from .triangulation import build_regular, verify_regular
 
 
@@ -49,7 +49,10 @@ def _add_optimize(sub):
 
 
 def _parse_mask(text):
-    vals = [float(v) for v in text.split(",")]
+    try:
+        vals = [float(v) for v in text.split(",")]
+    except ValueError as e:
+        raise ParseError(f"mask coordinates must be numbers, got {text!r}") from e
     if len(vals) < 6 or len(vals) % 2:
         raise RadmeshError(f"mask needs >= 3 x,y pairs, got {text!r}")
     return list(zip(vals[0::2], vals[1::2]))

@@ -7,7 +7,8 @@ fans) are grouped by the connected components of that relation
 (``geom.components``), and each group collapses into one vertex, the
 polygonal vertex of the paper's non-simplicial cells.  Each non-redundant
 ball owns a convex polygonal cell whose vertices follow the ball's corners
-counterclockwise through the neighbor array; hull balls own unbounded cells.
+counterclockwise through the table's half-edge twins; hull balls own
+unbounded cells.
 
 The result, ``PowerDiagram``, is one cell table of numpy arrays: the dual
 vertices' positions and power ``tau``, the dual vertex of each triangle,
@@ -116,8 +117,8 @@ def _merge_orthocenters(t: RegularTriangulation, balls, merge_eps):
     and power values (the plain mean if they have no area).  Returns the
     (V, 2) positions, the (V,) powers and each triangle's vertex number.
     """
-    f, k = np.nonzero(t.neighbors > np.arange(len(t.tris))[:, None])
-    nb = t.neighbors[f, k]
+    f, k = np.nonzero(t.twin > np.arange(t.twin.size).reshape(-1, 3))
+    nb = t.twin[f, k] // 3
     d = t.orthocenters[f] - t.orthocenters[nb]
     close = np.hypot(d[:, 0], d[:, 1]) <= merge_eps
     labels = geom.components(len(t.tris), f[close], nb[close])
@@ -166,12 +167,12 @@ def extract_diagram(
     vertices, tau, vertex_of = _merge_orthocenters(t, balls, merge_eps)
 
     corner_ball = t.tris.ravel()
-    # the same ball's corner in the next triangle counterclockwise, -1 past the hull
-    ccw = t.neighbors[:, [1, 2, 0]].ravel()
-    at = np.argmax(t.tris[ccw] == corner_ball[:, None], axis=1)
-    nxt = np.where(ccw < 0, -1, 3 * ccw + at).tolist()
+    # the same ball's corner in the next triangle counterclockwise, -1 past the
+    # hull: the twin g of the half-edge into the ball starts at the corner after g's
+    g = t.twin[:, [1, 2, 0]].ravel()
+    nxt = np.where(g < 0, -1, g - g % 3 + (g + 1) % 3).tolist()
     # a corner with the hull clockwise of it starts its ball's open fan
-    hull = np.flatnonzero(t.neighbors[:, [2, 0, 1]].ravel() < 0)
+    hull = np.flatnonzero(t.twin[:, [2, 0, 1]].ravel() < 0)
     hull_start = dict(zip(corner_ball[hull].tolist(), hull.tolist()))
     owners, first_corner, corners = np.unique(corner_ball, return_index=True, return_counts=True)
     label = vertex_of.tolist()
@@ -186,13 +187,13 @@ def extract_diagram(
         first = hull_start.get(i, nxt[start])
         fan = [first]
         c = nxt[first]
-        while c >= 0 and c != first:
-            if len(fan) == m:  # only a table with overlapping triangles gets here
-                raise RadmeshError(
-                    f"the triangles around ball {i} neither close nor end on the hull"
-                )
+        while c >= 0 and c != first and len(fan) < m:
             fan.append(c)
             c = nxt[c]
+        if len(fan) < m or 0 <= c != first:
+            # the fan misses corners of the ball or runs past them: only a
+            # table with overlapping triangles gets here
+            raise RadmeshError(f"the triangles around ball {i} neither close nor end on the hull")
         cycle = [label[c // 3] for c in fan]
         cycle = [v for k, v in enumerate(cycle) if k == 0 or v != cycle[k - 1]]
         if c == first:

@@ -179,6 +179,12 @@ def _delaunay_convex(points: list[Point2], tol: float) -> list[list[int]]:
     whichever diagonal it takes.
     """
     tris = [[0, k, k + 1] for k in range(1, len(points) - 1)]
+    # the fan's diagonal (0, t + 2) is half-edge 3 t + 1 of triangle t and
+    # 3 t + 5 of triangle t + 1; its other half-edges lie on the polygon
+    diagonals = range(1, 3 * len(tris) - 3, 3)
+    twin = [-1] * (3 * len(tris))
+    for h in diagonals:
+        twin[h], twin[h + 4] = h + 4, h
 
     def illegal(a, b, c, q):
         return _incircle(*points[a], *points[b], *points[c], *points[q]) > tol
@@ -186,7 +192,7 @@ def _delaunay_convex(points: list[Point2], tol: float) -> list[list[int]]:
     def left_turn(p, u, q):
         return geom.triangle_area(points[p], points[u], points[q]) > 0
 
-    lawson_flip(tris, illegal, left_turn)
+    lawson_flip(tris, twin, illegal, left_turn, diagonals)
     return tris
 
 

@@ -2,7 +2,8 @@
 
 Decisions (orient2d, power_test) use a floating-point filter with a
 conservative error bound and fall back to exact rational arithmetic, so the
-returned sign is always correct for representable inputs.  Constructions
+returned sign is always correct for representable inputs; each filter also
+takes arrays, for the batched filters of ``triangulation``.  Constructions
 (orthocenter, circumcenter) are plain double precision with a conditioning
 guard on the 2x2 system determinant; ``circumcenters`` evaluates
 circumcenter's expressions on arrays, bit for bit.  ``orthocenters`` is
@@ -74,13 +75,20 @@ def orient2d(a: Point2, b: Point2, c: Point2) -> int:
 
     +1 for counterclockwise, -1 for clockwise, 0 for collinear.  Exact.
     """
-    detleft = (b[0] - a[0]) * (c[1] - a[1])
-    detright = (b[1] - a[1]) * (c[0] - a[0])
-    det = detleft - detright
-    errbound = _ORIENT_BOUND * (abs(detleft) + abs(detright))
+    det, errbound = orient2d_filter(a, b, c)
     if abs(det) > errbound:
         return 1 if det > 0 else -1
     return _orient2d_exact(a, b, c)
+
+
+def orient2d_filter(a, b, c):
+    """``orient2d``'s float ``(det, errbound)``: where ``abs(det) > errbound``, det's sign is exact.
+
+    The points are pairs of floats, or of equal-shape arrays for one determinant per element.
+    """
+    detleft = (b[0] - a[0]) * (c[1] - a[1])
+    detright = (b[1] - a[1]) * (c[0] - a[0])
+    return detleft - detright, _ORIENT_BOUND * (abs(detleft) + abs(detright))
 
 
 def _exact_ints(values):
@@ -100,19 +108,6 @@ def _orient2d_exact(a: Point2, b: Point2, c: Point2) -> int:
     return (det > 0) - (det < 0)
 
 
-def _power_det_terms(b1: Ball, b2: Ball, b3: Ball, b4: Ball):
-    """Rows of the weighted in-circle determinant relative to b4."""
-    rows = []
-    r4sq = b4.radius * b4.radius
-    for b in (b1, b2, b3):
-        ax = b.center[0] - b4.center[0]
-        ay = b.center[1] - b4.center[1]
-        z = ax * ax + ay * ay - b.radius * b.radius + r4sq
-        zmag = ax * ax + ay * ay + b.radius * b.radius + r4sq
-        rows.append((ax, ay, z, zmag))
-    return rows
-
-
 def power_test(b1: Ball, b2: Ball, b3: Ball, b4: Ball) -> int:
     """Regularity test of ball b4 against the triangle (b1, b2, b3).
 
@@ -124,9 +119,29 @@ def power_test(b1: Ball, b2: Ball, b3: Ball, b4: Ball) -> int:
     orient = orient2d(b1.center, b2.center, b3.center)
     if orient == 0:
         raise CollinearCenters("power_test requires non-collinear centers")
-    (a1, b1y, z1, m1), (a2, b2y, z2, m2), (a3, b3y, z3, m3) = _power_det_terms(
-        b1, b2, b3, b4
+    det, errbound = power_test_filter(
+        b1.center, b1.radius, b2.center, b2.radius, b3.center, b3.radius, b4.center, b4.radius
     )
+    if abs(det) > errbound:
+        sign = 1 if det > 0 else -1
+    else:
+        sign = _power_test_exact(b1, b2, b3, b4)
+    # det > 0 <=> b4 lifted below the face plane (in-circle for equal radii)
+    return -sign * orient
+
+
+def power_test_filter(c1, r1, c2, r2, c3, r3, c4, r4):
+    """``power_test``'s float ``(det, errbound)``: where ``abs(det) > errbound``, its sign is exact.
+
+    det is the weighted in-circle determinant of balls 1-3 relative to ball 4.  Ball k has
+    center ``ck`` and radius ``rk``: floats, or equal-shape arrays (a center as a pair of them).
+    """
+    r4sq = r4 * r4
+    rows = []
+    for c, r in ((c1, r1), (c2, r2), (c3, r3)):
+        ax, ay = c[0] - c4[0], c[1] - c4[1]
+        rows.append((ax, ay, ax * ax + ay * ay - r * r + r4sq, ax * ax + ay * ay + r * r + r4sq))
+    (a1, b1y, z1, m1), (a2, b2y, z2, m2), (a3, b3y, z3, m3) = rows
     c12 = a1 * b2y - a2 * b1y
     c23 = a2 * b3y - a3 * b2y
     c31 = a3 * b1y - a1 * b3y
@@ -136,13 +151,7 @@ def power_test(b1: Ball, b2: Ball, b3: Ball, b4: Ball) -> int:
         + m2 * (abs(a3 * b1y) + abs(a1 * b3y))
         + m3 * (abs(a1 * b2y) + abs(a2 * b1y))
     )
-    errbound = _POWER_BOUND * mag
-    if abs(det) > errbound:
-        sign = 1 if det > 0 else -1
-    else:
-        sign = _power_test_exact(b1, b2, b3, b4)
-    # det > 0 <=> b4 lifted below the face plane (in-circle for equal radii)
-    return -sign * orient
+    return det, _POWER_BOUND * mag
 
 
 def _power_test_exact(b1: Ball, b2: Ball, b3: Ball, b4: Ball) -> int:

@@ -76,6 +76,13 @@ def _square_perimeter_points(side: float, spacing: float) -> list[Point2]:
     return pts
 
 
+def _check_finite(values: dict) -> None:
+    """Raise for a generator parameter that is not a finite number (None means unset)."""
+    for name, v in values.items():
+        if v is not None and not math.isfinite(v):
+            raise InconsistentGeometry(f"{name} must be a finite number, got {v:g}")
+
+
 def _check_jitter(jitter: float, spacing: float) -> None:
     # from half the spacing on, jittered centers pass their neighbours, and
     # the generators drop those that leave the domain or land in a protector
@@ -103,6 +110,8 @@ def gen_square_with_circle(
     whenever it is nonzero.  Defaults: interior spacing equals the boundary
     spacing, jitter is 0.2 x interior spacing.
     """
+    _check_finite({"side": square_side, "inner radius": inner_radius, "spacing": boundary_spacing,
+                   "interior spacing": interior_spacing, "jitter": jitter_amplitude})
     if square_side <= 0 or boundary_spacing <= 0 or inner_radius < 0:
         raise InconsistentGeometry("side, spacing must be > 0 and inner radius >= 0")
     if layer_count < 0:
@@ -191,6 +200,7 @@ def gen_masked_lattice(
     ``jitter`` moves the free centers by up to that much per coordinate; it
     must be at least 0 and below ``spacing / 2``.
     """
+    _check_finite({"spacing": spacing, "jitter": jitter})
     if spacing <= 0:
         raise InconsistentGeometry(f"spacing must be > 0, got {spacing:g}")
     _check_jitter(jitter, spacing)

@@ -9,19 +9,22 @@ it), so the result is a deterministic function of the input indices.
 
 The result, ``RegularTriangulation``, is one triangle table: per triangle
 its CCW ball indices, its dual vertex and power value (both from
-``geom.orthocenters``) and its three neighbors, one row each in numpy
-arrays.  ``diagram.extract_diagram`` and the Gauss-Newton step read these
-arrays directly.
+``geom.orthocenters``) and the twins of its three half-edges, one row each
+in numpy arrays.  Half-edge ``3 t + k`` is the edge of triangle t facing its
+corner k; its twin is the same edge seen from the other triangle, or -1 on
+the hull.  ``_twins``, one sort of the half-edges, is the one edge pairing.
+``diagram.extract_diagram`` and the Gauss-Newton step read these arrays.
 
-Before the exact pass, batched numpy float filters (the stage-A filters
-of ``geom.orient2d`` and ``geom.power_test``, Shewchuk 1997) orient every
+Before the exact pass, batched numpy float filters (``geom.orient2d_filter``
+and ``geom.power_test_filter`` on arrays, Shewchuk 1997) orient every
 lower-hull facet and test every interior edge at once.  Only the edges they
 leave undecided or find illegal seed the legalization queue, and the exact
 decision on those stays with ``geom.power_test``.
 
-``lawson_flip`` is the one Lawson flip loop in radmesh: legalization runs
-it with the exact power test, and the scalar fallback of ``dirichlet``'s
-auxiliary cell triangulations runs it with a float in-circle test.
+``lawson_flip`` is the one Lawson flip loop in radmesh, and it runs on the
+twin array, which it keeps up to date: legalization runs it with the exact
+power test, and the scalar fallback of ``dirichlet``'s auxiliary cell
+triangulations runs it with a float in-circle test.
 
 Balls whose lifted point lies strictly above the lower envelope own no
 triangle; they are flagged redundant and kept in the ball set.
@@ -46,7 +49,7 @@ class RegularTriangulation:
     tris: np.ndarray  # (F, 3) ball indices, CCW order of centers
     orthocenters: np.ndarray  # (F, 2) dual vertices
     tau: np.ndarray  # (F,) power of each dual vertex
-    neighbors: np.ndarray  # (F, 3) triangle across the edge facing each corner, -1 on the hull
+    twin: np.ndarray  # (F, 3) twin of the half-edge facing each corner, -1 on the hull
     redundant: list[bool]  # per-ball; True = alive but hidden
 
     def edge_set(self) -> set[frozenset[int]]:
@@ -79,11 +82,7 @@ def _orient_filter(centers, tris):
     the signs the filter decides, 0 where it cannot: filters are
     conservative, so every nonzero entry is the exact sign.
     """
-    a, b, c = centers[tris[:, 0]], centers[tris[:, 1]], centers[tris[:, 2]]
-    detleft = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-    detright = (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
-    det = detleft - detright
-    errbound = geom._ORIENT_BOUND * (np.abs(detleft) + np.abs(detright))
+    det, errbound = geom.orient2d_filter(*(centers[tris[:, m]].T for m in range(3)))
     return np.where(np.abs(det) > errbound, np.sign(det), 0.0).astype(int)
 
 
@@ -113,69 +112,82 @@ def _lower_hull_triangles(balls, idx, centers, radii):
     return tris
 
 
-def _edge_map(tris):
-    """Map undirected edge -> list of (triangle index, opposite vertex)."""
-    edges: dict[frozenset[int], list[tuple[int, int]]] = {}
-    for ti, t in enumerate(tris):
-        for k in range(3):
-            e = frozenset((t[(k + 1) % 3], t[(k + 2) % 3]))
-            edges.setdefault(e, []).append((ti, t[k]))
-    return edges
+def _twins(tris):
+    """The twin of every half-edge of ``tris``, an (F, 3) array of CCW triangles.
 
-
-def lawson_flip(tris, illegal, left_turn, queue=None):
-    """Lawson flips (Lawson 1977) on ``tris`` until no interior edge is illegal.
-
-    ``tris`` holds CCW vertex triples and stays CCW.  ``illegal(a, b, c, q)``
-    says whether the edge of triangle ``(a, b, c)`` facing vertex ``q`` must
-    flip; ``left_turn(p, u, q)`` whether ``p, u, q`` turn strictly left, so
-    only strictly convex quads flip.  A queue of suspect edges (``queue``,
-    by default every edge; the last is examined first) and an incrementally
-    kept edge map mean each flip re-examines only the quad's four sides.
-    Returns that edge map.  Raises ``FlipBudgetExhausted``
-    instead of returning a triangulation that may still be illegal.
+    Half-edge ``3 t + k`` runs from ``tris[t, k + 1]`` to ``tris[t, k + 2]``
+    (corners mod 3); its twin runs back along the same edge in another
+    triangle.  One sort pairs them.  An edge with other than two
+    half-edges, or with two of the same direction, only occurs in a table
+    of overlapping triangles; its half-edges stay unpaired, as do hull
+    edges, with twin -1.
     """
-    edges = _edge_map(tris)
-    queue = list(edges if queue is None else queue)
-    in_queue = set(queue)
+    u, v = tris[:, [1, 2, 0]].ravel(), tris[:, [2, 0, 1]].ravel()
+    n = int(tris.max(initial=0)) + 1
+    key = np.minimum(u, v) * n + np.maximum(u, v)
+    order = np.argsort(key, kind="stable")
+    a, b = order[:-1], order[1:]
+    same = np.concatenate([[False], key[a] == key[b], [False]])
+    pair = same[1:-1] & ~same[:-2] & ~same[2:] & (u[a] == v[b])
+    twin = np.full(tris.size, -1)
+    twin[a[pair]], twin[b[pair]] = b[pair], a[pair]
+    return twin.reshape(-1, 3)
+
+
+def lawson_flip(tris, twin, illegal, left_turn, queue):
+    """Lawson flips (Lawson 1977) on ``tris`` until no queued edge is illegal.
+
+    ``tris`` (CCW vertex triples) and ``twin`` (the flat ``_twins``) are
+    lists, kept up to date.  ``illegal(a, b, c, q)`` says whether the edge of
+    triangle ``(a, b, c)`` facing vertex ``q`` must flip; ``left_turn(p, u,
+    q)`` whether ``p, u, q`` turn strictly left, so only strictly convex
+    quads flip.  ``queue`` holds the suspect half-edges, the last examined
+    first.  A flip of the quad ``p, u, q, v`` writes ``[p, u, q]`` and ``[p,
+    q, v]`` and queues the quad's four sides and new diagonal; a queued
+    half-edge whose triangle has flipped since is dropped, as its quad's
+    edges were queued again.  Raises ``FlipBudgetExhausted`` instead of
+    returning a triangulation that may still be illegal.
+    """
+    stamp = [0] * len(tris)  # flips of each triangle
+    stack = [(h, 0) for h in queue]
+    queued = [-1] * len(twin)  # per half-edge, the stamp it is queued with
+    for h in queue:
+        queued[h] = 0
     limit = 32 * max(1, len(tris)) ** 2
     flips = 0
-    while queue:
-        e = queue.pop()
-        in_queue.discard(e)
-        owners = edges.get(e)
-        if owners is None or len(owners) != 2:
+    while stack:
+        h, s = stack.pop()
+        t1, k1 = divmod(h, 3)
+        if queued[h] == s:
+            queued[h] = -1
+        if twin[h] < 0 or stamp[t1] != s:
             continue
-        (t1, p), (t2, q) = owners
-        if not illegal(*tris[t1], q):
+        t2, k2 = divmod(twin[h], 3)
+        p, u, v = tris[t1][k1], tris[t1][k1 - 2], tris[t1][k1 - 1]
+        q = tris[t2][k2]
+        if not (illegal(*tris[t1], q) and left_turn(p, u, q) and left_turn(p, q, v)):
             continue
-        u, v = e
-        if not (left_turn(p, u, q) and left_turn(p, q, v)):
-            u, v = v, u
-            if not (left_turn(p, u, q) and left_turn(p, q, v)):
-                continue
         if flips == limit:
             raise FlipBudgetExhausted(f"edges still illegal after {limit} flips")
         flips += 1
-        for ti in (t1, t2):
-            t = tris[ti]
-            for k in range(3):
-                f = frozenset((t[k - 2], t[k - 1]))
-                owners = edges[f]
-                owners[:] = [o for o in owners if o[0] != ti]
-                if not owners:
-                    del edges[f]
+        # the outer twins across p-u, v-p, u-q and q-v
+        a, b = twin[3 * t1 + (k1 + 2) % 3], twin[3 * t1 + (k1 + 1) % 3]
+        c, d = twin[3 * t2 + (k2 + 1) % 3], twin[3 * t2 + (k2 + 2) % 3]
         tris[t1] = [p, u, q]
         tris[t2] = [p, q, v]
-        for ti in (t1, t2):
-            t = tris[ti]
-            for k in range(3):
-                f = frozenset((t[k - 2], t[k - 1]))
-                edges.setdefault(f, []).append((ti, t[k]))
-                if f not in in_queue:
-                    in_queue.add(f)
-                    queue.append(f)
-    return edges
+        twin[3 * t1 : 3 * t1 + 3] = [c, 3 * t2 + 2, a]
+        twin[3 * t2 : 3 * t2 + 3] = [d, b, 3 * t1 + 1]
+        for g, back in ((c, 3 * t1), (a, 3 * t1 + 2), (d, 3 * t2), (b, 3 * t2 + 1)):
+            if g >= 0:
+                twin[g] = back
+        stamp[t1] += 1
+        stamp[t2] += 1
+        # each side as seen from outside the quad, then the diagonal from t1;
+        # a side already queued from its unflipped outer triangle stays put
+        for g in (c, 3 * t1 + 1, a, d, b):
+            if g >= 0 and queued[g] != stamp[g // 3]:
+                queued[g] = stamp[g // 3]
+                stack.append((g, queued[g]))
 
 
 def _power_filter(centers, radii, abc, q):
@@ -184,71 +196,29 @@ def _power_filter(centers, radii, abc, q):
     ``abc`` is an (E, 3) array of CCW triangles and ``q`` an (E,) array of
     balls, indices into ``centers`` and ``radii``.  Returns power_test's
     sign where the filter decides it (conservatively, so it is exact) and
-    0 where it cannot; the expressions are ``geom._power_det_terms``' and
-    power_test's.
+    0 where it cannot.
     """
-    c4, r4sq = centers[q], radii[q] * radii[q]
-    rows = []
-    for m in range(3):
-        ax = centers[abc[:, m], 0] - c4[:, 0]
-        ay = centers[abc[:, m], 1] - c4[:, 1]
-        rsq = radii[abc[:, m]] * radii[abc[:, m]]
-        rows.append((ax, ay, ax * ax + ay * ay - rsq + r4sq, ax * ax + ay * ay + rsq + r4sq))
-    (a1, b1y, z1, m1), (a2, b2y, z2, m2), (a3, b3y, z3, m3) = rows
-    c12 = a1 * b2y - a2 * b1y
-    c23 = a2 * b3y - a3 * b2y
-    c31 = a3 * b1y - a1 * b3y
-    det = z1 * c23 + z2 * c31 + z3 * c12
-    mag = (
-        m1 * (np.abs(a2 * b3y) + np.abs(a3 * b2y))
-        + m2 * (np.abs(a3 * b1y) + np.abs(a1 * b3y))
-        + m3 * (np.abs(a1 * b2y) + np.abs(a2 * b1y))
-    )
+    args = [x for i in (*abc.T, q) for x in (centers[i].T, radii[i])]
+    det, errbound = geom.power_test_filter(*args)
     # det > 0 <=> q lifted below the face plane, a violation (orient is +1)
-    return np.where(np.abs(det) > geom._POWER_BOUND * mag, -np.sign(det), 0.0).astype(int)
+    return np.where(np.abs(det) > errbound, -np.sign(det), 0.0).astype(int)
 
 
-def _interior_pairs(tris, n):
-    """The two half-edges of every interior edge of ``tris``, an (F, 3) array.
+def _suspect_edges(tris, twin, centers, radii) -> list[int]:
+    """Interior half-edges of ``tris`` whose edge ``_power_filter`` cannot show legal.
 
-    Half-edge 3 t + k is the edge of triangle t facing its corner k; ``n``
-    bounds the ball indices.  Returns the arrays (first, second), first <
-    second, so first belongs to the edge's lower triangle index.
+    Each edge is tested, and returned, as its lower half-edge, the one
+    ``lawson_flip`` tests: its triangle against the twin's opposite ball.
     """
-    u, v = tris[:, [1, 2, 0]].ravel(), tris[:, [2, 0, 1]].ravel()
-    key = np.minimum(u, v) * n + np.maximum(u, v)
-    order = np.argsort(key, kind="stable")
-    pair = key[order[1:]] == key[order[:-1]]
-    return order[:-1][pair], order[1:][pair]
+    first = np.flatnonzero(twin.ravel() > np.arange(twin.size))
+    sign = _power_filter(centers, radii, tris[first // 3], tris.ravel()[twin.ravel()[first]])
+    return first[sign <= 0].tolist()
 
 
-def _suspect_edges(tris, centers, radii) -> list[frozenset[int]]:
-    """Interior edges of ``tris`` that ``_power_filter`` cannot show legal.
-
-    The test is the one ``lawson_flip`` makes: the edge's first owner
-    (lowest triangle index) against the second owner's opposite ball.  The
-    edges come in ``_edge_map`` order, as ``lawson_flip`` would queue them.
-    """
-    first, second = _interior_pairs(tris, len(centers))
-    sign = _power_filter(centers, radii, tris[first // 3], tris.ravel()[second])
-    first = np.sort(first[sign <= 0])
-    t, k = first // 3, first % 3
-    u, v = tris[t, (k + 1) % 3].tolist(), tris[t, (k + 2) % 3].tolist()
-    return [frozenset(e) for e in zip(u, v)]
-
-
-def _neighbors(tris, n):
-    """Per corner of each triangle of ``tris``, the triangle across the facing edge, or -1."""
-    first, second = _interior_pairs(tris, n)
-    nbr = np.full(tris.size, -1)
-    nbr[first], nbr[second] = second // 3, first // 3
-    return nbr.reshape(-1, 3)
-
-
-def _legalize(balls, tris, queue=None):
+def _legalize(balls, tris, twin, queue):
     """Exact Lawson legalization of ``tris`` under the power test.
 
-    ``queue`` holds the edges to start from (default: all).  An exact tie
+    ``tris``, ``twin`` and ``queue`` are ``lawson_flip``'s.  An exact tie
     is decided by simulation of simplicity (Edelsbrunner and Mucke 1990):
     the lifted point of the quad's lowest ball index counts as
     infinitesimally lower, so a tied edge is illegal exactly when that ball
@@ -268,7 +238,7 @@ def _legalize(balls, tris, queue=None):
     def left_turn(p, u, q):
         return geom.orient2d(balls[p].center, balls[u].center, balls[q].center) > 0
 
-    return lawson_flip(tris, illegal, left_turn, queue)
+    lawson_flip(tris, twin, illegal, left_turn, queue)
 
 
 def build_regular(balls: list[Ball]) -> RegularTriangulation:
@@ -285,16 +255,16 @@ def build_regular(balls: list[Ball]) -> RegularTriangulation:
     centers = np.array([b.center for b in balls], dtype=float)
     radii = np.array([b.radius for b in balls], dtype=float)
     tris = _lower_hull_triangles(balls, idx, centers, radii)
-    flipped = tris.tolist()
-    # flips keep every triangle CCW
-    _legalize(balls, flipped, _suspect_edges(tris, centers, radii))
-    tris = np.array(flipped).reshape(-1, 3)
+    twin = _twins(tris)
+    queue = _suspect_edges(tris, twin, centers, radii)
+    if queue:  # flips keep every triangle CCW
+        flipped, twin = tris.tolist(), twin.ravel().tolist()
+        _legalize(balls, flipped, twin, queue)
+        tris, twin = np.array(flipped), np.array(twin).reshape(-1, 3)
     vx, vy, tau = geom.orthocenters(centers, radii, tris)
     used = set(tris.ravel().tolist())
     redundant = [b.alive and i not in used for i, b in enumerate(balls)]
-    return RegularTriangulation(
-        tris, np.column_stack([vx, vy]), tau, _neighbors(tris, len(balls)), redundant
-    )
+    return RegularTriangulation(tris, np.column_stack([vx, vy]), tau, twin, redundant)
 
 
 def verify_regular(t: RegularTriangulation, balls: list[Ball]) -> list[tuple[int, int]]:

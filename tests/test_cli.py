@@ -52,18 +52,29 @@ def test_optimize_empty_scene_one_line_error(tmp_path, capsys):
 
 def test_generate_unusable_spacing_exit_1(tmp_path, capsys):
     out = tmp_path / "g.json"
-    for args, word in (
-        (["masked-lattice", "--spacing", "0"], "spacing"),
-        (["masked-lattice", "--spacing", "2.0"], "fewer than 3"),
-        (["masked-lattice", "--spacing", "1.0"], "fewer than 3"),
-        (["masked-lattice", "--jitter", "5"], "jitter"),
-        (["masked-lattice", "--jitter", "-0.3"], "jitter"),
-        (["square-circle", "--spacing", "0.8", "--jitter", "50"], "jitter"),
-        (["square-circle", "--spacing", "0.8", "--jitter", "-0.3"], "jitter"),
+    geometry = "error: InconsistentGeometry:"
+    for args, kind, word in (
+        (["masked-lattice", "--spacing", "0"], geometry, "spacing"),
+        (["masked-lattice", "--spacing", "2.0"], geometry, "fewer than 3"),
+        (["masked-lattice", "--spacing", "1.0"], geometry, "fewer than 3"),
+        (["masked-lattice", "--jitter", "5"], geometry, "jitter"),
+        (["masked-lattice", "--jitter", "-0.3"], geometry, "jitter"),
+        (["square-circle", "--spacing", "0.8", "--jitter", "50"], geometry, "jitter"),
+        (["square-circle", "--spacing", "0.8", "--jitter", "-0.3"], geometry, "jitter"),
+        (["square-circle", "--side", "nan"], geometry, "finite"),
+        (["square-circle", "--side", "inf"], geometry, "finite"),
+        (["square-circle", "--inner-radius", "nan"], geometry, "finite"),
+        (["square-circle", "--spacing", "inf"], geometry, "finite"),
+        (["square-circle", "--interior-spacing", "nan"], geometry, "finite"),
+        (["square-circle", "--jitter", "nan"], geometry, "finite"),
+        (["masked-lattice", "--spacing", "nan"], geometry, "finite"),
+        (["masked-lattice", "--jitter", "inf"], geometry, "finite"),
+        (["masked-lattice", "--mask", "1,2,a,4,5,6"], "error: ParseError:", "numbers"),
     ):
         assert main(["generate", *args, "-o", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: InconsistentGeometry:") and word in err
+        assert err.startswith(kind) and word in err
+        assert err.count("\n") == 1
         assert "Traceback" not in err
         assert not out.exists()
 

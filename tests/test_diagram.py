@@ -89,10 +89,11 @@ def test_radical_axis_property():
     rng = philox(22)
     balls = random_balls(rng, 25)
     t, d = build_both(balls)
-    for tr, nbs, a in zip(t.tris.tolist(), t.neighbors.tolist(), t.orthocenters.tolist()):
-        for k, nb in enumerate(nbs):
-            if nb < 0:
+    for tr, twins, a in zip(t.tris.tolist(), t.twin.tolist(), t.orthocenters.tolist()):
+        for k, h in enumerate(twins):
+            if h < 0:
                 continue
+            nb = h // 3
             i, j = tr[(k + 1) % 3], tr[(k + 2) % 3]
             b = t.orthocenters[nb].tolist()
             mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
@@ -299,9 +300,10 @@ def test_extract_diagram_matches_definitions(name, balls):
         reached, todo = {g[0]}, [g[0]]
         while todo:
             a = todo.pop()
-            for b in t.neighbors[a].tolist():
-                if b < 0:
+            for h in t.twin[a].tolist():
+                if h < 0:
                     continue
+                b = h // 3
                 if b not in g:
                     assert not close(a, b)
                 elif close(a, b) and b not in reached:
@@ -357,12 +359,11 @@ def test_extract_diagram_matches_definitions(name, balls):
 def test_extract_diagram_ends_on_overlapping_triangles():
     # the qhull start leaves overlapping slivers along a hull side dented by
     # 1 ulp (test_triangulation's lattice_ulp_hull_side); the fan walk must
-    # stop there instead of circling forever
+    # stop there, with an error, instead of circling forever or returning
+    # cells that miss some of their triangles
     from test_triangulation import filter_cases
 
     balls = dict(filter_cases())["lattice_ulp_hull_side"]
     t = build_regular(balls)
-    try:
+    with pytest.raises(RadmeshError, match="neither close nor end on the hull"):
         extract_diagram(t, balls)
-    except RadmeshError as e:
-        assert "neither close nor end on the hull" in str(e)

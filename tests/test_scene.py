@@ -86,6 +86,18 @@ def test_inner_circle_too_large_raises():
             gen_square_with_circle(10.0, 2.0, 0.8, interior_spacing=0.45, jitter_amplitude=jitter)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_generators_reject_non_finite_numbers(bad):
+    # a NaN compares false with every bound, so it must be caught before them
+    square = {"square_side": 10.0, "inner_radius": 2.0, "boundary_spacing": 0.8}
+    for name in (*square, "interior_spacing", "jitter_amplitude"):
+        with pytest.raises(InconsistentGeometry, match="finite"):
+            gen_square_with_circle(**{**square, name: bad})
+    for args in ((bad, 0.02), (0.1, bad)):
+        with pytest.raises(InconsistentGeometry, match="finite"):
+            gen_masked_lattice([], *args)
+
+
 def test_jitter_zero_lattice_converges_quickly():
     # unjittered interior lattice is already Delaunay away from the walls;
     # only the boundary-interface cells need correcting

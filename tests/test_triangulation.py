@@ -1,6 +1,7 @@
 """Regular triangulation construction, oracle, and structural invariants."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,7 +12,14 @@ from scipy.spatial import ConvexHull, Delaunay
 from radmesh import geom
 from radmesh.errors import AllCollinear, FlipBudgetExhausted, TooFewBalls
 from radmesh.geom import Ball
-from radmesh.triangulation import _legalize, build_regular, lawson_flip, verify_regular
+from radmesh.triangulation import (
+    _legalize,
+    _lower_hull_triangles,
+    _twins,
+    build_regular,
+    lawson_flip,
+    verify_regular,
+)
 
 from conftest import philox, random_balls
 
@@ -126,13 +134,26 @@ def test_triangles_ccw_and_orthocenter_consistency(seed):
 
 
 def test_neighbor_adjacency_symmetric():
-    rng = philox(9)
-    balls = random_balls(rng, 30)
-    t = build_regular(balls)
-    for ti, nbs in enumerate(t.neighbors.tolist()):
-        for nb in nbs:
-            if nb >= 0:
-                assert ti in t.neighbors[nb]
+    # the twin table pairs the two half-edges of every interior edge, in
+    # opposite directions, and marks exactly the hull edges (the edges of
+    # one triangle) with -1
+    cases = [random_balls(philox(9), 30)]
+    cases += [balls for name, balls in filter_cases() if name not in _QHULL_START]
+    for balls in cases:
+        t = build_regular(balls)
+        twin = t.twin.ravel().tolist()
+        ends = [(tr[k - 2], tr[k - 1]) for tr in t.tris.tolist() for k in range(3)]
+        owners = Counter(frozenset(e) for e in ends)
+        assert set(owners.values()) == {1, 2}
+        for h, g in enumerate(twin):
+            assert (g < 0) == (owners[frozenset(ends[h])] == 1)
+            if g >= 0:
+                assert twin[g] == h
+                assert ends[g] == ends[h][::-1]
+    # overlapping triangles (an edge with two half-edges of one direction, or
+    # with three) leave the edge unpaired rather than give twins a flip corrupts
+    assert (_twins(np.array([[0, 1, 2], [0, 1, 3]])) == -1).all()
+    assert (_twins(np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])) == -1).all()
 
 
 def test_euler_relation():
@@ -230,9 +251,10 @@ def test_legalize_breaks_ties_by_lowest_index():
         [[1, 2, 3], [0, 1, 3]],
     ):
         tris = [list(t) for t in start]
-        edges = _legalize(balls, tris)
-        interior = [e for e, owners in edges.items() if len(owners) == 2]
-        assert interior == [frozenset((0, 2))]
+        twin = _twins(np.array(start)).ravel().tolist()
+        _legalize(balls, tris, twin, range(6))
+        interior = [{tris[h // 3][h % 3 - 2], tris[h // 3][h % 3 - 1]} for h in range(6)]
+        assert [e for e, g in zip(interior, twin) if g >= 0] == [{0, 2}, {0, 2}]
         assert sorted(tuple(sorted(t)) for t in tris) == [(0, 1, 2), (0, 2, 3)]
 
 
@@ -261,10 +283,11 @@ def test_lattice_ties_fan_from_lowest_index(nx, ny, radii, seed):
     assert verify_regular(t, balls) == []
     ctr = [b.center for b in balls]
     tris = t.tris.tolist()
-    for tr, nbs in zip(tris, t.neighbors.tolist()):
-        for k, nb in enumerate(nbs):
-            if nb < 0:
+    for tr, twins in zip(tris, t.twin.tolist()):
+        for k, h in enumerate(twins):
+            if h < 0:
                 continue
+            nb = h // 3
             p = tr[k]
             u, v = tr[k - 2], tr[k - 1]
             (q,) = set(tris[nb]) - {u, v}
@@ -276,6 +299,40 @@ def test_lattice_ties_fan_from_lowest_index(nx, ny, radii, seed):
                 assert min(p, q, u, v) in (u, v)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 5),
+    st.integers(2, 5),
+    st.sampled_from(["equal", "mixed", "random"]),
+    st.integers(0, 10**6),
+)
+def test_legalize_in_any_order_gives_build_regular(nx, ny, radii, seed):
+    # simulation of simplicity makes the regular triangulation unique, so
+    # legalizing the qhull start from a shuffled queue of every interior
+    # half-edge ends at build_regular's triangle set, on lattices whose
+    # exact ties make the flip order matter most
+    rng = philox(seed)
+    pts = [(float(i), float(j)) for i in range(nx) for j in range(ny)]
+    if radii == "equal":
+        rs = [1.0] * len(pts)
+    elif radii == "mixed":
+        rs = [float(r) for r in rng.choice([0.0, 0.5, 1.0], len(pts))]
+    else:
+        rs = [float(r) for r in rng.uniform(0.0, 1.0, len(pts))]
+    balls = [Ball(pts[k], rs[k]) for k in rng.permutation(len(pts))]
+    centers = np.array([b.center for b in balls])
+    radii_arr = np.array([b.radius for b in balls])
+    start = _lower_hull_triangles(balls, range(len(balls)), centers, radii_arr)
+    twin = _twins(start).ravel()
+    queue = rng.permutation(np.flatnonzero(twin >= 0)).tolist()
+    tris, twin = start.tolist(), twin.tolist()
+    _legalize(balls, tris, twin, queue)
+    # the flips kept the twins, which a fresh pairing reproduces
+    assert twin == _twins(np.array(tris)).ravel().tolist()
+    expected = sorted(tuple(sorted(tr)) for tr in build_regular(balls).tris.tolist())
+    assert sorted(tuple(sorted(tr)) for tr in tris) == expected
+
+
 def test_flip_budget_exhaustion_raises():
     # a predicate that calls every edge illegal flips the diagonal of a
     # convex quad back and forth; the loop must raise, not stop quietly
@@ -285,8 +342,9 @@ def test_flip_budget_exhaustion_raises():
     def left_turn(p, u, q):
         return geom.orient2d(pts[p], pts[u], pts[q]) > 0
 
+    twin = _twins(np.array(tris)).ravel().tolist()
     with pytest.raises(FlipBudgetExhausted):
-        lawson_flip(tris, lambda a, b, c, q: True, left_turn)
+        lawson_flip(tris, twin, lambda a, b, c, q: True, left_turn, range(6))
 
 
 def filter_cases():
@@ -333,12 +391,7 @@ def filter_cases():
 def test_batched_filters_agree_with_exact_predicates(name, balls):
     # every sign the batched float filters decide is the exact predicate's,
     # on the qhull triangles before legalization and on the final ones
-    from radmesh.triangulation import (
-        _interior_pairs,
-        _lower_hull_triangles,
-        _orient_filter,
-        _power_filter,
-    )
+    from radmesh.triangulation import _orient_filter, _power_filter
 
     centers = np.array([b.center for b in balls])
     radii = np.array([b.radius for b in balls])
@@ -352,8 +405,9 @@ def test_batched_filters_agree_with_exact_predicates(name, balls):
         for s, tri in zip(sign.tolist(), triples.tolist()):
             if s:
                 assert s == geom.orient2d(*(balls[i].center for i in tri))
-        first, second = _interior_pairs(tris, len(balls))
-        abc, q = tris[first // 3], tris.ravel()[second]
+        twin = _twins(tris).ravel()
+        first = np.flatnonzero(twin > np.arange(twin.size))
+        abc, q = tris[first // 3], tris.ravel()[twin[first]]
         sign = _power_filter(centers, radii, abc, q)
         for s, tri, other in zip(sign.tolist(), abc.tolist(), q.tolist()):
             if s:
