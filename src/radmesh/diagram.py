@@ -8,7 +8,9 @@ fans) are grouped by the connected components of that relation
 polygonal vertex of the paper's non-simplicial cells.  Each non-redundant
 ball owns a convex polygonal cell whose vertices follow the ball's corners
 counterclockwise through the table's half-edge twins; hull balls own
-unbounded cells.
+unbounded cells.  All fans are ordered at once, by pointer jumping over
+the corners' counterclockwise successors (``_chain_ends``); only the
+outward rays of the hull balls' cells are computed ball by ball.
 
 The result, ``PowerDiagram``, is one cell table of numpy arrays: the dual
 vertices' positions and power ``tau``, the dual vertex of each triangle,
@@ -133,6 +135,22 @@ def _merge_orthocenters(t: RegularTriangulation, balls, merge_eps):
     return np.stack([x, y], axis=1), tau, labels
 
 
+def _chain_ends(succ: np.ndarray, longest: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pointer jumping over a successor array (-1 ends a chain).
+
+    Returns, per element, the last element of its chain and the number of
+    steps to it.  The ``(longest - 1).bit_length()`` rounds resolve every
+    chain of at most ``longest`` elements; elements on a cycle are left
+    unresolved, and the rounds still stop.
+    """
+    last = np.where(succ < 0, np.arange(len(succ)), succ)
+    togo = (succ >= 0).astype(int)
+    for _ in range((longest - 1).bit_length()):
+        togo = togo + togo[last]
+        last = last[last]
+    return last, togo
+
+
 def _outward_ray(balls, ball: int, other: int, third: int) -> Point2:
     """Unit direction of the unbounded dual edge across hull edge (ball, other).
 
@@ -166,52 +184,59 @@ def extract_diagram(
         merge_eps = default_merge_eps(balls)
     vertices, tau, vertex_of = _merge_orthocenters(t, balls, merge_eps)
 
+    n = len(balls)
     corner_ball = t.tris.ravel()
     # the same ball's corner in the next triangle counterclockwise, -1 past the
     # hull: the twin g of the half-edge into the ball starts at the corner after g's
     g = t.twin[:, [1, 2, 0]].ravel()
-    nxt = np.where(g < 0, -1, g - g % 3 + (g + 1) % 3).tolist()
-    # a corner with the hull clockwise of it starts its ball's open fan
+    nxt = np.where(g < 0, -1, g - g % 3 + (g + 1) % 3)
+    owners, first, owner, m = np.unique(
+        corner_ball, return_index=True, return_inverse=True, return_counts=True
+    )
+    start = nxt[first]
+    # a corner with the hull clockwise of it starts its ball's open fan (a
+    # ball with two lies on two open fans, and raises below either way)
     hull = np.flatnonzero(t.twin[:, [2, 0, 1]].ravel() < 0)
-    hull_start = dict(zip(corner_ball[hull].tolist(), hull.tolist()))
-    owners, first_corner, corners = np.unique(corner_ball, return_index=True, return_counts=True)
-    label = vertex_of.tolist()
-    tris = t.tris.tolist()
-
-    n = len(balls)
-    counts = np.zeros(n, dtype=int)
+    start[owner[hull]] = hull
+    # each fan is the chain of successors from its start, cut where it closes
+    head = start[owner]
+    last, togo = _chain_ends(np.where(nxt == head, -1, nxt), int(m.max()))
+    bad = (start < 0) | (togo[start] != m - 1)
+    if bad.any():
+        # the fan misses corners of the ball or runs past them: only a
+        # table with overlapping triangles gets here
+        raise RadmeshError(
+            f"the triangles around ball {owners[bad][0]} neither close nor end on the hull"
+        )
     bounded = np.zeros(n, dtype=bool)
+    bounded[owners] = nxt[last[start]] == start
+    # each ball's dual vertices in fan order, consecutive duplicates dropped,
+    # and a closed cycle's last one if it is the first again
+    lo = np.concatenate([[0], np.cumsum(m)[:-1]])
+    cycle = np.empty(len(corner_ball), dtype=int)
+    cycle[lo[owner] + togo[head] - togo] = np.repeat(vertex_of, 3)
+    keep = np.ones(len(cycle), dtype=bool)
+    keep[1:] = cycle[1:] != cycle[:-1]
+    keep[lo] = True
+    kept = np.add.reduceat(keep, lo)
+    wrap = bounded[owners] & (kept > 1) & (cycle[lo] == cycle[lo + m - 1])
+    keep[np.maximum.reduceat(np.where(keep, np.arange(len(keep)), -1), lo)[wrap]] = False
+    counts = np.zeros(n, dtype=int)
+    counts[owners] = kept - wrap
+    ids = cycle[keep]
+
+    # the outward rays across the hull edges at both ends of each open fan
     rays = np.full((n, 2, 2), np.nan)
-    ids: list[int] = []
-    for i, start, m in zip(owners.tolist(), first_corner.tolist(), corners.tolist()):
-        first = hull_start.get(i, nxt[start])
-        fan = [first]
-        c = nxt[first]
-        while c >= 0 and c != first and len(fan) < m:
-            fan.append(c)
-            c = nxt[c]
-        if len(fan) < m or 0 <= c != first:
-            # the fan misses corners of the ball or runs past them: only a
-            # table with overlapping triangles gets here
-            raise RadmeshError(f"the triangles around ball {i} neither close nor end on the hull")
-        cycle = [label[c // 3] for c in fan]
-        cycle = [v for k, v in enumerate(cycle) if k == 0 or v != cycle[k - 1]]
-        if c == first:
-            bounded[i] = True
-            if len(cycle) > 1 and cycle[0] == cycle[-1]:
-                cycle.pop()
-        else:
-            f, k = divmod(fan[0], 3)
-            rays[i, 0] = _outward_ray(balls, i, tris[f][k - 2], tris[f][k - 1])
-            f, k = divmod(fan[-1], 3)
-            rays[i, 1] = _outward_ray(balls, i, tris[f][k - 1], tris[f][k - 2])
-        counts[i] = len(cycle)
-        ids += cycle
+    unbounded = ~bounded[owners]
+    ends = np.stack([start[unbounded], last[start[unbounded]]], axis=1)
+    f, k = ends // 3, ends % 3
+    others = np.stack([t.tris[f, (k - 2) % 3], t.tris[f, (k - 1) % 3]], axis=2).tolist()
+    for i, (a, b) in zip(owners[unbounded].tolist(), others):
+        rays[i, 0] = _outward_ray(balls, i, a[0], a[1])
+        rays[i, 1] = _outward_ray(balls, i, b[1], b[0])
     offsets = np.concatenate([[0], np.cumsum(counts)])
     free = np.array([not b.fully_fixed for b in balls], dtype=bool)
-    return PowerDiagram(
-        vertices, tau, vertex_of, offsets, np.array(ids, dtype=int), bounded, free, rays, domain
-    )
+    return PowerDiagram(vertices, tau, vertex_of, offsets, ids, bounded, free, rays, domain)
 
 
 def dual_height(position: Point2, tau: float) -> float:

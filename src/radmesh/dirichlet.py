@@ -13,15 +13,21 @@ residuals are the triangles whose ``vertex_of`` lies on a bounded cell of
 a free ball.
 
 ``aux_triangulate_cells`` builds the auxiliary triangulations of all cells
-of one diagram as arrays (an ``AuxMesh``).  A batched float stage takes the
-cells grouped by vertex count and tests every candidate triangle of a group
-against the other vertices at once; a cell whose in-circle values all clear
-its tie tolerance has a unique Delaunay triangulation, which that test
-finds.  The cells it cannot decide (near ties, near-collinear corners) or
-does not take (triangles, more than ``_BATCH_MAX_VERTICES`` vertices) go
-to the scalar ``aux_triangulate_cell``: Lawson flips from a fan.  Both
-paths emit the same triangles bit for bit, in one canonical order, and
-``evaluate_FI`` and the proposals are reductions over the triangle arrays.
+of one diagram as arrays (an ``AuxMesh``).  It takes the cells in CSR
+form: without a domain, one gather of the diagram's ``vertices`` through
+its ``cell_vertices``; a domain clips each cell first.  A batched float
+stage takes the cells grouped by vertex count, each group one index into
+those positions, and tests every candidate triangle of a group against
+the other vertices at once; a cell whose in-circle values all clear its
+tie tolerance has a unique Delaunay triangulation, which that test finds.
+The cells it cannot decide (near ties, near-collinear corners) or does not
+take (triangles, more than ``_BATCH_MAX_VERTICES`` vertices, groups of
+fewer than ``_BATCH_MIN_CELLS`` cells) go to the scalar
+``aux_triangulate_cell``: Lawson flips from a fan.  Both paths emit the
+same triangles bit for bit, in one canonical order, and ``evaluate_FI``
+and the proposals are reductions over the triangle arrays: the proposals
+are one array of target rows, whose radii are one column-by-column sum
+over the cells' CSR vertices (``_radii``).
 
 ``run`` keeps the ball set as one ``(N, 3)`` array of ``[cx, cy, R]`` rows,
 a ``free`` mask of the same shape (alive and not fixed, per coordinate)
@@ -103,6 +109,11 @@ class AuxMesh:
 # point aux_triangulate_cell, timed by perfbench, reached on diagrams whose
 # cells are all triangles (recovered Delaunay circles).
 _BATCH_MAX_VERTICES = 12
+# A group pays about 0.2 ms of numpy overhead whatever its size; below 4
+# cells the scalar path is faster at every k (one 2 GHz vCPU, numpy 2.4:
+# 4 cells of 6 vertices take 222 us batched against 247 us by Lawson, one
+# takes 189 us against 87 us).
+_BATCH_MIN_CELLS = 4
 
 
 @dataclass
@@ -142,6 +153,10 @@ class OptimizerState:
     iteration: int
     history: list[HistoryRecord] = field(default_factory=list)
     converged: bool = False
+    # Gauss-Newton steps that found no damping level and fell back to relaxation
+    gn_fallbacks: int = 0
+    # degenerate cells skipped by F_I and the proposals, summed over the iterations
+    degenerate_cells: int = 0
 
 
 def _incircle(ax, ay, bx, by, cx, cy, dx, dy):
@@ -311,35 +326,36 @@ def _aux_group(P):
     return decided, cell[rows], corners[rows], centers[rows], np.abs(area[cell, t])[rows]
 
 
-def aux_triangulate_cells(points: list[list[Point2]], cells: np.ndarray) -> AuxMesh:
+def aux_triangulate_cells(xy: np.ndarray, offsets: np.ndarray, cells: np.ndarray) -> AuxMesh:
     """Auxiliary triangulations of many cells at once, as one ``AuxMesh``.
 
-    ``points[p]`` are the vertices (``_cell_points``) of the cell of ball
-    ``cells[p]``.  The cells are grouped by vertex count and each group
-    goes through the batched float stage ``_aux_group``.  The cells it
-    cannot decide (near ties, area-guard candidates) and the groups it does
-    not take (triangles, and above ``_BATCH_MAX_VERTICES``) go through
-    ``aux_triangulate_cell``; on the cells both can decide, the two give
-    the same triangles bit for bit.  Degenerate cells get no triangles and
-    are listed in ``degenerate``.
+    The cells are in CSR form: ``xy[offsets[p]:offsets[p + 1]]`` are the
+    vertices of the cell of ball ``cells[p]``, as ``_cell_points`` gives
+    them.  The cells are grouped by vertex count, and each group is
+    gathered from ``xy`` in one index and goes through the batched float
+    stage ``_aux_group``.  The cells it cannot decide (near ties,
+    area-guard candidates) and the groups it does not take (triangles,
+    above ``_BATCH_MAX_VERTICES``, fewer than ``_BATCH_MIN_CELLS`` cells)
+    go through ``aux_triangulate_cell``; on the cells both can decide, the
+    two give the same triangles bit for bit.  Degenerate cells get no
+    triangles and are listed in ``degenerate``.
     """
-    groups: dict[int, list[int]] = {}
-    for pos, pts in enumerate(points):
-        groups.setdefault(len(pts), []).append(pos)
+    counts = np.diff(offsets)
     parts = [(np.zeros(0, dtype=int), np.zeros((0, 3, 2)), np.zeros((0, 2)), np.zeros(0))]
     scalar = []
-    for k, members in groups.items():
-        if not 4 <= k <= _BATCH_MAX_VERTICES:
-            scalar += members
+    for k in np.unique(counts).tolist():
+        members = np.flatnonzero(counts == k)
+        if not 4 <= k <= _BATCH_MAX_VERTICES or len(members) < _BATCH_MIN_CELLS:
+            scalar += members.tolist()
             continue
-        members = np.array(members)
-        decided, row, *tris = _aux_group(np.array([points[p] for p in members]))
+        decided, row, *tris = _aux_group(xy[offsets[members][:, None] + np.arange(k)])
         parts.append((members[row], *tris))
         scalar += members[~decided].tolist()
     degenerate, rows = [], []
     for pos in sorted(scalar):
+        pts = list(map(tuple, xy[offsets[pos] : offsets[pos + 1]].tolist()))
         try:
-            aux = aux_triangulate_cell(points[pos], int(cells[pos]))
+            aux = aux_triangulate_cell(pts, int(cells[pos]))
         except DegenerateCell:
             degenerate.append(int(cells[pos]))
             continue
@@ -362,11 +378,16 @@ def heuristic_center(aux: list[AuxTriangle]) -> Point2:
 
 
 def heuristic_radius(c_new: Point2, cell_vertices: list[Point2]) -> float:
-    """Least-squares radius: root mean square distance to the cell vertices."""
+    """Least-squares radius: root mean square distance to the cell vertices.
+
+    Squares are products, not ``**``, whose libm ``pow`` rounds differently
+    on some doubles, so ``_radii`` gives the same bits from arrays.
+    """
     m = len(cell_vertices)
-    ssum = sum(
-        (v[0] - c_new[0]) ** 2 + (v[1] - c_new[1]) ** 2 for v in cell_vertices
-    )
+    ssum = 0.0
+    for v in cell_vertices:
+        dx, dy = v[0] - c_new[0], v[1] - c_new[1]
+        ssum += dx * dx + dy * dy
     return math.sqrt(ssum / m)
 
 
@@ -386,6 +407,22 @@ def frozen_center_gradient(center: Point2, aux: list[AuxTriangle]) -> Point2:
     return (gx, gy)
 
 
+def _cell_positions(diagram: PowerDiagram, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The vertex positions of the cells of ``cells`` in CSR form, ``(xy, offsets)``.
+
+    Without a domain they are one gather from the cell table; with one,
+    each cell is clipped to it (``_cell_points``).
+    """
+    if diagram.domain is None:
+        counts = np.diff(diagram.offsets)[cells]
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        first = np.repeat(diagram.offsets[cells] - offsets[:-1], counts)
+        return diagram.vertices[diagram.cell_vertices[first + np.arange(offsets[-1])]], offsets
+    points = [_cell_points(diagram, i, diagram.domain) for i in cells.tolist()]
+    offsets = np.concatenate([[0], np.cumsum([len(p) for p in points], dtype=int)])
+    return np.array([p for pts in points for p in pts], dtype=float).reshape(-1, 2), offsets
+
+
 def _cell_aux(diagram: PowerDiagram) -> AuxMesh:
     """Auxiliary triangulations of the usable cells of free balls.
 
@@ -396,8 +433,7 @@ def _cell_aux(diagram: PowerDiagram) -> AuxMesh:
     """
     if diagram.aux is None:
         cells = np.flatnonzero(diagram.usable)
-        points = [_cell_points(diagram, i, diagram.domain) for i in cells.tolist()]
-        diagram.aux = aux_triangulate_cells(points, cells)
+        diagram.aux = aux_triangulate_cells(*_cell_positions(diagram, cells), cells)
     return diagram.aux
 
 
@@ -418,26 +454,48 @@ def _rebuild(balls, merge_eps=None):
     return t, extract_diagram(t, balls, merge_eps)
 
 
-def _proposals(balls, diagram):
-    """Jacobi-style update targets (c_new, R_new) per free ball.
+def _radii(diagram: PowerDiagram, ids: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """``heuristic_radius`` of the cell of each ball in ``ids`` about its row of ``centers``.
 
-    c_new is ``heuristic_center`` of each cell, for all cells at once.
+    Each cell's squared distances fill one row, padded with zeros, and
+    ``np.cumsum`` adds along the row strictly in order: the order of
+    ``heuristic_radius``, so the two agree bit for bit.
+    """
+    first = diagram.offsets[ids]
+    m = diagram.offsets[ids + 1] - first
+    col = np.arange(int(m.max(initial=1)))
+    inside = col < m[:, None]
+    d = diagram.vertices[diagram.cell_vertices[np.where(inside, first[:, None] + col, 0)]]
+    d -= centers[:, None]
+    sq = np.where(inside, d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1], 0.0)
+    return np.sqrt(np.cumsum(sq, axis=1)[:, -1] / m)
+
+
+def _proposals(balls, diagram):
+    """Jacobi-style update targets: the proposed balls and their ``[cx, cy, R]`` rows.
+
+    Returns the ascending ball indices and one target row each.  The
+    center is ``heuristic_center`` of each usable cell; fixed-center balls
+    with unbounded cells (boundary protectors) keep their centers and still
+    adapt their free radii to the finite dual vertices of their fan.  Every
+    radius is ``heuristic_radius`` about the new center, for all balls at
+    once (``_radii``).
     """
     aux = _cell_aux(diagram)
     cells = np.unique(aux.ball)
     area = np.bincount(aux.ball, aux.area)[cells]
     cx = np.bincount(aux.ball, aux.circumcenter[:, 0] * aux.area)[cells] / area
     cy = np.bincount(aux.ball, aux.circumcenter[:, 1] * aux.area)[cells] / area
-    proposals = {}
-    for i, x, y in zip(cells.tolist(), cx.tolist(), cy.tolist()):
-        proposals[i] = ((x, y), heuristic_radius((x, y), diagram.points(i)))
-    # fixed-center balls with unbounded cells (boundary protectors) still
-    # adapt their free radii to the finite dual vertices of their fan
-    for i in np.flatnonzero(diagram.has_cell & ~diagram.bounded).tolist():
-        b = balls[i]
-        if b.alive and b.fix_center and not b.fix_radius:
-            proposals[i] = (b.center, heuristic_radius(b.center, diagram.points(i)))
-    return proposals
+    hull = [
+        i
+        for i in np.flatnonzero(diagram.has_cell & ~diagram.bounded).tolist()
+        if balls[i].alive and balls[i].fix_center and not balls[i].fix_radius
+    ]
+    ids = np.union1d(cells, hull).astype(int)
+    centers = np.empty((len(ids), 2))
+    centers[np.searchsorted(ids, cells)] = np.stack([cx, cy], axis=1)
+    centers[np.searchsorted(ids, hull)] = np.array([balls[i].center for i in hull]).reshape(-1, 2)
+    return ids, np.column_stack([centers, _radii(diagram, ids, centers)])
 
 
 def _coords(balls):
@@ -455,15 +513,15 @@ def relax_step(x, free, proposals, theta: float):
     """One relaxed update of the free coordinates toward ``proposals`` (simultaneous commit).
 
     ``x`` holds one ``[cx, cy, R]`` row per ball, ``free`` marks the
-    coordinates that may move, and ``proposals`` maps ball index to the
-    target (c_new, R_new) of ``_proposals``.  Returns the new rows.
+    coordinates that may move, and ``proposals`` are the ball indices and
+    target rows of ``_proposals``.  Returns the new rows.
     """
+    ids, rows = proposals
     target = x.copy()
-    proposed = np.zeros(free.shape, dtype=bool)
-    for i, ((cx, cy), r) in proposals.items():
-        target[i] = cx, cy, r
-        proposed[i] = True
-    return np.where(free & proposed, x * (1 - theta) + target * theta, x)
+    target[ids] = rows
+    proposed = np.zeros(len(x), dtype=bool)
+    proposed[ids] = True
+    return np.where(free & proposed[:, None], x * (1 - theta) + target * theta, x)
 
 
 def fd_gradient(balls: list[Ball], diagram: PowerDiagram, h: float, on_flip="raise"):
@@ -634,7 +692,7 @@ def run(
     merge_eps = default_merge_eps(initial_balls)
 
     state = OptimizerState([], None, math.inf, math.inf, 0)
-    skip_count = [0] * len(x)
+    skip_count = np.zeros(len(x), dtype=int)
     polish = False  # the relaxation has plateaued; Gauss-Newton leads
     eliminated_total = 0
     built = None  # (triangulation, diagram) of ``x`` if a GN step built it
@@ -648,6 +706,7 @@ def run(
                 raise  # the input scene itself is unusable
             raise DegenerateScene(str(e)) from e
         fi = evaluate_FI(balls, diagram)
+        state.degenerate_cells += len(diagram.aux.degenerate)
         max_tau = diagram.max_abs_tau()
         state.balls = balls
         state.diagram = diagram
@@ -687,18 +746,15 @@ def run(
                 polish = True
 
         # track balls without a usable cell this iteration
-        eliminated = 0
         proposals = _proposals(balls, diagram)
-        for i in np.flatnonzero(free.any(axis=1)).tolist():
-            if i in proposals:
-                skip_count[i] = 0
-            else:
-                skip_count[i] += 1
-                if config.eliminate_redundant and skip_count[i] >= 3:
-                    alive[i] = False
-                    free[i] = False
-                    eliminated += 1
-        eliminated_total += eliminated
+        skipped = free.any(axis=1)
+        skipped[proposals[0]] = False
+        skip_count = np.where(skipped, skip_count + 1, 0)
+        if config.eliminate_redundant:
+            gone = skip_count >= 3
+            alive[gone] = False
+            free[gone] = False
+            eliminated_total += int(gone.sum())
 
         moved = 0
         built = None
@@ -708,9 +764,10 @@ def run(
             # set coincides with F_I = 0 and the local convergence is
             # quadratic where the relaxation rate approaches 1
             x_new, moved, built = _gauss_newton_step(x, free, as_balls, tri, diagram, merge_eps)
+            state.gn_fallbacks += int(moved == 0)
         if moved == 0:
             x_new = relax_step(x, free, proposals, config.theta)
-            moved = len(proposals)
+            moved = len(proposals[0])
 
         state.history.append(HistoryRecord(it, fi, max_tau, moved, eliminated_total))
         x = x_new

@@ -196,14 +196,15 @@ def test_criterion_6_radius_update_zero_sum(monkeypatch):
     balls = jittered_grid(rng, 5, fix_boundary=True)
     scale = bbox_diag(balls)
     calls = []
-    orig = dmod.heuristic_radius
+    orig = dmod._radii
 
-    def spy(c_new, verts):
-        r = orig(c_new, verts)
-        calls.append((c_new, list(verts), r))
-        return r
+    def spy(diagram, ids, centers):
+        radii = orig(diagram, ids, centers)
+        for i, c, r in zip(ids.tolist(), centers.tolist(), radii.tolist()):
+            calls.append((c, diagram.points(i), r))
+        return radii
 
-    monkeypatch.setattr(dmod, "heuristic_radius", spy)
+    monkeypatch.setattr(dmod, "_radii", spy)
     run(balls, OptimizerConfig(theta=0.5, max_iters=30))
     assert calls
     for c, verts, r in calls:

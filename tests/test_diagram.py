@@ -367,3 +367,147 @@ def test_extract_diagram_ends_on_overlapping_triangles():
     t = build_regular(balls)
     with pytest.raises(RadmeshError, match="neither close nor end on the hull"):
         extract_diagram(t, balls)
+
+
+def reference_walk(t, balls, vertex_of):
+    """The per-ball fan walk that ``extract_diagram``'s pointer jumping replaced.
+
+    Kept as the reference: returns ``offsets``, ``cell_vertices``,
+    ``bounded`` and ``rays`` as the walk builds them, ball by ball.
+    """
+    from radmesh.diagram import _outward_ray
+
+    corner_ball = t.tris.ravel()
+    g = t.twin[:, [1, 2, 0]].ravel()
+    nxt = np.where(g < 0, -1, g - g % 3 + (g + 1) % 3).tolist()
+    hull = np.flatnonzero(t.twin[:, [2, 0, 1]].ravel() < 0)
+    hull_start = dict(zip(corner_ball[hull].tolist(), hull.tolist()))
+    owners, first_corner, corners = np.unique(corner_ball, return_index=True, return_counts=True)
+    label = vertex_of.tolist()
+    tris = t.tris.tolist()
+    n = len(balls)
+    counts = np.zeros(n, dtype=int)
+    bounded = np.zeros(n, dtype=bool)
+    rays = np.full((n, 2, 2), np.nan)
+    ids = []
+    for i, start, m in zip(owners.tolist(), first_corner.tolist(), corners.tolist()):
+        first = hull_start.get(i, nxt[start])
+        fan = [first]
+        c = nxt[first]
+        while c >= 0 and c != first and len(fan) < m:
+            fan.append(c)
+            c = nxt[c]
+        if len(fan) < m or 0 <= c != first:
+            raise RadmeshError(f"the triangles around ball {i} neither close nor end on the hull")
+        cycle = [label[c // 3] for c in fan]
+        cycle = [v for k, v in enumerate(cycle) if k == 0 or v != cycle[k - 1]]
+        if c == first:
+            bounded[i] = True
+            if len(cycle) > 1 and cycle[0] == cycle[-1]:
+                cycle.pop()
+        else:
+            f, k = divmod(fan[0], 3)
+            rays[i, 0] = _outward_ray(balls, i, tris[f][k - 2], tris[f][k - 1])
+            f, k = divmod(fan[-1], 3)
+            rays[i, 1] = _outward_ray(balls, i, tris[f][k - 1], tris[f][k - 2])
+        counts[i] = len(cycle)
+        ids += cycle
+    return np.concatenate([[0], np.cumsum(counts)]), np.array(ids, dtype=int), bounded, rays
+
+
+def assert_matches_reference_walk(t, balls, d):
+    offsets, ids, bounded, rays = reference_walk(t, balls, d.vertex_of)
+    assert d.offsets.tolist() == offsets.tolist()
+    assert d.cell_vertices.tolist() == ids.tolist()
+    assert d.bounded.tolist() == bounded.tolist()
+    assert d.rays.shape == rays.shape and d.rays.tobytes() == rays.tobytes()
+
+
+def test_extract_diagram_matches_reference_walk_on_filter_cases():
+    from radmesh.diagram import _merge_orthocenters
+    from test_triangulation import filter_cases
+
+    raised = []
+    for name, balls in filter_cases():
+        t = build_regular(balls)
+        _, _, vertex_of = _merge_orthocenters(t, balls, default_merge_eps(balls))
+        try:
+            reference_walk(t, balls, vertex_of)
+        except RadmeshError:
+            raised.append(name)
+            with pytest.raises(RadmeshError, match="neither close nor end on the hull"):
+                extract_diagram(t, balls)
+            continue
+        assert_matches_reference_walk(t, balls, extract_diagram(t, balls))
+    assert raised == ["lattice_ulp_hull_side"]
+
+
+def benchmark_inputs(name):
+    """The balls of a benchmark workload under the benchmark seed 1, and its iteration budget."""
+    import importlib.util
+    import pathlib
+    import sys
+
+    module = "perfbench_workloads"
+    workloads = sys.modules.get(module)
+    if workloads is None:
+        path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(module, path)
+        workloads = sys.modules[module] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+    w = workloads.WORKLOADS[name]
+    return w.inputs(w.generate(w.scene_seed), 1), getattr(w, "max_iters", 2000)
+
+
+@pytest.mark.parametrize("name", ["square-hybrid", "mask-plateau"])
+def test_extract_diagram_matches_reference_walk_on_every_rebuild(name):
+    # every diagram a benchmark run builds, the Gauss-Newton trials included
+    import radmesh.dirichlet as dmod
+
+    balls, max_iters = benchmark_inputs(name)
+    checked = []
+    orig = dmod.extract_diagram
+
+    def spy(t, balls, *args, **kwargs):
+        d = orig(t, balls, *args, **kwargs)
+        assert_matches_reference_walk(t, balls, d)
+        checked.append(len(balls))
+        return d
+
+    diag = dmod.bbox_diag(balls)
+    cfg = dmod.OptimizerConfig(theta=0.5, max_iters=max_iters, tau_tol=1e-8 * diag * diag)
+    dmod.extract_diagram = spy
+    try:
+        state = dmod.run(balls, cfg)
+    finally:
+        dmod.extract_diagram = orig
+    assert len(checked) > state.iteration
+
+
+def test_chain_ends_stops_on_cycles():
+    from radmesh.diagram import _chain_ends
+
+    # a chain 3 -> 0 -> 4 -> 1 and a cycle 2 -> 5 -> 6 -> 2
+    succ = np.array([4, -1, 5, 0, 1, 6, 2])
+    last, togo = _chain_ends(succ, 4)
+    assert last[[0, 1, 3, 4]].tolist() == [1, 1, 1, 1]
+    assert togo[[0, 1, 3, 4]].tolist() == [2, 0, 3, 1]
+    assert not (succ[last[[2, 5, 6]]] < 0).any()  # the cycle stays unresolved
+
+
+def test_extract_diagram_raises_on_two_fans_around_one_ball():
+    # two separate closed fans around ball 0: the walk from its start covers
+    # one of them, and the other is a cycle without a start corner, which
+    # the bounded pointer jumping leaves unresolved instead of circling
+    from radmesh.triangulation import RegularTriangulation, _twins
+
+    ring = [(math.cos(a), math.sin(a)) for a in (0.0, 2.1, 4.2, 1.0, 3.1, 5.2)]
+    balls = [Ball((0.0, 0.0), 0.5)] + [Ball(p, 0.5) for p in ring]
+    tris = np.array([[0, 1, 2], [0, 2, 3], [0, 3, 1], [0, 4, 5], [0, 5, 6], [0, 6, 4]])
+    fan = _twins(tris[:3])  # the second fan is the first one shifted by 3 triangles
+    twin = np.concatenate([fan, np.where(fan < 0, -1, fan + 9)])
+    centers = np.array([b.center for b in balls])
+    vx, vy, tau = geom.orthocenters(centers, np.full(len(balls), 0.5), tris)
+    t = RegularTriangulation(tris, np.stack([vx, vy], axis=1), tau, twin, [False] * len(balls))
+    with pytest.raises(RadmeshError, match="around ball 0 neither close nor end on the hull"):
+        extract_diagram(t, balls)

@@ -150,6 +150,8 @@ def assert_batched_matches_scalar(points, balls=None):
 
     if balls is None:
         balls = np.arange(len(points))
+    xy = np.array([p for pts in points for p in pts], dtype=float).reshape(-1, 2)
+    offsets = np.concatenate([[0], np.cumsum([len(pts) for pts in points], dtype=int)])
     scalar = []
     orig = dmod.aux_triangulate_cell
 
@@ -159,7 +161,7 @@ def assert_batched_matches_scalar(points, balls=None):
 
     dmod.aux_triangulate_cell = spy
     try:
-        mesh = dmod.aux_triangulate_cells(points, balls)
+        mesh = dmod.aux_triangulate_cells(xy, offsets, balls)
     finally:
         dmod.aux_triangulate_cell = orig
     assert np.all(np.diff(mesh.ball) >= 0)  # cell after cell
@@ -242,6 +244,48 @@ def test_aux_batched_matches_scalar_on_scenes():
         assert len(scalar) < len(cells)
 
 
+def test_aux_small_groups_go_scalar():
+    # below _BATCH_MIN_CELLS cells a vertex-count group is cheaper by Lawson
+    import radmesh.dirichlet as dmod
+
+    rng = philox(64)
+    polygons = []
+    for _ in range(dmod._BATCH_MIN_CELLS):
+        ang = np.sort(rng.uniform(0.0, 2 * math.pi, 6))
+        polygons.append([(math.cos(t), 0.6 * math.sin(t)) for t in ang])
+    few = polygons[: dmod._BATCH_MIN_CELLS - 1]
+    assert assert_batched_matches_scalar(few) == list(range(len(few)))
+    assert len(assert_batched_matches_scalar(polygons)) < len(polygons)
+
+
+def test_radii_match_heuristic_radius_bit_for_bit():
+    # _radii sums each cell's squared distances column by column, in the
+    # order heuristic_radius adds them, so the two agree exactly
+    from radmesh.diagram import PowerDiagram
+    from radmesh.dirichlet import _radii
+
+    rng = philox(65)
+    sizes = np.repeat(np.arange(3, 19), 25)
+    rng.shuffle(sizes)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    vertices = rng.uniform(-1.0, 1.0, (offsets[-1], 2)) * 10.0 ** rng.integers(-3, 4, (offsets[-1], 1))
+    d = PowerDiagram(
+        vertices=vertices,
+        tau=np.zeros(len(vertices)),
+        vertex_of=np.zeros(0, dtype=int),
+        offsets=offsets,
+        cell_vertices=rng.permutation(len(vertices)),
+        bounded=np.ones(len(sizes), dtype=bool),
+        free=np.ones(len(sizes), dtype=bool),
+        rays=np.full((len(sizes), 2, 2), np.nan),
+    )
+    balls = rng.permutation(len(sizes))[: len(sizes) // 2]
+    centers = rng.uniform(-2.0, 2.0, (len(balls), 2))
+    radii = _radii(d, balls, centers).tolist()
+    for i, c, r in zip(balls.tolist(), centers.tolist(), radii):
+        assert r == heuristic_radius(tuple(c), d.points(i))
+
+
 def test_fi_and_proposals_match_per_cell_reference():
     # evaluate_FI and _proposals reduce over the triangle arrays; cell_fi and
     # heuristic_center on aux_triangulate_cell's lists are the reference.
@@ -255,9 +299,11 @@ def test_fi_and_proposals_match_per_cell_reference():
     fi = evaluate_FI(balls, d)
     assert sorted(ref) == np.unique(d.aux.ball).tolist()
     assert abs(fi - want) <= len(d.aux.area) * np.finfo(float).eps * want
-    proposals = _proposals(balls, d)
-    for i, aux in ref.items():
-        assert proposals[i][0] == heuristic_center(aux)
+    ids, rows = _proposals(balls, d)
+    assert ids.tolist() == sorted(ref)
+    for i, row in zip(ids.tolist(), rows.tolist()):
+        assert tuple(row[:2]) == heuristic_center(ref[i])
+        assert row[2] == heuristic_radius(tuple(row[:2]), d.points(i))
 
 
 def test_collapsed_cell_is_recorded_not_triangulated():
@@ -352,7 +398,7 @@ def test_relax_step_theta_limits():
     rng = philox(41)
     balls = jittered_grid(rng, 4)
     proposals = proposals_of(balls)
-    assert proposals
+    assert len(proposals[0])
     x, free, _ = _coords(balls)
 
     frozen = relax_step(x, free, proposals, 0.0)
@@ -360,10 +406,10 @@ def test_relax_step_theta_limits():
 
     full = relax_step(x, free, proposals, 1.0)
     half = relax_step(x, free, proposals, 0.5)
+    target = dict(zip(proposals[0].tolist(), proposals[1].tolist()))
     for i in range(len(balls)):
-        if i in proposals:
-            (cx, cy), r = proposals[i]
-            assert full[i].tolist() == [cx, cy, r]
+        if i in target:
+            assert full[i].tolist() == target[i]
         assert half[i] == pytest.approx((x[i] + full[i]) / 2)
 
 
@@ -380,8 +426,9 @@ def test_relax_step_honors_fix_flags():
     ]
     x, free, _ = _coords(pinned)
     out = relax_step(x, free, proposals, 1.0)
+    target = {i: (tuple(row[:2]), row[2]) for i, row in zip(*(p.tolist() for p in proposals))}
     for i, a in enumerate(pinned):
-        c_new, r_new = proposals.get(i, (a.center, a.radius))
+        c_new, r_new = target.get(i, (a.center, a.radius))
         assert tuple(out[i, :2]) == (a.center if a.fix_center else c_new)
         assert out[i, 2] == (a.radius if a.fix_radius else r_new)
 
@@ -645,9 +692,9 @@ def test_run_triangulates_each_cell_once_per_iteration():
     calls = []
     orig = dmod.aux_triangulate_cells
 
-    def spy(points, cells):
+    def spy(xy, offsets, cells):
         calls.append(cells.tolist())
-        return orig(points, cells)
+        return orig(xy, offsets, cells)
 
     per_iteration = []
 
@@ -703,7 +750,47 @@ def test_run_computes_proposals_once_per_iteration():
         assert called_on is diagram
         # every usable cell, plus the hull balls' radius-only proposals
         hull = set(np.flatnonzero(diagram.has_cell & ~diagram.bounded).tolist())
-        assert set(proposals) == set(diagram.aux.ball.tolist()) | hull
+        assert set(proposals[0].tolist()) == set(diagram.aux.ball.tolist()) | hull
+
+
+def test_run_counts_gauss_newton_fallbacks():
+    # one free ball among fixed ones cannot zero all its residuals: once the
+    # polish reaches their least-squares minimum, a step finds no damping
+    # level and the iteration falls back to relaxation
+    import radmesh.dirichlet as dmod
+
+    balls = jittered_grid(philox(60), 3, jitter=0.2)
+    balls = [b if i == 4 else Ball(b.center, b.radius, True, True) for i, b in enumerate(balls)]
+    failed = []
+    orig = dmod._gauss_newton_step
+
+    def spy(*args):
+        out = orig(*args)
+        failed.append(out[1] == 0)
+        return out
+
+    dmod._gauss_newton_step = spy
+    try:
+        state = run(balls, OptimizerConfig(max_iters=30))
+    finally:
+        dmod._gauss_newton_step = orig
+    assert state.gn_fallbacks == sum(failed) > 0
+    assert len(failed) > state.gn_fallbacks  # other steps were accepted
+
+
+def test_run_counts_degenerate_cells():
+    # the skipped cells of every iteration's diagram are totalled
+    from radmesh.scene import gen_masked_lattice
+
+    square = [(0.3, 0.3), (0.6, 0.3), (0.6, 0.6), (0.3, 0.6)]
+    balls = gen_masked_lattice([square], 0.12, 0.03, seed=5).balls
+    seen = []
+    state = run(
+        balls,
+        OptimizerConfig(max_iters=40),
+        on_iteration=lambda s: seen.append(len(s.diagram.aux.degenerate)),
+    )
+    assert state.degenerate_cells == sum(seen) > 0
 
 
 def test_write_history_csv(tmp_path):
@@ -729,18 +816,19 @@ def test_radius_zero_sum_invariant():
     balls = jittered_grid(rng, 5, fix_boundary=True)
     scale = bbox_diag(balls)
     calls = []
-    orig = dmod.heuristic_radius
+    orig = dmod._radii
 
-    def spy(c_new, verts):
-        r = orig(c_new, verts)
-        calls.append((c_new, list(verts), r))
-        return r
+    def spy(diagram, ids, centers):
+        radii = orig(diagram, ids, centers)
+        for i, c, r in zip(ids.tolist(), centers.tolist(), radii.tolist()):
+            calls.append((c, diagram.points(i), r))
+        return radii
 
-    dmod.heuristic_radius = spy
+    dmod._radii = spy
     try:
         run(balls, OptimizerConfig(theta=0.5, max_iters=20))
     finally:
-        dmod.heuristic_radius = orig
+        dmod._radii = orig
     assert calls
     for c, verts, r in calls:
         s = sum(
