@@ -41,7 +41,11 @@ free coordinates of the rows, and elimination clears a ball's rows in
 Each iteration rebuilds the triangulation and the diagram once; the
 auxiliary triangulations are computed on first use and kept on the diagram,
 and the update proposals are computed once and shared by the elimination
-bookkeeping and ``relax_step``.
+bookkeeping and ``relax_step``.  Every rebuild goes through ``_rebuild``
+and warm-starts ``build_regular`` from a table the loop already has: the
+previous iteration's, or for a Gauss-Newton trial the table of the point it
+steps from.  A start the triangulation's certificate refuses is rebuilt from
+qhull and counted in ``OptimizerState.rebuild_fallbacks``.
 There is one optimizer.  The update is the heuristic area-weighted center /
 least-squares radius proposal, relaxed by ``theta``; once that relaxation
 plateaus, a damped Gauss-Newton step on the dual-vertex power residuals
@@ -62,6 +66,7 @@ import numpy as np
 from . import geom
 from .diagram import PowerDiagram, clip_cell, default_merge_eps, extract_diagram
 from .errors import (
+    CollinearPoints,
     DegenerateCell,
     DegenerateScene,
     Diverged,
@@ -157,6 +162,8 @@ class OptimizerState:
     gn_fallbacks: int = 0
     # degenerate cells skipped by F_I and the proposals, summed over the iterations
     degenerate_cells: int = 0
+    # rebuilds whose start table build_regular refused, rebuilding from qhull
+    rebuild_fallbacks: int = 0
 
 
 def _incircle(ax, ay, bx, by, cx, cy, dx, dy):
@@ -261,7 +268,11 @@ def aux_triangulate_cell(pts: list[Point2], ball: int) -> list[AuxTriangle]:
         area = geom.triangle_area(*tri)
         if abs(area) <= 1e-14 * span * span:
             continue
-        out.append(AuxTriangle(tri, geom.circumcenter(*tri), abs(area)))
+        try:
+            center = geom.circumcenter(*tri)
+        except CollinearPoints as e:  # the batched stage's ``ok`` refuses it too
+            raise DegenerateCell(f"cell of ball {ball} has an ill-conditioned triangle") from e
+        out.append(AuxTriangle(tri, center, abs(area)))
     if not out:
         raise DegenerateCell(f"cell of ball {ball} is degenerate")
     return out
@@ -449,8 +460,15 @@ def bbox_diag(balls) -> float:
     return geom.bbox_diag([b.center for b in balls if b.alive])
 
 
-def _rebuild(balls, merge_eps=None):
-    t = build_regular(balls)
+def _rebuild(balls, merge_eps=None, start=None, state=None):
+    """The triangulation and diagram of ``balls``, the triangulation warm-started from ``start``.
+
+    A ``start`` that ``build_regular`` refuses is counted in
+    ``state.rebuild_fallbacks``.
+    """
+    t = build_regular(balls, start=start)
+    if start is not None and not t.warm and state is not None:
+        state.rebuild_fallbacks += 1
     return t, extract_diagram(t, balls, merge_eps)
 
 
@@ -631,14 +649,16 @@ def _damped_steps(J, r, lam):
         lam *= 100.0
 
 
-def _gauss_newton_step(x, free, as_balls, triangulation, diagram, merge_eps):
+def _gauss_newton_step(x, free, as_balls, triangulation, diagram, merge_eps, state=None):
     """Damped Gauss-Newton step driving all active tau(v_k) to zero.
 
     The m x n Jacobian ``J`` of the m active residuals in the n free
     coordinates is factored once per step as ``J^T = Q R``, so
     ``J = R^T Q^T`` and every damping level is a least-squares solve in
     min(m, n) unknowns (``_damped_steps``).
-    ``as_balls`` turns coordinate rows into the ball list to rebuild.
+    ``as_balls`` turns coordinate rows into the ball list to rebuild; each
+    trial rebuild starts from ``triangulation`` and counts a refused start
+    in ``state``.  A trial whose rows are not finite counts as failed.
     Returns (new rows, moved, (triangulation, diagram) of the new rows), or
     (x, 0, None) when no damping level helps.
     """
@@ -657,8 +677,11 @@ def _gauss_newton_step(x, free, as_balls, triangulation, diagram, merge_eps):
             trial.ravel()[cols] += alpha * dx
             radii = trial[:, 2]
             radii[free[:, 2] & ~(radii > 0.0)] = 0.0  # max(0, R) on the free radii
+            if not np.isfinite(trial).all():
+                alpha *= 0.5
+                continue
             try:
-                t2, d2 = _rebuild(as_balls(trial), merge_eps)
+                t2, d2 = _rebuild(as_balls(trial), merge_eps, triangulation, state)
             except (TooFewBalls, AllCollinear):
                 alpha *= 0.5
                 continue
@@ -696,16 +719,21 @@ def run(
     polish = False  # the relaxation has plateaued; Gauss-Newton leads
     eliminated_total = 0
     built = None  # (triangulation, diagram) of ``x`` if a GN step built it
+    tri = None  # the previous iteration's triangulation, the next rebuild's start
 
     for it in range(config.max_iters + 1):
+        if not np.isfinite(x).all():
+            raise Diverged(f"a ball coordinate is no longer finite at iteration {it}")
         balls = as_balls(x)
         try:
-            tri, diagram = built or _rebuild(balls, merge_eps)
+            tri, diagram = built or _rebuild(balls, merge_eps, tri, state)
         except (TooFewBalls, AllCollinear) as e:
             if it == 0:
                 raise  # the input scene itself is unusable
             raise DegenerateScene(str(e)) from e
         fi = evaluate_FI(balls, diagram)
+        if not math.isfinite(fi):
+            raise Diverged(f"F_I is {fi} at iteration {it}")
         state.degenerate_cells += len(diagram.aux.degenerate)
         max_tau = diagram.max_abs_tau()
         state.balls = balls
@@ -763,7 +791,9 @@ def run(
             # Gauss-Newton on the dual-vertex power residuals; their zero
             # set coincides with F_I = 0 and the local convergence is
             # quadratic where the relaxation rate approaches 1
-            x_new, moved, built = _gauss_newton_step(x, free, as_balls, tri, diagram, merge_eps)
+            x_new, moved, built = _gauss_newton_step(
+                x, free, as_balls, tri, diagram, merge_eps, state
+            )
             state.gn_fallbacks += int(moved == 0)
         if moved == 0:
             x_new = relax_step(x, free, proposals, config.theta)

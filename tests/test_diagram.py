@@ -229,6 +229,25 @@ def test_delaunay_limit_check_on_lattice():
     assert delaunay_limit_violations(t, d, balls, 1e-9) == []
 
 
+def test_delaunay_limit_check_margin_on_lattice():
+    # the lattice of test_delaunay_limit_check_on_lattice, checked against a
+    # ball list in which ball (3, 1) sits inside the circle of ball (1, 1)'s
+    # cell (center (1, 1), radius sqrt(2) / 2), which it does not touch: by
+    # twice the margin it is flagged, by half the margin it is not
+    balls = [
+        Ball((float(i), float(j)), math.sqrt(2.0) / 2.0)
+        for i in range(4)
+        for j in range(4)
+    ]
+    t, d = build_both(balls)
+    cell, moved = 4 * 1 + 1, 4 * 3 + 1
+    margin = 1e-6 * geom.bbox_diag([b.center for b in balls])
+    for depth, flagged in ((2.0, {(cell, moved)}), (0.5, set())):
+        probe = list(balls)
+        probe[moved] = Ball((1.0 + math.sqrt(2.0) / 2.0 - depth * margin, 1.0), balls[moved].radius)
+        assert set(delaunay_limit_violations(t, d, probe, margin)) == flagged
+
+
 def test_delaunay_limit_check_flags_generic_diagram():
     # a generic power diagram is far from a Delaunay partition, so circles
     # through consecutive cell vertices do swallow non-incident centers

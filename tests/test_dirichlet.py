@@ -27,7 +27,7 @@ from radmesh.dirichlet import (
     run,
     write_history_csv,
 )
-from radmesh.errors import DegenerateCell, TooFewBalls, UnboundedCell
+from radmesh.errors import DegenerateCell, DegenerateScene, Diverged, TooFewBalls, UnboundedCell
 from radmesh.geom import Ball, circumcenter, orthocenters
 from radmesh.triangulation import build_regular
 
@@ -329,6 +329,21 @@ def test_collapsed_cell_is_recorded_not_triangulated():
         aux_triangulate_cell(d.points(1), 1)
 
 
+def test_ill_conditioned_aux_triangle_is_a_degenerate_cell():
+    # five vertices within 2e-13 of the x axis: a triangle of the cell clears
+    # the area guard but not circumcenter's conditioning guard, so the whole
+    # cell is degenerate, as the batched stage's ``ok`` mask would have it
+    pts = [
+        (0.5168811759658247, 1.8234773016134711e-13),
+        (0.6569395453324917, 1.6457040976843183e-13),
+        (0.7748685781334842, 1.2738545726879594e-13),
+        (0.7874703499468639, 1.2221075406083667e-13),
+        (0.36493916872495114, 1.6923550904184794e-13),
+    ]
+    with pytest.raises(DegenerateCell, match="ill-conditioned"):
+        aux_triangulate_cell(pts, 7)
+
+
 def test_heuristic_center_examples():
     from radmesh.dirichlet import AuxTriangle
 
@@ -594,7 +609,7 @@ def test_gauss_newton_step_factors_once_per_step():
         calls["lstsq"] += 1
         return orig_lstsq(*args, **kwargs)
 
-    def failing_rebuild(balls, merge_eps=None):
+    def failing_rebuild(balls, merge_eps=None, start=None, state=None):
         raise TooFewBalls("every trial fails")
 
     np.linalg.qr, np.linalg.lstsq = qr, lstsq
@@ -791,6 +806,58 @@ def test_run_counts_degenerate_cells():
         on_iteration=lambda s: seen.append(len(s.diagram.aux.degenerate)),
     )
     assert state.degenerate_cells == sum(seen) > 0
+
+
+# the radii overflow on their way to infinity; those warnings are the
+# divergence this test is about
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_run_stops_diverging_fixed_center_grid():
+    # every center fixed, the radii free: the radii run off within a few
+    # iterations (0.71 -> 633 -> 6.1e7 -> 1.1e18), cells turn ill-conditioned
+    # and F_I overflows; the run must stop with a domain error, not with the
+    # CollinearPoints of an ill-conditioned aux triangle
+    balls = [Ball(b.center, b.radius, fix_center=True) for b in jittered_grid(philox(40), 4)]
+    with pytest.raises((Diverged, DegenerateScene)):
+        run(balls, OptimizerConfig(max_iters=40))
+
+
+def test_run_warm_starts_every_rebuild():
+    # every rebuild of a benchmark run, the Gauss-Newton trials included,
+    # starts from the previous table; accepted or refused, it equals the
+    # fresh build, and rebuild_fallbacks counts exactly the refused starts
+    import radmesh.dirichlet as dmod
+    from test_diagram import benchmark_inputs
+    from test_triangulation import assert_same_table
+
+    from radmesh.triangulation import verify_hull, verify_regular
+
+    for name in ("square-hybrid", "mask-plateau"):
+        balls, max_iters = benchmark_inputs(name)
+        orig = dmod.build_regular
+        seen = []
+
+        def spy(balls, start=None):
+            t = orig(balls, start=start)
+            assert_same_table(t, orig(balls))
+            seen.append((start is not None, t.warm))
+            return t
+
+        diag = bbox_diag(balls)
+        cfg = OptimizerConfig(theta=0.5, max_iters=max_iters, tau_tol=1e-8 * diag * diag)
+        dmod.build_regular = spy
+        try:
+            state = run(balls, cfg)
+        finally:
+            dmod.build_regular = orig
+        assert seen[0] == (False, False)  # the first build has no start
+        assert all(started for started, _ in seen[1:])
+        refused = sum(started and not warm for started, warm in seen)
+        assert state.rebuild_fallbacks == refused
+        assert 0 < refused < len(seen) / 2
+        final = build_regular(state.balls)
+        assert verify_hull(final, state.balls) == []
+        if name == "mask-plateau":  # the brute-force oracle takes 6 s at 441 balls
+            assert verify_regular(final, state.balls) == []
 
 
 def test_write_history_csv(tmp_path):
