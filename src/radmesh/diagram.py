@@ -28,7 +28,7 @@ import numpy as np
 
 from . import geom
 from .errors import CollinearPoints, RadmeshError
-from .geom import Ball, Point2, paraboloid
+from .geom import Ball, BallArrays, Point2, paraboloid
 from .triangulation import RegularTriangulation
 
 
@@ -49,7 +49,7 @@ class PowerDiagram:
     offsets: np.ndarray  # (N + 1,) cell ranges into cell_vertices
     cell_vertices: np.ndarray  # dual vertex ids, cell after cell
     bounded: np.ndarray  # (N,) the ball owns a bounded cell
-    free: np.ndarray  # (N,) the ball has at least one free degree of freedom
+    free: np.ndarray  # (N,) the ball is alive and has at least one free coordinate
     rays: np.ndarray  # (N, 2, 2) outward rays (start, end) of unbounded cells
     domain: list[Point2] | None = None
     # the auxiliary triangulations of the usable cells (a dirichlet.AuxMesh),
@@ -107,12 +107,18 @@ def _in_convex(p: np.ndarray, domain: list[Point2], tol: float) -> np.ndarray:
     return ~outside
 
 
+def bbox_diag(balls) -> float:
+    """Bounding-box diagonal of the alive ball centers."""
+    x, _, alive = geom.ball_arrays(balls)
+    return geom.bbox_diag(x[alive, :2].tolist())
+
+
 def default_merge_eps(balls) -> float:
     """1e-9 times the bounding-box diagonal of the alive ball centers."""
-    return 1e-9 * geom.bbox_diag([b.center for b in balls if b.alive])
+    return 1e-9 * bbox_diag(balls)
 
 
-def _merge_orthocenters(t: RegularTriangulation, balls, merge_eps):
+def _merge_orthocenters(t: RegularTriangulation, x, merge_eps):
     """Dual vertices: components of adjacent triangles with coincident orthocenters.
 
     Each vertex sits at the area-weighted mean of its triangles' orthocenters
@@ -125,8 +131,7 @@ def _merge_orthocenters(t: RegularTriangulation, balls, merge_eps):
     close = np.hypot(d[:, 0], d[:, 1]) <= merge_eps
     labels = geom.components(len(t.tris), f[close], nb[close])
 
-    c = np.array([b.center for b in balls], dtype=float)
-    w = np.abs(geom.triangle_area(*(c[t.tris[:, m]].T for m in range(3))))
+    w = np.abs(geom.triangle_area(*(x[t.tris[:, m], :2].T for m in range(3))))
     n = int(labels.max(initial=-1)) + 1
     w = np.where(np.bincount(labels, w, n)[labels] > 0, w, 1.0)  # no area: plain mean
     wsum = np.bincount(labels, w, n)
@@ -151,16 +156,16 @@ def _chain_ends(succ: np.ndarray, longest: int) -> tuple[np.ndarray, np.ndarray]
     return last, togo
 
 
-def _outward_ray(balls, ball: int, other: int, third: int) -> Point2:
+def _outward_ray(rows, ball: int, other: int, third: int) -> Point2:
     """Unit direction of the unbounded dual edge across hull edge (ball, other).
 
-    ``third`` is the third ball of the triangle on that edge.
+    ``third`` is the third ball of the triangle on that edge, all rows of ``rows``.
     """
-    ci, cj = balls[ball].center, balls[other].center
+    ci, cj = rows[ball], rows[other]
     dx, dy = cj[0] - ci[0], cj[1] - ci[1]
     nrm = math.hypot(dx, dy)
     n = (dy / nrm, -dx / nrm)
-    ck = balls[third].center
+    ck = rows[third]
     mid = ((ci[0] + cj[0]) / 2, (ci[1] + cj[1]) / 2)
     if n[0] * (ck[0] - mid[0]) + n[1] * (ck[1] - mid[1]) > 0:
         n = (-n[0], -n[1])
@@ -169,22 +174,24 @@ def _outward_ray(balls, ball: int, other: int, third: int) -> Point2:
 
 def extract_diagram(
     t: RegularTriangulation,
-    balls: list[Ball],
+    balls: list[Ball] | BallArrays,
     merge_eps: float | None = None,
     domain: list[Point2] | None = None,
 ) -> PowerDiagram:
     """Extract the radical partition dual to a regular triangulation.
 
+    ``balls`` is the ``Ball`` list of ``t`` or its ``geom.ball_arrays``.
     Corner ``3 f + k`` of the table is ball ``t.tris[f, k]`` in triangle
     ``f``.  A ball's cell follows its corners counterclockwise, from its
     corner on a hull edge if it has one (an unbounded cell), else from the
     corner after its first one in table order.
     """
+    x, free, _ = balls = geom.ball_arrays(balls)
     if merge_eps is None:
         merge_eps = default_merge_eps(balls)
-    vertices, tau, vertex_of = _merge_orthocenters(t, balls, merge_eps)
+    vertices, tau, vertex_of = _merge_orthocenters(t, x, merge_eps)
 
-    n = len(balls)
+    n = len(x)
     corner_ball = t.tris.ravel()
     # the same ball's corner in the next triangle counterclockwise, -1 past the
     # hull: the twin g of the half-edge into the ball starts at the corner after g's
@@ -231,12 +238,12 @@ def extract_diagram(
     ends = np.stack([start[unbounded], last[start[unbounded]]], axis=1)
     f, k = ends // 3, ends % 3
     others = np.stack([t.tris[f, (k - 2) % 3], t.tris[f, (k - 1) % 3]], axis=2).tolist()
+    rows = x.tolist()
     for i, (a, b) in zip(owners[unbounded].tolist(), others):
-        rays[i, 0] = _outward_ray(balls, i, a[0], a[1])
-        rays[i, 1] = _outward_ray(balls, i, b[1], b[0])
+        rays[i, 0] = _outward_ray(rows, i, a[0], a[1])
+        rays[i, 1] = _outward_ray(rows, i, b[1], b[0])
     offsets = np.concatenate([[0], np.cumsum(counts)])
-    free = np.array([not b.fully_fixed for b in balls], dtype=bool)
-    return PowerDiagram(vertices, tau, vertex_of, offsets, ids, bounded, free, rays, domain)
+    return PowerDiagram(vertices, tau, vertex_of, offsets, ids, bounded, free.any(axis=1), rays, domain)
 
 
 def dual_height(position: Point2, tau: float) -> float:
@@ -258,9 +265,9 @@ def delaunay_limit_violations(
     of the partition, so their centers are exempt.  Returns violating
     (cell ball, other ball) pairs.
     """
+    x, _, alive = geom.ball_arrays(balls)
+    alive = alive & diagram.has_cell
     out = []
-    centers = np.array([b.center for b in balls], dtype=float).reshape(-1, 2)
-    alive = np.array([b.alive for b in balls], dtype=bool) & diagram.has_cell
     positions, ids, offsets = diagram._rows
     cells = diagram.bounded & diagram.free & (np.diff(diagram.offsets) >= 3)
     for i in np.flatnonzero(cells).tolist():
@@ -279,7 +286,7 @@ def delaunay_limit_violations(
             except CollinearPoints:
                 continue
             rad = math.hypot(triple[0][0] - cc[0], triple[0][1] - cc[1])
-            dc = centers[others] - cc
+            dc = x[others, :2] - cc
             inside = others[np.hypot(dc[:, 0], dc[:, 1]) < rad - margin]
             out += [(i, j) for j in inside.tolist()]
     return out

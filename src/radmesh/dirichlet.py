@@ -29,14 +29,14 @@ and the proposals are reductions over the triangle arrays: the proposals
 are one array of target rows, whose radii are one column-by-column sum
 over the cells' CSR vertices (``_radii``).
 
-``run`` keeps the ball set as one ``(N, 3)`` array of ``[cx, cy, R]`` rows,
-a ``free`` mask of the same shape (alive and not fixed, per coordinate)
-and an ``alive`` vector; ``Ball`` lists, with Python floats for the exact
-predicates, are built from the rows only for the triangulation, the
-proposals, the callback and the result.  The three operations on the set
-all go through the mask: relaxation and the Gauss-Newton step write the
-free coordinates of the rows, and elimination clears a ball's rows in
-``alive`` and ``free``.
+``run`` keeps the ball set as a ``geom.BallArrays``: one ``(N, 3)`` array
+of ``[cx, cy, R]`` rows, a ``free`` mask of the same shape (alive and not
+fixed, per coordinate) and an ``alive`` vector.  It hands that triple to
+the triangulation, the diagram, ``evaluate_FI`` and the proposals as it
+is; ``Ball`` objects are built only when ``OptimizerState.balls`` is read.
+The three operations on the set all go through the mask: relaxation and
+the Gauss-Newton step write the free coordinates of the rows, and
+elimination clears a ball's rows in ``alive`` and ``free``.
 
 Each iteration rebuilds the triangulation and the diagram once; the
 auxiliary triangulations are computed on first use and kept on the diagram,
@@ -55,7 +55,6 @@ is a rebuild-based finite-difference oracle for tests; the loop never uses it.
 
 from __future__ import annotations
 
-import copy
 import functools
 import itertools
 import math
@@ -64,7 +63,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geom
-from .diagram import PowerDiagram, clip_cell, default_merge_eps, extract_diagram
+from .diagram import PowerDiagram, bbox_diag, clip_cell, default_merge_eps, extract_diagram
 from .errors import (
     CollinearPoints,
     DegenerateCell,
@@ -76,7 +75,7 @@ from .errors import (
     UnboundedCell,
     ZeroArea,
 )
-from .geom import Ball, Point2
+from .geom import Ball, BallArrays, Point2
 from .triangulation import build_regular, lawson_flip
 
 
@@ -151,11 +150,13 @@ class HistoryRecord:
 
 @dataclass
 class OptimizerState:
-    balls: list[Ball]
-    diagram: PowerDiagram
-    fi: float
-    max_abs_tau: float
-    iteration: int
+    x: np.ndarray  # (N, 3) [cx, cy, R] rows of the iterate ``diagram`` is of
+    alive: np.ndarray  # (N,) its alive balls
+    flags: list[tuple[bool, bool]]  # per ball, (fix_center, fix_radius)
+    diagram: PowerDiagram | None = None
+    fi: float = math.inf
+    max_abs_tau: float = math.inf
+    iteration: int = 0
     history: list[HistoryRecord] = field(default_factory=list)
     converged: bool = False
     # Gauss-Newton steps that found no damping level and fell back to relaxation
@@ -164,6 +165,14 @@ class OptimizerState:
     degenerate_cells: int = 0
     # rebuilds whose start table build_regular refused, rebuilding from qhull
     rebuild_fallbacks: int = 0
+
+    @property
+    def balls(self) -> list[Ball]:
+        """The iterate as validated ``Ball`` objects, built from the rows on each read."""
+        return [
+            Ball((cx, cy), r, fc, fr, a)
+            for (cx, cy, r), (fc, fr), a in zip(self.x.tolist(), self.flags, self.alive.tolist())
+        ]
 
 
 def _incircle(ax, ay, bx, by, cx, cy, dx, dy):
@@ -448,16 +457,12 @@ def _cell_aux(diagram: PowerDiagram) -> AuxMesh:
     return diagram.aux
 
 
-def evaluate_FI(balls: list[Ball], diagram: PowerDiagram) -> float:
+def evaluate_FI(balls: list[Ball] | BallArrays, diagram: PowerDiagram) -> float:
     """Dirichlet functional: ``cell_fi`` summed over the bounded cells of free balls."""
+    x, _, _ = geom.ball_arrays(balls)
     aux = _cell_aux(diagram)
-    d = np.array([b.center for b in balls]).reshape(-1, 2)[aux.ball] - aux.circumcenter
+    d = x[aux.ball, :2] - aux.circumcenter
     return 0.5 * float(((d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) * aux.area).sum())
-
-
-def bbox_diag(balls) -> float:
-    """Bounding-box diagonal of the alive ball centers."""
-    return geom.bbox_diag([b.center for b in balls if b.alive])
 
 
 def _rebuild(balls, merge_eps=None, start=None, state=None):
@@ -489,7 +494,7 @@ def _radii(diagram: PowerDiagram, ids: np.ndarray, centers: np.ndarray) -> np.nd
     return np.sqrt(np.cumsum(sq, axis=1)[:, -1] / m)
 
 
-def _proposals(balls, diagram):
+def _proposals(balls: BallArrays, diagram):
     """Jacobi-style update targets: the proposed balls and their ``[cx, cy, R]`` rows.
 
     Returns the ascending ball indices and one target row each.  The
@@ -499,32 +504,18 @@ def _proposals(balls, diagram):
     radius is ``heuristic_radius`` about the new center, for all balls at
     once (``_radii``).
     """
+    x, free, _ = balls
     aux = _cell_aux(diagram)
     cells = np.unique(aux.ball)
     area = np.bincount(aux.ball, aux.area)[cells]
     cx = np.bincount(aux.ball, aux.circumcenter[:, 0] * aux.area)[cells] / area
     cy = np.bincount(aux.ball, aux.circumcenter[:, 1] * aux.area)[cells] / area
-    hull = [
-        i
-        for i in np.flatnonzero(diagram.has_cell & ~diagram.bounded).tolist()
-        if balls[i].alive and balls[i].fix_center and not balls[i].fix_radius
-    ]
-    ids = np.union1d(cells, hull).astype(int)
+    hull = np.flatnonzero(diagram.has_cell & ~diagram.bounded & ~free[:, 0] & free[:, 2])
+    ids = np.union1d(cells, hull)
     centers = np.empty((len(ids), 2))
     centers[np.searchsorted(ids, cells)] = np.stack([cx, cy], axis=1)
-    centers[np.searchsorted(ids, hull)] = np.array([balls[i].center for i in hull]).reshape(-1, 2)
+    centers[np.searchsorted(ids, hull)] = x[hull, :2]
     return ids, np.column_stack([centers, _radii(diagram, ids, centers)])
-
-
-def _coords(balls):
-    """``[cx, cy, R]`` rows, the free mask and the alive vector of ``balls``.
-
-    A coordinate is free when its ball is alive and does not fix it.
-    """
-    x = np.array([(b.center[0], b.center[1], b.radius) for b in balls], dtype=float)
-    alive = np.array([b.alive for b in balls], dtype=bool)
-    fixed = np.array([(b.fix_center, b.fix_center, b.fix_radius) for b in balls], dtype=bool)
-    return x, alive[:, None] & ~fixed, alive
 
 
 def relax_step(x, free, proposals, theta: float):
@@ -556,39 +547,26 @@ def fd_gradient(balls: list[Ball], diagram: PowerDiagram, h: float, on_flip="rai
         raise ValueError("fd step must be > 0")
     if on_flip not in ("raise", "ignore"):
         raise ValueError("on_flip must be 'raise' or 'ignore'")
-    base_t = build_regular(balls)
-    base_edges = base_t.edge_set()
+    x, free, alive = geom.ball_arrays(balls)
+    base_edges = build_regular(balls).edge_set()
 
-    def probe(i, attr, delta):
-        probed = [copy.copy(b) for b in balls]
-        b = probed[i]
-        if attr == "x":
-            b.center = (b.center[0] + delta, b.center[1])
-        elif attr == "y":
-            b.center = (b.center[0], b.center[1] + delta)
-        else:
-            b.radius = b.radius + delta
+    def probe(k, delta):
+        probed = BallArrays(x.copy(), free, alive)
+        probed.x.flat[k] += delta
         t, d = _rebuild(probed)
         if on_flip == "raise" and t.edge_set() != base_edges:
             raise TopologyFlip(
-                f"triangulation changed while probing ball {i} ({attr}{delta:+g})"
+                f"triangulation changed while probing ball {k // 3} ({'xyr'[k % 3]}{delta:+g})"
             )
         return evaluate_FI(probed, d)
 
-    grads = []
-    for i, b in enumerate(balls):
-        gx = gy = gr = 0.0
-        if b.alive and not b.fix_center:
-            gx = (probe(i, "x", h) - probe(i, "x", -h)) / (2 * h)
-            gy = (probe(i, "y", h) - probe(i, "y", -h)) / (2 * h)
-        if b.alive and not b.fix_radius:
-            if b.radius >= h:
-                gr = (probe(i, "r", h) - probe(i, "r", -h)) / (2 * h)
-            else:
-                f0 = evaluate_FI(balls, diagram)
-                gr = (probe(i, "r", h) - f0) / h
-        grads.append((gx, gy, gr))
-    return grads
+    grads = np.zeros(x.shape)
+    for k in np.flatnonzero(free).tolist():
+        if k % 3 < 2 or x.flat[k] >= h:
+            grads.flat[k] = (probe(k, h) - probe(k, -h)) / (2 * h)
+        else:  # a radius below h: one-sided, so it stays >= 0
+            grads.flat[k] = (probe(k, h) - evaluate_FI(balls, diagram)) / h
+    return [tuple(g) for g in grads.tolist()]
 
 
 def _tau_system(x, free, triangulation, active):
@@ -649,16 +627,16 @@ def _damped_steps(J, r, lam):
         lam *= 100.0
 
 
-def _gauss_newton_step(x, free, as_balls, triangulation, diagram, merge_eps, state=None):
+def _gauss_newton_step(x, free, alive, triangulation, diagram, merge_eps, state=None):
     """Damped Gauss-Newton step driving all active tau(v_k) to zero.
 
     The m x n Jacobian ``J`` of the m active residuals in the n free
     coordinates is factored once per step as ``J^T = Q R``, so
     ``J = R^T Q^T`` and every damping level is a least-squares solve in
     min(m, n) unknowns (``_damped_steps``).
-    ``as_balls`` turns coordinate rows into the ball list to rebuild; each
-    trial rebuild starts from ``triangulation`` and counts a refused start
-    in ``state``.  A trial whose rows are not finite counts as failed.
+    Each trial rebuilds the rows with the masks ``free`` and ``alive``,
+    starts from ``triangulation`` and counts a refused start in ``state``.
+    A trial whose rows are not finite counts as failed.
     Returns (new rows, moved, (triangulation, diagram) of the new rows), or
     (x, 0, None) when no damping level helps.
     """
@@ -681,7 +659,7 @@ def _gauss_newton_step(x, free, as_balls, triangulation, diagram, merge_eps, sta
                 alpha *= 0.5
                 continue
             try:
-                t2, d2 = _rebuild(as_balls(trial), merge_eps, triangulation, state)
+                t2, d2 = _rebuild(BallArrays(trial, free, alive), merge_eps, triangulation, state)
             except (TooFewBalls, AllCollinear):
                 alpha *= 0.5
                 continue
@@ -702,19 +680,12 @@ def run(
 
     ``on_iteration`` is called with the state after each diagram rebuild.
     """
-    x, free, alive = _coords(initial_balls)
-
-    def as_balls(rows):
-        return [
-            Ball((cx, cy), r, b.fix_center, b.fix_radius, a)
-            for (cx, cy, r), a, b in zip(rows.tolist(), alive.tolist(), initial_balls)
-        ]
-
+    x, free, alive = geom.ball_arrays(initial_balls)
     scale = bbox_diag(initial_balls)
     tau_tol = config.tau_tol if config.tau_tol is not None else 1e-10 * scale * scale
     merge_eps = default_merge_eps(initial_balls)
 
-    state = OptimizerState([], None, math.inf, math.inf, 0)
+    state = OptimizerState(x, alive, [(b.fix_center, b.fix_radius) for b in initial_balls])
     skip_count = np.zeros(len(x), dtype=int)
     polish = False  # the relaxation has plateaued; Gauss-Newton leads
     eliminated_total = 0
@@ -724,7 +695,7 @@ def run(
     for it in range(config.max_iters + 1):
         if not np.isfinite(x).all():
             raise Diverged(f"a ball coordinate is no longer finite at iteration {it}")
-        balls = as_balls(x)
+        balls = BallArrays(x, free, alive)
         try:
             tri, diagram = built or _rebuild(balls, merge_eps, tri, state)
         except (TooFewBalls, AllCollinear) as e:
@@ -736,7 +707,7 @@ def run(
             raise Diverged(f"F_I is {fi} at iteration {it}")
         state.degenerate_cells += len(diagram.aux.degenerate)
         max_tau = diagram.max_abs_tau()
-        state.balls = balls
+        state.x, state.alive = x, alive
         state.diagram = diagram
         state.fi = fi
         state.max_abs_tau = max_tau
@@ -779,9 +750,10 @@ def run(
         skipped[proposals[0]] = False
         skip_count = np.where(skipped, skip_count + 1, 0)
         if config.eliminate_redundant:
+            # new arrays, so the state keeps the masks its diagram is of
             gone = skip_count >= 3
-            alive[gone] = False
-            free[gone] = False
+            alive = alive & ~gone
+            free = free & ~gone[:, None]
             eliminated_total += int(gone.sum())
 
         moved = 0
@@ -792,7 +764,7 @@ def run(
             # set coincides with F_I = 0 and the local convergence is
             # quadratic where the relaxation rate approaches 1
             x_new, moved, built = _gauss_newton_step(
-                x, free, as_balls, tri, diagram, merge_eps, state
+                x, free, alive, tri, diagram, merge_eps, state
             )
             state.gn_fallbacks += int(moved == 0)
         if moved == 0:

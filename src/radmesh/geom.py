@@ -11,6 +11,9 @@ the one orthocenter kernel: the regular triangulation runs it on all its
 triangles, ``orthocenter`` on one.  ``bbox_diag`` is the one scale measure,
 and ``components`` the one connected-components (union-find) helper.
 
+``ball_arrays`` converts a ``Ball`` list, the API form of a ball set, to
+the ``[cx, cy, R]`` rows and masks the package works on.
+
 All functions here are pure; they can be called from any thread.
 """
 
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,38 +112,36 @@ def _orient2d_exact(a: Point2, b: Point2, c: Point2) -> int:
     return (det > 0) - (det < 0)
 
 
-def power_test(b1: Ball, b2: Ball, b3: Ball, b4: Ball) -> int:
-    """Regularity test of ball b4 against the triangle (b1, b2, b3).
+def power_test(p1, p2, p3, p4) -> int:
+    """Regularity test of ball p4 against the triangle (p1, p2, p3), each an ``(x, y, R)`` row.
 
     Returns the sign of tau_4(v) - tau_1(v) at the orthocenter v of the
-    first three balls: +1 when b4 does not violate regularity of the
+    first three balls: +1 when p4 does not violate regularity of the
     triangle, -1 when it does, 0 for an exact tie.  Exact decision,
     implemented as the 3D orientation of the four lifted points.
     """
-    orient = orient2d(b1.center, b2.center, b3.center)
+    orient = orient2d(p1, p2, p3)
     if orient == 0:
         raise CollinearCenters("power_test requires non-collinear centers")
-    det, errbound = power_test_filter(
-        b1.center, b1.radius, b2.center, b2.radius, b3.center, b3.radius, b4.center, b4.radius
-    )
+    det, errbound = power_test_filter(p1, p2, p3, p4)
     if abs(det) > errbound:
         sign = 1 if det > 0 else -1
     else:
-        sign = _power_test_exact(b1, b2, b3, b4)
-    # det > 0 <=> b4 lifted below the face plane (in-circle for equal radii)
+        sign = _power_test_exact(p1, p2, p3, p4)
+    # det > 0 <=> p4 lifted below the face plane (in-circle for equal radii)
     return -sign * orient
 
 
-def power_test_filter(c1, r1, c2, r2, c3, r3, c4, r4):
+def power_test_filter(p1, p2, p3, p4):
     """``power_test``'s float ``(det, errbound)``: where ``abs(det) > errbound``, its sign is exact.
 
-    det is the weighted in-circle determinant of balls 1-3 relative to ball 4.  Ball k has
-    center ``ck`` and radius ``rk``: floats, or equal-shape arrays (a center as a pair of them).
+    det is the weighted in-circle determinant of balls 1-3 relative to ball 4.  Ball k is the
+    ``(x, y, R)`` row ``pk``: floats, or equal-shape arrays for one determinant per element.
     """
-    r4sq = r4 * r4
+    r4sq = p4[2] * p4[2]
     rows = []
-    for c, r in ((c1, r1), (c2, r2), (c3, r3)):
-        ax, ay = c[0] - c4[0], c[1] - c4[1]
+    for p in (p1, p2, p3):
+        ax, ay, r = p[0] - p4[0], p[1] - p4[1], p[2]
         rows.append((ax, ay, ax * ax + ay * ay - r * r + r4sq, ax * ax + ay * ay + r * r + r4sq))
     (a1, b1y, z1, m1), (a2, b2y, z2, m2), (a3, b3y, z3, m3) = rows
     c12 = a1 * b2y - a2 * b1y
@@ -154,11 +156,8 @@ def power_test_filter(c1, r1, c2, r2, c3, r3, c4, r4):
     return det, _POWER_BOUND * mag
 
 
-def _power_test_exact(b1: Ball, b2: Ball, b3: Ball, b4: Ball) -> int:
-    vals = []
-    for b in (b1, b2, b3, b4):
-        vals += [b.center[0], b.center[1], b.radius]
-    x1, y1, r1, x2, y2, r2, x3, y3, r3, x4, y4, r4 = _exact_ints(vals)
+def _power_test_exact(p1, p2, p3, p4) -> int:
+    x1, y1, r1, x2, y2, r2, x3, y3, r3, x4, y4, r4 = _exact_ints([*p1, *p2, *p3, *p4])
     r4sq = r4 * r4
     rows = []
     for x, y, r in ((x1, y1, r1), (x2, y2, r2), (x3, y3, r3)):
@@ -168,6 +167,26 @@ def _power_test_exact(b1: Ball, b2: Ball, b3: Ball, b4: Ball) -> int:
     (a1, b1y, z1), (a2, b2y, z2), (a3, b3y, z3) = rows
     det = z1 * (a2 * b3y - a3 * b2y) + z2 * (a3 * b1y - a1 * b3y) + z3 * (a1 * b2y - a2 * b1y)
     return (det > 0) - (det < 0)
+
+
+class BallArrays(NamedTuple):
+    """A ball set as arrays: the one form inside the triangulation, diagram and functional."""
+
+    x: np.ndarray  # (N, 3) [cx, cy, R] rows
+    free: np.ndarray  # (N, 3) per coordinate: the ball is alive and does not fix it
+    alive: np.ndarray  # (N,)
+
+
+def ball_arrays(balls) -> BallArrays:
+    """The ``BallArrays`` of a ``Ball`` list, its floats exactly; a ``BallArrays`` is returned as is."""
+    if isinstance(balls, BallArrays):
+        return balls
+    # one array per attribute: numpy converts lists of scalars or of existing pairs fastest
+    centers = np.array([b.center for b in balls], dtype=float).reshape(-1, 2)
+    x = np.column_stack([centers, [b.radius for b in balls]])
+    alive = np.array([b.alive for b in balls], dtype=bool)
+    fixed = np.array([[b.fix_center for b in balls], [b.fix_radius for b in balls]], dtype=bool)
+    return BallArrays(x, alive[:, None] & ~fixed[[0, 0, 1]].T, alive)
 
 
 def lifted_heights(centers, radii):
@@ -219,9 +238,8 @@ def orthocenter(b1: Ball, b2: Ball, b3: Ball) -> tuple[Point2, float]:
     scale_sq = max(a11 * a11 + a12 * a12, a21 * a21 + a22 * a22)
     if abs(a11 * a22 - a12 * a21) <= CONDITIONING_GUARD * scale_sq:
         raise CollinearCenters("orthocenter: centers are (nearly) collinear")
-    centers = np.array([c1, c2, c3], dtype=float)
-    radii = np.array([b1.radius, b2.radius, b3.radius], dtype=float)
-    vx, vy, tau = orthocenters(centers, radii, [(0, 1, 2)])
+    x = ball_arrays([b1, b2, b3]).x
+    vx, vy, tau = orthocenters(x[:, :2], x[:, 2], [(0, 1, 2)])
     return (float(vx[0]), float(vy[0])), float(tau[0])
 
 

@@ -106,6 +106,7 @@ def recover_spheres(points: list[Point2], cluster_eps: float | None = None) -> l
             sum((pts[k][0] - cx) ** 2 + (pts[k][1] - cy) ** 2 for k in verts)
             / len(verts)
         )
-        balls.append(Ball((cx, cy), r))
+        # cx and cy are numpy scalars; the scalar predicates read Python floats faster
+        balls.append(Ball((float(cx), float(cy)), r))
     balls.sort(key=lambda b: (b.center[0], b.center[1]))
     return balls

@@ -244,15 +244,19 @@ def gen_masked_lattice(
     return Scene(balls, list(domain), OptimizerConfig(), rng_seed=seed)
 
 
-def validate_scene(scene: Scene) -> None:
-    """Domain convexity, flag consistency, and the removal rule."""
-    dom = scene.domain
+def check_domain(dom: list[Point2]) -> None:
+    """Raise ``InconsistentGeometry`` unless ``dom`` is a convex CCW polygon, as clipping needs."""
     if len(dom) < 3:
         raise InconsistentGeometry("domain polygon needs >= 3 vertices")
     n = len(dom)
     for i in range(n):
         if geom.orient2d(dom[i], dom[(i + 1) % n], dom[(i + 2) % n]) < 0:
             raise InconsistentGeometry("domain polygon must be convex and CCW")
+
+
+def validate_scene(scene: Scene) -> None:
+    """Domain convexity, flag consistency, and the removal rule."""
+    check_domain(scene.domain)
     protecting = [b for b in scene.balls if b.alive and b.fix_center]
     for b in scene.balls:
         if not b.alive or b.fix_center:

@@ -29,6 +29,10 @@ triangulations runs it with a float in-circle test.
 Balls whose lifted point lies strictly above the lower envelope own no
 triangle; they are flagged redundant and kept in the ball set.
 
+Inside this module the ball set is the ``(N, 3)`` array ``coords`` of
+``geom.ball_arrays``' ``[cx, cy, R]`` rows; the exact predicates read the
+rows the filters leave open as Python floats (``tolist``).
+
 ``build_regular(balls, start=t)`` warm-starts from ``t``, an earlier table
 of the same ball list with the same alive set (the optimizer's previous
 iteration, or the table a Gauss-Newton trial moves away from): qhull and
@@ -62,7 +66,7 @@ from scipy.spatial import ConvexHull, Delaunay, QhullError
 
 from . import geom
 from .errors import AllCollinear, FlipBudgetExhausted, TooFewBalls
-from .geom import Ball
+from .geom import Ball, BallArrays
 
 
 @dataclass
@@ -86,69 +90,60 @@ class RegularTriangulation:
         return {frozenset(e) for e in self.tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2).tolist()}
 
 
-def _alive_indices(balls) -> list[int]:
-    return [i for i, b in enumerate(balls) if b.alive]
-
-
-def _check_not_collinear(balls, idx):
-    p0 = balls[idx[0]].center
-    p1 = None
-    for i in idx[1:]:
-        if balls[i].center != p0:
-            p1 = balls[i].center
-            break
-    if p1 is None:
+def _check_not_collinear(coords, idx):
+    """Raise ``AllCollinear`` unless the centers of the balls ``idx`` span the plane (exact)."""
+    c = coords[idx, :2]
+    other = np.flatnonzero((c != c[0]).any(axis=1))
+    if not len(other):
         raise AllCollinear("all ball centers coincide")
-    for i in idx:
-        if geom.orient2d(p0, p1, balls[i].center) != 0:
-            return
-    raise AllCollinear("all ball centers are collinear")
+    if not _orient_signs(coords, idx[0], idx[other[0]], idx).any():
+        raise AllCollinear("all ball centers are collinear")
 
 
-def _orient_filter(centers, a, b, c):
+def _orient_filter(coords, a, b, c):
     """``geom.orient2d``'s float filter for the center triples ``(a, b, c)`` at once.
 
-    ``a``, ``b`` and ``c`` are index arrays into the (N, 2) ``centers``
+    ``a``, ``b`` and ``c`` are index arrays into the (N, 3) ``coords`` rows
     that broadcast to one shape, the shape of the result.  Returns the
     signs the filter decides, 0 where it cannot: filters are conservative,
     so every nonzero entry is the exact sign.
     """
-    x, y = centers.T
+    x, y = coords[:, 0], coords[:, 1]
     # gathered per coordinate, so the filter runs on contiguous arrays
     det, errbound = geom.orient2d_filter(*((x[i], y[i]) for i in (a, b, c)))
     return (np.sign(det) * (np.abs(det) > errbound)).astype(int)
 
 
-def _orient_signs(balls, centers, a, b, c):
+def _orient_signs(coords, a, b, c):
     """Exact ``geom.orient2d`` signs of the ball triples ``(a, b, c)``, shaped as ``_orient_filter``'s.
 
     The float filter decides most signs.  Of the rest, a determinant whose
     two products each have an exactly zero factor is exactly zero (a
     repeated point, or three points on one axis-parallel line); only the
-    others go to ``geom.orient2d``.
+    others go to ``geom.orient2d``, on the rows as Python floats.
     """
-    sign = _orient_filter(centers, a, b, c)
+    sign = _orient_filter(coords, a, b, c)
     open_ = np.nonzero(sign == 0)
     if open_[0].size:
         a, b, c = (i[open_] for i in np.broadcast_arrays(a, b, c))
-        x, y = centers.T
+        x, y = coords[:, 0], coords[:, 1]
         ax, ay, bx, by, cx, cy = x[a], y[a], x[b], y[b], x[c], y[c]
         zero = ((bx == ax) | (cy == ay)) & ((by == ay) | (cx == ax))
-        for m in np.flatnonzero(~zero).tolist():
-            sign[tuple(i[m] for i in open_)] = geom.orient2d(
-                balls[a[m]].center, balls[b[m]].center, balls[c[m]].center
-            )
+        todo = np.flatnonzero(~zero)
+        rows = coords[np.stack([a[todo], b[todo], c[todo]], axis=1)].tolist()
+        for m, pts in zip(todo.tolist(), rows):
+            sign[tuple(i[m] for i in open_)] = geom.orient2d(*pts)
     return sign
 
 
-def _lower_hull_triangles(balls, idx, centers, radii):
+def _lower_hull_triangles(coords, idx):
     """The lifted lower hull's triangles: an (F, 3) array of ball indices, CCW.
 
     The orientation of every facet comes from ``_orient_signs``.  Flat
     facets (vertical slivers of the lifted hull) are dropped.
     """
-    pts = centers[idx]
-    lifted = np.column_stack([pts, geom.lifted_heights(pts, radii[idx])])
+    pts = coords[idx, :2]
+    lifted = np.column_stack([pts, geom.lifted_heights(pts, coords[idx, 2])])
     try:
         hull = ConvexHull(lifted)
         simplices = hull.simplices[hull.equations[:, 2] < 0]  # lower facets
@@ -157,7 +152,7 @@ def _lower_hull_triangles(balls, idx, centers, radii):
         # the centers is regular; start from the plain Delaunay one.
         simplices = Delaunay(pts, qhull_options="Qbb Qc Qz").simplices
     tris = np.asarray(idx)[simplices].reshape(-1, 3)
-    sign = _orient_signs(balls, centers, *tris.T)
+    sign = _orient_signs(coords, *tris.T)
     tris = tris[sign != 0]
     cw = sign[sign != 0] < 0
     tris[cw] = tris[cw][:, [0, 2, 1]]
@@ -251,21 +246,20 @@ def lawson_flip(tris, twin, illegal, left_turn, queue):
     return stuck
 
 
-def _power_filter(centers, radii, abc, q):
+def _power_filter(coords, abc, q):
     """``geom.power_test``'s float filter for many (triangle, ball) pairs at once.
 
     ``abc`` is an (E, 3) array of CCW triangles and ``q`` an (E,) array of
-    balls, indices into ``centers`` and ``radii``.  Returns power_test's
-    sign where the filter decides it (conservatively, so it is exact) and
-    0 where it cannot.
+    balls, indices into the rows ``coords``.  Returns power_test's sign
+    where the filter decides it (conservatively, so it is exact) and 0
+    where it cannot.
     """
-    args = [x for i in (*abc.T, q) for x in (centers[i].T, radii[i])]
-    det, errbound = geom.power_test_filter(*args)
+    det, errbound = geom.power_test_filter(*(coords[i].T for i in (*abc.T, q)))
     # det > 0 <=> q lifted below the face plane, a violation (orient is +1)
     return np.where(np.abs(det) > errbound, -np.sign(det), 0.0).astype(int)
 
 
-def _suspect_edges(tris, twin, centers, radii, moved=None) -> list[int]:
+def _suspect_edges(tris, twin, coords, moved=None) -> list[int]:
     """Interior half-edges of ``tris`` whose edge ``_power_filter`` cannot show legal.
 
     Each edge is tested, and returned, as its lower half-edge, the one
@@ -278,45 +272,45 @@ def _suspect_edges(tris, twin, centers, radii, moved=None) -> list[int]:
     if moved is not None:
         keep = moved[abc].any(axis=1) | moved[q]
         first, abc, q = first[keep], abc[keep], q[keep]
-    return first[_power_filter(centers, radii, abc, q) <= 0].tolist()
+    return first[_power_filter(coords, abc, q) <= 0].tolist()
 
 
-def _illegal(balls):
+def _illegal(rows):
     """The exact power test as ``lawson_flip``'s ``illegal``, ties settled by simulation of simplicity.
 
-    An exact tie is decided by simulation of simplicity (Edelsbrunner and
-    Mucke 1990): the lifted point of the quad's lowest ball index counts as
-    infinitesimally lower, so a tied edge is illegal exactly when that ball
-    is off the edge, and a tied polygon ends up fanned from its lowest index.
+    ``rows`` is ``coords.tolist()``.  An exact tie is decided by simulation
+    of simplicity (Edelsbrunner and Mucke 1990): the lifted point of the
+    quad's lowest ball index counts as infinitesimally lower, so a tied edge
+    is illegal exactly when that ball is off the edge, and a tied polygon
+    ends up fanned from its lowest index.
     """
 
     def illegal(a, b, c, q):
-        s = geom.power_test(balls[a], balls[b], balls[c], balls[q])
+        s = geom.power_test(rows[a], rows[b], rows[c], rows[q])
         if s != 0:
             return s < 0
         low = min(a, b, c, q)
         if low == q:
             return True
-        pts = [balls[q if i == low else i].center for i in (a, b, c)]
-        return geom.orient2d(*pts) < 0
+        return geom.orient2d(*(rows[q if i == low else i] for i in (a, b, c))) < 0
 
     return illegal
 
 
-def _legalize(balls, tris, twin, queue):
+def _legalize(rows, tris, twin, queue):
     """Exact Lawson legalization of ``tris`` under the power test (``_illegal``).
 
-    ``tris``, ``twin`` and ``queue`` are ``lawson_flip``'s, and so is the
-    returned list of half-edges left illegal on non-convex quads.
+    ``rows`` are ``_illegal``'s; ``tris``, ``twin``, ``queue`` and the
+    returned half-edges left illegal on non-convex quads ``lawson_flip``'s.
     """
 
     def left_turn(p, u, q):
-        return geom.orient2d(balls[p].center, balls[u].center, balls[q].center) > 0
+        return geom.orient2d(rows[p], rows[u], rows[q]) > 0
 
-    return lawson_flip(tris, twin, _illegal(balls), left_turn, queue)
+    return lawson_flip(tris, twin, _illegal(rows), left_turn, queue)
 
 
-def _legalized(balls, tris, twin, centers, radii, moved=None):
+def _legalized(tris, twin, coords, moved=None):
     """``tris`` and ``twin`` after ``_legalize`` from the edges ``_suspect_edges`` leaves open.
 
     Returns the new arrays and whether every interior edge is legal: the
@@ -325,15 +319,16 @@ def _legalized(balls, tris, twin, centers, radii, moved=None):
     is not convex can be left illegal, and those are tested again.  The
     input arrays are not changed.  Flips keep every triangle CCW.
     """
-    queue = _suspect_edges(tris, twin, centers, radii, moved)
+    queue = _suspect_edges(tris, twin, coords, moved)
     if not queue:
         return tris, twin, True
-    rows, flat = tris.tolist(), twin.ravel().tolist()
-    flipped = list(rows)  # a flip replaces a row's list, so ``is`` finds the new rows
-    stuck = _legalize(balls, flipped, flat, queue)
-    illegal = _illegal(balls)
+    rows = coords.tolist()
+    before, flat = tris.tolist(), twin.ravel().tolist()
+    flipped = list(before)  # a flip replaces a row's list, so ``is`` finds the new rows
+    stuck = _legalize(rows, flipped, flat, queue)
+    illegal = _illegal(rows)
     legal = not any(flat[h] >= 0 and illegal(*flipped[h // 3], flipped[flat[h] // 3][flat[h] % 3]) for h in stuck)
-    new = [f for f, (a, b) in enumerate(zip(rows, flipped)) if a is not b]
+    new = [f for f, (a, b) in enumerate(zip(before, flipped)) if a is not b]
     if not new:
         return tris, twin, legal
     tris = tris.copy()
@@ -359,7 +354,7 @@ def _hull_cycle(tris, twin):
     return np.array(cycle[:-1]) if one else None
 
 
-def _outside_hull(balls, centers, tris, twin, points) -> list[tuple[int, int]]:
+def _outside_hull(coords, tris, twin, points) -> list[tuple[int, int]]:
     """(triangle, ball) pairs: a ball of ``points`` strictly right of a hull half-edge of the table.
 
     The triangle is the one the hull half-edge belongs to; the signs are
@@ -371,7 +366,7 @@ def _outside_hull(balls, centers, tris, twin, points) -> list[tuple[int, int]]:
     step = max(1, 2**16 // max(1, len(points)))  # bounds the (edges, balls) arrays
     for s in range(0, len(f), step):
         e = slice(s, s + step)
-        hull, ball = np.nonzero(_orient_signs(balls, centers, u[e, None], v[e, None], points) < 0)
+        hull, ball = np.nonzero(_orient_signs(coords, u[e, None], v[e, None], points) < 0)
         out += zip(f[e][hull].tolist(), points[ball].tolist())
     return out
 
@@ -398,7 +393,7 @@ def _canonical(tris, twin):
     return rows[order], new.reshape(-1, 3), rank
 
 
-def _repair(balls, start, coords, alive):
+def _repair(start, coords, alive):
     """``start`` legalized for the rows ``coords`` of ``[cx, cy, R]``, or None where the certificate fails.
 
     Returns the new ``tris`` and ``twin`` and, per hidden ball, the triangle
@@ -430,33 +425,32 @@ def _repair(balls, start, coords, alive):
     surface convex, the lower envelope of the table's balls, and part 4
     puts every other ball strictly above it.
     """
-    if len(start.redundant) != len(balls):
+    if len(start.redundant) != len(coords):
         return None
-    is_alive = np.zeros(len(balls), dtype=bool)
+    is_alive = np.zeros(len(coords), dtype=bool)
     is_alive[alive] = True
     was_alive = np.array(start.redundant, dtype=bool)
     was_alive[start.tris.ravel()] = True
     if not np.array_equal(was_alive, is_alive):
         return None
-    centers, radii = coords[:, :2], coords[:, 2]
     tris, twin = start.tris, start.twin
-    if (_orient_signs(balls, centers, *tris.T) <= 0).any():
+    if (_orient_signs(coords, *tris.T) <= 0).any():
         return None
     hull = _hull_cycle(tris, twin)
     if (
         hull is None
-        or len({balls[i].center for i in hull.tolist()}) < len(hull)
-        or _outside_hull(balls, centers, tris, twin, hull)
+        or len(set(map(tuple, coords[hull, :2].tolist()))) < len(hull)
+        or _outside_hull(coords, tris, twin, hull)
     ):
         return None
     hidden = np.flatnonzero(np.array(start.redundant, dtype=bool))
     guess = None if start.hidden_in is None else start.hidden_in[hidden]
-    where = _above(balls, centers, radii, tris, hidden, guess)
+    where = _above(coords, tris, hidden, guess)
     if where is None:
         return None
     moved = None if start.legal_at is None else (coords != start.legal_at).any(axis=1)
     try:
-        flipped, twin, legal = _legalized(balls, tris, twin, centers, radii, moved)
+        flipped, twin, legal = _legalized(tris, twin, coords, moved)
     except FlipBudgetExhausted:
         return None
     if not legal:
@@ -466,7 +460,7 @@ def _repair(balls, start, coords, alive):
     return flipped, twin, where
 
 
-def _above(balls, centers, radii, tris, hidden, guess=None):
+def _above(coords, tris, hidden, guess=None):
     """The triangle of ``tris`` that holds each center of ``hidden``, if each is strictly redundant against it.
 
     Returns an array of triangle numbers, or None when a center lies in no
@@ -484,11 +478,11 @@ def _above(balls, centers, radii, tris, hidden, guess=None):
     if guess is not None:
         known = np.flatnonzero(guess >= 0)
         abc = tris[guess[known]]
-        inside = (_orient_signs(balls, centers, abc, abc[:, [1, 2, 0]], hidden[known, None]) >= 0).all(axis=1)
+        inside = (_orient_signs(coords, abc, abc[:, [1, 2, 0]], hidden[known, None]) >= 0).all(axis=1)
         f[known[inside]] = guess[known[inside]]
     rest = np.flatnonzero(f < 0)
     if len(rest):
-        x, y = centers.T
+        x, y = coords[:, 0], coords[:, 1]
         xs, ys = x[tris], y[tris]  # (F, 3)
         x0, x1, y0, y1 = xs.min(axis=1), xs.max(axis=1), ys.min(axis=1), ys.max(axis=1)
         step = max(1, 2**16 // len(tris))  # bounds the (balls, triangles) masks
@@ -497,19 +491,21 @@ def _above(balls, centers, radii, tris, hidden, guess=None):
             px, py = x[hidden[r], None], y[hidden[r], None]
             m, t = np.nonzero((px >= x0) & (px <= x1) & (py >= y0) & (py <= y1))
             abc = tris[t]
-            inside = (_orient_signs(balls, centers, abc, abc[:, [1, 2, 0]], hidden[r[m], None]) >= 0).all(axis=1)
+            inside = (_orient_signs(coords, abc, abc[:, [1, 2, 0]], hidden[r[m], None]) >= 0).all(axis=1)
             found, first = np.unique(m[inside], return_index=True)
             if len(found) < len(r):
                 return None
             f[r] = t[inside][first]
-    sign = _power_filter(centers, radii, tris[f], hidden)
+    sign = _power_filter(coords, tris[f], hidden)
     for k in np.flatnonzero(sign == 0).tolist():
-        sign[k] = geom.power_test(*(balls[i] for i in tris[f[k]].tolist()), balls[hidden[k]])
+        sign[k] = geom.power_test(*coords[[*tris[f[k]], hidden[k]]].tolist())
     return None if (sign <= 0).any() else f
 
 
-def build_regular(balls: list[Ball], start: RegularTriangulation | None = None) -> RegularTriangulation:
-    """Build the regular triangulation of the alive balls.
+def build_regular(
+    balls: list[Ball] | BallArrays, start: RegularTriangulation | None = None
+) -> RegularTriangulation:
+    """Build the regular triangulation of the alive balls, a ``Ball`` list or its ``geom.ball_arrays``.
 
     With ``start``, a previous table of the same ball list, the table is
     first repaired from it (``_repair``); where its certificate fails, or
@@ -519,27 +515,25 @@ def build_regular(balls: list[Ball], start: RegularTriangulation | None = None) 
     Lawson pass.  The table comes in canonical order (``_canonical``), so
     both paths give the same arrays.
     """
-    idx = _alive_indices(balls)
+    coords, _, alive = geom.ball_arrays(balls)
+    idx = np.flatnonzero(alive)
     if len(idx) < 3:
         raise TooFewBalls(f"need >= 3 alive balls, got {len(idx)}")
-    coords = np.array([(*b.center, b.radius) for b in balls], dtype=float)
-    centers, radii = coords[:, :2], coords[:, 2]
-    repaired = None if start is None else _repair(balls, start, coords, idx)
+    repaired = None if start is None else _repair(start, coords, idx)
     legal = True
     if repaired is None:
-        _check_not_collinear(balls, idx)
-        tris = _lower_hull_triangles(balls, idx, centers, radii)
-        tris, twin, legal = _legalized(balls, tris, _twins(tris), centers, radii)
+        _check_not_collinear(coords, idx)
+        tris = _lower_hull_triangles(coords, idx)
+        tris, twin, legal = _legalized(tris, _twins(tris), coords)
     else:
         tris, twin, where = repaired
     tris, twin, rank = _canonical(tris, twin)
-    vx, vy, tau = geom.orthocenters(centers, radii, tris)
-    hidden = np.zeros(len(balls), dtype=bool)
-    hidden[idx] = True
+    vx, vy, tau = geom.orthocenters(coords[:, :2], coords[:, 2], tris)
+    hidden = alive.copy()
     hidden[tris.ravel()] = False
     hidden_in = None
     if repaired is not None:
-        hidden_in = np.full(len(balls), -1)
+        hidden_in = np.full(len(coords), -1)
         hidden_in[hidden] = np.where(where >= 0, rank[where], -1)
     return RegularTriangulation(
         tris,
@@ -547,7 +541,7 @@ def build_regular(balls: list[Ball], start: RegularTriangulation | None = None) 
         tau,
         twin,
         hidden.tolist(),
-        coords if legal else None,
+        coords.copy() if legal else None,  # a copy: the next ``_repair`` compares rows with it
         repaired is not None,
         hidden_in,
     )
@@ -559,15 +553,16 @@ def verify_regular(t: RegularTriangulation, balls: list[Ball]) -> list[tuple[int
     Checks every (triangle, other alive ball) pair with the exact power
     test; returns the list of violating (triangle index, ball index) pairs.
     """
+    coords, _, alive = geom.ball_arrays(balls)
+    rows, others = coords.tolist(), np.flatnonzero(alive).tolist()
     violations = []
-    alive = _alive_indices(balls)
     for ti, tri in enumerate(t.tris.tolist()):
-        b1, b2, b3 = (balls[i] for i in tri)
+        p1, p2, p3 = (rows[i] for i in tri)
         members = set(tri)
-        for j in alive:
+        for j in others:
             if j in members:
                 continue
-            if geom.power_test(b1, b2, b3, balls[j]) < 0:
+            if geom.power_test(p1, p2, p3, rows[j]) < 0:
                 violations.append((ti, j))
     return violations
 
@@ -581,5 +576,5 @@ def verify_hull(t: RegularTriangulation, balls: list[Ball]) -> list[tuple[int, i
     empty list and CCW triangles mean the table covers the convex hull of
     the alive centers.
     """
-    centers = np.array([b.center for b in balls], dtype=float).reshape(-1, 2)
-    return _outside_hull(balls, centers, t.tris, t.twin, _alive_indices(balls))
+    coords, _, alive = geom.ball_arrays(balls)
+    return _outside_hull(coords, t.tris, t.twin, np.flatnonzero(alive))

@@ -131,6 +131,28 @@ def test_criterion_4_square_with_circle_convergence():
     assert delaunay_limit_violations(t, d, state.balls, 1e-6 * scale) == []
     assert time.perf_counter() - t0 < 120.0
 
+    # the check still reports a real violation on the converged state: a
+    # non-incident ball pushed into the circle through a bounded free cell's
+    # vertices by twice the margin is flagged, by half the margin it is
+    # not.  A cell of three vertices has one such circle, so the depth set
+    # here is the depth the check reads.
+    final, margin = state.balls, 1e-6 * scale
+    cell = int(np.flatnonzero(d.bounded & d.free & (np.diff(d.offsets) == 3))[0])
+    pts = d.points(cell)
+    cx, cy = geom.circumcenter(*pts)
+    rad = math.hypot(pts[0][0] - cx, pts[0][1] - cy)
+    verts = d.cell_vertices[d.offsets[cell] : d.offsets[cell + 1]]
+    incident = set(t.tris[np.isin(d.vertex_of, verts)].ravel().tolist())
+    others = [j for j, b in enumerate(final) if b.alive and d.has_cell[j] and j not in incident]
+    j = min(others, key=lambda j: math.hypot(final[j].center[0] - cx, final[j].center[1] - cy))
+    dist = math.hypot(final[j].center[0] - cx, final[j].center[1] - cy)
+    ux, uy = (final[j].center[0] - cx) / dist, (final[j].center[1] - cy) / dist
+    for depth, flagged in ((2.0, True), (0.5, False)):
+        probe = list(final)
+        r = rad - depth * margin
+        probe[j] = Ball((cx + r * ux, cy + r * uy), final[j].radius)
+        assert ((cell, j) in delaunay_limit_violations(t, d, probe, margin)) is flagged
+
 
 # --------------------------------------------------------------------------
 # 5. gradient checks

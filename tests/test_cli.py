@@ -196,6 +196,21 @@ def test_render_command(tmp_path, capsys):
     assert main(["render", str(scene), "-o", str(out), "--layers", "bogus"]) == 1
 
 
+def test_render_clockwise_domain_one_line_error(tmp_path, capsys):
+    # clipping needs a CCW domain: a clockwise one is refused, not mis-clipped
+    scene = tmp_path / "scene.json"
+    out = tmp_path / "pic.svg"
+    assert main(gen_args(scene, seed=4)) == 0
+    data = json.loads(scene.read_text())
+    data["domain"].reverse()
+    scene.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["render", str(scene), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: InconsistentGeometry: domain polygon must be convex and CCW"]
+    assert not out.exists()
+
+
 def test_optimize_frames(tmp_path):
     scene = tmp_path / "scene.json"
     out = tmp_path / "out"

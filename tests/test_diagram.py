@@ -404,11 +404,12 @@ def reference_walk(t, balls, vertex_of):
     owners, first_corner, corners = np.unique(corner_ball, return_index=True, return_counts=True)
     label = vertex_of.tolist()
     tris = t.tris.tolist()
-    n = len(balls)
+    n = len(t.redundant)
     counts = np.zeros(n, dtype=int)
     bounded = np.zeros(n, dtype=bool)
     rays = np.full((n, 2, 2), np.nan)
     ids = []
+    rows = geom.ball_arrays(balls).x.tolist()
     for i, start, m in zip(owners.tolist(), first_corner.tolist(), corners.tolist()):
         first = hull_start.get(i, nxt[start])
         fan = [first]
@@ -426,9 +427,9 @@ def reference_walk(t, balls, vertex_of):
                 cycle.pop()
         else:
             f, k = divmod(fan[0], 3)
-            rays[i, 0] = _outward_ray(balls, i, tris[f][k - 2], tris[f][k - 1])
+            rays[i, 0] = _outward_ray(rows, i, tris[f][k - 2], tris[f][k - 1])
             f, k = divmod(fan[-1], 3)
-            rays[i, 1] = _outward_ray(balls, i, tris[f][k - 1], tris[f][k - 2])
+            rays[i, 1] = _outward_ray(rows, i, tris[f][k - 1], tris[f][k - 2])
         counts[i] = len(cycle)
         ids += cycle
     return np.concatenate([[0], np.cumsum(counts)]), np.array(ids, dtype=int), bounded, rays
@@ -449,7 +450,7 @@ def test_extract_diagram_matches_reference_walk_on_filter_cases():
     raised = []
     for name, balls in filter_cases():
         t = build_regular(balls)
-        _, _, vertex_of = _merge_orthocenters(t, balls, default_merge_eps(balls))
+        _, _, vertex_of = _merge_orthocenters(t, geom.ball_arrays(balls).x, default_merge_eps(balls))
         try:
             reference_walk(t, balls, vertex_of)
         except RadmeshError:
@@ -490,7 +491,7 @@ def test_extract_diagram_matches_reference_walk_on_every_rebuild(name):
     def spy(t, balls, *args, **kwargs):
         d = orig(t, balls, *args, **kwargs)
         assert_matches_reference_walk(t, balls, d)
-        checked.append(len(balls))
+        checked.append(d)
         return d
 
     diag = dmod.bbox_diag(balls)

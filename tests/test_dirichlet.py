@@ -10,7 +10,6 @@ from radmesh.dirichlet import (
     OptimizerConfig,
     _active_triangles,
     _cell_points,
-    _coords,
     _damped_steps,
     _gauss_newton_step,
     _proposals,
@@ -28,7 +27,7 @@ from radmesh.dirichlet import (
     write_history_csv,
 )
 from radmesh.errors import DegenerateCell, DegenerateScene, Diverged, TooFewBalls, UnboundedCell
-from radmesh.geom import Ball, circumcenter, orthocenters
+from radmesh.geom import Ball, ball_arrays, circumcenter, orthocenters
 from radmesh.triangulation import build_regular
 
 from conftest import jittered_grid, philox
@@ -299,7 +298,7 @@ def test_fi_and_proposals_match_per_cell_reference():
     fi = evaluate_FI(balls, d)
     assert sorted(ref) == np.unique(d.aux.ball).tolist()
     assert abs(fi - want) <= len(d.aux.area) * np.finfo(float).eps * want
-    ids, rows = _proposals(balls, d)
+    ids, rows = _proposals(ball_arrays(balls), d)
     assert ids.tolist() == sorted(ref)
     for i, row in zip(ids.tolist(), rows.tolist()):
         assert tuple(row[:2]) == heuristic_center(ref[i])
@@ -406,7 +405,7 @@ def test_frozen_center_gradient_matches_fd():
 
 def proposals_of(balls):
     t = build_regular(balls)
-    return _proposals(balls, extract_diagram(t, balls))
+    return _proposals(ball_arrays(balls), extract_diagram(t, balls))
 
 
 def test_relax_step_theta_limits():
@@ -414,7 +413,7 @@ def test_relax_step_theta_limits():
     balls = jittered_grid(rng, 4)
     proposals = proposals_of(balls)
     assert len(proposals[0])
-    x, free, _ = _coords(balls)
+    x, free, _ = ball_arrays(balls)
 
     frozen = relax_step(x, free, proposals, 0.0)
     assert np.array_equal(frozen, x)
@@ -439,7 +438,7 @@ def test_relax_step_honors_fix_flags():
         Ball(b.center, b.radius, fix_center=fc, fix_radius=fr)
         for b, (fc, fr) in zip(balls, flags)
     ]
-    x, free, _ = _coords(pinned)
+    x, free, _ = ball_arrays(pinned)
     out = relax_step(x, free, proposals, 1.0)
     target = {i: (tuple(row[:2]), row[2]) for i, row in zip(*(p.tolist() for p in proposals))}
     for i, a in enumerate(pinned):
@@ -504,7 +503,7 @@ def test_tau_system_jacobian_matches_central_differences():
     balls = mixed_flags_grid()
     t = build_regular(balls)
     active = _active_triangles(extract_diagram(t, balls))
-    x, free, _ = _coords(balls)
+    x, free, _ = ball_arrays(balls)
     r, J, cols = _tau_system(x, free, t, active)
     tris = t.tris[active]
 
@@ -533,9 +532,9 @@ def mixed_flags_tau_system():
     balls = mixed_flags_grid()
     t = build_regular(balls)
     d = extract_diagram(t, balls)
-    x, free, _ = _coords(balls)
+    x, free, alive = ball_arrays(balls)
     r, J, _ = _tau_system(x, free, t, _active_triangles(d))
-    return balls, t, d, x, free, r, J
+    return alive, t, d, x, free, r, J
 
 
 def damped_system(kind):
@@ -590,14 +589,7 @@ def test_gauss_newton_step_factors_once_per_step():
     # one QR of J^T serves every damping level a Gauss-Newton step tries
     import radmesh.dirichlet as dmod
 
-    balls, t, d, x, free, _, _ = mixed_flags_tau_system()
-
-    def as_balls(rows):
-        return [
-            Ball((cx, cy), r, b.fix_center, b.fix_radius)
-            for (cx, cy, r), b in zip(rows.tolist(), balls)
-        ]
-
+    alive, t, d, x, free, _, _ = mixed_flags_tau_system()
     calls = {"qr": 0, "lstsq": 0}
     orig_qr, orig_lstsq, orig_rebuild = np.linalg.qr, np.linalg.lstsq, dmod._rebuild
 
@@ -615,13 +607,13 @@ def test_gauss_newton_step_factors_once_per_step():
     np.linalg.qr, np.linalg.lstsq = qr, lstsq
     try:
         # accepted at the first damping level
-        x_new, moved, built = _gauss_newton_step(x, free, as_balls, t, d, None)
+        x_new, moved, built = _gauss_newton_step(x, free, alive, t, d, None)
         assert moved > 0 and built is not None and not np.array_equal(x_new, x)
         assert calls == {"qr": 1, "lstsq": 1}
         # no trial rebuilds, so the step tries all 8 levels
         calls.update(qr=0, lstsq=0)
         dmod._rebuild = failing_rebuild
-        x_new, moved, built = _gauss_newton_step(x, free, as_balls, t, d, None)
+        x_new, moved, built = _gauss_newton_step(x, free, alive, t, d, None)
         assert x_new is x and moved == 0 and built is None
         assert calls == {"qr": 1, "lstsq": 8}
     finally:
@@ -858,6 +850,34 @@ def test_run_warm_starts_every_rebuild():
         assert verify_hull(final, state.balls) == []
         if name == "mask-plateau":  # the brute-force oracle takes 6 s at 441 balls
             assert verify_regular(final, state.balls) == []
+
+
+def test_run_builds_balls_only_when_read(monkeypatch):
+    # run keeps the ball set as arrays, the Gauss-Newton trials and the
+    # elimination included: no Ball is constructed until state.balls is read
+    import radmesh.dirichlet as dmod
+
+    balls = jittered_grid(philox(50), 4, fix_boundary=True)
+    balls.append(Ball((1.5, 1.5), 0.05))  # hidden, and eliminated
+    made, steps = [], []
+    orig_post_init, orig_step = Ball.__post_init__, dmod._gauss_newton_step
+
+    def post_init(self):
+        made.append(self)
+        orig_post_init(self)
+
+    def step(*args):
+        steps.append(args)
+        return orig_step(*args)
+
+    monkeypatch.setattr(Ball, "__post_init__", post_init)
+    monkeypatch.setattr(dmod, "_gauss_newton_step", step)
+    state = run(balls, OptimizerConfig(max_iters=200, eliminate_redundant=True, tau_tol=1e-15))
+    assert steps and state.history[-1].eliminated == 1
+    assert made == []
+    final = state.balls
+    assert made == final and len(final) == len(balls)
+    assert not final[-1].alive and final[0].fix_center
 
 
 def test_write_history_csv(tmp_path):

@@ -68,30 +68,31 @@ def test_orient2d_near_degenerate_exactness():
 
 
 def test_power_test_examples():
-    unit = [Ball((0.0, 0.0), 1.0), Ball((2.0, 0.0), 1.0), Ball((0.0, 2.0), 1.0)]
-    assert power_test(*unit, Ball((10.0, 10.0), 1.0)) == 1
-    assert power_test(*unit, Ball((1.0, 1.0), 1.0)) == -1
+    # each ball is an (x, y, R) row
+    unit = [(0.0, 0.0, 1.0), (2.0, 0.0, 1.0), (0.0, 2.0, 1.0)]
+    assert power_test(*unit, (10.0, 10.0, 1.0)) == 1
+    assert power_test(*unit, (1.0, 1.0, 1.0)) == -1
     square = [
-        Ball((0.0, 0.0), 1.0),
-        Ball((2.0, 0.0), 1.0),
-        Ball((0.0, 2.0), 1.0),
-        Ball((2.0, 2.0), 1.0),
+        (0.0, 0.0, 1.0),
+        (2.0, 0.0, 1.0),
+        (0.0, 2.0, 1.0),
+        (2.0, 2.0, 1.0),
     ]
     assert power_test(*square) == 0
 
 
 def test_power_test_self_is_tie():
-    b1 = Ball((0.3, 0.7), 0.9)
-    b2 = Ball((2.1, 0.2), 0.4)
-    b3 = Ball((0.9, 2.5), 1.1)
+    b1 = (0.3, 0.7, 0.9)
+    b2 = (2.1, 0.2, 0.4)
+    b3 = (0.9, 2.5, 1.1)
     assert power_test(b1, b2, b3, b1) == 0
 
 
 def test_power_test_orientation_antisymmetry():
-    b1 = Ball((0.0, 0.0), 1.0)
-    b2 = Ball((3.0, 0.0), 0.5)
-    b3 = Ball((0.0, 3.0), 0.8)
-    b4 = Ball((1.0, 1.0), 0.2)
+    b1 = (0.0, 0.0, 1.0)
+    b2 = (3.0, 0.0, 0.5)
+    b3 = (0.0, 3.0, 0.8)
+    b4 = (1.0, 1.0, 0.2)
     # swapping two of the defining balls flips the orientation but the
     # regularity verdict about b4 is orientation-independent
     assert power_test(b1, b2, b3, b4) == power_test(b2, b1, b3, b4)
@@ -102,12 +103,12 @@ def test_power_test_orientation_antisymmetry():
 def test_power_test_exponent_scaling(k):
     s = 2.0**k
     balls = [
-        Ball((0.1, 0.2), 0.6),
-        Ball((1.7, 0.3), 0.5),
-        Ball((0.4, 1.9), 0.9),
-        Ball((1.1, 1.3), 0.7),
+        (0.1, 0.2, 0.6),
+        (1.7, 0.3, 0.5),
+        (0.4, 1.9, 0.9),
+        (1.1, 1.3, 0.7),
     ]
-    scaled = [Ball((b.center[0] * s, b.center[1] * s), b.radius * s) for b in balls]
+    scaled = [(x * s, y * s, r * s) for x, y, r in balls]
     assert power_test(*scaled) == power_test(*balls)
     pts = [(0.1, 0.2), (1.7, 0.3), (0.4, 1.9)]
     assert orient2d(*[(x * s, y * s) for x, y in pts]) == orient2d(*pts)
@@ -116,10 +117,10 @@ def test_power_test_exponent_scaling(k):
 def test_power_test_collinear_raises():
     with pytest.raises(CollinearCenters):
         power_test(
-            Ball((0.0, 0.0), 1.0),
-            Ball((1.0, 0.0), 1.0),
-            Ball((2.0, 0.0), 1.0),
-            Ball((0.0, 1.0), 1.0),
+            (0.0, 0.0, 1.0),
+            (1.0, 0.0, 1.0),
+            (2.0, 0.0, 1.0),
+            (0.0, 1.0, 1.0),
         )
 
 

@@ -105,3 +105,18 @@ def test_output_sorted_by_center():
     keys = [(b.center[0], b.center[1]) for b in balls]
     assert keys == sorted(keys)
     assert all(isinstance(b, Ball) for b in balls)
+
+
+def test_recovered_balls_carry_python_floats():
+    # numpy scalars would pass isinstance(v, float), so the type is compared
+    rng = philox(65)
+    pts = [
+        (float(i + dx), float(j + dy))
+        for i in range(5)
+        for j in range(5)
+        for dx, dy in [rng.uniform(-0.25, 0.25, 2)]
+    ]
+    balls = recover_spheres(pts)
+    assert balls
+    for b in balls:
+        assert [type(v) for v in (*b.center, b.radius)] == [float, float, float]

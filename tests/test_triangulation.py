@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, Delaunay
 
 from radmesh import geom
+from radmesh.diagram import extract_diagram
+from radmesh.dirichlet import evaluate_FI
 from radmesh.errors import AllCollinear, FlipBudgetExhausted, TooFewBalls
 from radmesh.geom import Ball
 from radmesh.triangulation import (
@@ -255,7 +257,7 @@ def test_legalize_breaks_ties_by_lowest_index():
     ):
         tris = [list(t) for t in start]
         twin = _twins(np.array(start)).ravel().tolist()
-        _legalize(balls, tris, twin, range(6))
+        _legalize(geom.ball_arrays(balls).x.tolist(), tris, twin, range(6))
         interior = [{tris[h // 3][h % 3 - 2], tris[h // 3][h % 3 - 1]} for h in range(6)]
         assert [e for e, g in zip(interior, twin) if g >= 0] == [{0, 2}, {0, 2}]
         assert sorted(tuple(sorted(t)) for t in tris) == [(0, 1, 2), (0, 2, 3)]
@@ -285,6 +287,7 @@ def test_lattice_ties_fan_from_lowest_index(nx, ny, radii, seed):
     t = build_regular(balls)
     assert verify_regular(t, balls) == []
     ctr = [b.center for b in balls]
+    rows = geom.ball_arrays(balls).x.tolist()
     tris = t.tris.tolist()
     for tr, twins in zip(tris, t.twin.tolist()):
         for k, h in enumerate(twins):
@@ -297,7 +300,7 @@ def test_lattice_ties_fan_from_lowest_index(nx, ny, radii, seed):
             convex = geom.orient2d(ctr[p], ctr[q], ctr[u]) * geom.orient2d(
                 ctr[p], ctr[q], ctr[v]
             ) < 0
-            tied = geom.power_test(*(balls[i] for i in tr), balls[q]) == 0
+            tied = geom.power_test(*(rows[i] for i in tr), rows[q]) == 0
             if convex and tied:
                 assert min(p, q, u, v) in (u, v)
 
@@ -323,13 +326,12 @@ def test_legalize_in_any_order_gives_build_regular(nx, ny, radii, seed):
     else:
         rs = [float(r) for r in rng.uniform(0.0, 1.0, len(pts))]
     balls = [Ball(pts[k], rs[k]) for k in rng.permutation(len(pts))]
-    centers = np.array([b.center for b in balls])
-    radii_arr = np.array([b.radius for b in balls])
-    start = _lower_hull_triangles(balls, range(len(balls)), centers, radii_arr)
+    coords = geom.ball_arrays(balls).x
+    start = _lower_hull_triangles(coords, np.arange(len(balls)))
     twin = _twins(start).ravel()
     queue = rng.permutation(np.flatnonzero(twin >= 0)).tolist()
     tris, twin = start.tolist(), twin.tolist()
-    _legalize(balls, tris, twin, queue)
+    _legalize(coords.tolist(), tris, twin, queue)
     # the flips kept the twins, which a fresh pairing reproduces
     assert twin == _twins(np.array(tris)).ravel().tolist()
     expected = sorted(tuple(sorted(tr)) for tr in build_regular(balls).tris.tolist())
@@ -396,26 +398,25 @@ def test_batched_filters_agree_with_exact_predicates(name, balls):
     # on the qhull triangles before legalization and on the final ones
     from radmesh.triangulation import _orient_filter, _power_filter
 
-    centers = np.array([b.center for b in balls])
-    radii = np.array([b.radius for b in balls])
-    idx = [i for i, b in enumerate(balls) if b.alive]
+    coords, _, alive = geom.ball_arrays(balls)
+    rows = coords.tolist()
     final = build_regular(balls).tris
     decided = 0
-    for tris in (_lower_hull_triangles(balls, idx, centers, radii), final):
+    for tris in (_lower_hull_triangles(coords, np.flatnonzero(alive)), final):
         # both orientations of every triangle, plus collinear triples
         triples = np.concatenate([tris, tris[:, [0, 2, 1]], [[0, 1, 2], [0, 5, 10]]])
-        sign = _orient_filter(centers, *triples.T)
+        sign = _orient_filter(coords, *triples.T)
         for s, tri in zip(sign.tolist(), triples.tolist()):
             if s:
                 assert s == geom.orient2d(*(balls[i].center for i in tri))
         twin = _twins(tris).ravel()
         first = np.flatnonzero(twin > np.arange(twin.size))
         abc, q = tris[first // 3], tris.ravel()[twin[first]]
-        sign = _power_filter(centers, radii, abc, q)
+        sign = _power_filter(coords, abc, q)
         for s, tri, other in zip(sign.tolist(), abc.tolist(), q.tolist()):
             if s:
                 decided += 1
-                assert s == geom.power_test(*(balls[i] for i in tri), balls[other])
+                assert s == geom.power_test(*(rows[i] for i in tri), rows[other])
     if name not in ("ring", "lattice_offset_1e8", "ring_offset_1e8"):
         # ties, and rounding at 1e8, leave every edge there to the exact path
         assert decided > 0
@@ -497,6 +498,13 @@ def assert_same_table(a, b):
         assert a.legal_at.tobytes() == b.legal_at.tobytes()
 
 
+def assert_same_diagram(a, b):
+    """Two power diagrams are equal array for array, bit for bit."""
+    for name in ("vertices", "tau", "vertex_of", "offsets", "cell_vertices", "bounded", "free", "rays"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
 def test_canonical_order_ignores_row_order_and_rotation():
     rng = philox(14)
     t = build_regular(random_balls(rng, 30))
@@ -574,7 +582,9 @@ def _step(rng, balls, t, kind):
 )
 def test_warm_start_equals_fresh_build(seed, n, kinds):
     # each build starts from the previous one; accepted or refused, it is
-    # the fresh build bit for bit, and regular
+    # the fresh build bit for bit, and regular.  A Ball list and its
+    # ball_arrays are one ball set to build_regular, extract_diagram and
+    # evaluate_FI: their results are equal array for array
     rng = philox(seed)
     balls = random_balls(rng, n)
     t = build_regular(balls)
@@ -584,6 +594,15 @@ def test_warm_start_equals_fresh_build(seed, n, kinds):
         assert_same_table(warm, build_regular(balls))
         assert verify_regular(warm, balls) == []
         assert verify_hull(warm, balls) == []
+        flagged = [
+            Ball(b.center, b.radius, fix_center=k % 3 == 0, fix_radius=k % 4 == 0)
+            for k, b in enumerate(balls)
+        ]
+        arrays = geom.ball_arrays(flagged)
+        assert_same_table(build_regular(arrays, start=t), warm)
+        d, d_arrays = extract_diagram(warm, flagged), extract_diagram(warm, arrays)
+        assert_same_diagram(d, d_arrays)
+        assert evaluate_FI(flagged, d) == evaluate_FI(arrays, d_arrays)
         t = warm
 
 
