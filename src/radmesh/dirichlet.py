@@ -15,7 +15,12 @@ a free ball.
 ``aux_triangulate_cells`` builds the auxiliary triangulations of all cells
 of one diagram as arrays (an ``AuxMesh``).  It takes the cells in CSR
 form: without a domain, one gather of the diagram's ``vertices`` through
-its ``cell_vertices``; a domain clips each cell first.  A batched float
+its ``cell_vertices``; a domain clips each cell first.  Given the previous
+iteration's mesh as ``start``, a warm pass over all cells at once keeps
+each cell's old triangles (stored as local vertex indices) when the cell
+has the same vertex count and every interior edge is locally Delaunay
+beyond the tie tolerance; by Lawson's lemma the old triangulation is then
+the Delaunay one.  The other cells take the cold stages.  A batched float
 stage takes the cells grouped by vertex count, each group one index into
 those positions, and tests every candidate triangle of a group against
 the other vertices at once; a cell whose in-circle values all clear its
@@ -23,11 +28,15 @@ tie tolerance has a unique Delaunay triangulation, which that test finds.
 The cells it cannot decide (near ties, near-collinear corners) or does not
 take (triangles, more than ``_BATCH_MAX_VERTICES`` vertices, groups of
 fewer than ``_BATCH_MIN_CELLS`` cells) go to the scalar
-``aux_triangulate_cell``: Lawson flips from a fan.  Both paths emit the
-same triangles bit for bit, in one canonical order, and ``evaluate_FI``
-and the proposals are reductions over the triangle arrays: the proposals
-are one array of target rows, whose radii are one column-by-column sum
-over the cells' CSR vertices (``_radii``).
+``aux_triangulate_cell``: Lawson flips from a fan.  All three emit the
+same triangles bit for bit, in one canonical order, on every cell the
+batched stage decides.  At a near tie the warm pass may keep a
+triangulation other than the one the Lawson flips from the fan reach
+(both are Delaunay within the tolerance), and F_I moves with it by the
+size of the tie.  ``evaluate_FI`` and the proposals are reductions over
+the triangle arrays: the proposals are one array of target rows, whose
+radii are one column-by-column sum over the cells' CSR vertices
+(``_radii``).
 
 ``run`` keeps the ball set as a ``geom.BallArrays``: one ``(N, 3)`` array
 of ``[cx, cy, R]`` rows, a ``free`` mask of the same shape (alive and not
@@ -39,13 +48,15 @@ the Gauss-Newton step write the free coordinates of the rows, and
 elimination clears a ball's rows in ``alive`` and ``free``.
 
 Each iteration rebuilds the triangulation and the diagram once; the
-auxiliary triangulations are computed on first use and kept on the diagram,
-and the update proposals are computed once and shared by the elimination
-bookkeeping and ``relax_step``.  Every rebuild goes through ``_rebuild``
+auxiliary triangulations are computed on first use, warm-started from the
+previous iteration's, and kept on the diagram, and the update proposals
+are computed once and shared by the elimination bookkeeping and
+``relax_step``.  Every rebuild goes through ``_rebuild``
 and warm-starts ``build_regular`` from a table the loop already has: the
 previous iteration's, or for a Gauss-Newton trial the table of the point it
 steps from.  A start the triangulation's certificate refuses is rebuilt from
-qhull and counted in ``OptimizerState.rebuild_fallbacks``.
+qhull and counted in ``OptimizerState.rebuild_fallbacks``; the aux cells
+the warm certificate refuses are counted in ``aux_cold_cells``.
 There is one optimizer.  The update is the heuristic area-weighted center /
 least-squares radius proposal, relaxed by ``theta``; once that relaxation
 plateaus, a damped Gauss-Newton step on the dual-vertex power residuals
@@ -84,6 +95,7 @@ class AuxTriangle:
     vertex_positions: tuple[Point2, Point2, Point2]
     circumcenter: Point2
     area: float
+    corners: tuple[int, int, int] | None = None  # indices into the cell's CCW vertex list
 
 
 @dataclass
@@ -92,32 +104,39 @@ class AuxMesh:
 
     Row t is a triangle of the cell of ball ``ball[t]``; the cells come in
     the order they were given, and each cell's triangles in canonical order
-    (see ``aux_triangulate_cell``).  ``degenerate`` lists the balls whose
-    cells were skipped as degenerate.
+    (see ``aux_triangulate_cell``).  ``corners[t]`` are the triangle's
+    corners as indices into its cell's CCW vertex list, which is what the
+    next iteration's warm start reads.  ``degenerate`` lists the balls
+    whose cells were skipped as degenerate, and ``cold`` counts the cells
+    that the cold stages (batched and scalar) triangulated.
     """
 
     ball: np.ndarray  # (T,) ball index
     vertices: np.ndarray  # (T, 3, 2) CCW corners
     circumcenter: np.ndarray  # (T, 2)
     area: np.ndarray  # (T,) unsigned
+    corners: np.ndarray  # (T, 3) local corner indices, increasing
     degenerate: list[int]
+    cold: int
 
 
 # The batched stage takes the cells of 4 to _BATCH_MAX_VERTICES vertices.
 # It tests all C(k, 3) candidate triangles against the other k - 3
 # vertices, O(k^4) work per cell against Lawson's O(k^2): on random convex
-# cells in groups of 32 (one 2 GHz vCPU, numpy 2.4) it costs 7 us a cell at
-# k = 6 (Lawson: 56 us), 120 us at k = 12 (200 us), and breaks even near
-# k = 14.  Triangles have
-# nothing to test and take the scalar path, which keeps the per-cell entry
-# point aux_triangulate_cell, timed by perfbench, reached on diagrams whose
-# cells are all triangles (recovered Delaunay circles).
-_BATCH_MAX_VERTICES = 12
-# A group pays about 0.2 ms of numpy overhead whatever its size; below 4
-# cells the scalar path is faster at every k (one 2 GHz vCPU, numpy 2.4:
-# 4 cells of 6 vertices take 222 us batched against 247 us by Lawson, one
-# takes 189 us against 87 us).
-_BATCH_MIN_CELLS = 4
+# cells in groups of 64 (a 2-vCPU Xeon host, numpy 2.4, best of 15) it
+# costs 6 us a cell at k = 6 (Lawson: 36 us), 75 us at k = 10 (86 us) and
+# 120 us at k = 11 (104 us), so it breaks even between 10 and 11.
+# Triangles have nothing to test and take the scalar path, which keeps the
+# per-cell entry point aux_triangulate_cell, timed by perfbench, reached on
+# diagrams whose cells are all triangles (recovered Delaunay circles).
+_BATCH_MAX_VERTICES = 10
+# A group pays about 0.15 ms of numpy overhead whatever its size.  It breaks
+# even with Lawson near 8 cells of 4 vertices (150 us against 135 us), 6
+# of 6 (192 against 228) and fewer of more; one 6-vertex cell takes 158 us
+# batched against 34 us.  With the warm start, the cells that reach the
+# groups are the ones the certificate refused, near ties among them, which
+# the batched stage cannot decide and the scalar path then takes too.
+_BATCH_MIN_CELLS = 8
 
 
 @dataclass
@@ -159,12 +178,20 @@ class OptimizerState:
     iteration: int = 0
     history: list[HistoryRecord] = field(default_factory=list)
     converged: bool = False
-    # Gauss-Newton steps that found no damping level and fell back to relaxation
+    # Gauss-Newton steps that fell back to relaxation, and how many took each
+    # of _gauss_newton_step's exits: no active triangle, no free coordinate,
+    # no damping level helped
     gn_fallbacks: int = 0
+    gn_exits: dict[str, int] = field(
+        default_factory=lambda: {"no_active": 0, "no_free": 0, "no_descent": 0}
+    )
     # degenerate cells skipped by F_I and the proposals, summed over the iterations
     degenerate_cells: int = 0
     # rebuilds whose start table build_regular refused, rebuilding from qhull
     rebuild_fallbacks: int = 0
+    # cells whose previous auxiliary triangulation the warm certificate
+    # refused (or that had none), triangulated from scratch
+    aux_cold_cells: int = 0
 
     @property
     def balls(self) -> list[Ball]:
@@ -281,7 +308,7 @@ def aux_triangulate_cell(pts: list[Point2], ball: int) -> list[AuxTriangle]:
             center = geom.circumcenter(*tri)
         except CollinearPoints as e:  # the batched stage's ``ok`` refuses it too
             raise DegenerateCell(f"cell of ball {ball} has an ill-conditioned triangle") from e
-        out.append(AuxTriangle(tri, center, abs(area)))
+        out.append(AuxTriangle(tri, center, abs(area), (i, j, k)))
     if not out:
         raise DegenerateCell(f"cell of ball {ball} is degenerate")
     return out
@@ -311,8 +338,8 @@ def _aux_group(P):
     that candidate set, which Lawson flips from the fan reach too.
 
     Returns the (C,) mask of decided cells and, for their triangles, the
-    cell row in ``P``, the (n, 3, 2) corners, the circumcenters and the
-    areas, cell after cell in canonical order.
+    cell row in ``P``, the (n, 3, 2) corners, the circumcenters, the areas
+    and the (n, 3) local corner indices, cell after cell in canonical order.
     """
     n_cells, k, _ = P.shape
     span = np.maximum(
@@ -343,28 +370,110 @@ def _aux_group(P):
     centers, ok = geom.circumcenters(corners[:, 0], corners[:, 1], corners[:, 2])
     decided[cell[~ok]] = False
     rows = decided[cell]
-    return decided, cell[rows], corners[rows], centers[rows], np.abs(area[cell, t])[rows]
+    area = np.abs(area[cell, t])
+    return decided, cell[rows], corners[rows], centers[rows], area[rows], triples[t[rows]]
 
 
-def aux_triangulate_cells(xy: np.ndarray, offsets: np.ndarray, cells: np.ndarray) -> AuxMesh:
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``starts[p] + arange(counts[p])`` for every p, concatenated."""
+    before = np.cumsum(counts) - counts
+    return np.repeat(starts - before, counts) + np.arange(int(counts.sum()))
+
+
+def _warm_cells(xy, offsets, cells, start: AuxMesh):
+    """The cells of a CSR cell list whose triangles in ``start`` are still Delaunay.
+
+    A cell of k vertices is a candidate when ``start`` holds k - 2
+    triangles for its ball, all with local corners below k: k - 2
+    non-crossing triangles on k points in convex position are a
+    triangulation of them.  By Lawson's lemma a triangulation whose
+    interior edges are all locally Delaunay is the Delaunay triangulation,
+    so a candidate is accepted when each of its k - 3 interior edges has an
+    in-circle value below minus the cell's tie tolerance, every triangle
+    has a positive area above the area guard and every circumcenter passes
+    the conditioning guard: the guards of ``_aux_group``, whose kernels
+    compute the values.  On a cell that stage decides, both therefore emit
+    the same triangles bit for bit.  A cell listed clockwise has negative
+    areas and is refused.
+
+    Returns the positions of the accepted cells in ``cells`` and, for their
+    triangles, as ``_aux_group`` does: the cell position, corners,
+    circumcenters, areas and local corners, in the order of ``start``.
+    """
+    counts = np.diff(offsets)
+    balls, first, n_old = np.unique(start.ball, return_index=True, return_counts=True)
+    at = np.searchsorted(balls, cells).clip(max=len(balls) - 1)
+    cand = np.flatnonzero((balls[at] == cells) & (n_old[at] == counts - 2))
+    k = counts[cand]
+    cell = np.repeat(np.arange(len(cand)), k - 2)  # candidate of each old triangle
+    local = start.corners.take(_ranges(first[at[cand]], k - 2), axis=0)
+    i, j, l = local.T
+    fits = l < k[cell]
+    base = offsets[cand][cell]
+    # (R, 3, 2); ``take`` gathers rows faster than indexing does
+    corners = xy.take(base[:, None] + np.where(fits[:, None], local, 0), axis=0)
+    # the tie tolerance of each cell, from its span about its first vertex;
+    # the appended 0 keeps reduceat's indices in range past empty cells
+    dist = np.abs(xy - xy[np.repeat(offsets[:-1], counts)])
+    dist = np.append(np.maximum(dist[:, 0], dist[:, 1]), 0.0)
+    span = np.maximum.reduceat(dist, offsets[:-1])[cand]
+    area = geom.triangle_area(*corners.transpose(1, 2, 0))
+    centers, ok = geom.circumcenters(corners[:, 0], corners[:, 1], corners[:, 2])
+    # an interior edge (a, b), a < b, is the side (i, l) of the triangle
+    # (i, j, l) that holds the vertices between a and b, and the side (i, j)
+    # or (j, l) of the triangle on its other side: ``opposite`` holds that
+    # triangle's third vertex, one k x k table (a, b) per candidate
+    table = np.cumsum(k * k) - k * k
+    key = lambda a, b: table[cell] + a * k[cell] + b
+    opposite = np.full(int((k * k).sum()), -1)
+    opposite[key(i, j)[fits]] = l[fits]
+    opposite[key(j, l)[fits]] = i[fits]
+    edge = np.flatnonzero(fits & ((i > 0) | (l < k[cell] - 1)))
+    far = opposite[key(i, l)[edge]]
+    found = far >= 0
+    d = xy.take(base[edge] + np.where(found, far, 0), axis=0)
+    p, q, r = corners.take(edge, axis=0).transpose(1, 2, 0)
+    with np.errstate(invalid="ignore"):  # a cell that overflows gets NaN values, refused
+        val = _incircle(*p, *q, *r, *d.T)
+    refused = np.zeros(len(cand), dtype=bool)
+    refused[cell[~(fits & (area > 1e-14 * span[cell] * span[cell]) & ok)]] = True
+    refused[cell[edge][~(found & (val < -_tie_tol(span)[cell[edge]]))]] = True
+    rows = ~refused[cell]
+    return cand[~refused], cand[cell[rows]], corners[rows], centers[rows], area[rows], local[rows]
+
+
+def aux_triangulate_cells(
+    xy: np.ndarray, offsets: np.ndarray, cells: np.ndarray, start: AuxMesh | None = None
+) -> AuxMesh:
     """Auxiliary triangulations of many cells at once, as one ``AuxMesh``.
 
     The cells are in CSR form: ``xy[offsets[p]:offsets[p + 1]]`` are the
     vertices of the cell of ball ``cells[p]``, as ``_cell_points`` gives
-    them.  The cells are grouped by vertex count, and each group is
-    gathered from ``xy`` in one index and goes through the batched float
-    stage ``_aux_group``.  The cells it cannot decide (near ties,
-    area-guard candidates) and the groups it does not take (triangles,
-    above ``_BATCH_MAX_VERTICES``, fewer than ``_BATCH_MIN_CELLS`` cells)
-    go through ``aux_triangulate_cell``; on the cells both can decide, the
-    two give the same triangles bit for bit.  Degenerate cells get no
-    triangles and are listed in ``degenerate``.
+    them.  With a ``start`` (the previous iteration's mesh), each cell
+    whose old triangles the warm certificate of ``_warm_cells`` accepts
+    keeps them.  The other cells go through the cold stages, counted in
+    ``cold``: they are grouped by vertex count, and each group is gathered
+    from ``xy`` in one index and goes through the batched float stage
+    ``_aux_group``.  The cells it cannot decide (near ties, area-guard
+    candidates) and the groups it does not take (triangles, above
+    ``_BATCH_MAX_VERTICES``, fewer than ``_BATCH_MIN_CELLS`` cells) go
+    through ``aux_triangulate_cell``.  On the cells the batched stage can
+    decide, all three give the same triangles bit for bit; at a near tie
+    the accepted old triangulation may differ from the one the Lawson
+    flips reach.  Degenerate cells get no triangles and are listed in
+    ``degenerate``.
     """
     counts = np.diff(offsets)
-    parts = [(np.zeros(0, dtype=int), np.zeros((0, 3, 2)), np.zeros((0, 2)), np.zeros(0))]
+    parts = [(np.zeros(0, dtype=int), np.zeros((0, 3, 2)), np.zeros((0, 2)), np.zeros(0),
+              np.zeros((0, 3), dtype=int))]
+    cold = np.ones(len(cells), dtype=bool)
+    if start is not None and len(start.ball):
+        warm, *tris = _warm_cells(xy, offsets, cells, start)
+        cold[warm] = False
+        parts.append(tuple(tris))
     scalar = []
-    for k in np.unique(counts).tolist():
-        members = np.flatnonzero(counts == k)
+    for k in np.unique(counts[cold]).tolist():
+        members = np.flatnonzero(cold & (counts == k))
         if not 4 <= k <= _BATCH_MAX_VERTICES or len(members) < _BATCH_MIN_CELLS:
             scalar += members.tolist()
             continue
@@ -379,12 +488,15 @@ def aux_triangulate_cells(xy: np.ndarray, offsets: np.ndarray, cells: np.ndarray
         except DegenerateCell:
             degenerate.append(int(cells[pos]))
             continue
-        rows += [(pos, t.vertex_positions, t.circumcenter, t.area) for t in aux]
+        rows += [(pos, t.vertex_positions, t.circumcenter, t.area, t.corners) for t in aux]
     if rows:
         parts.append(tuple(np.array(x) for x in zip(*rows)))
-    pos, corners, centers, area = (np.concatenate(x) for x in zip(*parts))
+    pos, vertices, centers, area, corners = (np.concatenate(x) for x in zip(*parts))
     order = np.argsort(pos, kind="stable")
-    return AuxMesh(cells[pos[order]], corners[order], centers[order], area[order], degenerate)
+    return AuxMesh(
+        cells[pos[order]], vertices[order], centers[order], area[order], corners[order],
+        degenerate, int(cold.sum()),
+    )
 
 
 def heuristic_center(aux: list[AuxTriangle]) -> Point2:
@@ -435,32 +547,42 @@ def _cell_positions(diagram: PowerDiagram, cells: np.ndarray) -> tuple[np.ndarra
     """
     if diagram.domain is None:
         counts = np.diff(diagram.offsets)[cells]
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        first = np.repeat(diagram.offsets[cells] - offsets[:-1], counts)
-        return diagram.vertices[diagram.cell_vertices[first + np.arange(offsets[-1])]], offsets
+        ids = diagram.cell_vertices[_ranges(diagram.offsets[cells], counts)]
+        return diagram.vertices[ids], np.concatenate([[0], np.cumsum(counts)])
     points = [_cell_points(diagram, i, diagram.domain) for i in cells.tolist()]
     offsets = np.concatenate([[0], np.cumsum([len(p) for p in points], dtype=int)])
     return np.array([p for pts in points for p in pts], dtype=float).reshape(-1, 2), offsets
 
 
-def _cell_aux(diagram: PowerDiagram) -> AuxMesh:
+def _cell_aux(diagram: PowerDiagram, start: AuxMesh | None = None) -> AuxMesh:
     """Auxiliary triangulations of the usable cells of free balls.
 
     Dead and redundant balls (which own no cell), fully fixed balls, and
     unbounded cells without a domain get none; degenerate cells get none
-    and are listed in ``degenerate``.  Computed once per diagram and kept
-    in ``diagram.aux``.
+    and are listed in ``degenerate``.  Computed once per diagram, warm-started
+    from ``start`` if given, and kept in ``diagram.aux``.
     """
     if diagram.aux is None:
         cells = np.flatnonzero(diagram.usable)
-        diagram.aux = aux_triangulate_cells(*_cell_positions(diagram, cells), cells)
+        diagram.aux = aux_triangulate_cells(*_cell_positions(diagram, cells), cells, start)
     return diagram.aux
 
 
-def evaluate_FI(balls: list[Ball] | BallArrays, diagram: PowerDiagram) -> float:
-    """Dirichlet functional: ``cell_fi`` summed over the bounded cells of free balls."""
+def evaluate_FI(
+    balls: list[Ball] | BallArrays, diagram: PowerDiagram, start: AuxMesh | None = None
+) -> float:
+    """Dirichlet functional: ``cell_fi`` summed over the bounded cells of free balls.
+
+    The first call on a diagram triangulates its cells and keeps the result
+    in ``diagram.aux``.  ``start``, an earlier diagram's ``aux``, lets each
+    cell whose old triangulation is still certified Delaunay keep it
+    (``aux_triangulate_cells``).  Wherever the batched stage decides a cell
+    this gives the same value bit for bit; at a cell with a near tie the
+    kept triangulation may differ from the one a cold Lawson pass from the
+    fan reaches, and F_I with it by the size of the tie.
+    """
     x, _, _ = geom.ball_arrays(balls)
-    aux = _cell_aux(diagram)
+    aux = _cell_aux(diagram, start)
     d = x[aux.ball, :2] - aux.circumcenter
     return 0.5 * float(((d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) * aux.area).sum())
 
@@ -637,15 +759,18 @@ def _gauss_newton_step(x, free, alive, triangulation, diagram, merge_eps, state=
     Each trial rebuilds the rows with the masks ``free`` and ``alive``,
     starts from ``triangulation`` and counts a refused start in ``state``.
     A trial whose rows are not finite counts as failed.
-    Returns (new rows, moved, (triangulation, diagram) of the new rows), or
-    (x, 0, None) when no damping level helps.
+    Returns (new rows, moved, (triangulation, diagram) of the new rows,
+    None), or (x, 0, None, exit) with ``exit`` the key of
+    ``OptimizerState.gn_exits`` that says why no step was taken:
+    ``"no_active"`` (no active triangle), ``"no_free"`` (no free
+    coordinate) or ``"no_descent"`` (no damping level helped).
     """
     active = _active_triangles(diagram)
     if not len(active):
-        return x, 0, None
+        return x, 0, None, "no_active"
     r, J, cols = _tau_system(x, free, triangulation, active)
     if not len(cols):
-        return x, 0, None
+        return x, 0, None, "no_free"
     base = float(r @ r)
     scale = float(np.abs(J).max()) or 1.0
     for dx in _damped_steps(J, r, 1e-10 * scale * scale):
@@ -666,9 +791,9 @@ def _gauss_newton_step(x, free, alive, triangulation, diagram, merge_eps, state=
             a2 = _active_triangles(d2)
             r2 = t2.tau[a2]
             if len(a2) and float(r2 @ r2) / len(a2) < base / len(active):
-                return trial, int(free.any(axis=1).sum()), (t2, d2)
+                return trial, int(free.any(axis=1).sum()), (t2, d2), None
             alpha *= 0.5
-    return x, 0, None
+    return x, 0, None, "no_descent"
 
 
 def run(
@@ -702,10 +827,13 @@ def run(
             if it == 0:
                 raise  # the input scene itself is unusable
             raise DegenerateScene(str(e)) from e
-        fi = evaluate_FI(balls, diagram)
+        start = None if state.diagram is None else state.diagram.aux
+        fi = evaluate_FI(balls, diagram, start)
         if not math.isfinite(fi):
             raise Diverged(f"F_I is {fi} at iteration {it}")
         state.degenerate_cells += len(diagram.aux.degenerate)
+        if start is not None:
+            state.aux_cold_cells += diagram.aux.cold
         max_tau = diagram.max_abs_tau()
         state.x, state.alive = x, alive
         state.diagram = diagram
@@ -763,10 +891,12 @@ def run(
             # Gauss-Newton on the dual-vertex power residuals; their zero
             # set coincides with F_I = 0 and the local convergence is
             # quadratic where the relaxation rate approaches 1
-            x_new, moved, built = _gauss_newton_step(
+            x_new, moved, built, exit_ = _gauss_newton_step(
                 x, free, alive, tri, diagram, merge_eps, state
             )
-            state.gn_fallbacks += int(moved == 0)
+            if exit_ is not None:
+                state.gn_fallbacks += 1
+                state.gn_exits[exit_] += 1
         if moved == 0:
             x_new = relax_step(x, free, proposals, config.theta)
             moved = len(proposals[0])

@@ -4,17 +4,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from radmesh.diagram import extract_diagram
 from radmesh.dirichlet import (
+    AuxMesh,
     OptimizerConfig,
     _active_triangles,
+    _aux_group,
     _cell_points,
     _damped_steps,
     _gauss_newton_step,
+    _incircle,
     _proposals,
     _tau_system,
+    _tie_tol,
     aux_triangulate_cell,
+    aux_triangulate_cells,
     bbox_diag,
     cell_fi,
     evaluate_FI,
@@ -27,7 +34,14 @@ from radmesh.dirichlet import (
     write_history_csv,
 )
 from radmesh.errors import DegenerateCell, DegenerateScene, Diverged, TooFewBalls, UnboundedCell
-from radmesh.geom import Ball, ball_arrays, circumcenter, orthocenters
+from radmesh.geom import (
+    Ball,
+    ball_arrays,
+    circumcenter,
+    orthocenters,
+    polygon_area,
+    triangle_area,
+)
 from radmesh.triangulation import build_regular
 
 from conftest import jittered_grid, philox
@@ -255,6 +269,150 @@ def test_aux_small_groups_go_scalar():
     few = polygons[: dmod._BATCH_MIN_CELLS - 1]
     assert assert_batched_matches_scalar(few) == list(range(len(few)))
     assert len(assert_batched_matches_scalar(polygons)) < len(polygons)
+
+
+def random_triangulation(rng, k):
+    """A random triangulation of the index k-gon: increasing triples, sorted."""
+    tris, sides = [], [(0, k - 1)]
+    while sides:
+        a, b = sides.pop()
+        if b - a >= 2:
+            m = int(rng.integers(a + 1, b))
+            tris.append((a, m, b))
+            sides += [(a, m), (m, b)]
+    return sorted(tris)
+
+
+def start_mesh(ball, tris):
+    """An ``AuxMesh`` holding one cell's triangles ``tris`` (local corners), as a warm start."""
+    n = len(tris)
+    corners = np.array(tris, dtype=int).reshape(n, 3)
+    return AuxMesh(
+        np.full(n, ball), np.zeros((n, 3, 2)), np.zeros((n, 2)), np.zeros(n), corners, [], 0
+    )
+
+
+def warm_single(pts, tris, ball=7):
+    """``aux_triangulate_cells`` on the one cell ``pts`` started from ``tris``."""
+    xy, offsets = np.array(pts, dtype=float), np.array([0, len(pts)])
+    return aux_triangulate_cells(xy, offsets, np.array([ball]), start_mesh(ball, tris))
+
+
+@st.composite
+def convex_cells(draw):
+    """Convex cells: on an ellipse, near-cocircular, or with a near-duplicate vertex pair.
+
+    Most are listed counterclockwise, as the diagram lists them; some clockwise.
+    """
+    rng = philox(draw(st.integers(0, 10**6)))
+    k = draw(st.integers(3, 14))
+    kind = draw(st.sampled_from(["ellipse", "near_cocircular", "near_duplicate"]))
+    ang = np.sort(rng.uniform(0.0, 2 * math.pi, k))
+    a, b = rng.uniform(0.2, 1.0, 2)
+    if kind == "near_cocircular":
+        noise = draw(st.sampled_from([0.0, 1e-15, 1e-13, 1e-11, 1e-8, 1e-4]))
+        r = 1.0 + noise * rng.uniform(-1.0, 1.0, k)
+        x, y = r * np.cos(ang), r * np.sin(ang)
+    else:
+        if kind == "near_duplicate":
+            j = int(rng.integers(k - 1))
+            gap = draw(st.sampled_from([1e-15, 1e-12, 1e-9, 1e-6]))
+            ang[j + 1] = ang[j] + gap * (ang[j + 1] - ang[j])
+        x, y = a * np.cos(ang), b * np.sin(ang)
+    ox, oy = draw(st.sampled_from([(0.0, 0.0), (1e3, -1e3), (1e6, 1e6)]))
+    pts = [(ox + float(u), oy + float(v)) for u, v in zip(x, y)]
+    return pts[::-1] if draw(st.integers(0, 4)) == 0 else pts
+
+
+def interior_edges(tris, k):
+    """Per interior edge of an index triangulation: the triangle (i, j, l) whose
+    side (i, l) it is, and the far vertex of the triangle on its other side."""
+    side = {}
+    for i, j, l in tris:
+        side[(i, j)], side[(j, l)] = l, i
+    return [((i, j, l), side[(i, l)]) for i, j, l in tris if (i, l) != (0, k - 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(convex_cells(), st.integers(0, 10**6), st.booleans())
+def test_warm_certificate_matches_the_batched_stage(pts, seed, from_cold):
+    # the warm start from a random triangulation of the cell, or from the
+    # cell's own cold triangulation: what it accepts is certified Delaunay,
+    # and on a cell the batched stage decides it is that stage's output bit
+    # for bit (which is also what it accepts whenever the start is it)
+    k = len(pts)
+    if from_cold:
+        cold = aux_triangulate_cells(np.array(pts), np.array([0, k]), np.array([7]))
+        tris = [tuple(t) for t in cold.corners.tolist()]
+    else:
+        tris = random_triangulation(philox(seed), k)
+    mesh = warm_single(pts, tris)
+    accepted = mesh.cold == 0
+    span = max(max(abs(p[0] - pts[0][0]), abs(p[1] - pts[0][1])) for p in pts)
+    if accepted:
+        assert mesh.corners.tolist() == [list(t) for t in tris]
+        assert (mesh.area > 1e-14 * span * span).all()
+        for (i, j, l), d in interior_edges(tris, k):
+            assert _incircle(*pts[i], *pts[j], *pts[l], *pts[d]) < -_tie_tol(span)
+        for (i, j, l), center, area in zip(tris, mesh.circumcenter.tolist(), mesh.area.tolist()):
+            assert center == list(circumcenter(pts[i], pts[j], pts[l]))  # a conditioned one
+            assert area == triangle_area(pts[i], pts[j], pts[l])  # counterclockwise
+    if k == 3:
+        return
+    decided, _, corners, centers, area, local = _aux_group(np.array(pts)[None])
+    delaunay = polygon_area(pts) > 0 and sorted(map(tuple, local.tolist())) == tris
+    if decided[0] and (accepted or delaunay):
+        assert accepted
+        assert mesh.corners.tolist() == local.tolist()
+        pairs = (mesh.vertices, corners), (mesh.circumcenter, centers), (mesh.area, area)
+        for got, want in pairs:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([(0.0, 0.0), (1e3, -1e3)]))
+def test_warm_certificate_refuses_a_tie_edge(seed, offset):
+    # one interior edge of the start made a tie: its far vertex moved onto
+    # the circumcircle of the triangle across the edge
+    rng = philox(seed)
+    k = int(rng.integers(4, 13))
+    ang = np.sort(rng.uniform(0.0, 2 * math.pi, k))
+    a, b = rng.uniform(0.2, 1.0, 2)
+    pts = [(a * math.cos(t), b * math.sin(t)) for t in ang.tolist()]
+    tris = random_triangulation(rng, k)
+    edges = interior_edges(tris, k)
+    (i, j, l), d = edges[int(rng.integers(len(edges)))]
+    o = circumcenter(pts[i], pts[j], pts[l])
+    rad = math.dist(o, pts[i])
+    dist = math.dist(o, pts[d])
+    pts[d] = (o[0] + rad * (pts[d][0] - o[0]) / dist, o[1] + rad * (pts[d][1] - o[1]) / dist)
+    pts = [(x + offset[0], y + offset[1]) for x, y in pts]
+    turns = [triangle_area(pts[m - 1], pts[m], pts[(m + 1) % k]) for m in range(k)]
+    assume(min(turns) > 0)  # still a convex cell
+    span = max(max(abs(p[0] - pts[0][0]), abs(p[1] - pts[0][1])) for p in pts)
+    assert abs(_incircle(*pts[i], *pts[j], *pts[l], *pts[d])) <= _tie_tol(span)
+    assert warm_single(pts, tris).cold == 1
+
+
+def test_warm_certificate_refuses_starts_it_cannot_certify(monkeypatch):
+    import radmesh.geom as gmod
+
+    quad = [(0.0, 0.0), (1.0, 0.1), (1.1, 1.0), (-0.1, 0.9)]
+    assert warm_single(quad, [(0, 1, 3), (1, 2, 3)]).cold == 0  # its Delaunay diagonal
+    # k - 2 old triangles that are not a triangulation of the k-gon: a
+    # pentagon's fan with its middle triangle dropped (as the area guard
+    # drops a sliver) has two triangles but reaches vertex 4 of a quad
+    assert warm_single(quad, [(0, 1, 2), (0, 3, 4)]).cold == 1
+    # a start for another ball is no start
+    mesh = aux_triangulate_cells(
+        np.array(quad), np.array([0, 4]), np.array([8]), start_mesh(7, [(0, 1, 3), (1, 2, 3)])
+    )
+    assert mesh.cold == 1
+    # triangles the circumcenter's conditioning guard refuses (made strict
+    # here) are not kept: the cold path finds the cell degenerate
+    monkeypatch.setattr(gmod, "CONDITIONING_GUARD", 0.9)
+    mesh = warm_single(quad, [(0, 1, 3), (1, 2, 3)])
+    assert mesh.cold == 1 and mesh.degenerate == [7]
 
 
 def test_radii_match_heuristic_radius_bit_for_bit():
@@ -607,14 +765,16 @@ def test_gauss_newton_step_factors_once_per_step():
     np.linalg.qr, np.linalg.lstsq = qr, lstsq
     try:
         # accepted at the first damping level
-        x_new, moved, built = _gauss_newton_step(x, free, alive, t, d, None)
+        x_new, moved, built, exit_ = _gauss_newton_step(x, free, alive, t, d, None)
         assert moved > 0 and built is not None and not np.array_equal(x_new, x)
+        assert exit_ is None
         assert calls == {"qr": 1, "lstsq": 1}
         # no trial rebuilds, so the step tries all 8 levels
         calls.update(qr=0, lstsq=0)
         dmod._rebuild = failing_rebuild
-        x_new, moved, built = _gauss_newton_step(x, free, alive, t, d, None)
+        x_new, moved, built, exit_ = _gauss_newton_step(x, free, alive, t, d, None)
         assert x_new is x and moved == 0 and built is None
+        assert exit_ == "no_descent"
         assert calls == {"qr": 1, "lstsq": 8}
     finally:
         np.linalg.qr, np.linalg.lstsq, dmod._rebuild = orig_qr, orig_lstsq, orig_rebuild
@@ -691,7 +851,9 @@ def test_eliminate_redundant_ball():
 
 def test_run_triangulates_each_cell_once_per_iteration():
     # evaluate_FI, the elimination bookkeeping and relax_step share the
-    # auxiliary triangulations kept on each iteration's diagram
+    # auxiliary triangulations kept on each iteration's diagram; each is
+    # warm-started from the previous iteration's, and the certificate keeps
+    # most cells out of the cold stages
     import radmesh.dirichlet as dmod
 
     rng = philox(49)
@@ -699,14 +861,14 @@ def test_run_triangulates_each_cell_once_per_iteration():
     calls = []
     orig = dmod.aux_triangulate_cells
 
-    def spy(xy, offsets, cells):
-        calls.append(cells.tolist())
-        return orig(xy, offsets, cells)
+    def spy(xy, offsets, cells, start=None):
+        calls.append((cells.tolist(), start))
+        return orig(xy, offsets, cells, start=start)
 
     per_iteration = []
 
     def on_iteration(state):
-        per_iteration.append((state.diagram, list(calls)))
+        per_iteration.append((state.diagram, list(calls), state.aux_cold_cells))
         calls.clear()
 
     dmod.aux_triangulate_cells = spy
@@ -716,11 +878,54 @@ def test_run_triangulates_each_cell_once_per_iteration():
         dmod.aux_triangulate_cells = orig
     assert not calls  # nothing is triangulated after the last rebuild
     assert len(per_iteration) == 6
-    for diagram, batches in per_iteration:
+    for diagram, batches, _ in per_iteration:
         assert len(batches) == 1
-        (cells,) = batches
+        ((cells, _),) = batches
         assert len(diagram.aux.ball) > 0
         assert cells == np.unique(diagram.aux.ball).tolist()
+    assert per_iteration[0][1][0][1] is None and per_iteration[0][2] == 0
+    for (before, _, cold_before), (diagram, ((_, start),), cold) in zip(
+        per_iteration, per_iteration[1:]
+    ):
+        assert start is before.aux
+        assert cold - cold_before == diagram.aux.cold < diagram.usable.sum()
+
+
+def test_run_warm_aux_equals_cold_aux():
+    # a run to convergence, Gauss-Newton steps included, with no near tie:
+    # every warm-started auxiliary mesh is the cold one array for array,
+    # and most cells skip the cold stages
+    import radmesh.dirichlet as dmod
+
+    balls = jittered_grid(philox(51), 6, fix_boundary=True)
+    orig, orig_step = dmod.aux_triangulate_cells, dmod._gauss_newton_step
+    pairs, steps = [], []
+
+    def spy(xy, offsets, cells, start=None):
+        mesh = orig(xy, offsets, cells, start=start)
+        if start is not None:
+            pairs.append((mesh, orig(xy, offsets, cells)))
+        return mesh
+
+    def step(*args):
+        out = orig_step(*args)
+        steps.append(out[3])
+        return out
+
+    dmod.aux_triangulate_cells, dmod._gauss_newton_step = spy, step
+    try:
+        state = run(balls, OptimizerConfig(theta=0.5, max_iters=200))
+    finally:
+        dmod.aux_triangulate_cells, dmod._gauss_newton_step = orig, orig_step
+    assert state.converged and None in steps  # an accepted Gauss-Newton step
+    assert len(pairs) == len(state.history) - 1
+    for warm, cold in pairs:
+        for name in ("ball", "vertices", "circumcenter", "area", "corners"):
+            got, want = getattr(warm, name), getattr(cold, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert warm.degenerate == cold.degenerate
+    cells = sum(len(np.unique(cold.ball)) for _, cold in pairs)
+    assert state.aux_cold_cells == sum(warm.cold for warm, _ in pairs) < 0.1 * cells
 
 
 def test_run_computes_proposals_once_per_iteration():
@@ -768,12 +973,13 @@ def test_run_counts_gauss_newton_fallbacks():
 
     balls = jittered_grid(philox(60), 3, jitter=0.2)
     balls = [b if i == 4 else Ball(b.center, b.radius, True, True) for i, b in enumerate(balls)]
-    failed = []
+    failed, exits = [], []
     orig = dmod._gauss_newton_step
 
     def spy(*args):
         out = orig(*args)
         failed.append(out[1] == 0)
+        exits.append(out[3])
         return out
 
     dmod._gauss_newton_step = spy
@@ -783,6 +989,24 @@ def test_run_counts_gauss_newton_fallbacks():
         dmod._gauss_newton_step = orig
     assert state.gn_fallbacks == sum(failed) > 0
     assert len(failed) > state.gn_fallbacks  # other steps were accepted
+    # each fallback is counted under the exit it took: here no damping level helped
+    assert state.gn_exits == {e: exits.count(e) for e in ("no_active", "no_free", "no_descent")}
+    assert state.gn_exits["no_descent"] == state.gn_fallbacks
+
+
+def test_gauss_newton_step_names_its_early_exits():
+    # fully fixed balls own no active triangle; coordinates fixed since the
+    # diagram was built (an elimination) leave active triangles but no unknown
+    fixed = [Ball(b.center, b.radius, True, True) for b in lattice_balls(3)]
+    t = build_regular(fixed)
+    x, free, alive = ball_arrays(fixed)
+    out = _gauss_newton_step(x, free, alive, t, extract_diagram(t, fixed), None)
+    assert out[0] is x and out[1:] == (0, None, "no_active")
+
+    alive, t, d, x, free, _, _ = mixed_flags_tau_system()
+    assert len(_active_triangles(d))
+    out = _gauss_newton_step(x, np.zeros_like(free), alive, t, d, None)
+    assert out[0] is x and out[1:] == (0, None, "no_free")
 
 
 def test_run_counts_degenerate_cells():
