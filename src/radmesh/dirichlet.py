@@ -15,28 +15,25 @@ a free ball.
 ``aux_triangulate_cells`` builds the auxiliary triangulations of all cells
 of one diagram as arrays (an ``AuxMesh``).  It takes the cells in CSR
 form: without a domain, one gather of the diagram's ``vertices`` through
-its ``cell_vertices``; a domain clips each cell first.  Given the previous
-iteration's mesh as ``start``, a warm pass over all cells at once keeps
-each cell's old triangles (stored as local vertex indices) when the cell
-has the same vertex count and every interior edge is locally Delaunay
-beyond the tie tolerance; by Lawson's lemma the old triangulation is then
-the Delaunay one.  The other cells take the cold stages.  A batched float
-stage takes the cells grouped by vertex count, each group one index into
-those positions, and tests every candidate triangle of a group against
-the other vertices at once; a cell whose in-circle values all clear its
-tie tolerance has a unique Delaunay triangulation, which that test finds.
-The cells it cannot decide (near ties, near-collinear corners) or does not
-take (triangles, more than ``_BATCH_MAX_VERTICES`` vertices, groups of
-fewer than ``_BATCH_MIN_CELLS`` cells) go to the scalar
-``aux_triangulate_cell``: Lawson flips from a fan.  All three emit the
-same triangles bit for bit, in one canonical order, on every cell the
-batched stage decides.  At a near tie the warm pass may keep a
-triangulation other than the one the Lawson flips from the fan reach
-(both are Delaunay within the tolerance), and F_I moves with it by the
-size of the tie.  ``evaluate_FI`` and the proposals are reductions over
-the triangle arrays: the proposals are one array of target rows, whose
-radii are one column-by-column sum over the cells' CSR vertices
-(``_radii``).
+its ``cell_vertices``; a domain clips each cell first.  Every cell gets one
+candidate triangulation and one certificate (``_certify``): by Lawson's
+lemma a triangulation whose k - 3 interior edges are all locally Delaunay
+beyond the tie tolerance is the Delaunay one, and area and conditioning
+guards keep out what the scalar path would drop or refuse.  The candidate
+is the previous iteration's triangles (stored as local vertex indices)
+when the cell has the same ball and vertex count; otherwise, or when the
+certificate refuses them, it is built for all such cells at once by the
+largest-angle recursion over the chords of the convex cell
+(``_largest_angle``) and certified in a second pass over those cells
+only.  What no certificate accepts (near ties, near-collinear corners,
+clockwise cells) and triangles without a start go to the scalar
+``aux_triangulate_cell``: Lawson flips from a fan.  Both paths emit the
+same triangles bit for bit, in one canonical order, except at a near tie
+where the flips from the fan stop at another triangulation that is
+Delaunay within the tolerance; F_I then moves by the size of the tie.
+``evaluate_FI`` and the proposals are reductions over the triangle
+arrays: the proposals are one array of target rows, whose radii are one
+column-by-column sum over the cells' CSR vertices (``_radii``).
 
 ``run`` keeps the ball set as a ``geom.BallArrays``: one ``(N, 3)`` array
 of ``[cx, cy, R]`` rows, a ``free`` mask of the same shape (alive and not
@@ -56,7 +53,8 @@ and warm-starts ``build_regular`` from a table the loop already has: the
 previous iteration's, or for a Gauss-Newton trial the table of the point it
 steps from.  A start the triangulation's certificate refuses is rebuilt from
 qhull and counted in ``OptimizerState.rebuild_fallbacks``; the aux cells
-the warm certificate refuses are counted in ``aux_cold_cells``.
+that keep no previous triangles are counted in ``aux_cold_cells``, and
+those that fall to the scalar path in ``aux_scalar_cells``.
 There is one optimizer.  The update is the heuristic area-weighted center /
 least-squares radius proposal, relaxed by ``theta``; once that relaxation
 plateaus, a damped Gauss-Newton step on the dual-vertex power residuals
@@ -66,8 +64,6 @@ is a rebuild-based finite-difference oracle for tests; the loop never uses it.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -107,8 +103,10 @@ class AuxMesh:
     (see ``aux_triangulate_cell``).  ``corners[t]`` are the triangle's
     corners as indices into its cell's CCW vertex list, which is what the
     next iteration's warm start reads.  ``degenerate`` lists the balls
-    whose cells were skipped as degenerate, and ``cold`` counts the cells
-    that the cold stages (batched and scalar) triangulated.
+    whose cells were skipped as degenerate, ``cold`` counts the cells that
+    kept no triangles of the start (constructed or scalar), and ``scalar``
+    the cells that went through ``aux_triangulate_cell``, degenerate ones
+    included.
     """
 
     ball: np.ndarray  # (T,) ball index
@@ -118,25 +116,7 @@ class AuxMesh:
     corners: np.ndarray  # (T, 3) local corner indices, increasing
     degenerate: list[int]
     cold: int
-
-
-# The batched stage takes the cells of 4 to _BATCH_MAX_VERTICES vertices.
-# It tests all C(k, 3) candidate triangles against the other k - 3
-# vertices, O(k^4) work per cell against Lawson's O(k^2): on random convex
-# cells in groups of 64 (a 2-vCPU Xeon host, numpy 2.4, best of 15) it
-# costs 6 us a cell at k = 6 (Lawson: 36 us), 75 us at k = 10 (86 us) and
-# 120 us at k = 11 (104 us), so it breaks even between 10 and 11.
-# Triangles have nothing to test and take the scalar path, which keeps the
-# per-cell entry point aux_triangulate_cell, timed by perfbench, reached on
-# diagrams whose cells are all triangles (recovered Delaunay circles).
-_BATCH_MAX_VERTICES = 10
-# A group pays about 0.15 ms of numpy overhead whatever its size.  It breaks
-# even with Lawson near 8 cells of 4 vertices (150 us against 135 us), 6
-# of 6 (192 against 228) and fewer of more; one 6-vertex cell takes 158 us
-# batched against 34 us.  With the warm start, the cells that reach the
-# groups are the ones the certificate refused, near ties among them, which
-# the batched stage cannot decide and the scalar path then takes too.
-_BATCH_MIN_CELLS = 8
+    scalar: int
 
 
 @dataclass
@@ -189,9 +169,12 @@ class OptimizerState:
     degenerate_cells: int = 0
     # rebuilds whose start table build_regular refused, rebuilding from qhull
     rebuild_fallbacks: int = 0
-    # cells whose previous auxiliary triangulation the warm certificate
-    # refused (or that had none), triangulated from scratch
+    # cells that kept no previous auxiliary triangulation (the certificate
+    # refused it, or there was none), from the second iteration on
     aux_cold_cells: int = 0
+    # cells the certificate refused every candidate of (near ties, mostly,
+    # and triangles without a start), triangulated by aux_triangulate_cell
+    aux_scalar_cells: int = 0
 
     @property
     def balls(self) -> list[Ball]:
@@ -306,72 +289,12 @@ def aux_triangulate_cell(pts: list[Point2], ball: int) -> list[AuxTriangle]:
             continue
         try:
             center = geom.circumcenter(*tri)
-        except CollinearPoints as e:  # the batched stage's ``ok`` refuses it too
+        except CollinearPoints as e:  # ``_certify``'s ``ok`` refuses it too
             raise DegenerateCell(f"cell of ball {ball} has an ill-conditioned triangle") from e
         out.append(AuxTriangle(tri, center, abs(area), (i, j, k)))
     if not out:
         raise DegenerateCell(f"cell of ball {ball} is degenerate")
     return out
-
-
-@functools.cache
-def _candidates(k: int):
-    """The C(k, 3) increasing index triples of a k-gon, and per triple the other k - 3 indices."""
-    triples = list(itertools.combinations(range(k), 3))
-    others = [[q for q in range(k) if q not in t] for t in triples]
-    arrays = np.array(triples), np.array(others, dtype=int).reshape(len(triples), k - 3)
-    for a in arrays:
-        a.flags.writeable = False  # cached: shared by every call
-    return arrays
-
-
-def _aux_group(P):
-    """The batched float stage for C cells of k vertices each, ``P`` of shape (C, k, 2).
-
-    Each cell is oriented and given its tie tolerance as in
-    ``aux_triangulate_cell``.  Every candidate triangle (an increasing
-    index triple) is tested against the cell's other vertices.  A cell is
-    decided when no in-circle value lies within its tie tolerance, no
-    candidate falls under the area guard, exactly k - 2 candidates have
-    all other vertices strictly outside, and their circumcenters pass the
-    conditioning guard.  Its Delaunay triangulation is then unique and is
-    that candidate set, which Lawson flips from the fan reach too.
-
-    Returns the (C,) mask of decided cells and, for their triangles, the
-    cell row in ``P``, the (n, 3, 2) corners, the circumcenters, the areas
-    and the (n, 3) local corner indices, cell after cell in canonical order.
-    """
-    n_cells, k, _ = P.shape
-    span = np.maximum(
-        np.abs(P[:, :, 0] - P[:, :1, 0]), np.abs(P[:, :, 1] - P[:, :1, 1])
-    ).max(axis=1)
-    twice_area = np.zeros(n_cells)
-    for i in range(k):  # geom.polygon_area's shoelace, term by term
-        j = (i + 1) % k
-        twice_area += P[:, i, 0] * P[:, j, 1] - P[:, j, 0] * P[:, i, 1]
-    P = np.where((0.5 * twice_area < 0)[:, None, None], P[:, ::-1], P)
-    tol = _tie_tol(span)[:, None, None]
-    triples, others = _candidates(k)
-    a, b, c = (P[:, triples[:, m]] for m in range(3))  # (C, T, 2)
-    d = P[:, others]  # (C, T, k - 3, 2)
-    val = _incircle(
-        a[..., :1], a[..., 1:], b[..., :1], b[..., 1:], c[..., :1], c[..., 1:],
-        d[..., 0], d[..., 1],
-    )
-    area = geom.triangle_area(*(np.moveaxis(p, -1, 0) for p in (a, b, c)))  # (C, T)
-    keep = (val < -tol).all(axis=2)
-    decided = (
-        ~(np.abs(val) <= tol).any(axis=(1, 2))
-        & ~(np.abs(area) <= (1e-14 * span * span)[:, None]).any(axis=1)
-        & (keep.sum(axis=1) == k - 2)
-    )
-    cell, t = np.nonzero(keep & decided[:, None])
-    corners = np.stack([a[cell, t], b[cell, t], c[cell, t]], axis=1)
-    centers, ok = geom.circumcenters(corners[:, 0], corners[:, 1], corners[:, 2])
-    decided[cell[~ok]] = False
-    rows = decided[cell]
-    area = np.abs(area[cell, t])
-    return decided, cell[rows], corners[rows], centers[rows], area[rows], triples[t[rows]]
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -380,49 +303,83 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts - before, counts) + np.arange(int(counts.sum()))
 
 
-def _warm_cells(xy, offsets, cells, start: AuxMesh):
-    """The cells of a CSR cell list whose triangles in ``start`` are still Delaunay.
+def _largest_angle(xy, offsets, pos):
+    """A candidate Delaunay triangulation of each cell ``pos`` of a CSR cell list.
 
-    A cell of k vertices is a candidate when ``start`` holds k - 2
-    triangles for its ball, all with local corners below k: k - 2
-    non-crossing triangles on k points in convex position are a
-    triangulation of them.  By Lawson's lemma a triangulation whose
-    interior edges are all locally Delaunay is the Delaunay triangulation,
-    so a candidate is accepted when each of its k - 3 interior edges has an
-    in-circle value below minus the cell's tie tolerance, every triangle
-    has a positive area above the area guard and every circumcenter passes
-    the conditioning guard: the guards of ``_aux_group``, whose kernels
-    compute the values.  On a cell that stage decides, both therefore emit
-    the same triangles bit for bit.  A cell listed clockwise has negative
-    areas and is refused.
+    On points in convex position, the Delaunay triangle on the inner side
+    of a chord (a, b) has the apex that sees the chord at the largest angle
+    (Aggarwal, Guibas, Saxe & Shor 1989).  Each round takes every open
+    chord of every cell at once, from (0, k - 1) on, picks its apex among
+    a + 1 .. b - 1 by the smallest cotangent of the angle there, and opens
+    the chords (a, apex) and (apex, b): k - 2 triangles in at most k - 2
+    rounds.  The float angles only choose the candidate; near a tie they
+    may choose another apex, which ``_certify`` then refuses.
 
-    Returns the positions of the accepted cells in ``cells`` and, for their
-    triangles, as ``_aux_group`` does: the cell position, corners,
-    circumcenters, areas and local corners, in the order of ``start``.
+    Returns the k - 2 increasing local corner triples of each cell, cell
+    after cell, each cell's sorted: the canonical order.
     """
-    counts = np.diff(offsets)
-    balls, first, n_old = np.unique(start.ball, return_index=True, return_counts=True)
-    at = np.searchsorted(balls, cells).clip(max=len(balls) - 1)
-    cand = np.flatnonzero((balls[at] == cells) & (n_old[at] == counts - 2))
-    k = counts[cand]
-    cell = np.repeat(np.arange(len(cand)), k - 2)  # candidate of each old triangle
-    local = start.corners.take(_ranges(first[at[cand]], k - 2), axis=0)
+    first, k = offsets[pos], offsets[pos + 1] - offsets[pos]
+    z = xy[:, 0] + 1j * xy[:, 1]
+    cell, a, b = np.arange(len(pos)), np.zeros(len(pos), dtype=int), k - 1
+    found = []
+    while len(cell):
+        base = first[cell]
+        # the apexes a + 1 .. b - 1 of each chord, padded with copies of b - 1
+        m = np.minimum(a[:, None] + np.arange(1, int((b - a).max())), b[:, None] - 1)
+        p = z[base[:, None] + m]
+        # conj(a - m) (b - m): the dot product of the two sides as the real
+        # part, their cross product (negative) as the imaginary part, so
+        # the largest real / imaginary is the smallest cotangent
+        w = np.conj(z[base + a][:, None] - p) * (z[base + b][:, None] - p)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a collapsed corner: refused later
+            apex = m[np.arange(len(cell)), (w.real / w.imag).argmax(axis=1)]
+        found.append((cell, a, apex, b))
+        cell, a, b = np.tile(cell, 2), np.concatenate([a, apex]), np.concatenate([apex, b])
+        open_ = b - a > 1
+        cell, a, b = cell[open_], a[open_], b[open_]
+    cell, i, j, l = (np.concatenate(x) for x in zip(*found))
+    return np.stack([i, j, l], axis=1)[np.lexsort((l, j, i, cell))]
+
+
+def _certify(xy, offsets, pos, local):
+    """Which cells ``pos`` of a CSR cell list the triangulations ``local`` are Delaunay for.
+
+    ``local`` holds k - 2 increasing local corner triples for each cell of
+    k vertices, cell after cell; k - 2 non-crossing triangles on k points
+    in convex position triangulate them, and a triple that reaches past
+    vertex k - 1 refuses its cell.  By Lawson's lemma a triangulation whose
+    interior edges are all locally Delaunay is the Delaunay triangulation,
+    so a cell is accepted when each of its k - 3 interior edges has an
+    in-circle value below minus the cell's tie tolerance, every triangle
+    has a positive area above the area guard of ``aux_triangulate_cell``
+    and every circumcenter passes the conditioning guard.  The triangles
+    are then the ones the scalar path emits, bit for bit, since the kernels
+    evaluate its expressions; at a near tie elsewhere in the cell the
+    Lawson flips from its fan may stop short of them.  A cell listed
+    clockwise has negative areas and is refused.
+
+    Returns the mask of accepted cells over ``pos`` and, for their
+    triangles in the order of ``local``: the cell position, the (n, 3, 2)
+    corners, the circumcenters, the areas and the local corners.
+    """
+    k = offsets[pos + 1] - offsets[pos]
+    cell = np.repeat(np.arange(len(pos)), k - 2)  # cell of each triangle
     i, j, l = local.T
     fits = l < k[cell]
-    base = offsets[cand][cell]
+    base = offsets[pos][cell]
     # (R, 3, 2); ``take`` gathers rows faster than indexing does
     corners = xy.take(base[:, None] + np.where(fits[:, None], local, 0), axis=0)
-    # the tie tolerance of each cell, from its span about its first vertex;
-    # the appended 0 keeps reduceat's indices in range past empty cells
-    dist = np.abs(xy - xy[np.repeat(offsets[:-1], counts)])
-    dist = np.append(np.maximum(dist[:, 0], dist[:, 1]), 0.0)
-    span = np.maximum.reduceat(dist, offsets[:-1])[cand]
+    # the tie tolerance of each cell, from its span about its first vertex
+    at = np.cumsum(k) - k
+    dist = xy.take(_ranges(offsets[pos], k), axis=0)
+    dist = np.abs(dist - np.repeat(dist[at], k, axis=0))
+    span = np.maximum.reduceat(np.maximum(dist[:, 0], dist[:, 1]), at)
     area = geom.triangle_area(*corners.transpose(1, 2, 0))
     centers, ok = geom.circumcenters(corners[:, 0], corners[:, 1], corners[:, 2])
     # an interior edge (a, b), a < b, is the side (i, l) of the triangle
     # (i, j, l) that holds the vertices between a and b, and the side (i, j)
     # or (j, l) of the triangle on its other side: ``opposite`` holds that
-    # triangle's third vertex, one k x k table (a, b) per candidate
+    # triangle's third vertex, one k x k table (a, b) per cell
     table = np.cumsum(k * k) - k * k
     key = lambda a, b: table[cell] + a * k[cell] + b
     opposite = np.full(int((k * k).sum()), -1)
@@ -435,11 +392,11 @@ def _warm_cells(xy, offsets, cells, start: AuxMesh):
     p, q, r = corners.take(edge, axis=0).transpose(1, 2, 0)
     with np.errstate(invalid="ignore"):  # a cell that overflows gets NaN values, refused
         val = _incircle(*p, *q, *r, *d.T)
-    refused = np.zeros(len(cand), dtype=bool)
+    refused = np.zeros(len(pos), dtype=bool)
     refused[cell[~(fits & (area > 1e-14 * span[cell] * span[cell]) & ok)]] = True
     refused[cell[edge][~(found & (val < -_tie_tol(span)[cell[edge]]))]] = True
     rows = ~refused[cell]
-    return cand[~refused], cand[cell[rows]], corners[rows], centers[rows], area[rows], local[rows]
+    return ~refused, pos[cell[rows]], corners[rows], centers[rows], area[rows], local[rows]
 
 
 def aux_triangulate_cells(
@@ -449,53 +406,55 @@ def aux_triangulate_cells(
 
     The cells are in CSR form: ``xy[offsets[p]:offsets[p + 1]]`` are the
     vertices of the cell of ball ``cells[p]``, as ``_cell_points`` gives
-    them.  With a ``start`` (the previous iteration's mesh), each cell
-    whose old triangles the warm certificate of ``_warm_cells`` accepts
-    keeps them.  The other cells go through the cold stages, counted in
-    ``cold``: they are grouped by vertex count, and each group is gathered
-    from ``xy`` in one index and goes through the batched float stage
-    ``_aux_group``.  The cells it cannot decide (near ties, area-guard
-    candidates) and the groups it does not take (triangles, above
-    ``_BATCH_MAX_VERTICES``, fewer than ``_BATCH_MIN_CELLS`` cells) go
-    through ``aux_triangulate_cell``.  On the cells the batched stage can
-    decide, all three give the same triangles bit for bit; at a near tie
-    the accepted old triangulation may differ from the one the Lawson
-    flips reach.  Degenerate cells get no triangles and are listed in
-    ``degenerate``.
+    them.  Each cell gets one candidate triangulation and ``_certify``
+    accepts it or not.  With a ``start`` (the previous iteration's mesh), a
+    cell that ``start`` holds k - 2 triangles for takes them.  The cells of
+    4 or more vertices that have no such start, or whose start is refused,
+    take the ``_largest_angle`` triangulation, certified in a second pass
+    over them only; ``cold`` counts the cells that kept no triangles of
+    ``start``.  The cells still without triangles (triangles with
+    no start, near ties, near-collinear corners, clockwise cells) go
+    through ``aux_triangulate_cell``, Lawson flips from a fan, and are
+    counted in ``scalar``.  Every accepted cell gets the scalar path's
+    triangles bit for bit unless a near tie elsewhere in it stops that
+    path's flips short of the Delaunay triangulation.  Degenerate cells get
+    no triangles and are listed in ``degenerate``.
     """
     counts = np.diff(offsets)
     parts = [(np.zeros(0, dtype=int), np.zeros((0, 3, 2)), np.zeros((0, 2)), np.zeros(0),
               np.zeros((0, 3), dtype=int))]
-    cold = np.ones(len(cells), dtype=bool)
+    cold = np.ones(len(cells), dtype=bool)  # no start accepted
     if start is not None and len(start.ball):
-        warm, *tris = _warm_cells(xy, offsets, cells, start)
-        cold[warm] = False
-        parts.append(tuple(tris))
-    scalar = []
-    for k in np.unique(counts[cold]).tolist():
-        members = np.flatnonzero(cold & (counts == k))
-        if not 4 <= k <= _BATCH_MAX_VERTICES or len(members) < _BATCH_MIN_CELLS:
-            scalar += members.tolist()
-            continue
-        decided, row, *tris = _aux_group(xy[offsets[members][:, None] + np.arange(k)])
-        parts.append((members[row], *tris))
-        scalar += members[~decided].tolist()
+        # the cells that ``start`` holds k - 2 triangles for, and those triangles
+        balls, first, n_old = np.unique(start.ball, return_index=True, return_counts=True)
+        at = np.searchsorted(balls, cells).clip(max=len(balls) - 1)
+        pos = np.flatnonzero((balls[at] == cells) & (n_old[at] == counts - 2))
+        local = start.corners.take(_ranges(first[at[pos]], counts[pos] - 2), axis=0)
+        warm, *tris = _certify(xy, offsets, pos, local)
+        cold[pos[warm]] = False
+        parts.append(tris)
+    scalar = cold.copy()
+    pos = np.flatnonzero(cold & (counts >= 4))
+    if len(pos):
+        built, *tris = _certify(xy, offsets, pos, _largest_angle(xy, offsets, pos))
+        scalar[pos[built]] = False
+        parts.append(tris)
     degenerate, rows = [], []
-    for pos in sorted(scalar):
-        pts = list(map(tuple, xy[offsets[pos] : offsets[pos + 1]].tolist()))
+    for p in np.flatnonzero(scalar).tolist():
+        pts = list(map(tuple, xy[offsets[p] : offsets[p + 1]].tolist()))
         try:
-            aux = aux_triangulate_cell(pts, int(cells[pos]))
+            aux = aux_triangulate_cell(pts, int(cells[p]))
         except DegenerateCell:
-            degenerate.append(int(cells[pos]))
+            degenerate.append(int(cells[p]))
             continue
-        rows += [(pos, t.vertex_positions, t.circumcenter, t.area, t.corners) for t in aux]
+        rows += [(p, t.vertex_positions, t.circumcenter, t.area, t.corners) for t in aux]
     if rows:
         parts.append(tuple(np.array(x) for x in zip(*rows)))
     pos, vertices, centers, area, corners = (np.concatenate(x) for x in zip(*parts))
     order = np.argsort(pos, kind="stable")
     return AuxMesh(
         cells[pos[order]], vertices[order], centers[order], area[order], corners[order],
-        degenerate, int(cold.sum()),
+        degenerate, int(cold.sum()), int(scalar.sum()),
     )
 
 
@@ -576,10 +535,10 @@ def evaluate_FI(
     The first call on a diagram triangulates its cells and keeps the result
     in ``diagram.aux``.  ``start``, an earlier diagram's ``aux``, lets each
     cell whose old triangulation is still certified Delaunay keep it
-    (``aux_triangulate_cells``).  Wherever the batched stage decides a cell
-    this gives the same value bit for bit; at a cell with a near tie the
-    kept triangulation may differ from the one a cold Lawson pass from the
-    fan reaches, and F_I with it by the size of the tie.
+    (``aux_triangulate_cells``).  This gives the same value bit for bit
+    except at a cell with a near tie, where the kept triangulation may
+    differ from the one a cold Lawson pass from the fan reaches, and F_I
+    with it by the size of the tie.
     """
     x, _, _ = geom.ball_arrays(balls)
     aux = _cell_aux(diagram, start)
@@ -832,6 +791,7 @@ def run(
         if not math.isfinite(fi):
             raise Diverged(f"F_I is {fi} at iteration {it}")
         state.degenerate_cells += len(diagram.aux.degenerate)
+        state.aux_scalar_cells += diagram.aux.scalar
         if start is not None:
             state.aux_cold_cells += diagram.aux.cold
         max_tau = diagram.max_abs_tau()

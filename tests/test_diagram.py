@@ -13,7 +13,7 @@ from radmesh.diagram import (
     dual_height,
     extract_diagram,
 )
-from radmesh.errors import RadmeshError
+from radmesh.errors import CollinearPoints, RadmeshError
 from radmesh.geom import Ball, power
 from radmesh.triangulation import build_regular
 
@@ -246,6 +246,81 @@ def test_delaunay_limit_check_margin_on_lattice():
         probe = list(balls)
         probe[moved] = Ball((1.0 + math.sqrt(2.0) / 2.0 - depth * margin, 1.0), balls[moved].radius)
         assert set(delaunay_limit_violations(t, d, probe, margin)) == flagged
+
+
+def circle_depth(d, cell, p):
+    """How deep ``p`` lies inside the circles ``delaunay_limit_violations`` reads for ``cell``.
+
+    Those are the circles through each triple of consecutive cell vertices
+    (one for a triangle) whose circumcenter is conditioned.
+    """
+    pts = d.points(cell)
+    m = len(pts)
+    depth = -math.inf
+    for k in range(m if m > 3 else 1):
+        triple = [pts[(k + i) % m] for i in range(3)]
+        try:
+            cx, cy = geom.circumcenter(*triple)
+        except CollinearPoints:
+            continue
+        rad = math.hypot(triple[0][0] - cx, triple[0][1] - cy)
+        depth = max(depth, rad - math.hypot(p[0] - cx, p[1] - cy))
+    return depth
+
+
+def test_delaunay_limit_check_margin_at_441_balls():
+    # the converged 441-ball square-with-circle scene passes the check at
+    # the 1e-6 * diag margin; a non-incident ball pushed into a free cell's
+    # circles by twice the margin is flagged, by half the margin it is not.
+    # One cell has three vertices; the other has the closest vertex pair
+    # relative to its size, 2e-8 apart, so its circles through that pair
+    # are the worst conditioned
+    from radmesh.dirichlet import OptimizerConfig, run
+    from radmesh.scene import gen_square_with_circle
+
+    scene = gen_square_with_circle(10.0, 2.0, 0.8, interior_spacing=0.30, seed=7)
+    assert len(scene.balls) == 441
+    diag = geom.bbox_diag([b.center for b in scene.balls])
+    state = run(scene.balls, OptimizerConfig(theta=0.5, tau_tol=1e-8 * diag * diag))
+    assert state.converged
+    final, margin = state.balls, 1e-6 * diag
+    t, d = build_both(final)
+    assert delaunay_limit_violations(t, d, final, margin) == []
+    cells = np.flatnonzero(d.bounded & d.free)
+
+    def min_gap(i):
+        pts = np.array(d.points(i))
+        return np.hypot(*(np.roll(pts, -1, axis=0) - pts).T).min() / np.ptp(pts, axis=0).max()
+
+    triangle = int(cells[np.diff(d.offsets)[cells] == 3][0])
+    pair = int(min(cells.tolist(), key=min_gap))
+    assert min_gap(pair) < 1e-6 and len(d.points(pair)) > 3
+    for cell in (triangle, pair):
+        pts = d.points(cell)
+        cx, cy = np.mean(pts, axis=0).tolist()
+        verts = d.cell_vertices[d.offsets[cell] : d.offsets[cell + 1]]
+        incident = set(t.tris[np.isin(d.vertex_of, verts)].ravel().tolist())
+        others = [j for j, b in enumerate(final) if b.alive and d.has_cell[j] and j not in incident]
+        j = min(others, key=lambda j: math.dist(final[j].center, (cx, cy)))
+        dist = math.dist(final[j].center, (cx, cy))
+        ux, uy = (final[j].center[0] - cx) / dist, (final[j].center[1] - cy) / dist
+        for depth, flagged in ((2.0, True), (0.5, False)):
+            # bisect along the ray from the cell's centroid to ball j for the
+            # point at this depth inside the cell's deepest circle
+            lo, hi = 0.0, dist
+            at_j = circle_depth(d, cell, final[j].center)
+            assert circle_depth(d, cell, (cx, cy)) > depth * margin > at_j
+            for _ in range(100):
+                mid = 0.5 * (lo + hi)
+                if circle_depth(d, cell, (cx + mid * ux, cy + mid * uy)) > depth * margin:
+                    lo = mid
+                else:
+                    hi = mid
+            at = (cx + lo * ux, cy + lo * uy)
+            assert circle_depth(d, cell, at) == pytest.approx(depth * margin, rel=1e-3)
+            probe = list(final)
+            probe[j] = Ball(at, final[j].radius)
+            assert ((cell, j) in delaunay_limit_violations(t, d, probe, margin)) is flagged
 
 
 def test_delaunay_limit_check_flags_generic_diagram():

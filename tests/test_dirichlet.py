@@ -12,8 +12,8 @@ from radmesh.dirichlet import (
     AuxMesh,
     OptimizerConfig,
     _active_triangles,
-    _aux_group,
     _cell_points,
+    _certify,
     _damped_steps,
     _gauss_newton_step,
     _incircle,
@@ -151,13 +151,28 @@ def cell_points(d, domain=None):
     return [_cell_points(d, i, domain) for i in cells.tolist()], cells
 
 
+def certified(pts, tris):
+    """Whether ``_certify`` accepts the triangulation ``tris`` (local corners) of the cell ``pts``.
+
+    A scalar result that dropped a flat triangle has fewer than k - 2 and is not.
+    """
+    if len(tris) != len(pts) - 2:
+        return False
+    xy, offsets = np.array(pts, dtype=float), np.array([0, len(pts)])
+    accepted, *_ = _certify(xy, offsets, np.array([0]), np.array(tris).reshape(-1, 3))
+    return bool(accepted[0])
+
+
 def assert_batched_matches_scalar(points, balls=None):
     """Run aux_triangulate_cells and compare every cell with the scalar path.
 
     ``points`` are the cells' vertex lists and ``balls`` their ball indices
-    (default: list positions).  Triangles, circumcenters and areas must
-    agree bit for bit, degenerate cells must be listed as such.  Returns
-    the ball indices of the cells that went through the scalar path.
+    (default: list positions).  Triangles, circumcenters, areas and corners
+    must agree bit for bit, in order, and degenerate cells must be listed as
+    such.  The one exception is a cell the batched path certified where the
+    Lawson flips from the fan stopped at a near tie: the scalar
+    triangulation then fails the certificate.  Returns the ball indices of
+    the cells that went through the scalar path.
     """
     import radmesh.dirichlet as dmod
 
@@ -178,6 +193,7 @@ def assert_batched_matches_scalar(points, balls=None):
     finally:
         dmod.aux_triangulate_cell = orig
     assert np.all(np.diff(mesh.ball) >= 0)  # cell after cell
+    assert mesh.scalar == len(scalar) and mesh.cold == len(balls)
     for pts, ball in zip(points, balls.tolist()):
         rows = mesh.ball == ball
         try:
@@ -186,14 +202,22 @@ def assert_batched_matches_scalar(points, balls=None):
             assert ball in mesh.degenerate and not rows.any()
             continue
         assert ball not in mesh.degenerate
-        for got, want in (
-            (mesh.vertices[rows], [t.vertex_positions for t in ref]),
-            (mesh.circumcenter[rows], [t.circumcenter for t in ref]),
-            (mesh.area[rows], [t.area for t in ref]),
-        ):
-            want = np.array(want, dtype=float)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if ball not in scalar and not certified(pts, [t.corners for t in ref]):
+            continue
+        assert_same_triangles(mesh, rows, ref)
     return scalar
+
+
+def assert_same_triangles(mesh, rows, ref):
+    """The rows ``rows`` of ``mesh`` are the scalar path's ``ref`` bit for bit, in order."""
+    for got, want in (
+        (mesh.vertices[rows], [t.vertex_positions for t in ref]),
+        (mesh.circumcenter[rows], [t.circumcenter for t in ref]),
+        (mesh.area[rows], [t.area for t in ref]),
+    ):
+        want = np.array(want, dtype=float)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert mesh.corners[rows].tolist() == [list(t.corners) for t in ref]
 
 
 def regular_polygon(k, r=1.0):
@@ -224,8 +248,9 @@ def test_aux_batched_matches_scalar_on_adversarial_cells():
         if h < 1e-14:
             must_go_scalar.append(len(polygons))
         polygons.append([(0.0, 0.0), (1.0, -h), (2.0, -0.5 * h), (3.0, 0.0), (1.5, h)])
-    # a 180 degree vertex: (1, 0) lies on the edge from (0, 0) to (2, 0)
-    must_go_scalar.append(len(polygons))
+    # a 180 degree vertex: (1, 0) lies on the edge from (0, 0) to (2, 0);
+    # its Delaunay triangulation fans out from it, and no triangle is flat
+    straight = len(polygons)
     polygons.append([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (2.5, 1.5), (1.0, 2.2), (-0.4, 1.1)])
     for offset in ((0.0, 0.0), (1e3, -1e3), (1e6, 1e6)):
         for k in range(3, 15):
@@ -236,6 +261,7 @@ def test_aux_batched_matches_scalar_on_adversarial_cells():
             polygons.append(pts[::-1] if k % 2 else pts)  # clockwise ones too
     scalar = assert_batched_matches_scalar(polygons)
     assert set(must_go_scalar) <= set(scalar)
+    assert straight not in scalar
     assert len(scalar) < len(polygons)  # the batched path does decide
 
 
@@ -257,20 +283,6 @@ def test_aux_batched_matches_scalar_on_scenes():
         assert len(scalar) < len(cells)
 
 
-def test_aux_small_groups_go_scalar():
-    # below _BATCH_MIN_CELLS cells a vertex-count group is cheaper by Lawson
-    import radmesh.dirichlet as dmod
-
-    rng = philox(64)
-    polygons = []
-    for _ in range(dmod._BATCH_MIN_CELLS):
-        ang = np.sort(rng.uniform(0.0, 2 * math.pi, 6))
-        polygons.append([(math.cos(t), 0.6 * math.sin(t)) for t in ang])
-    few = polygons[: dmod._BATCH_MIN_CELLS - 1]
-    assert assert_batched_matches_scalar(few) == list(range(len(few)))
-    assert len(assert_batched_matches_scalar(polygons)) < len(polygons)
-
-
 def random_triangulation(rng, k):
     """A random triangulation of the index k-gon: increasing triples, sorted."""
     tris, sides = [], [(0, k - 1)]
@@ -288,7 +300,7 @@ def start_mesh(ball, tris):
     n = len(tris)
     corners = np.array(tris, dtype=int).reshape(n, 3)
     return AuxMesh(
-        np.full(n, ball), np.zeros((n, 3, 2)), np.zeros((n, 2)), np.zeros(n), corners, [], 0
+        np.full(n, ball), np.zeros((n, 3, 2)), np.zeros((n, 2)), np.zeros(n), corners, [], 0, 0
     )
 
 
@@ -305,7 +317,7 @@ def convex_cells(draw):
     Most are listed counterclockwise, as the diagram lists them; some clockwise.
     """
     rng = philox(draw(st.integers(0, 10**6)))
-    k = draw(st.integers(3, 14))
+    k = draw(st.integers(3, 26))
     kind = draw(st.sampled_from(["ellipse", "near_cocircular", "near_duplicate"]))
     ang = np.sort(rng.uniform(0.0, 2 * math.pi, k))
     a, b = rng.uniform(0.2, 1.0, 2)
@@ -333,16 +345,70 @@ def interior_edges(tris, k):
     return [((i, j, l), side[(i, l)]) for i, j, l in tris if (i, l) != (0, k - 1)]
 
 
+def batched_single(pts, ball=7):
+    """``aux_triangulate_cells`` on the one cell ``pts`` without a start."""
+    xy, offsets = np.array(pts, dtype=float), np.array([0, len(pts)])
+    return aux_triangulate_cells(xy, offsets, np.array([ball]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(convex_cells())
+def test_batched_cells_match_the_scalar_path(pts):
+    # the scalar Lawson path is the oracle: a cell the batched path certifies
+    # gets its triangles, circumcenters, areas and corners bit for bit, in
+    # order, unless the flips from the fan stopped at a near tie (the scalar
+    # triangulation then fails the certificate, as below); the cells it
+    # refuses are the scalar path's, triangles without a start included
+    mesh = batched_single(pts)
+    try:
+        ref = aux_triangulate_cell(pts, 7)
+    except DegenerateCell:
+        assert mesh.degenerate == [7] and mesh.scalar == 1 and not len(mesh.ball)
+        return
+    rows = np.ones(len(mesh.ball), dtype=bool)
+    if mesh.scalar or certified(pts, [t.corners for t in ref]):
+        assert_same_triangles(mesh, rows, ref)
+    assert mesh.cold == 1
+    if mesh.scalar == 0:
+        assert certified(pts, mesh.corners)
+    if len(pts) == 3 or polygon_area(pts) < 0:  # clockwise: the scalar path reverses it
+        assert mesh.scalar == 1
+
+
+def test_batched_path_certifies_past_a_fan_tie():
+    # an 8-vertex cell of the converged 233-ball criterion-8 scene with three
+    # near-duplicate vertex pairs: the Lawson flips from the fan stop with
+    # the edge (0, 3) at +0.2 of the tie tolerance, which is not Delaunay;
+    # the largest-angle construction is, by 1.5e3 tolerances or more
+    pts = [
+        (8.263521520005243, 4.350845222693381), (8.66247094461046, 4.271489248180405),
+        (9.262228558615979, 4.690022039072323), (9.26224456172203, 4.690056105936421),
+        (8.662458209805894, 5.728508199302135), (8.263521618119652, 5.649154777415454),
+        (8.263521474868913, 5.649154641969046), (8.263521474868915, 4.3508452653706735),
+    ]
+    fan = [t.corners for t in aux_triangulate_cell(pts, 80)]
+    assert fan == [(0, 1, 2), (0, 2, 3), (0, 3, 7), (3, 4, 6), (3, 6, 7), (4, 5, 6)]
+    span = max(max(abs(p[0] - pts[0][0]), abs(p[1] - pts[0][1])) for p in pts)
+    assert 0 < _incircle(*pts[0], *pts[3], *pts[7], *pts[2]) <= _tie_tol(span)
+    assert not certified(pts, fan)
+    mesh = batched_single(pts, 80)
+    assert mesh.scalar == 0
+    delaunay = [[0, 1, 7], [1, 2, 7], [2, 3, 4], [2, 4, 6], [2, 6, 7], [4, 5, 6]]
+    assert mesh.corners.tolist() == delaunay
+    for (i, j, l), d in interior_edges(mesh.corners.tolist(), len(pts)):
+        assert _incircle(*pts[i], *pts[j], *pts[l], *pts[d]) < -1e3 * _tie_tol(span)
+
+
 @settings(max_examples=300, deadline=None)
 @given(convex_cells(), st.integers(0, 10**6), st.booleans())
 def test_warm_certificate_matches_the_batched_stage(pts, seed, from_cold):
     # the warm start from a random triangulation of the cell, or from the
     # cell's own cold triangulation: what it accepts is certified Delaunay,
-    # and on a cell the batched stage decides it is that stage's output bit
-    # for bit (which is also what it accepts whenever the start is it)
+    # and where the cold path certified its construction too, both are the
+    # one Delaunay triangulation, bit for bit
     k = len(pts)
+    cold = batched_single(pts)
     if from_cold:
-        cold = aux_triangulate_cells(np.array(pts), np.array([0, k]), np.array([7]))
         tris = [tuple(t) for t in cold.corners.tolist()]
     else:
         tris = random_triangulation(philox(seed), k)
@@ -350,6 +416,7 @@ def test_warm_certificate_matches_the_batched_stage(pts, seed, from_cold):
     accepted = mesh.cold == 0
     span = max(max(abs(p[0] - pts[0][0]), abs(p[1] - pts[0][1])) for p in pts)
     if accepted:
+        assert mesh.scalar == 0
         assert mesh.corners.tolist() == [list(t) for t in tris]
         assert (mesh.area > 1e-14 * span * span).all()
         for (i, j, l), d in interior_edges(tris, k):
@@ -357,16 +424,13 @@ def test_warm_certificate_matches_the_batched_stage(pts, seed, from_cold):
         for (i, j, l), center, area in zip(tris, mesh.circumcenter.tolist(), mesh.area.tolist()):
             assert center == list(circumcenter(pts[i], pts[j], pts[l]))  # a conditioned one
             assert area == triangle_area(pts[i], pts[j], pts[l])  # counterclockwise
-    if k == 3:
-        return
-    decided, _, corners, centers, area, local = _aux_group(np.array(pts)[None])
-    delaunay = polygon_area(pts) > 0 and sorted(map(tuple, local.tolist())) == tris
-    if decided[0] and (accepted or delaunay):
-        assert accepted
-        assert mesh.corners.tolist() == local.tolist()
-        pairs = (mesh.vertices, corners), (mesh.circumcenter, centers), (mesh.area, area)
-        for got, want in pairs:
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    if cold.scalar == 0:
+        assert accepted or not from_cold
+        if accepted:
+            pairs = (mesh.vertices, cold.vertices), (mesh.circumcenter, cold.circumcenter), (
+                mesh.area, cold.area), (mesh.corners, cold.corners)
+            for got, want in pairs:
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -489,7 +553,7 @@ def test_collapsed_cell_is_recorded_not_triangulated():
 def test_ill_conditioned_aux_triangle_is_a_degenerate_cell():
     # five vertices within 2e-13 of the x axis: a triangle of the cell clears
     # the area guard but not circumcenter's conditioning guard, so the whole
-    # cell is degenerate, as the batched stage's ``ok`` mask would have it
+    # cell is degenerate, as the certificate's ``ok`` mask would have it
     pts = [
         (0.5168811759658247, 1.8234773016134711e-13),
         (0.6569395453324917, 1.6457040976843183e-13),
@@ -852,8 +916,8 @@ def test_eliminate_redundant_ball():
 def test_run_triangulates_each_cell_once_per_iteration():
     # evaluate_FI, the elimination bookkeeping and relax_step share the
     # auxiliary triangulations kept on each iteration's diagram; each is
-    # warm-started from the previous iteration's, and the certificate keeps
-    # most cells out of the cold stages
+    # warm-started from the previous iteration's, and most cells keep their
+    # previous triangles
     import radmesh.dirichlet as dmod
 
     rng = philox(49)
@@ -892,9 +956,9 @@ def test_run_triangulates_each_cell_once_per_iteration():
 
 
 def test_run_warm_aux_equals_cold_aux():
-    # a run to convergence, Gauss-Newton steps included, with no near tie:
-    # every warm-started auxiliary mesh is the cold one array for array,
-    # and most cells skip the cold stages
+    # a run to convergence, Gauss-Newton steps included: every
+    # warm-started auxiliary mesh is the cold one array for array, and most
+    # cells keep their previous triangles
     import radmesh.dirichlet as dmod
 
     balls = jittered_grid(philox(51), 6, fix_boundary=True)
@@ -926,6 +990,39 @@ def test_run_warm_aux_equals_cold_aux():
         assert warm.degenerate == cold.degenerate
     cells = sum(len(np.unique(cold.ball)) for _, cold in pairs)
     assert state.aux_cold_cells == sum(warm.cold for warm, _ in pairs) < 0.1 * cells
+
+
+def test_run_counts_the_cells_that_fall_to_the_scalar_path():
+    # the cells no certificate accepts go through aux_triangulate_cell;
+    # AuxMesh.scalar counts them per call and OptimizerState.aux_scalar_cells
+    # over the run.  Far from convergence the certificate takes every cell;
+    # at the converged iterate, near ties send some to the scalar path
+    import radmesh.dirichlet as dmod
+
+    balls = jittered_grid(philox(49), 5, fix_boundary=True)
+    calls, per_iteration = [], []
+    orig = dmod.aux_triangulate_cell
+
+    def spy(pts, ball):
+        calls.append(ball)
+        return orig(pts, ball)
+
+    def on_iteration(state):
+        per_iteration.append((state.diagram.aux.scalar, len(calls), state.aux_scalar_cells))
+        calls.clear()
+
+    dmod.aux_triangulate_cell = spy
+    try:
+        state = run(balls, OptimizerConfig(theta=0.5, max_iters=200), on_iteration=on_iteration)
+    finally:
+        dmod.aux_triangulate_cell = orig
+    assert state.converged
+    total = 0
+    for scalar, n_calls, counted in per_iteration:
+        total += scalar
+        assert scalar == n_calls and counted == total
+    assert per_iteration[1][0] == 0 and per_iteration[-1][0] > 0
+    assert state.aux_scalar_cells == total
 
 
 def test_run_computes_proposals_once_per_iteration():
