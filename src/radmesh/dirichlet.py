@@ -15,25 +15,23 @@ a free ball.
 ``aux_triangulate_cells`` builds the auxiliary triangulations of all cells
 of one diagram as arrays (an ``AuxMesh``).  It takes the cells in CSR
 form: without a domain, one gather of the diagram's ``vertices`` through
-its ``cell_vertices``; a domain clips each cell first.  Every cell gets one
-candidate triangulation and one certificate (``_certify``): by Lawson's
+its ``cell_vertices``; a domain clips each cell first.  Every cell of 4
+or more vertices gets one candidate triangulation, built for all of them
+at once by the largest-angle recursion over the chords of the convex cell
+(``_largest_angle``), and one certificate (``_certify``): by Lawson's
 lemma a triangulation whose k - 3 interior edges are all locally Delaunay
 beyond the tie tolerance is the Delaunay one, and area and conditioning
-guards keep out what the scalar path would drop or refuse.  The candidate
-is the previous iteration's triangles (stored as local vertex indices)
-when the cell has the same ball and vertex count; otherwise, or when the
-certificate refuses them, it is built for all such cells at once by the
-largest-angle recursion over the chords of the convex cell
-(``_largest_angle``) and certified in a second pass over those cells
-only.  What no certificate accepts (near ties, near-collinear corners,
-clockwise cells) and triangles without a start go to the scalar
-``aux_triangulate_cell``: Lawson flips from a fan.  Both paths emit the
-same triangles bit for bit, in one canonical order, except at a near tie
-where the flips from the fan stop at another triangulation that is
-Delaunay within the tolerance; F_I then moves by the size of the tie.
-``evaluate_FI`` and the proposals are reductions over the triangle
-arrays: the proposals are one array of target rows, whose radii are one
-column-by-column sum over the cells' CSR vertices (``_radii``).
+guards keep out what the scalar path would drop or refuse.  Triangles and
+what the certificate refuses (near ties, near-collinear corners,
+clockwise cells) go to the scalar ``aux_triangulate_cell``: Lawson flips
+from a fan.  Both paths emit the same triangles bit for bit, in one
+canonical order, except at a near tie where the flips from the fan stop
+at another triangulation that is Delaunay within the tolerance; F_I then
+moves by the size of the tie.  Neither path reads an earlier iteration,
+so F_I is a function of the current diagram alone.  ``evaluate_FI`` and
+the proposals are reductions over the triangle arrays: the proposals are
+one array of target rows, whose radii are one column-by-column sum over
+the cells' CSR vertices (``_radii``).
 
 ``run`` keeps the ball set as a ``geom.BallArrays``: one ``(N, 3)`` array
 of ``[cx, cy, R]`` rows, a ``free`` mask of the same shape (alive and not
@@ -45,16 +43,15 @@ the Gauss-Newton step write the free coordinates of the rows, and
 elimination clears a ball's rows in ``alive`` and ``free``.
 
 Each iteration rebuilds the triangulation and the diagram once; the
-auxiliary triangulations are computed on first use, warm-started from the
-previous iteration's, and kept on the diagram, and the update proposals
-are computed once and shared by the elimination bookkeeping and
-``relax_step``.  Every rebuild goes through ``_rebuild``
-and warm-starts ``build_regular`` from a table the loop already has: the
-previous iteration's, or for a Gauss-Newton trial the table of the point it
-steps from.  A start the triangulation's certificate refuses is rebuilt from
-qhull and counted in ``OptimizerState.rebuild_fallbacks``; the aux cells
-that keep no previous triangles are counted in ``aux_cold_cells``, and
-those that fall to the scalar path in ``aux_scalar_cells``.
+auxiliary triangulations are computed on first use and kept on the
+diagram, and the update proposals are computed once and shared by the
+elimination bookkeeping and ``relax_step``.  Every rebuild goes through
+``_rebuild`` and warm-starts ``build_regular`` from a table the loop
+already has: the previous iteration's, or for a Gauss-Newton trial the
+table of the point it steps from.  A start the triangulation's certificate
+refuses is rebuilt from qhull and counted in
+``OptimizerState.rebuild_fallbacks``; the aux cells that fall to the
+scalar path are counted in ``aux_scalar_cells``.
 There is one optimizer.  The update is the heuristic area-weighted center /
 least-squares radius proposal, relaxed by ``theta``; once that relaxation
 plateaus, a damped Gauss-Newton step on the dual-vertex power residuals
@@ -100,22 +97,16 @@ class AuxMesh:
 
     Row t is a triangle of the cell of ball ``ball[t]``; the cells come in
     the order they were given, and each cell's triangles in canonical order
-    (see ``aux_triangulate_cell``).  ``corners[t]`` are the triangle's
-    corners as indices into its cell's CCW vertex list, which is what the
-    next iteration's warm start reads.  ``degenerate`` lists the balls
-    whose cells were skipped as degenerate, ``cold`` counts the cells that
-    kept no triangles of the start (constructed or scalar), and ``scalar``
-    the cells that went through ``aux_triangulate_cell``, degenerate ones
-    included.
+    (see ``aux_triangulate_cell``).  ``degenerate`` lists the balls whose
+    cells were skipped as degenerate, and ``scalar`` counts the cells that
+    went through ``aux_triangulate_cell``, degenerate ones included.
     """
 
     ball: np.ndarray  # (T,) ball index
     vertices: np.ndarray  # (T, 3, 2) CCW corners
     circumcenter: np.ndarray  # (T, 2)
     area: np.ndarray  # (T,) unsigned
-    corners: np.ndarray  # (T, 3) local corner indices, increasing
     degenerate: list[int]
-    cold: int
     scalar: int
 
 
@@ -169,11 +160,8 @@ class OptimizerState:
     degenerate_cells: int = 0
     # rebuilds whose start table build_regular refused, rebuilding from qhull
     rebuild_fallbacks: int = 0
-    # cells that kept no previous auxiliary triangulation (the certificate
-    # refused it, or there was none), from the second iteration on
-    aux_cold_cells: int = 0
-    # cells the certificate refused every candidate of (near ties, mostly,
-    # and triangles without a start), triangulated by aux_triangulate_cell
+    # cells without a certified candidate (near ties, mostly, and
+    # triangles), triangulated by aux_triangulate_cell
     aux_scalar_cells: int = 0
 
     @property
@@ -345,9 +333,10 @@ def _certify(xy, offsets, pos, local):
     """Which cells ``pos`` of a CSR cell list the triangulations ``local`` are Delaunay for.
 
     ``local`` holds k - 2 increasing local corner triples for each cell of
-    k vertices, cell after cell; k - 2 non-crossing triangles on k points
-    in convex position triangulate them, and a triple that reaches past
-    vertex k - 1 refuses its cell.  By Lawson's lemma a triangulation whose
+    k vertices, cell after cell, as ``_largest_angle`` builds them; k - 2
+    non-crossing triangles on k points in convex position triangulate them
+    (which is not checked here), and a triple that reaches past vertex
+    k - 1 refuses its cell.  By Lawson's lemma a triangulation whose
     interior edges are all locally Delaunay is the Delaunay triangulation,
     so a cell is accepted when each of its k - 3 interior edges has an
     in-circle value below minus the cell's tie tolerance, every triangle
@@ -360,7 +349,7 @@ def _certify(xy, offsets, pos, local):
 
     Returns the mask of accepted cells over ``pos`` and, for their
     triangles in the order of ``local``: the cell position, the (n, 3, 2)
-    corners, the circumcenters, the areas and the local corners.
+    corners, the circumcenters and the areas.
     """
     k = offsets[pos + 1] - offsets[pos]
     cell = np.repeat(np.arange(len(pos)), k - 2)  # cell of each triangle
@@ -396,46 +385,28 @@ def _certify(xy, offsets, pos, local):
     refused[cell[~(fits & (area > 1e-14 * span[cell] * span[cell]) & ok)]] = True
     refused[cell[edge][~(found & (val < -_tie_tol(span)[cell[edge]]))]] = True
     rows = ~refused[cell]
-    return ~refused, pos[cell[rows]], corners[rows], centers[rows], area[rows], local[rows]
+    return ~refused, pos[cell[rows]], corners[rows], centers[rows], area[rows]
 
 
-def aux_triangulate_cells(
-    xy: np.ndarray, offsets: np.ndarray, cells: np.ndarray, start: AuxMesh | None = None
-) -> AuxMesh:
+def aux_triangulate_cells(xy: np.ndarray, offsets: np.ndarray, cells: np.ndarray) -> AuxMesh:
     """Auxiliary triangulations of many cells at once, as one ``AuxMesh``.
 
     The cells are in CSR form: ``xy[offsets[p]:offsets[p + 1]]`` are the
     vertices of the cell of ball ``cells[p]``, as ``_cell_points`` gives
-    them.  Each cell gets one candidate triangulation and ``_certify``
-    accepts it or not.  With a ``start`` (the previous iteration's mesh), a
-    cell that ``start`` holds k - 2 triangles for takes them.  The cells of
-    4 or more vertices that have no such start, or whose start is refused,
-    take the ``_largest_angle`` triangulation, certified in a second pass
-    over them only; ``cold`` counts the cells that kept no triangles of
-    ``start``.  The cells still without triangles (triangles with
-    no start, near ties, near-collinear corners, clockwise cells) go
-    through ``aux_triangulate_cell``, Lawson flips from a fan, and are
-    counted in ``scalar``.  Every accepted cell gets the scalar path's
-    triangles bit for bit unless a near tie elsewhere in it stops that
-    path's flips short of the Delaunay triangulation.  Degenerate cells get
-    no triangles and are listed in ``degenerate``.
+    them.  Every cell of 4 or more vertices gets the ``_largest_angle``
+    triangulation, and ``_certify`` accepts it or not, in one pass over
+    those cells.  The cells without triangles (triangles, near ties,
+    near-collinear corners, clockwise cells) go through
+    ``aux_triangulate_cell``, Lawson flips from a fan, and are counted in
+    ``scalar``.  Every accepted cell gets the scalar path's triangles bit
+    for bit unless a near tie elsewhere in it stops that path's flips short
+    of the Delaunay triangulation.  Degenerate cells get no triangles and
+    are listed in ``degenerate``.
     """
-    counts = np.diff(offsets)
-    parts = [(np.zeros(0, dtype=int), np.zeros((0, 3, 2)), np.zeros((0, 2)), np.zeros(0),
-              np.zeros((0, 3), dtype=int))]
-    cold = np.ones(len(cells), dtype=bool)  # no start accepted
-    if start is not None and len(start.ball):
-        # the cells that ``start`` holds k - 2 triangles for, and those triangles
-        balls, first, n_old = np.unique(start.ball, return_index=True, return_counts=True)
-        at = np.searchsorted(balls, cells).clip(max=len(balls) - 1)
-        pos = np.flatnonzero((balls[at] == cells) & (n_old[at] == counts - 2))
-        local = start.corners.take(_ranges(first[at[pos]], counts[pos] - 2), axis=0)
-        warm, *tris = _certify(xy, offsets, pos, local)
-        cold[pos[warm]] = False
-        parts.append(tris)
-    scalar = cold.copy()
-    pos = np.flatnonzero(cold & (counts >= 4))
-    if len(pos):
+    parts = [(np.zeros(0, dtype=int), np.zeros((0, 3, 2)), np.zeros((0, 2)), np.zeros(0))]
+    scalar = np.ones(len(cells), dtype=bool)
+    pos = np.flatnonzero(np.diff(offsets) >= 4)
+    if len(pos):  # _largest_angle fails on an empty cell set
         built, *tris = _certify(xy, offsets, pos, _largest_angle(xy, offsets, pos))
         scalar[pos[built]] = False
         parts.append(tris)
@@ -447,14 +418,14 @@ def aux_triangulate_cells(
         except DegenerateCell:
             degenerate.append(int(cells[p]))
             continue
-        rows += [(p, t.vertex_positions, t.circumcenter, t.area, t.corners) for t in aux]
+        rows += [(p, t.vertex_positions, t.circumcenter, t.area) for t in aux]
     if rows:
         parts.append(tuple(np.array(x) for x in zip(*rows)))
-    pos, vertices, centers, area, corners = (np.concatenate(x) for x in zip(*parts))
+    pos, vertices, centers, area = (np.concatenate(x) for x in zip(*parts))
     order = np.argsort(pos, kind="stable")
     return AuxMesh(
-        cells[pos[order]], vertices[order], centers[order], area[order], corners[order],
-        degenerate, int(cold.sum()), int(scalar.sum()),
+        cells[pos[order]], vertices[order], centers[order], area[order],
+        degenerate, int(scalar.sum()),
     )
 
 
@@ -513,35 +484,29 @@ def _cell_positions(diagram: PowerDiagram, cells: np.ndarray) -> tuple[np.ndarra
     return np.array([p for pts in points for p in pts], dtype=float).reshape(-1, 2), offsets
 
 
-def _cell_aux(diagram: PowerDiagram, start: AuxMesh | None = None) -> AuxMesh:
+def _cell_aux(diagram: PowerDiagram) -> AuxMesh:
     """Auxiliary triangulations of the usable cells of free balls.
 
     Dead and redundant balls (which own no cell), fully fixed balls, and
     unbounded cells without a domain get none; degenerate cells get none
-    and are listed in ``degenerate``.  Computed once per diagram, warm-started
-    from ``start`` if given, and kept in ``diagram.aux``.
+    and are listed in ``degenerate``.  Computed once per diagram from the
+    diagram alone, and kept in ``diagram.aux``.
     """
     if diagram.aux is None:
         cells = np.flatnonzero(diagram.usable)
-        diagram.aux = aux_triangulate_cells(*_cell_positions(diagram, cells), cells, start)
+        diagram.aux = aux_triangulate_cells(*_cell_positions(diagram, cells), cells)
     return diagram.aux
 
 
-def evaluate_FI(
-    balls: list[Ball] | BallArrays, diagram: PowerDiagram, start: AuxMesh | None = None
-) -> float:
+def evaluate_FI(balls: list[Ball] | BallArrays, diagram: PowerDiagram) -> float:
     """Dirichlet functional: ``cell_fi`` summed over the bounded cells of free balls.
 
     The first call on a diagram triangulates its cells and keeps the result
-    in ``diagram.aux``.  ``start``, an earlier diagram's ``aux``, lets each
-    cell whose old triangulation is still certified Delaunay keep it
-    (``aux_triangulate_cells``).  This gives the same value bit for bit
-    except at a cell with a near tie, where the kept triangulation may
-    differ from the one a cold Lawson pass from the fan reaches, and F_I
-    with it by the size of the tie.
+    in ``diagram.aux``, so the value depends on the balls and the diagram
+    only.
     """
     x, _, _ = geom.ball_arrays(balls)
-    aux = _cell_aux(diagram, start)
+    aux = _cell_aux(diagram)
     d = x[aux.ball, :2] - aux.circumcenter
     return 0.5 * float(((d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) * aux.area).sum())
 
@@ -786,14 +751,11 @@ def run(
             if it == 0:
                 raise  # the input scene itself is unusable
             raise DegenerateScene(str(e)) from e
-        start = None if state.diagram is None else state.diagram.aux
-        fi = evaluate_FI(balls, diagram, start)
+        fi = evaluate_FI(balls, diagram)
         if not math.isfinite(fi):
             raise Diverged(f"F_I is {fi} at iteration {it}")
         state.degenerate_cells += len(diagram.aux.degenerate)
         state.aux_scalar_cells += diagram.aux.scalar
-        if start is not None:
-            state.aux_cold_cells += diagram.aux.cold
         max_tau = diagram.max_abs_tau()
         state.x, state.alive = x, alive
         state.diagram = diagram

@@ -1,6 +1,7 @@
 """Dirichlet functional, heuristic updates, gradients, and the main loop."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,15 +10,17 @@ from hypothesis import strategies as st
 
 from radmesh.diagram import extract_diagram
 from radmesh.dirichlet import (
-    AuxMesh,
     OptimizerConfig,
     _active_triangles,
+    _cell_aux,
     _cell_points,
     _certify,
     _damped_steps,
     _gauss_newton_step,
     _incircle,
+    _largest_angle,
     _proposals,
+    _rebuild,
     _tau_system,
     _tie_tol,
     aux_triangulate_cell,
@@ -36,6 +39,7 @@ from radmesh.dirichlet import (
 from radmesh.errors import DegenerateCell, DegenerateScene, Diverged, TooFewBalls, UnboundedCell
 from radmesh.geom import (
     Ball,
+    BallArrays,
     ball_arrays,
     circumcenter,
     orthocenters,
@@ -151,6 +155,12 @@ def cell_points(d, domain=None):
     return [_cell_points(d, i, domain) for i in cells.tolist()], cells
 
 
+def certify_one(pts, tris):
+    """``_certify`` on the one cell ``pts`` with the triangulation ``tris`` (local corners)."""
+    xy, offsets = np.array(pts, dtype=float), np.array([0, len(pts)])
+    return _certify(xy, offsets, np.array([0]), np.array(tris).reshape(-1, 3))
+
+
 def certified(pts, tris):
     """Whether ``_certify`` accepts the triangulation ``tris`` (local corners) of the cell ``pts``.
 
@@ -158,17 +168,22 @@ def certified(pts, tris):
     """
     if len(tris) != len(pts) - 2:
         return False
-    xy, offsets = np.array(pts, dtype=float), np.array([0, len(pts)])
-    accepted, *_ = _certify(xy, offsets, np.array([0]), np.array(tris).reshape(-1, 3))
+    accepted, *_ = certify_one(pts, tris)
     return bool(accepted[0])
+
+
+def construction(pts):
+    """The ``_largest_angle`` triangulation of the one cell ``pts``, as local corner triples."""
+    xy, offsets = np.array(pts, dtype=float), np.array([0, len(pts)])
+    return [tuple(t) for t in _largest_angle(xy, offsets, np.array([0])).tolist()]
 
 
 def assert_batched_matches_scalar(points, balls=None):
     """Run aux_triangulate_cells and compare every cell with the scalar path.
 
     ``points`` are the cells' vertex lists and ``balls`` their ball indices
-    (default: list positions).  Triangles, circumcenters, areas and corners
-    must agree bit for bit, in order, and degenerate cells must be listed as
+    (default: list positions).  Triangles, circumcenters and areas must
+    agree bit for bit, in order, and degenerate cells must be listed as
     such.  The one exception is a cell the batched path certified where the
     Lawson flips from the fan stopped at a near tie: the scalar
     triangulation then fails the certificate.  Returns the ball indices of
@@ -193,7 +208,7 @@ def assert_batched_matches_scalar(points, balls=None):
     finally:
         dmod.aux_triangulate_cell = orig
     assert np.all(np.diff(mesh.ball) >= 0)  # cell after cell
-    assert mesh.scalar == len(scalar) and mesh.cold == len(balls)
+    assert mesh.scalar == len(scalar)
     for pts, ball in zip(points, balls.tolist()):
         rows = mesh.ball == ball
         try:
@@ -217,7 +232,6 @@ def assert_same_triangles(mesh, rows, ref):
     ):
         want = np.array(want, dtype=float)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    assert mesh.corners[rows].tolist() == [list(t.corners) for t in ref]
 
 
 def regular_polygon(k, r=1.0):
@@ -295,21 +309,6 @@ def random_triangulation(rng, k):
     return sorted(tris)
 
 
-def start_mesh(ball, tris):
-    """An ``AuxMesh`` holding one cell's triangles ``tris`` (local corners), as a warm start."""
-    n = len(tris)
-    corners = np.array(tris, dtype=int).reshape(n, 3)
-    return AuxMesh(
-        np.full(n, ball), np.zeros((n, 3, 2)), np.zeros((n, 2)), np.zeros(n), corners, [], 0, 0
-    )
-
-
-def warm_single(pts, tris, ball=7):
-    """``aux_triangulate_cells`` on the one cell ``pts`` started from ``tris``."""
-    xy, offsets = np.array(pts, dtype=float), np.array([0, len(pts)])
-    return aux_triangulate_cells(xy, offsets, np.array([ball]), start_mesh(ball, tris))
-
-
 @st.composite
 def convex_cells(draw):
     """Convex cells: on an ellipse, near-cocircular, or with a near-duplicate vertex pair.
@@ -346,7 +345,7 @@ def interior_edges(tris, k):
 
 
 def batched_single(pts, ball=7):
-    """``aux_triangulate_cells`` on the one cell ``pts`` without a start."""
+    """``aux_triangulate_cells`` on the one cell ``pts``."""
     xy, offsets = np.array(pts, dtype=float), np.array([0, len(pts)])
     return aux_triangulate_cells(xy, offsets, np.array([ball]))
 
@@ -355,10 +354,10 @@ def batched_single(pts, ball=7):
 @given(convex_cells())
 def test_batched_cells_match_the_scalar_path(pts):
     # the scalar Lawson path is the oracle: a cell the batched path certifies
-    # gets its triangles, circumcenters, areas and corners bit for bit, in
-    # order, unless the flips from the fan stopped at a near tie (the scalar
+    # gets its triangles, circumcenters and areas bit for bit, in order,
+    # unless the flips from the fan stopped at a near tie (the scalar
     # triangulation then fails the certificate, as below); the cells it
-    # refuses are the scalar path's, triangles without a start included
+    # refuses are the scalar path's, triangles included
     mesh = batched_single(pts)
     try:
         ref = aux_triangulate_cell(pts, 7)
@@ -368,9 +367,10 @@ def test_batched_cells_match_the_scalar_path(pts):
     rows = np.ones(len(mesh.ball), dtype=bool)
     if mesh.scalar or certified(pts, [t.corners for t in ref]):
         assert_same_triangles(mesh, rows, ref)
-    assert mesh.cold == 1
-    if mesh.scalar == 0:
-        assert certified(pts, mesh.corners)
+    if mesh.scalar == 0:  # the construction, certified
+        tris = construction(pts)
+        assert certified(pts, tris)
+        assert mesh.vertices.tobytes() == np.array(pts)[np.array(tris)].tobytes()
     if len(pts) == 3 or polygon_area(pts) < 0:  # clockwise: the scalar path reverses it
         assert mesh.scalar == 1
 
@@ -393,42 +393,63 @@ def test_batched_path_certifies_past_a_fan_tie():
     assert not certified(pts, fan)
     mesh = batched_single(pts, 80)
     assert mesh.scalar == 0
-    delaunay = [[0, 1, 7], [1, 2, 7], [2, 3, 4], [2, 4, 6], [2, 6, 7], [4, 5, 6]]
-    assert mesh.corners.tolist() == delaunay
-    for (i, j, l), d in interior_edges(mesh.corners.tolist(), len(pts)):
+    delaunay = [(0, 1, 7), (1, 2, 7), (2, 3, 4), (2, 4, 6), (2, 6, 7), (4, 5, 6)]
+    assert mesh.vertices.tolist() == [[list(pts[c]) for c in t] for t in delaunay]
+    for (i, j, l), d in interior_edges(delaunay, len(pts)):
         assert _incircle(*pts[i], *pts[j], *pts[l], *pts[d]) < -1e3 * _tie_tol(span)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(convex_cells(), min_size=1, max_size=4), st.data())
+def test_largest_angle_triangulates_each_cell(cells, data):
+    # _certify checks the interior edges of the triangles it is given, not
+    # that they triangulate the cell: the construction must give each cell
+    # of k vertices k - 2 increasing triples, in canonical order, with
+    # distinct chords (i, l), no two sides crossing, every side of the
+    # polygon once, every diagonal twice and every vertex covered
+    pos = np.array(sorted(data.draw(st.sets(st.integers(0, len(cells) - 1), min_size=1))))
+    xy = np.array([p for pts in cells for p in pts], dtype=float)
+    offsets = np.concatenate([[0], np.cumsum([len(pts) for pts in cells])])
+    found = _largest_angle(xy, offsets, pos).tolist()
+    counts = [len(cells[p]) - 2 for p in pos.tolist()]
+    assert len(found) == sum(counts)
+    for k, tris in zip((n + 2 for n in counts), np.split(found, np.cumsum(counts)[:-1])):
+        tris = [tuple(t) for t in tris.tolist()]
+        assert tris == sorted(tris) and all(0 <= i < j < l < k for i, j, l in tris)
+        assert len({(i, l) for i, _, l in tris}) == k - 2
+        assert {v for t in tris for v in t} == set(range(k))
+        sides = Counter(s for i, j, l in tris for s in ((i, j), (j, l), (i, l)))
+        for (a, b), n in sides.items():
+            assert n == (1 if b - a == 1 or (a, b) == (0, k - 1) else 2)
+            assert not any(a < c < b < d for c, d in sides)
 
 
 @settings(max_examples=300, deadline=None)
 @given(convex_cells(), st.integers(0, 10**6), st.booleans())
 def test_warm_certificate_matches_the_batched_stage(pts, seed, from_cold):
-    # the warm start from a random triangulation of the cell, or from the
-    # cell's own cold triangulation: what it accepts is certified Delaunay,
-    # and where the cold path certified its construction too, both are the
-    # one Delaunay triangulation, bit for bit
+    # _certify on a random triangulation of the cell, or on the cell's own
+    # largest-angle construction: what it accepts is certified Delaunay,
+    # and where the batched path certified its construction too, both are
+    # the one Delaunay triangulation, bit for bit
     k = len(pts)
-    cold = batched_single(pts)
-    if from_cold:
-        tris = [tuple(t) for t in cold.corners.tolist()]
-    else:
-        tris = random_triangulation(philox(seed), k)
-    mesh = warm_single(pts, tris)
-    accepted = mesh.cold == 0
+    batched = batched_single(pts)
+    tris = construction(pts) if from_cold else random_triangulation(philox(seed), k)
+    accepted, _, vertices, centers, areas = certify_one(pts, tris)
+    accepted = bool(accepted[0])
     span = max(max(abs(p[0] - pts[0][0]), abs(p[1] - pts[0][1])) for p in pts)
     if accepted:
-        assert mesh.scalar == 0
-        assert mesh.corners.tolist() == [list(t) for t in tris]
-        assert (mesh.area > 1e-14 * span * span).all()
+        assert vertices.tobytes() == np.array(pts)[np.array(tris)].tobytes()
+        assert (areas > 1e-14 * span * span).all()
         for (i, j, l), d in interior_edges(tris, k):
             assert _incircle(*pts[i], *pts[j], *pts[l], *pts[d]) < -_tie_tol(span)
-        for (i, j, l), center, area in zip(tris, mesh.circumcenter.tolist(), mesh.area.tolist()):
+        for (i, j, l), center, area in zip(tris, centers.tolist(), areas.tolist()):
             assert center == list(circumcenter(pts[i], pts[j], pts[l]))  # a conditioned one
             assert area == triangle_area(pts[i], pts[j], pts[l])  # counterclockwise
-    if cold.scalar == 0:
+    if batched.scalar == 0:
         assert accepted or not from_cold
         if accepted:
-            pairs = (mesh.vertices, cold.vertices), (mesh.circumcenter, cold.circumcenter), (
-                mesh.area, cold.area), (mesh.corners, cold.corners)
+            pairs = (vertices, batched.vertices), (centers, batched.circumcenter), (
+                areas, batched.area)
             for got, want in pairs:
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -436,8 +457,8 @@ def test_warm_certificate_matches_the_batched_stage(pts, seed, from_cold):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10**6), st.sampled_from([(0.0, 0.0), (1e3, -1e3)]))
 def test_warm_certificate_refuses_a_tie_edge(seed, offset):
-    # one interior edge of the start made a tie: its far vertex moved onto
-    # the circumcircle of the triangle across the edge
+    # one interior edge of a random triangulation made a tie: its far
+    # vertex moved onto the circumcircle of the triangle across the edge
     rng = philox(seed)
     k = int(rng.integers(4, 13))
     ang = np.sort(rng.uniform(0.0, 2 * math.pi, k))
@@ -455,28 +476,24 @@ def test_warm_certificate_refuses_a_tie_edge(seed, offset):
     assume(min(turns) > 0)  # still a convex cell
     span = max(max(abs(p[0] - pts[0][0]), abs(p[1] - pts[0][1])) for p in pts)
     assert abs(_incircle(*pts[i], *pts[j], *pts[l], *pts[d])) <= _tie_tol(span)
-    assert warm_single(pts, tris).cold == 1
+    assert not certified(pts, tris)
 
 
 def test_warm_certificate_refuses_starts_it_cannot_certify(monkeypatch):
     import radmesh.geom as gmod
 
     quad = [(0.0, 0.0), (1.0, 0.1), (1.1, 1.0), (-0.1, 0.9)]
-    assert warm_single(quad, [(0, 1, 3), (1, 2, 3)]).cold == 0  # its Delaunay diagonal
-    # k - 2 old triangles that are not a triangulation of the k-gon: a
+    assert certified(quad, [(0, 1, 3), (1, 2, 3)])  # its Delaunay diagonal
+    # k - 2 triangles that are not a triangulation of the k-gon: a
     # pentagon's fan with its middle triangle dropped (as the area guard
     # drops a sliver) has two triangles but reaches vertex 4 of a quad
-    assert warm_single(quad, [(0, 1, 2), (0, 3, 4)]).cold == 1
-    # a start for another ball is no start
-    mesh = aux_triangulate_cells(
-        np.array(quad), np.array([0, 4]), np.array([8]), start_mesh(7, [(0, 1, 3), (1, 2, 3)])
-    )
-    assert mesh.cold == 1
+    assert not certified(quad, [(0, 1, 2), (0, 3, 4)])
     # triangles the circumcenter's conditioning guard refuses (made strict
-    # here) are not kept: the cold path finds the cell degenerate
+    # here) are not accepted: the scalar path finds the cell degenerate
     monkeypatch.setattr(gmod, "CONDITIONING_GUARD", 0.9)
-    mesh = warm_single(quad, [(0, 1, 3), (1, 2, 3)])
-    assert mesh.cold == 1 and mesh.degenerate == [7]
+    assert not certified(quad, [(0, 1, 3), (1, 2, 3)])
+    mesh = batched_single(quad)
+    assert mesh.scalar == 1 and mesh.degenerate == [7]
 
 
 def test_radii_match_heuristic_radius_bit_for_bit():
@@ -915,9 +932,7 @@ def test_eliminate_redundant_ball():
 
 def test_run_triangulates_each_cell_once_per_iteration():
     # evaluate_FI, the elimination bookkeeping and relax_step share the
-    # auxiliary triangulations kept on each iteration's diagram; each is
-    # warm-started from the previous iteration's, and most cells keep their
-    # previous triangles
+    # auxiliary triangulations kept on each iteration's diagram
     import radmesh.dirichlet as dmod
 
     rng = philox(49)
@@ -925,14 +940,14 @@ def test_run_triangulates_each_cell_once_per_iteration():
     calls = []
     orig = dmod.aux_triangulate_cells
 
-    def spy(xy, offsets, cells, start=None):
-        calls.append((cells.tolist(), start))
-        return orig(xy, offsets, cells, start=start)
+    def spy(xy, offsets, cells):
+        calls.append(cells.tolist())
+        return orig(xy, offsets, cells)
 
     per_iteration = []
 
     def on_iteration(state):
-        per_iteration.append((state.diagram, list(calls), state.aux_cold_cells))
+        per_iteration.append((state.diagram, list(calls)))
         calls.clear()
 
     dmod.aux_triangulate_cells = spy
@@ -942,54 +957,49 @@ def test_run_triangulates_each_cell_once_per_iteration():
         dmod.aux_triangulate_cells = orig
     assert not calls  # nothing is triangulated after the last rebuild
     assert len(per_iteration) == 6
-    for diagram, batches, _ in per_iteration:
+    for diagram, batches in per_iteration:
         assert len(batches) == 1
-        ((cells, _),) = batches
+        (cells,) = batches
         assert len(diagram.aux.ball) > 0
         assert cells == np.unique(diagram.aux.ball).tolist()
-    assert per_iteration[0][1][0][1] is None and per_iteration[0][2] == 0
-    for (before, _, cold_before), (diagram, ((_, start),), cold) in zip(
-        per_iteration, per_iteration[1:]
-    ):
-        assert start is before.aux
-        assert cold - cold_before == diagram.aux.cold < diagram.usable.sum()
 
 
-def test_run_warm_aux_equals_cold_aux():
-    # a run to convergence, Gauss-Newton steps included: every
-    # warm-started auxiliary mesh is the cold one array for array, and most
-    # cells keep their previous triangles
+def test_run_fi_is_a_function_of_the_diagram():
+    # a run to convergence, Gauss-Newton steps included: at every iteration
+    # F_I and the auxiliary mesh are those of a fresh rebuild of the same
+    # rows, bit for bit, whatever the earlier iterations were
     import radmesh.dirichlet as dmod
+    from radmesh.diagram import default_merge_eps
 
     balls = jittered_grid(philox(51), 6, fix_boundary=True)
-    orig, orig_step = dmod.aux_triangulate_cells, dmod._gauss_newton_step
-    pairs, steps = [], []
-
-    def spy(xy, offsets, cells, start=None):
-        mesh = orig(xy, offsets, cells, start=start)
-        if start is not None:
-            pairs.append((mesh, orig(xy, offsets, cells)))
-        return mesh
+    _, free, _ = ball_arrays(balls)
+    merge_eps = default_merge_eps(balls)
+    orig_step = dmod._gauss_newton_step
+    steps, seen = [], []
 
     def step(*args):
         out = orig_step(*args)
         steps.append(out[3])
         return out
 
-    dmod.aux_triangulate_cells, dmod._gauss_newton_step = spy, step
+    def on_iteration(state):
+        rows = BallArrays(state.x.copy(), free, state.alive.copy())
+        _, fresh = _rebuild(rows, merge_eps)
+        assert state.fi == evaluate_FI(rows, fresh)
+        aux, want = state.diagram.aux, _cell_aux(fresh)
+        for name in ("ball", "vertices", "circumcenter", "area"):
+            got, ref = getattr(aux, name), getattr(want, name)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        assert (aux.degenerate, aux.scalar) == (want.degenerate, want.scalar)
+        seen.append(state.iteration)
+
+    dmod._gauss_newton_step = step
     try:
-        state = run(balls, OptimizerConfig(theta=0.5, max_iters=200))
+        state = run(balls, OptimizerConfig(theta=0.5, max_iters=200), on_iteration=on_iteration)
     finally:
-        dmod.aux_triangulate_cells, dmod._gauss_newton_step = orig, orig_step
+        dmod._gauss_newton_step = orig_step
     assert state.converged and None in steps  # an accepted Gauss-Newton step
-    assert len(pairs) == len(state.history) - 1
-    for warm, cold in pairs:
-        for name in ("ball", "vertices", "circumcenter", "area", "corners"):
-            got, want = getattr(warm, name), getattr(cold, name)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        assert warm.degenerate == cold.degenerate
-    cells = sum(len(np.unique(cold.ball)) for _, cold in pairs)
-    assert state.aux_cold_cells == sum(warm.cold for warm, _ in pairs) < 0.1 * cells
+    assert seen == list(range(len(state.history)))
 
 
 def test_run_counts_the_cells_that_fall_to_the_scalar_path():
