@@ -15,23 +15,23 @@ a free ball.
 ``aux_triangulate_cells`` builds the auxiliary triangulations of all cells
 of one diagram as arrays (an ``AuxMesh``).  It takes the cells in CSR
 form: without a domain, one gather of the diagram's ``vertices`` through
-its ``cell_vertices``; a domain clips each cell first.  Every cell of 4
-or more vertices gets one candidate triangulation, built for all of them
-at once by the largest-angle recursion over the chords of the convex cell
-(``_largest_angle``), and one certificate (``_certify``): by Lawson's
-lemma a triangulation whose k - 3 interior edges are all locally Delaunay
-beyond the tie tolerance is the Delaunay one, and area and conditioning
-guards keep out what the scalar path would drop or refuse.  Triangles and
-what the certificate refuses (near ties, near-collinear corners,
-clockwise cells) go to the scalar ``aux_triangulate_cell``: Lawson flips
-from a fan.  Both paths emit the same triangles bit for bit, in one
-canonical order, except at a near tie where the flips from the fan stop
-at another triangulation that is Delaunay within the tolerance; F_I then
-moves by the size of the tie.  Neither path reads an earlier iteration,
-so F_I is a function of the current diagram alone.  ``evaluate_FI`` and
-the proposals are reductions over the triangle arrays: the proposals are
-one array of target rows, whose radii are one column-by-column sum over
-the cells' CSR vertices (``_radii``).
+its ``cell_vertices``; a domain clips each cell first.  There is one rule
+for every cell of 4 or more vertices, applied to all of them at once: one
+candidate triangulation by the largest-angle recursion over the chords of
+the convex cell (``_largest_angle``), and one certificate (``_certify``).
+By Lawson's lemma a triangulation whose k - 3 interior edges all have an
+in-circle value at most the tie tolerance is Delaunay within that
+tolerance, so any two such triangulations of a cell give the same F_I up
+to the size of the tie.  A triangle under the area guard is dropped and
+the rest of its cell kept; a cell the certificate refuses (an edge illegal
+beyond the tie, an ill-conditioned circumcenter, a clockwise cell) is
+listed as degenerate.  A triangle is its own triangulation and goes
+through ``aux_triangulate_cell`` one cell at a time, the per-cell site
+the benchmark traces.  Nothing reads an earlier iteration, so F_I is a
+function of the current diagram alone.  ``evaluate_FI`` and the proposals
+are reductions over the triangle arrays: the proposals are one array of
+target rows, whose radii are one column-by-column sum over the cells' CSR
+vertices (``_radii``).
 
 ``run`` keeps the ball set as a ``geom.BallArrays``: one ``(N, 3)`` array
 of ``[cx, cy, R]`` rows, a ``free`` mask of the same shape (alive and not
@@ -50,8 +50,8 @@ elimination bookkeeping and ``relax_step``.  Every rebuild goes through
 already has: the previous iteration's, or for a Gauss-Newton trial the
 table of the point it steps from.  A start the triangulation's certificate
 refuses is rebuilt from qhull and counted in
-``OptimizerState.rebuild_fallbacks``; the aux cells that fall to the
-scalar path are counted in ``aux_scalar_cells``.
+``OptimizerState.rebuild_fallbacks``; the aux cells accepted at a tie are
+counted in ``aux_tie_cells``.
 There is one optimizer.  The update is the heuristic area-weighted center /
 least-squares radius proposal, relaxed by ``theta``; once that relaxation
 plateaus, a damped Gauss-Newton step on the dual-vertex power residuals
@@ -77,18 +77,9 @@ from .errors import (
     AllCollinear,
     TopologyFlip,
     UnboundedCell,
-    ZeroArea,
 )
 from .geom import Ball, BallArrays, Point2
-from .triangulation import build_regular, lawson_flip
-
-
-@dataclass
-class AuxTriangle:
-    vertex_positions: tuple[Point2, Point2, Point2]
-    circumcenter: Point2
-    area: float
-    corners: tuple[int, int, int] | None = None  # indices into the cell's CCW vertex list
+from .triangulation import build_regular
 
 
 @dataclass
@@ -97,9 +88,9 @@ class AuxMesh:
 
     Row t is a triangle of the cell of ball ``ball[t]``; the cells come in
     the order they were given, and each cell's triangles in canonical order
-    (see ``aux_triangulate_cell``).  ``degenerate`` lists the balls whose
-    cells were skipped as degenerate, and ``scalar`` counts the cells that
-    went through ``aux_triangulate_cell``, degenerate ones included.
+    (see ``_largest_angle``).  ``degenerate`` lists the balls whose cells
+    got no triangles, and ``ties`` counts the cells accepted with an
+    interior edge within the tie tolerance of cocircular.
     """
 
     ball: np.ndarray  # (T,) ball index
@@ -107,7 +98,7 @@ class AuxMesh:
     circumcenter: np.ndarray  # (T, 2)
     area: np.ndarray  # (T,) unsigned
     degenerate: list[int]
-    scalar: int
+    ties: int
 
 
 @dataclass
@@ -160,9 +151,8 @@ class OptimizerState:
     degenerate_cells: int = 0
     # rebuilds whose start table build_regular refused, rebuilding from qhull
     rebuild_fallbacks: int = 0
-    # cells without a certified candidate (near ties, mostly, and
-    # triangles), triangulated by aux_triangulate_cell
-    aux_scalar_cells: int = 0
+    # aux cells accepted with an interior edge at a tie, summed over the iterations
+    aux_tie_cells: int = 0
 
     @property
     def balls(self) -> list[Ball]:
@@ -199,32 +189,6 @@ def _tie_tol(span):
     return 1e-12 * s2 * s2
 
 
-def _delaunay_convex(points: list[Point2], tol: float) -> list[list[int]]:
-    """Delaunay triangulation of a CCW convex polygon's vertex set.
-
-    The fan from vertex 0, legalized by the shared Lawson flip loop with the
-    float in-circle test.  Edges whose in-circle value is within ``tol`` of
-    a tie stay as they are: a cocircular quad has the same circumcenter
-    whichever diagonal it takes.
-    """
-    tris = [[0, k, k + 1] for k in range(1, len(points) - 1)]
-    # the fan's diagonal (0, t + 2) is half-edge 3 t + 1 of triangle t and
-    # 3 t + 5 of triangle t + 1; its other half-edges lie on the polygon
-    diagonals = range(1, 3 * len(tris) - 3, 3)
-    twin = [-1] * (3 * len(tris))
-    for h in diagonals:
-        twin[h], twin[h + 4] = h + 4, h
-
-    def illegal(a, b, c, q):
-        return _incircle(*points[a], *points[b], *points[c], *points[q]) > tol
-
-    def left_turn(p, u, q):
-        return geom.triangle_area(points[p], points[u], points[q]) > 0
-
-    lawson_flip(tris, twin, illegal, left_turn, diagonals)
-    return tris
-
-
 def _cell_points(diagram: PowerDiagram, i: int, domain) -> list[Point2]:
     """Ball ``i``'s cell vertex positions; with a domain, the cell clipped to it."""
     if domain is None:
@@ -248,41 +212,24 @@ def _cell_points(diagram: PowerDiagram, i: int, domain) -> list[Point2]:
     return pts
 
 
-def aux_triangulate_cell(pts: list[Point2], ball: int) -> list[AuxTriangle]:
-    """Delaunay triangulation of the vertex set of ball ``ball``'s convex cell.
+def aux_triangulate_cell(pts: list[Point2], ball: int) -> tuple[Point2, float]:
+    """The auxiliary triangle of ball ``ball``'s 3-vertex cell ``pts``: its circumcenter and area.
 
-    ``pts`` are the cell's vertices (``_cell_points``: clipped to the
-    domain if there is one, which gives unbounded cells a finite auxiliary
-    triangulation).  This is the scalar path of ``aux_triangulate_cells``:
-    Lawson flips from a fan.  The triangles come in canonical order: each
-    is rotated so that its lowest vertex index (in the CCW vertex list)
-    comes first, then sorted.
+    A triangle is its own Delaunay triangulation.  ``aux_triangulate_cells``
+    settles the cells of 4 or more vertices in one batch and passes the
+    triangles here one at a time, the per-cell aux site the benchmark
+    traces.  The guards are the batch's: a collapsed, sliver or clockwise
+    triangle, or one whose circumcenter is ill-conditioned, is a
+    ``DegenerateCell``.
     """
-    if len(pts) < 3:
-        raise DegenerateCell(f"cell of ball {ball} has < 3 vertices")
-    span = max(
-        max(abs(p[0] - pts[0][0]), abs(p[1] - pts[0][1])) for p in pts
-    )
-    if span == 0.0:
+    span = max(max(abs(p[0] - pts[0][0]), abs(p[1] - pts[0][1])) for p in pts)
+    area = geom.triangle_area(*pts)
+    if not area > 1e-14 * span * span:
         raise DegenerateCell(f"cell of ball {ball} has collapsed")
-    if geom.polygon_area(pts) < 0:
-        pts = pts[::-1]
-    tris = _delaunay_convex(pts, _tie_tol(span))
-    out = []
-    # min over the rotations of a triangle is the one led by its lowest index
-    for i, j, k in sorted(min(t[m:] + t[:m] for m in range(3)) for t in tris):
-        tri = (pts[i], pts[j], pts[k])
-        area = geom.triangle_area(*tri)
-        if abs(area) <= 1e-14 * span * span:
-            continue
-        try:
-            center = geom.circumcenter(*tri)
-        except CollinearPoints as e:  # ``_certify``'s ``ok`` refuses it too
-            raise DegenerateCell(f"cell of ball {ball} has an ill-conditioned triangle") from e
-        out.append(AuxTriangle(tri, center, abs(area), (i, j, k)))
-    if not out:
-        raise DegenerateCell(f"cell of ball {ball} is degenerate")
-    return out
+    try:
+        return geom.circumcenter(*pts), area
+    except CollinearPoints as e:
+        raise DegenerateCell(f"cell of ball {ball} has an ill-conditioned triangle") from e
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -301,7 +248,7 @@ def _largest_angle(xy, offsets, pos):
     a + 1 .. b - 1 by the smallest cotangent of the angle there, and opens
     the chords (a, apex) and (apex, b): k - 2 triangles in at most k - 2
     rounds.  The float angles only choose the candidate; near a tie they
-    may choose another apex, which ``_certify`` then refuses.
+    may choose another apex, one the certificate accepts within the tie.
 
     Returns the k - 2 increasing local corner triples of each cell, cell
     after cell, each cell's sorted: the canonical order.
@@ -317,10 +264,13 @@ def _largest_angle(xy, offsets, pos):
         p = z[base[:, None] + m]
         # conj(a - m) (b - m): the dot product of the two sides as the real
         # part, their cross product (negative) as the imaginary part, so
-        # the largest real / imaginary is the smallest cotangent
+        # the largest real / imaginary is the smallest cotangent.  An apex
+        # on the chord or, by rounding, beyond it would make a triangle
+        # that is not counterclockwise and never wins
         w = np.conj(z[base + a][:, None] - p) * (z[base + b][:, None] - p)
         with np.errstate(divide="ignore", invalid="ignore"):  # a collapsed corner: refused later
-            apex = m[np.arange(len(cell)), (w.real / w.imag).argmax(axis=1)]
+            cot = np.where(w.imag < 0, w.real / w.imag, -np.inf)
+        apex = m[np.arange(len(cell)), cot.argmax(axis=1)]
         found.append((cell, a, apex, b))
         cell, a, b = np.tile(cell, 2), np.concatenate([a, apex]), np.concatenate([apex, b])
         open_ = b - a > 1
@@ -330,143 +280,109 @@ def _largest_angle(xy, offsets, pos):
 
 
 def _certify(xy, offsets, pos, local):
-    """Which cells ``pos`` of a CSR cell list the triangulations ``local`` are Delaunay for.
+    """The Delaunay triangles of the cells ``pos`` of a CSR cell list, from the candidates ``local``.
 
     ``local`` holds k - 2 increasing local corner triples for each cell of
     k vertices, cell after cell, as ``_largest_angle`` builds them; k - 2
     non-crossing triangles on k points in convex position triangulate them
-    (which is not checked here), and a triple that reaches past vertex
-    k - 1 refuses its cell.  By Lawson's lemma a triangulation whose
-    interior edges are all locally Delaunay is the Delaunay triangulation,
-    so a cell is accepted when each of its k - 3 interior edges has an
-    in-circle value below minus the cell's tie tolerance, every triangle
-    has a positive area above the area guard of ``aux_triangulate_cell``
-    and every circumcenter passes the conditioning guard.  The triangles
-    are then the ones the scalar path emits, bit for bit, since the kernels
-    evaluate its expressions; at a near tie elsewhere in the cell the
-    Lawson flips from its fan may stop short of them.  A cell listed
-    clockwise has negative areas and is refused.
+    (which is not checked here).  By Lawson's lemma a triangulation whose
+    interior edges are all locally Delaunay is the Delaunay triangulation;
+    one whose k - 3 interior edges all have an in-circle value at most the
+    cell's tie tolerance is Delaunay within it, and is accepted.  A triangle
+    at or under the area guard (``|area| <= 1e-14 span^2``) is dropped and
+    the rest of its cell kept.  A cell is refused when no triangle is left,
+    a kept triangle fails the circumcenter conditioning guard or has a
+    negative area (a clockwise cell), or an interior edge is illegal beyond
+    the tie.
 
-    Returns the mask of accepted cells over ``pos`` and, for their
-    triangles in the order of ``local``: the cell position, the (n, 3, 2)
-    corners, the circumcenters and the areas.
+    Returns, over ``pos``, the masks of the refused cells and of the cells
+    accepted with an interior edge within the tie tolerance of cocircular;
+    then, for the kept triangles of the accepted cells in the order of
+    ``local``: the cell position, the (n, 3, 2) corners, the circumcenters
+    and the areas.
     """
     k = offsets[pos + 1] - offsets[pos]
     cell = np.repeat(np.arange(len(pos)), k - 2)  # cell of each triangle
     i, j, l = local.T
-    fits = l < k[cell]
     base = offsets[pos][cell]
     # (R, 3, 2); ``take`` gathers rows faster than indexing does
-    corners = xy.take(base[:, None] + np.where(fits[:, None], local, 0), axis=0)
+    corners = xy.take(base[:, None] + local, axis=0)
     # the tie tolerance of each cell, from its span about its first vertex
     at = np.cumsum(k) - k
     dist = xy.take(_ranges(offsets[pos], k), axis=0)
     dist = np.abs(dist - np.repeat(dist[at], k, axis=0))
     span = np.maximum.reduceat(np.maximum(dist[:, 0], dist[:, 1]), at)
-    area = geom.triangle_area(*corners.transpose(1, 2, 0))
-    centers, ok = geom.circumcenters(corners[:, 0], corners[:, 1], corners[:, 2])
+    # a cell that overflows gets NaN values: refused, or a NaN F_I that
+    # ``run`` reports as Diverged
+    with np.errstate(invalid="ignore"):
+        area = geom.triangle_area(*corners.transpose(1, 2, 0))
+        centers, ok = geom.circumcenters(corners[:, 0], corners[:, 1], corners[:, 2])
     # an interior edge (a, b), a < b, is the side (i, l) of the triangle
     # (i, j, l) that holds the vertices between a and b, and the side (i, j)
     # or (j, l) of the triangle on its other side: ``opposite`` holds that
     # triangle's third vertex, one k x k table (a, b) per cell
     table = np.cumsum(k * k) - k * k
     key = lambda a, b: table[cell] + a * k[cell] + b
-    opposite = np.full(int((k * k).sum()), -1)
-    opposite[key(i, j)[fits]] = l[fits]
-    opposite[key(j, l)[fits]] = i[fits]
-    edge = np.flatnonzero(fits & ((i > 0) | (l < k[cell] - 1)))
-    far = opposite[key(i, l)[edge]]
-    found = far >= 0
-    d = xy.take(base[edge] + np.where(found, far, 0), axis=0)
+    opposite = np.zeros(int((k * k).sum()), dtype=int)
+    opposite[key(i, j)] = l
+    opposite[key(j, l)] = i
+    edge = np.flatnonzero((i > 0) | (l < k[cell] - 1))
+    d = xy.take(base[edge] + opposite[key(i, l)[edge]], axis=0)
     p, q, r = corners.take(edge, axis=0).transpose(1, 2, 0)
-    with np.errstate(invalid="ignore"):  # a cell that overflows gets NaN values, refused
+    with np.errstate(invalid="ignore"):
         val = _incircle(*p, *q, *r, *d.T)
-    refused = np.zeros(len(pos), dtype=bool)
-    refused[cell[~(fits & (area > 1e-14 * span[cell] * span[cell]) & ok)]] = True
-    refused[cell[edge][~(found & (val < -_tie_tol(span)[cell[edge]]))]] = True
-    rows = ~refused[cell]
-    return ~refused, pos[cell[rows]], corners[rows], centers[rows], area[rows]
+    tol = _tie_tol(span)[cell[edge]]
+    kept = np.abs(area) > 1e-14 * span[cell] * span[cell]
+    refused = np.ones(len(pos), dtype=bool)
+    refused[cell[kept]] = False
+    refused[cell[kept & ~(ok & (area > 0))]] = True
+    refused[cell[edge][~(val <= tol)]] = True
+    tie = np.zeros(len(pos), dtype=bool)
+    tie[cell[edge][val > -tol]] = True
+    rows = kept & ~refused[cell]
+    return refused, tie & ~refused, pos[cell[rows]], corners[rows], centers[rows], area[rows]
 
 
 def aux_triangulate_cells(xy: np.ndarray, offsets: np.ndarray, cells: np.ndarray) -> AuxMesh:
     """Auxiliary triangulations of many cells at once, as one ``AuxMesh``.
 
     The cells are in CSR form: ``xy[offsets[p]:offsets[p + 1]]`` are the
-    vertices of the cell of ball ``cells[p]``, as ``_cell_points`` gives
-    them.  Every cell of 4 or more vertices gets the ``_largest_angle``
-    triangulation, and ``_certify`` accepts it or not, in one pass over
-    those cells.  The cells without triangles (triangles, near ties,
-    near-collinear corners, clockwise cells) go through
-    ``aux_triangulate_cell``, Lawson flips from a fan, and are counted in
-    ``scalar``.  Every accepted cell gets the scalar path's triangles bit
-    for bit unless a near tie elsewhere in it stops that path's flips short
-    of the Delaunay triangulation.  Degenerate cells get no triangles and
-    are listed in ``degenerate``.
+    vertices of the cell of ball ``cells[p]``, counterclockwise, as
+    ``_cell_points`` gives them.  Every cell of 4 or more vertices gets the
+    ``_largest_angle`` triangulation, which ``_certify`` accepts, ties
+    included, or refuses, in one pass over those cells; the cells accepted
+    at a tie are counted in ``ties``.  Triangles go through
+    ``aux_triangulate_cell``, one call each.  Refused cells, cells of fewer
+    than 3 vertices and degenerate triangles get no triangles and are
+    listed in ``degenerate``.
     """
+    k = np.diff(offsets)
     parts = [(np.zeros(0, dtype=int), np.zeros((0, 3, 2)), np.zeros((0, 2)), np.zeros(0))]
-    scalar = np.ones(len(cells), dtype=bool)
-    pos = np.flatnonzero(np.diff(offsets) >= 4)
+    degenerate = k < 3
+    ties = 0
+    pos = np.flatnonzero(k >= 4)
     if len(pos):  # _largest_angle fails on an empty cell set
-        built, *tris = _certify(xy, offsets, pos, _largest_angle(xy, offsets, pos))
-        scalar[pos[built]] = False
+        refused, tie, *tris = _certify(xy, offsets, pos, _largest_angle(xy, offsets, pos))
+        degenerate[pos[refused]] = True
+        ties = int(tie.sum())
         parts.append(tris)
-    degenerate, rows = [], []
-    for p in np.flatnonzero(scalar).tolist():
+    rows = []
+    for p in np.flatnonzero(k == 3).tolist():
         pts = list(map(tuple, xy[offsets[p] : offsets[p + 1]].tolist()))
         try:
-            aux = aux_triangulate_cell(pts, int(cells[p]))
+            center, area = aux_triangulate_cell(pts, int(cells[p]))
         except DegenerateCell:
-            degenerate.append(int(cells[p]))
+            degenerate[p] = True
             continue
-        rows += [(p, t.vertex_positions, t.circumcenter, t.area) for t in aux]
+        rows.append((p, pts, center, area))
     if rows:
         parts.append(tuple(np.array(x) for x in zip(*rows)))
     pos, vertices, centers, area = (np.concatenate(x) for x in zip(*parts))
     order = np.argsort(pos, kind="stable")
     return AuxMesh(
         cells[pos[order]], vertices[order], centers[order], area[order],
-        degenerate, int(scalar.sum()),
+        cells[degenerate].tolist(), ties,
     )
-
-
-def heuristic_center(aux: list[AuxTriangle]) -> Point2:
-    """Area-weighted mean of the auxiliary circumcenters of one cell."""
-    total = sum(t.area for t in aux)
-    if total <= 0:
-        raise ZeroArea("the auxiliary triangles have zero total area")
-    x = sum(t.circumcenter[0] * t.area for t in aux) / total
-    y = sum(t.circumcenter[1] * t.area for t in aux) / total
-    return (x, y)
-
-
-def heuristic_radius(c_new: Point2, cell_vertices: list[Point2]) -> float:
-    """Least-squares radius: root mean square distance to the cell vertices.
-
-    Squares are products, not ``**``, whose libm ``pow`` rounds differently
-    on some doubles, so ``_radii`` gives the same bits from arrays.
-    """
-    m = len(cell_vertices)
-    ssum = 0.0
-    for v in cell_vertices:
-        dx, dy = v[0] - c_new[0], v[1] - c_new[1]
-        ssum += dx * dx + dy * dy
-    return math.sqrt(ssum / m)
-
-
-def cell_fi(center: Point2, aux: list[AuxTriangle]) -> float:
-    """Cell contribution to the functional for a fixed auxiliary triangulation."""
-    return 0.5 * sum(
-        ((center[0] - t.circumcenter[0]) ** 2 + (center[1] - t.circumcenter[1]) ** 2)
-        * t.area
-        for t in aux
-    )
-
-
-def frozen_center_gradient(center: Point2, aux: list[AuxTriangle]) -> Point2:
-    """d(cell_fi)/d(center) with the diagram combinatorics held fixed."""
-    gx = sum((center[0] - t.circumcenter[0]) * t.area for t in aux)
-    gy = sum((center[1] - t.circumcenter[1]) * t.area for t in aux)
-    return (gx, gy)
 
 
 def _cell_positions(diagram: PowerDiagram, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -499,7 +415,8 @@ def _cell_aux(diagram: PowerDiagram) -> AuxMesh:
 
 
 def evaluate_FI(balls: list[Ball] | BallArrays, diagram: PowerDiagram) -> float:
-    """Dirichlet functional: ``cell_fi`` summed over the bounded cells of free balls.
+    """Dirichlet functional: half the area-weighted squared distance from each ball center
+    to its cell's auxiliary circumcenters, summed over the usable cells.
 
     The first call on a diagram triangulates its cells and keeps the result
     in ``diagram.aux``, so the value depends on the balls and the diagram
@@ -524,11 +441,12 @@ def _rebuild(balls, merge_eps=None, start=None, state=None):
 
 
 def _radii(diagram: PowerDiagram, ids: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """``heuristic_radius`` of the cell of each ball in ``ids`` about its row of ``centers``.
+    """Least-squares radius of the cell of each ball in ``ids`` about its row of ``centers``.
 
-    Each cell's squared distances fill one row, padded with zeros, and
-    ``np.cumsum`` adds along the row strictly in order: the order of
-    ``heuristic_radius``, so the two agree bit for bit.
+    That is the root mean square distance to the cell's vertices.  Each
+    cell's squared distances fill one row, padded with zeros, and
+    ``np.cumsum`` adds along the row strictly in order, so a scalar loop
+    over the vertices gives the same bits.
     """
     first = diagram.offsets[ids]
     m = diagram.offsets[ids + 1] - first
@@ -544,11 +462,11 @@ def _proposals(balls: BallArrays, diagram):
     """Jacobi-style update targets: the proposed balls and their ``[cx, cy, R]`` rows.
 
     Returns the ascending ball indices and one target row each.  The
-    center is ``heuristic_center`` of each usable cell; fixed-center balls
-    with unbounded cells (boundary protectors) keep their centers and still
-    adapt their free radii to the finite dual vertices of their fan.  Every
-    radius is ``heuristic_radius`` about the new center, for all balls at
-    once (``_radii``).
+    center is the area-weighted mean of the auxiliary circumcenters of each
+    usable cell; fixed-center balls with unbounded cells (boundary
+    protectors) keep their centers and still adapt their free radii to the
+    finite dual vertices of their fan.  Every radius is the least-squares
+    radius about the new center, for all balls at once (``_radii``).
     """
     x, free, _ = balls
     aux = _cell_aux(diagram)
@@ -755,7 +673,7 @@ def run(
         if not math.isfinite(fi):
             raise Diverged(f"F_I is {fi} at iteration {it}")
         state.degenerate_cells += len(diagram.aux.degenerate)
-        state.aux_scalar_cells += diagram.aux.scalar
+        state.aux_tie_cells += diagram.aux.ties
         max_tau = diagram.max_abs_tau()
         state.x, state.alive = x, alive
         state.diagram = diagram

@@ -37,10 +37,6 @@ class DegenerateCell(RadmeshError):
     """Power cell has collapsed (all vertices coincide within tolerance)."""
 
 
-class ZeroArea(RadmeshError):
-    """Auxiliary triangulation has zero total area."""
-
-
 class TopologyFlip(RadmeshError):
     """Diagram combinatorics changed inside the finite-difference stencil."""
 

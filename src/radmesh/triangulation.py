@@ -22,9 +22,8 @@ leave undecided or find illegal seed the legalization queue, and the exact
 decision on those stays with ``geom.power_test``.
 
 ``lawson_flip`` is the one Lawson flip loop in radmesh, and it runs on the
-twin array, which it keeps up to date: legalization runs it with the exact
-power test, and the scalar fallback of ``dirichlet``'s auxiliary cell
-triangulations runs it with a float in-circle test.
+twin array, which it keeps up to date; its caller is the legalization,
+with the exact power test.
 
 Balls whose lifted point lies strictly above the lower envelope own no
 triangle; they are flagged redundant and kept in the ball set.

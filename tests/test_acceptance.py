@@ -18,12 +18,9 @@ from radmesh.diagram import (
 )
 from radmesh.dirichlet import (
     OptimizerConfig,
-    aux_triangulate_cell,
     bbox_diag,
-    cell_fi,
     evaluate_FI,
     fd_gradient,
-    frozen_center_gradient,
     run,
 )
 from radmesh.geom import Ball, orthocenter, power
@@ -31,7 +28,14 @@ from radmesh.recovery import recover_spheres
 from radmesh.scene import gen_square_with_circle
 from radmesh.triangulation import build_regular, verify_regular
 
-from conftest import jittered_grid, philox, random_balls
+from conftest import (
+    cell_fi,
+    cell_triangles,
+    frozen_center_gradient,
+    jittered_grid,
+    philox,
+    random_balls,
+)
 from test_triangulation import delaunay_edge_oracle
 
 
@@ -170,7 +174,7 @@ def test_criterion_5_frozen_gradient_matches_fd():
         for i in np.flatnonzero(d.bounded).tolist():
             if checked >= 50:
                 break
-            aux = aux_triangulate_cell(d.points(i), i)
+            aux = cell_triangles(d.points(i), i)
             c = balls[i].center
             gx, gy = frozen_center_gradient(c, aux)
             fdx = (cell_fi((c[0] + h, c[1]), aux) - cell_fi((c[0] - h, c[1]), aux)) / (2 * h)

@@ -26,29 +26,43 @@ from radmesh.dirichlet import (
     aux_triangulate_cell,
     aux_triangulate_cells,
     bbox_diag,
-    cell_fi,
     evaluate_FI,
     fd_gradient,
-    frozen_center_gradient,
-    heuristic_center,
-    heuristic_radius,
     relax_step,
     run,
     write_history_csv,
 )
-from radmesh.errors import DegenerateCell, DegenerateScene, Diverged, TooFewBalls, UnboundedCell
+from radmesh.errors import (
+    CollinearPoints,
+    DegenerateCell,
+    DegenerateScene,
+    Diverged,
+    TooFewBalls,
+    UnboundedCell,
+)
 from radmesh.geom import (
     Ball,
     BallArrays,
     ball_arrays,
     circumcenter,
     orthocenters,
-    polygon_area,
     triangle_area,
 )
 from radmesh.triangulation import build_regular
 
-from conftest import jittered_grid, philox
+from conftest import (
+    AuxTriangle,
+    cell_fi,
+    cell_span,
+    cell_triangles,
+    fan_delaunay,
+    fan_triangulate_cell,
+    frozen_center_gradient,
+    heuristic_center,
+    heuristic_radius,
+    jittered_grid,
+    philox,
+)
 
 
 def lattice_balls(n=3, radius=None):
@@ -97,14 +111,15 @@ def test_aux_triangle_cell_is_itself():
     d = extract_diagram(t, balls)
     pts = d.points(3)
     assert d.bounded[3] and len(pts) == 3
-    aux = aux_triangulate_cell(pts, 3)
-    assert len(aux) == 1
-    assert aux[0].circumcenter == pytest.approx(circumcenter(*pts))
+    center, area = aux_triangulate_cell(pts, 3)
+    assert center == circumcenter(*pts) and area == triangle_area(*pts) > 0
+    (aux,) = cell_triangles(pts, 3)
+    assert (aux.vertex_positions, aux.circumcenter, aux.area) == (tuple(pts), center, area)
 
 
 def test_aux_square_cell():
     _, idx, cell, _ = center_cell()
-    aux = aux_triangulate_cell(cell, idx)
+    aux = cell_triangles(cell, idx)
     assert len(aux) == 2
     for a in aux:
         assert a.area == pytest.approx(0.5)
@@ -117,7 +132,7 @@ def test_aux_cyclic_pentagon():
         (math.cos(2 * math.pi * k / 5), math.sin(2 * math.pi * k / 5))
         for k in range(5)
     ]
-    aux = aux_triangulate_cell(pts, 0)
+    aux = cell_triangles(pts)
     assert len(aux) == 3
     for a in aux:
         assert a.circumcenter == pytest.approx((0.0, 0.0), abs=1e-9)
@@ -125,13 +140,13 @@ def test_aux_cyclic_pentagon():
 
 def test_aux_translation_invariance():
     # a thin quad whose Delaunay diagonal is the short vertical one, which
-    # the fan from vertex 0 does not take; far from the origin as well
+    # a fan from vertex 0 would not take; far from the origin as well
     quad = [(0.0, 0.0), (0.1, -0.03), (0.2, 0.0), (0.1, 0.03)]
 
     def circumcenters(ox, oy):
         found = sorted(
             (a.circumcenter[0] - ox, a.circumcenter[1] - oy)
-            for a in aux_triangulate_cell([(x + ox, y + oy) for x, y in quad], 0)
+            for a in cell_triangles([(x + ox, y + oy) for x, y in quad])
         )
         return [x for cc in found for x in cc]
 
@@ -162,14 +177,9 @@ def certify_one(pts, tris):
 
 
 def certified(pts, tris):
-    """Whether ``_certify`` accepts the triangulation ``tris`` (local corners) of the cell ``pts``.
-
-    A scalar result that dropped a flat triangle has fewer than k - 2 and is not.
-    """
-    if len(tris) != len(pts) - 2:
-        return False
-    accepted, *_ = certify_one(pts, tris)
-    return bool(accepted[0])
+    """Whether ``_certify`` accepts the triangulation ``tris`` (local corners) of the cell ``pts``."""
+    refused, *_ = certify_one(pts, tris)
+    return not refused[0]
 
 
 def construction(pts):
@@ -178,16 +188,74 @@ def construction(pts):
     return [tuple(t) for t in _largest_angle(xy, offsets, np.array([0])).tolist()]
 
 
-def assert_batched_matches_scalar(points, balls=None):
-    """Run aux_triangulate_cells and compare every cell with the scalar path.
+def edge_values(pts, tris):
+    """The in-circle value of each interior edge of the triangulation ``tris`` of the cell ``pts``."""
+    return [_incircle(*pts[i], *pts[j], *pts[l], *pts[d]) for (i, j, l), d in interior_edges(tris, len(pts))]
+
+
+def clockwise(pts):
+    """Whether the convex cell ``pts`` is listed clockwise: its fan from vertex 0 has negative area.
+
+    The fan's areas are taken about the first vertex, as the batch takes
+    them, so far from the origin the sign is not lost to rounding.
+    """
+    return sum(triangle_area(pts[0], pts[m], pts[m + 1]) for m in range(1, len(pts) - 1)) < 0
+
+
+def unflat(pts, tris):
+    """The triangles of ``tris`` above the area guard of the cell ``pts``."""
+    guard = 1e-14 * cell_span(pts) ** 2
+    return [t for t in tris if abs(triangle_area(*(pts[c] for c in t))) > guard]
+
+
+def conditioned(pts, tri):
+    """Whether the triangle ``tri`` (local corners) of the cell ``pts`` passes the conditioning guard."""
+    try:
+        circumcenter(*(pts[c] for c in tri))
+    except CollinearPoints:
+        return False
+    return True
+
+
+def assert_certified_within_the_tie(pts, mesh, ball):
+    """The batch's triangulation of the cell ``pts`` of ``ball`` is accepted within the tie.
+
+    Its k - 3 interior edges are all at most the tie tolerance above
+    cocircular, and its rows are its triangles above the area guard, in
+    order, each conditioned with a positive area.  At a tie another
+    triangulation than the oracle's may be taken, so the guards may decide
+    otherwise than on the oracle's: a degenerate cell is one where no
+    triangle clears the area guard or a kept one fails the conditioning
+    guard.
+    """
+    rows = mesh.ball == ball
+    tris = construction(pts)
+    assert max(edge_values(pts, tris)) <= _tie_tol(cell_span(pts))
+    kept = unflat(pts, tris)
+    if ball in mesh.degenerate:
+        assert not rows.any()
+        assert not kept or not all(conditioned(pts, t) for t in kept)
+        return
+    assert mesh.vertices[rows].tobytes() == np.array(pts)[np.array(kept)].tobytes()
+    for (i, j, l), center, area in zip(kept, mesh.circumcenter[rows].tolist(), mesh.area[rows].tolist()):
+        assert center == list(circumcenter(pts[i], pts[j], pts[l]))  # a conditioned one
+        assert area == triangle_area(pts[i], pts[j], pts[l]) > 0
+
+
+def assert_batched_matches_oracle(points, balls=None):
+    """Run aux_triangulate_cells and compare every cell with the fan oracle.
 
     ``points`` are the cells' vertex lists and ``balls`` their ball indices
-    (default: list positions).  Triangles, circumcenters and areas must
-    agree bit for bit, in order, and degenerate cells must be listed as
-    such.  The one exception is a cell the batched path certified where the
-    Lawson flips from the fan stopped at a near tie: the scalar
-    triangulation then fails the certificate.  Returns the ball indices of
-    the cells that went through the scalar path.
+    (default: list positions).  ``aux_triangulate_cell`` must be called
+    once for each 3-vertex cell and for no other cell, and a clockwise cell
+    must be degenerate.  Where every interior edge of the oracle's
+    triangulation is below minus the tie tolerance, the batch must equal it
+    bit for bit: triangles, circumcenters and areas, in order, or a
+    degenerate cell where the oracle finds one.  Where the oracle has a tie
+    edge, the batch's own triangulation must be accepted within the tie
+    (``assert_certified_within_the_tie``).  ``ties`` must count the cells
+    whose batch triangulation has an edge within the tolerance.  Returns the
+    mesh and the ball indices of the cells whose oracle has a tie edge.
     """
     import radmesh.dirichlet as dmod
 
@@ -195,11 +263,11 @@ def assert_batched_matches_scalar(points, balls=None):
         balls = np.arange(len(points))
     xy = np.array([p for pts in points for p in pts], dtype=float).reshape(-1, 2)
     offsets = np.concatenate([[0], np.cumsum([len(pts) for pts in points], dtype=int)])
-    scalar = []
+    calls = []
     orig = dmod.aux_triangulate_cell
 
     def spy(pts, ball):
-        scalar.append(ball)
+        calls.append((len(pts), ball))
         return orig(pts, ball)
 
     dmod.aux_triangulate_cell = spy
@@ -208,23 +276,36 @@ def assert_batched_matches_scalar(points, balls=None):
     finally:
         dmod.aux_triangulate_cell = orig
     assert np.all(np.diff(mesh.ball) >= 0)  # cell after cell
-    assert mesh.scalar == len(scalar)
+    assert calls == [(3, ball) for pts, ball in zip(points, balls.tolist()) if len(pts) == 3]
+    ties, batch_ties = [], 0
     for pts, ball in zip(points, balls.tolist()):
         rows = mesh.ball == ball
-        try:
-            ref = aux_triangulate_cell(pts, ball)
-        except DegenerateCell:
+        if clockwise(pts):
             assert ball in mesh.degenerate and not rows.any()
             continue
-        assert ball not in mesh.degenerate
-        if ball not in scalar and not certified(pts, [t.corners for t in ref]):
-            continue
-        assert_same_triangles(mesh, rows, ref)
-    return scalar
+        if len(pts) >= 4:
+            tol = _tie_tol(cell_span(pts))
+            if ball not in mesh.degenerate:
+                batch_ties += max(edge_values(pts, construction(pts))) > -tol
+            if max(edge_values(pts, fan_delaunay(pts, tol))) > -tol:
+                ties.append(ball)
+                assert_certified_within_the_tie(pts, mesh, ball)
+                continue
+        try:
+            ref = fan_triangulate_cell(pts, ball)
+        except DegenerateCell:
+            ref = None
+        if ref is None:
+            assert ball in mesh.degenerate and not rows.any()
+        else:
+            assert ball not in mesh.degenerate
+            assert_same_triangles(mesh, rows, ref)
+    assert mesh.ties == batch_ties
+    return mesh, ties
 
 
 def assert_same_triangles(mesh, rows, ref):
-    """The rows ``rows`` of ``mesh`` are the scalar path's ``ref`` bit for bit, in order."""
+    """The rows ``rows`` of ``mesh`` are the oracle's ``ref`` bit for bit, in order."""
     for got, want in (
         (mesh.vertices[rows], [t.vertex_positions for t in ref]),
         (mesh.circumcenter[rows], [t.circumcenter for t in ref]),
@@ -239,29 +320,40 @@ def regular_polygon(k, r=1.0):
     return [(r * math.cos(a), r * math.sin(a)) for a in angles]
 
 
-def test_aux_batched_regular_polygons_go_scalar():
-    # every quad of a regular k-gon is a tie; a triangle has nothing to test
+def test_aux_batched_regular_polygons_are_ties():
+    # every quad of a regular k-gon is a tie: the batch accepts each polygon
+    # of 4 or more vertices at a tie, and every circumcenter is the center
     polygons = [regular_polygon(k) for k in range(3, 21)]
-    scalar = assert_batched_matches_scalar(polygons)
-    assert scalar == list(range(18))
+    mesh, ties = assert_batched_matches_oracle(polygons)
+    assert ties == list(range(1, 18)) and mesh.ties == 17 and not mesh.degenerate
+    assert np.abs(mesh.circumcenter).max() <= 1e-9
 
 
 def test_aux_batched_matches_scalar_on_adversarial_cells():
     rng = philox(61)
-    polygons, must_go_scalar = [], []
+    polygons, near_ties, clockwise = [], [], []
     for k in range(4, 13):
         for j in range(k):
             for way in (np.inf, -np.inf):
                 # cocircular, then one coordinate moved by 1 ulp: a near tie
                 pts = regular_polygon(k, 0.7)
                 pts[j] = (float(np.nextafter(pts[j][0], way)), pts[j][1])
-                must_go_scalar.append(len(polygons))
+                near_ties.append(len(polygons))
                 polygons.append(pts)
     for h in (1e-3, 1e-7, 1e-15):
-        # thin slivers; the thinnest falls under the area guard
-        if h < 1e-14:
-            must_go_scalar.append(len(polygons))
+        # thin slivers; every triangle of the thinnest falls under the area guard
+        flat = len(polygons)
         polygons.append([(0.0, 0.0), (1.0, -h), (2.0, -0.5 * h), (3.0, 0.0), (1.5, h)])
+    # a near-duplicate vertex pair 1e-15 apart: the triangle on their side
+    # is flat and dropped, and the rest of the cell kept
+    dent = len(polygons)
+    polygons.append([(0.0, 0.0), (1.0, -0.5), (2.0, 0.0), (2.0, 1e-15), (1.0, 1.5)])
+    # a near-duplicate pair 2 ulps apart at 1e6, which rounding leaves with
+    # a reflex turn of -1e-12 at vertex 0: an apex beyond its chord would
+    # make a clockwise triangle that refuses the cell, so none is chosen
+    o = 1e6
+    reflex = len(polygons)
+    polygons.append([(o + 0.5, o), (o + 0.5, o + 2.0**-32), (o, o + 0.5), (o - 0.5, o), (o + 0.51, o - 0.5)])
     # a 180 degree vertex: (1, 0) lies on the edge from (0, 0) to (2, 0);
     # its Delaunay triangulation fans out from it, and no triangle is flat
     straight = len(polygons)
@@ -272,11 +364,15 @@ def test_aux_batched_matches_scalar_on_adversarial_cells():
             ang = np.sort(rng.uniform(0.0, 2 * math.pi, k))
             a, b = rng.uniform(0.2, 1.0, 2)
             pts = [(offset[0] + a * math.cos(t), offset[1] + b * math.sin(t)) for t in ang]
-            polygons.append(pts[::-1] if k % 2 else pts)  # clockwise ones too
-    scalar = assert_batched_matches_scalar(polygons)
-    assert set(must_go_scalar) <= set(scalar)
-    assert straight not in scalar
-    assert len(scalar) < len(polygons)  # the batched path does decide
+            if k % 2:  # clockwise ones too
+                clockwise.append(len(polygons))
+            polygons.append(pts[::-1] if k % 2 else pts)
+    mesh, ties = assert_batched_matches_oracle(polygons)
+    assert set(near_ties) <= set(ties)
+    assert sorted(mesh.degenerate) == sorted([flat] + clockwise)
+    assert (mesh.ball == dent).sum() == 2
+    assert straight not in ties and (mesh.ball == straight).sum() == 4
+    assert (mesh.ball == reflex).sum() == 3
 
 
 def test_aux_batched_matches_scalar_on_scenes():
@@ -286,15 +382,15 @@ def test_aux_batched_matches_scalar_on_scenes():
     balls = jittered_grid(rng, 8)
     d = extract_diagram(build_regular(balls), balls)
     points, cells = cell_points(d)
-    scalar = assert_batched_matches_scalar(points, cells)
-    assert len(scalar) < len(cells)
+    _, ties = assert_batched_matches_oracle(points, cells)
+    assert len(ties) < len(cells)
 
     scene = gen_square_with_circle(8.0, 1.0, 0.8, interior_spacing=0.5, seed=2)
     d = extract_diagram(build_regular(scene.balls), scene.balls, domain=scene.domain)
     for domain in (None, scene.domain):
         points, cells = cell_points(d, domain)
-        scalar = assert_batched_matches_scalar(points, cells)
-        assert len(scalar) < len(cells)
+        mesh, ties = assert_batched_matches_oracle(points, cells)
+        assert len(ties) < len(cells) and not mesh.degenerate
 
 
 def random_triangulation(rng, k):
@@ -353,46 +449,37 @@ def batched_single(pts, ball=7):
 @settings(max_examples=300, deadline=None)
 @given(convex_cells())
 def test_batched_cells_match_the_scalar_path(pts):
-    # the scalar Lawson path is the oracle: a cell the batched path certifies
-    # gets its triangles, circumcenters and areas bit for bit, in order,
-    # unless the flips from the fan stopped at a near tie (the scalar
-    # triangulation then fails the certificate, as below); the cells it
-    # refuses are the scalar path's, triangles included
-    mesh = batched_single(pts)
-    try:
-        ref = aux_triangulate_cell(pts, 7)
-    except DegenerateCell:
-        assert mesh.degenerate == [7] and mesh.scalar == 1 and not len(mesh.ball)
-        return
-    rows = np.ones(len(mesh.ball), dtype=bool)
-    if mesh.scalar or certified(pts, [t.corners for t in ref]):
-        assert_same_triangles(mesh, rows, ref)
-    if mesh.scalar == 0:  # the construction, certified
-        tris = construction(pts)
-        assert certified(pts, tris)
-        assert mesh.vertices.tobytes() == np.array(pts)[np.array(tris)].tobytes()
-    if len(pts) == 3 or polygon_area(pts) < 0:  # clockwise: the scalar path reverses it
-        assert mesh.scalar == 1
+    # the scalar Lawson flips from a fan (conftest's fan_triangulate_cell)
+    # are the oracle: where the oracle's triangulation is Delaunay beyond the
+    # tie tolerance, the batch gives its triangles, circumcenters and areas
+    # bit for bit, in order; at a tie the batch's own triangulation is
+    # within the tolerance and passes both guards; a clockwise cell is
+    # degenerate, and only a triangle reaches aux_triangulate_cell
+    mesh, _ = assert_batched_matches_oracle([pts], np.array([7]))
+    if clockwise(pts):
+        assert mesh.degenerate == [7]
 
 
 def test_batched_path_certifies_past_a_fan_tie():
     # an 8-vertex cell of the converged 233-ball criterion-8 scene with three
     # near-duplicate vertex pairs: the Lawson flips from the fan stop with
-    # the edge (0, 3) at +0.2 of the tie tolerance, which is not Delaunay;
-    # the largest-angle construction is, by 1.5e3 tolerances or more
+    # the edge (0, 3) at +0.2 of the tie tolerance, which the certificate
+    # accepts as a tie; the largest-angle construction is Delaunay by 1.5e3
+    # tolerances or more, and it is what the batch emits
     pts = [
         (8.263521520005243, 4.350845222693381), (8.66247094461046, 4.271489248180405),
         (9.262228558615979, 4.690022039072323), (9.26224456172203, 4.690056105936421),
         (8.662458209805894, 5.728508199302135), (8.263521618119652, 5.649154777415454),
         (8.263521474868913, 5.649154641969046), (8.263521474868915, 4.3508452653706735),
     ]
-    fan = [t.corners for t in aux_triangulate_cell(pts, 80)]
+    fan = [t.corners for t in fan_triangulate_cell(pts, 80)]
     assert fan == [(0, 1, 2), (0, 2, 3), (0, 3, 7), (3, 4, 6), (3, 6, 7), (4, 5, 6)]
-    span = max(max(abs(p[0] - pts[0][0]), abs(p[1] - pts[0][1])) for p in pts)
+    span = cell_span(pts)
     assert 0 < _incircle(*pts[0], *pts[3], *pts[7], *pts[2]) <= _tie_tol(span)
-    assert not certified(pts, fan)
+    refused, tie, *_ = certify_one(pts, fan)
+    assert not refused[0] and tie[0]
     mesh = batched_single(pts, 80)
-    assert mesh.scalar == 0
+    assert mesh.ties == 0 and not mesh.degenerate
     delaunay = [(0, 1, 7), (1, 2, 7), (2, 3, 4), (2, 4, 6), (2, 6, 7), (4, 5, 6)]
     assert mesh.vertices.tolist() == [[list(pts[c]) for c in t] for t in delaunay]
     for (i, j, l), d in interior_edges(delaunay, len(pts)):
@@ -428,55 +515,83 @@ def test_largest_angle_triangulates_each_cell(cells, data):
 @given(convex_cells(), st.integers(0, 10**6), st.booleans())
 def test_warm_certificate_matches_the_batched_stage(pts, seed, from_cold):
     # _certify on a random triangulation of the cell, or on the cell's own
-    # largest-angle construction: what it accepts is certified Delaunay,
-    # and where the batched path certified its construction too, both are
-    # the one Delaunay triangulation, bit for bit
+    # largest-angle construction: what it accepts is Delaunay within the
+    # tie tolerance, counted as a tie when an edge is within it, with only
+    # the triangles under the area guard dropped and every kept one
+    # conditioned and counterclockwise.  On the construction it is the
+    # batch, bit for bit, and so is a random triangulation that is Delaunay
+    # beyond the tie
     k = len(pts)
     batched = batched_single(pts)
     tris = construction(pts) if from_cold else random_triangulation(philox(seed), k)
-    accepted, _, vertices, centers, areas = certify_one(pts, tris)
-    accepted = bool(accepted[0])
-    span = max(max(abs(p[0] - pts[0][0]), abs(p[1] - pts[0][1])) for p in pts)
-    if accepted:
-        assert vertices.tobytes() == np.array(pts)[np.array(tris)].tobytes()
-        assert (areas > 1e-14 * span * span).all()
-        for (i, j, l), d in interior_edges(tris, k):
-            assert _incircle(*pts[i], *pts[j], *pts[l], *pts[d]) < -_tie_tol(span)
-        for (i, j, l), center, area in zip(tris, centers.tolist(), areas.tolist()):
+    refused, tie, _, vertices, centers, areas = certify_one(pts, tris)
+    tol = _tie_tol(cell_span(pts))
+    values = edge_values(pts, tris)
+    if refused[0]:
+        assert not tie[0] and not len(vertices)
+    else:
+        kept = unflat(pts, tris)
+        assert vertices.tobytes() == np.array(pts)[np.array(kept)].tobytes()
+        assert all(v <= tol for v in values)
+        assert bool(tie[0]) == any(v > -tol for v in values)
+        for (i, j, l), center, area in zip(kept, centers.tolist(), areas.tolist()):
             assert center == list(circumcenter(pts[i], pts[j], pts[l]))  # a conditioned one
-            assert area == triangle_area(pts[i], pts[j], pts[l])  # counterclockwise
-    if batched.scalar == 0:
-        assert accepted or not from_cold
-        if accepted:
-            pairs = (vertices, batched.vertices), (centers, batched.circumcenter), (
-                areas, batched.area)
-            for got, want in pairs:
-                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert area == triangle_area(pts[i], pts[j], pts[l]) > 0  # counterclockwise
+    if from_cold:
+        assert bool(refused[0]) == (batched.degenerate == [7])
+    if not refused[0] and (from_cold or all(v < -tol for v in values)):
+        pairs = (vertices, batched.vertices), (centers, batched.circumcenter), (
+            areas, batched.area)
+        for got, want in pairs:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def convex(pts):
+    k = len(pts)
+    return min(triangle_area(pts[m - 1], pts[m], pts[(m + 1) % k]) for m in range(k)) > 0
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10**6), st.sampled_from([(0.0, 0.0), (1e3, -1e3)]))
-def test_warm_certificate_refuses_a_tie_edge(seed, offset):
-    # one interior edge of a random triangulation made a tie: its far
-    # vertex moved onto the circumcircle of the triangle across the edge
+def test_warm_certificate_accepts_a_tie_edge(seed, offset):
+    # one interior edge of a cell's Delaunay triangulation made a tie: its
+    # far vertex moved onto the circumcircle of the triangle across the
+    # edge.  The certificate accepts the triangulation at a tie, and
+    # refuses it once the vertex moves further in, until the in-circle
+    # value is beyond the tie tolerance
     rng = philox(seed)
     k = int(rng.integers(4, 13))
     ang = np.sort(rng.uniform(0.0, 2 * math.pi, k))
     a, b = rng.uniform(0.2, 1.0, 2)
     pts = [(a * math.cos(t), b * math.sin(t)) for t in ang.tolist()]
-    tris = random_triangulation(rng, k)
+    tris = construction(pts)
     edges = interior_edges(tris, k)
     (i, j, l), d = edges[int(rng.integers(len(edges)))]
     o = circumcenter(pts[i], pts[j], pts[l])
     rad = math.dist(o, pts[i])
     dist = math.dist(o, pts[d])
-    pts[d] = (o[0] + rad * (pts[d][0] - o[0]) / dist, o[1] + rad * (pts[d][1] - o[1]) / dist)
-    pts = [(x + offset[0], y + offset[1]) for x, y in pts]
-    turns = [triangle_area(pts[m - 1], pts[m], pts[(m + 1) % k]) for m in range(k)]
-    assume(min(turns) > 0)  # still a convex cell
-    span = max(max(abs(p[0] - pts[0][0]), abs(p[1] - pts[0][1])) for p in pts)
-    assert abs(_incircle(*pts[i], *pts[j], *pts[l], *pts[d])) <= _tie_tol(span)
-    assert not certified(pts, tris)
+
+    def moved(r):
+        cell = list(pts)
+        cell[d] = (o[0] + r * (pts[d][0] - o[0]) / dist, o[1] + r * (pts[d][1] - o[1]) / dist)
+        return [(x + offset[0], y + offset[1]) for x, y in cell]
+
+    def value(cell):
+        return _incircle(*cell[i], *cell[j], *cell[l], *cell[d])
+
+    cell = moved(rad)
+    assume(convex(cell))
+    tol = _tie_tol(cell_span(cell))
+    assert abs(value(cell)) <= tol
+    assume(max(edge_values(cell, tris)) <= tol)  # the move left the other edges legal
+    refused, tie, *_ = certify_one(cell, tris)
+    assert not refused[0] and tie[0]
+    step = 1e-15
+    while not value(cell) > _tie_tol(cell_span(cell)):
+        step *= 2
+        cell = moved(rad * (1 - step))
+    assume(convex(cell))
+    assert not certified(cell, tris)
 
 
 def test_warm_certificate_refuses_starts_it_cannot_certify(monkeypatch):
@@ -484,16 +599,12 @@ def test_warm_certificate_refuses_starts_it_cannot_certify(monkeypatch):
 
     quad = [(0.0, 0.0), (1.0, 0.1), (1.1, 1.0), (-0.1, 0.9)]
     assert certified(quad, [(0, 1, 3), (1, 2, 3)])  # its Delaunay diagonal
-    # k - 2 triangles that are not a triangulation of the k-gon: a
-    # pentagon's fan with its middle triangle dropped (as the area guard
-    # drops a sliver) has two triangles but reaches vertex 4 of a quad
-    assert not certified(quad, [(0, 1, 2), (0, 3, 4)])
     # triangles the circumcenter's conditioning guard refuses (made strict
-    # here) are not accepted: the scalar path finds the cell degenerate
+    # here) are not accepted, and the batch lists the cell as degenerate
     monkeypatch.setattr(gmod, "CONDITIONING_GUARD", 0.9)
     assert not certified(quad, [(0, 1, 3), (1, 2, 3)])
     mesh = batched_single(quad)
-    assert mesh.scalar == 1 and mesh.degenerate == [7]
+    assert mesh.degenerate == [7] and not len(mesh.ball)
 
 
 def test_radii_match_heuristic_radius_bit_for_bit():
@@ -526,13 +637,14 @@ def test_radii_match_heuristic_radius_bit_for_bit():
 
 def test_fi_and_proposals_match_per_cell_reference():
     # evaluate_FI and _proposals reduce over the triangle arrays; cell_fi and
-    # heuristic_center on aux_triangulate_cell's lists are the reference.
+    # heuristic_center on the triangles aux_triangulate_cells gives each
+    # cell on its own are the reference.
     # The centers sum the same products in the same order, so they agree
     # exactly; F_I sums its terms in another order, within n eps of the sum.
     rng = philox(63)
     balls = jittered_grid(rng, 7)
     d = extract_diagram(build_regular(balls), balls)
-    ref = {i: aux_triangulate_cell(d.points(i), i) for i in np.flatnonzero(d.bounded).tolist()}
+    ref = {i: cell_triangles(d.points(i), i) for i in np.flatnonzero(d.bounded).tolist()}
     want = sum(cell_fi(balls[i].center, aux) for i, aux in ref.items())
     fi = evaluate_FI(balls, d)
     assert sorted(ref) == np.unique(d.aux.ball).tolist()
@@ -568,30 +680,27 @@ def test_collapsed_cell_is_recorded_not_triangulated():
 
 
 def test_ill_conditioned_aux_triangle_is_a_degenerate_cell():
-    # five vertices within 2e-13 of the x axis: a triangle of the cell clears
-    # the area guard but not circumcenter's conditioning guard, so the whole
-    # cell is degenerate, as the certificate's ``ok`` mask would have it
-    pts = [
-        (0.5168811759658247, 1.8234773016134711e-13),
-        (0.6569395453324917, 1.6457040976843183e-13),
-        (0.7748685781334842, 1.2738545726879594e-13),
-        (0.7874703499468639, 1.2221075406083667e-13),
-        (0.36493916872495114, 1.6923550904184794e-13),
-    ]
-    with pytest.raises(DegenerateCell, match="ill-conditioned"):
-        aux_triangulate_cell(pts, 7)
+    # five vertices within 2e-14 of the x axis, listed from the middle of
+    # the long side: the triangle (2, 3, 4) of the cell's triangulation
+    # clears the area guard but not circumcenter's conditioning guard, so
+    # the whole cell is degenerate, as the certificate's ``ok`` mask has it
+    pts = [(0.0, 2e-14), (-0.5, 1.5e-14), (-1.0, 0.0), (1.0, 0.0), (0.5, 1.5e-14)]
+    assert construction(pts) == [(0, 1, 4), (1, 2, 4), (2, 3, 4)]
+    assert triangle_area(pts[2], pts[3], pts[4]) > 1e-14 * cell_span(pts) ** 2
+    with pytest.raises(CollinearPoints):
+        circumcenter(pts[2], pts[3], pts[4])
+    mesh = batched_single(pts)
+    assert mesh.degenerate == [7] and not len(mesh.ball)
 
 
 def test_heuristic_center_examples():
-    from radmesh.dirichlet import AuxTriangle
-
     aux = [
         AuxTriangle(((0.0, 0.0),) * 3, (0.0, 0.0), 1.0),
         AuxTriangle(((0.0, 0.0),) * 3, (1.0, 0.0), 3.0),
     ]
     assert heuristic_center(aux) == pytest.approx((0.75, 0.0))
     _, idx, sq_cell, _ = center_cell()
-    assert heuristic_center(aux_triangulate_cell(sq_cell, idx)) == pytest.approx((1.0, 1.0))
+    assert heuristic_center(cell_triangles(sq_cell, idx)) == pytest.approx((1.0, 1.0))
 
 
 def test_heuristic_radius_examples():
@@ -612,7 +721,7 @@ def test_fi_square_cell_offset():
     # one unit-square cell with the ball center offset by d along y:
     # both aux circumcenters sit at the square center, so F_I = d^2 / 2
     _, idx, cell, _ = center_cell()
-    aux = aux_triangulate_cell(cell, idx)
+    aux = cell_triangles(cell, idx)
     d = 0.17
     assert cell_fi((1.0, 1.0 + d), aux) == pytest.approx(d * d / 2)
 
@@ -632,7 +741,7 @@ def test_fi_translation_invariance():
 
 def test_frozen_center_gradient_matches_fd():
     _, idx, cell, _ = center_cell()
-    aux = aux_triangulate_cell(cell, idx)
+    aux = cell_triangles(cell, idx)
     c = (1.13, 0.94)
     gx, gy = frozen_center_gradient(c, aux)
     h = 1e-6
@@ -866,7 +975,7 @@ def test_frozen_gradient_square_cell_slope():
     # so the frozen-combinatorics derivative w.r.t. the offset is d
     d = 1e-3
     _, idx, cell, _ = center_cell()
-    aux = aux_triangulate_cell(cell, idx)
+    aux = cell_triangles(cell, idx)
     gx, gy = frozen_center_gradient((1.0, 1.0 + d), aux)
     assert gx == pytest.approx(0.0, abs=1e-12)
     assert gy == pytest.approx(d, rel=1e-9)
@@ -990,7 +1099,7 @@ def test_run_fi_is_a_function_of_the_diagram():
         for name in ("ball", "vertices", "circumcenter", "area"):
             got, ref = getattr(aux, name), getattr(want, name)
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
-        assert (aux.degenerate, aux.scalar) == (want.degenerate, want.scalar)
+        assert (aux.degenerate, aux.ties) == (want.degenerate, want.ties)
         seen.append(state.iteration)
 
     dmod._gauss_newton_step = step
@@ -1002,24 +1111,23 @@ def test_run_fi_is_a_function_of_the_diagram():
     assert seen == list(range(len(state.history)))
 
 
-def test_run_counts_the_cells_that_fall_to_the_scalar_path():
-    # the cells no certificate accepts go through aux_triangulate_cell;
-    # AuxMesh.scalar counts them per call and OptimizerState.aux_scalar_cells
-    # over the run.  Far from convergence the certificate takes every cell;
-    # at the converged iterate, near ties send some to the scalar path
+def test_run_counts_the_cells_accepted_at_a_tie():
+    # only 3-vertex cells reach aux_triangulate_cell; AuxMesh.ties counts
+    # the cells accepted with an interior edge at a tie per iteration, and
+    # OptimizerState.aux_tie_cells over the run.  Far from convergence no
+    # cell is a tie; at the converged iterate, near ties are common
     import radmesh.dirichlet as dmod
 
     balls = jittered_grid(philox(49), 5, fix_boundary=True)
-    calls, per_iteration = [], []
+    sizes, per_iteration = [], []
     orig = dmod.aux_triangulate_cell
 
     def spy(pts, ball):
-        calls.append(ball)
+        sizes.append(len(pts))
         return orig(pts, ball)
 
     def on_iteration(state):
-        per_iteration.append((state.diagram.aux.scalar, len(calls), state.aux_scalar_cells))
-        calls.clear()
+        per_iteration.append((state.diagram.aux.ties, state.aux_tie_cells))
 
     dmod.aux_triangulate_cell = spy
     try:
@@ -1027,12 +1135,13 @@ def test_run_counts_the_cells_that_fall_to_the_scalar_path():
     finally:
         dmod.aux_triangulate_cell = orig
     assert state.converged
+    assert set(sizes) <= {3}
     total = 0
-    for scalar, n_calls, counted in per_iteration:
-        total += scalar
-        assert scalar == n_calls and counted == total
+    for ties, counted in per_iteration:
+        total += ties
+        assert counted == total
     assert per_iteration[1][0] == 0 and per_iteration[-1][0] > 0
-    assert state.aux_scalar_cells == total
+    assert state.aux_tie_cells == total
 
 
 def test_run_computes_proposals_once_per_iteration():
