@@ -76,7 +76,6 @@ from .errors import (
     TooFewBalls,
     AllCollinear,
     TopologyFlip,
-    UnboundedCell,
 )
 from .geom import Ball, BallArrays, Point2
 from .triangulation import build_regular
@@ -140,10 +139,9 @@ class OptimizerState:
     iteration: int = 0
     history: list[HistoryRecord] = field(default_factory=list)
     converged: bool = False
-    # Gauss-Newton steps that fell back to relaxation, and how many took each
-    # of _gauss_newton_step's exits: no active triangle, no free coordinate,
-    # no damping level helped
-    gn_fallbacks: int = 0
+    # how many Gauss-Newton steps took each of _gauss_newton_step's exits and
+    # fell back to relaxation: no active triangle, no free coordinate, no
+    # damping level helped
     gn_exits: dict[str, int] = field(
         default_factory=lambda: {"no_active": 0, "no_free": 0, "no_descent": 0}
     )
@@ -153,6 +151,11 @@ class OptimizerState:
     rebuild_fallbacks: int = 0
     # aux cells accepted with an interior edge at a tie, summed over the iterations
     aux_tie_cells: int = 0
+
+    @property
+    def gn_fallbacks(self) -> int:
+        """Gauss-Newton steps that fell back to relaxation, over all exits."""
+        return sum(self.gn_exits.values())
 
     @property
     def balls(self) -> list[Ball]:
@@ -190,11 +193,7 @@ def _tie_tol(span):
 
 
 def _cell_points(diagram: PowerDiagram, i: int, domain) -> list[Point2]:
-    """Ball ``i``'s cell vertex positions; with a domain, the cell clipped to it."""
-    if domain is None:
-        if not diagram.bounded[i]:
-            raise UnboundedCell(f"cell of ball {i} is unbounded")
-        return diagram.points(i)
+    """Ball ``i``'s cell vertex positions, the cell clipped to ``domain``."""
     pts = clip_cell(diagram, i, domain)
     # clipping can emit the same corner twice (intersections computed on
     # both adjacent edges); drop near-duplicate consecutive vertices
@@ -735,7 +734,6 @@ def run(
                 x, free, alive, tri, diagram, merge_eps, state
             )
             if exit_ is not None:
-                state.gn_fallbacks += 1
                 state.gn_exits[exit_] += 1
         if moved == 0:
             x_new = relax_step(x, free, proposals, config.theta)

@@ -29,10 +29,6 @@ class FlipBudgetExhausted(RadmeshError):
     """Lawson flipping ran out of its flip budget; the result may be illegal."""
 
 
-class UnboundedCell(RadmeshError):
-    """Operation requires a bounded power cell."""
-
-
 class DegenerateCell(RadmeshError):
     """Power cell has collapsed (all vertices coincide within tolerance)."""
 

@@ -1,11 +1,13 @@
 """Sliver-robust circle recovery from a perturbed point set.
 
-Circumcircles of the Delaunay triangles of the input points are clustered
-by single linkage (all pairs within the tolerance, grouped by
-``geom.components``); each cluster yields one circle with an area-weighted
-center and a least-squares radius over the union of the member triangles'
-vertices.  Near-degenerate triangles (tiny area or ill-conditioned
-circumcenter) are excluded before clustering, so they contribute nothing.
+All Delaunay triangles of the input points are filtered at once: tiny ones,
+and slivers too flat for a well-conditioned circumcenter, are excluded.
+The survivors' circumcenters (one ``geom.circumcenters`` call) are
+clustered by single linkage into the ``geom.components`` labels of the
+center pairs within the tolerance, and ``np.bincount`` reduces each cluster
+to one circle: the area-weighted center, and the root mean square distance
+to the member triangles' vertices.  The pair test stays O(n^2) until the
+benchmark keeps one fingerprint per run.
 """
 
 from __future__ import annotations
@@ -20,8 +22,11 @@ from .errors import AllCollinear, TooFewPoints
 from .geom import Ball, Point2
 
 
-def _single_linkage(points: list[Point2], eps: float) -> list[list[int]]:
-    """Connected components of the graph joining points closer than eps."""
+def _single_linkage(points: list[Point2], eps: float) -> np.ndarray:
+    """Component labels of the graph joining points closer than eps.
+
+    The pair test reads pairs of Python floats faster than numpy scalars.
+    """
     pairs = []
     for i in range(len(points)):
         xi, yi = points[i]
@@ -29,10 +34,7 @@ def _single_linkage(points: list[Point2], eps: float) -> list[list[int]]:
             if math.hypot(points[j][0] - xi, points[j][1] - yi) <= eps:
                 pairs.append((i, j))
     i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
-    labels = geom.components(len(points), i, j)
-    members = np.argsort(labels, kind="stable").tolist()
-    ends = np.cumsum(np.bincount(labels)).tolist()
-    return [members[a:b] for a, b in zip([0] + ends, ends)]
+    return geom.components(len(points), i, j)
 
 
 def _check_eps(name: str, eps: float) -> None:
@@ -43,15 +45,12 @@ def _check_eps(name: str, eps: float) -> None:
 def vertex_cluster_merge(points: list[Point2], vertex_eps: float) -> list[Point2]:
     """Glue clusters of nearly coincident points into their centroids."""
     _check_eps("vertex_eps", vertex_eps)
-    merged = []
-    for group in _single_linkage(points, vertex_eps):
-        merged.append(
-            (
-                sum(points[i][0] for i in group) / len(group),
-                sum(points[i][1] for i in group) / len(group),
-            )
-        )
-    return merged
+    labels = _single_linkage(points, vertex_eps)
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    count = np.bincount(labels)
+    x = np.bincount(labels, pts[:, 0]) / count
+    y = np.bincount(labels, pts[:, 1]) / count
+    return list(zip(x.tolist(), y.tolist()))
 
 
 def recover_spheres(points: list[Point2], cluster_eps: float | None = None) -> list[Ball]:
@@ -71,42 +70,31 @@ def recover_spheres(points: list[Point2], cluster_eps: float | None = None) -> l
     if len(tri.simplices) == 0:
         raise AllCollinear("input points are (nearly) collinear")
 
-    centers: list[Point2] = []
-    areas: list[float] = []
-    members: list[tuple[int, int, int]] = []
-    for s in tri.simplices:
-        p1, p2, p3 = (tuple(pts[k]) for k in s)
-        area = abs(geom.triangle_area(p1, p2, p3))
-        if area < 1e-12 * diag * diag:
-            continue
-        # shape guard: area relative to the squared longest edge bounds the
-        # circumcenter's conditioning, so near-collinear slivers (whose
-        # circumcenters fly off to infinity) are rejected here, and the
-        # survivors pass circumcenter's far weaker conditioning guard
-        lmax2 = max(
-            (p1[0] - p2[0]) ** 2 + (p1[1] - p2[1]) ** 2,
-            (p2[0] - p3[0]) ** 2 + (p2[1] - p3[1]) ** 2,
-            (p3[0] - p1[0]) ** 2 + (p3[1] - p1[1]) ** 2,
-        )
-        if area < 1e-7 * lmax2:
-            continue
-        centers.append(geom.circumcenter(p1, p2, p3))
-        areas.append(area)
-        members.append(tuple(int(k) for k in s))
-    if not centers:
+    corners = pts[tri.simplices]  # (T, 3, 2)
+    area = np.abs(geom.triangle_area(*corners.transpose(1, 2, 0)))
+    edge = corners - corners[:, [1, 2, 0]]
+    lmax2 = (edge[..., 0] * edge[..., 0] + edge[..., 1] * edge[..., 1]).max(axis=1)
+    # shape guard: area relative to the squared longest edge bounds the
+    # circumcenter's conditioning, so near-collinear slivers (whose
+    # circumcenters fly off to infinity) are rejected here.  It implies
+    # circumcenters' guard, |det| = 2 area >= 2e-7 lmax2 > 1e-14 scale^2,
+    # so every survivor's center is valid
+    keep = (area >= 1e-12 * diag * diag) & (area >= 1e-7 * lmax2)
+    if not keep.any():
         raise AllCollinear("no stable triangle survived filtering")
+    kept, area = corners[keep], area[keep]
+    centers, _ = geom.circumcenters(kept[:, 0], kept[:, 1], kept[:, 2])
 
-    balls = []
-    for group in _single_linkage(centers, cluster_eps):
-        wsum = sum(areas[i] for i in group)
-        cx = sum(centers[i][0] * areas[i] for i in group) / wsum
-        cy = sum(centers[i][1] * areas[i] for i in group) / wsum
-        verts = sorted({k for i in group for k in members[i]})
-        r = math.sqrt(
-            sum((pts[k][0] - cx) ** 2 + (pts[k][1] - cy) ** 2 for k in verts)
-            / len(verts)
-        )
-        # cx and cy are numpy scalars; the scalar predicates read Python floats faster
-        balls.append(Ball((float(cx), float(cy)), r))
-    balls.sort(key=lambda b: (b.center[0], b.center[1]))
-    return balls
+    labels = _single_linkage(centers.tolist(), cluster_eps)
+    wsum = np.bincount(labels, area)
+    cx = np.bincount(labels, centers[:, 0] * area) / wsum
+    cy = np.bincount(labels, centers[:, 1] * area) / wsum
+    # each (cluster, vertex) pair once, clusters ascending and each cluster's
+    # vertices ascending, so every radius sums its squares in vertex order
+    key = np.unique(labels[:, None] * len(pts) + tri.simplices[keep])
+    cluster, vertex = np.divmod(key, len(pts))
+    d = pts[vertex] - np.stack([cx, cy], axis=1)[cluster]
+    sq = np.bincount(cluster, d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+    r = np.sqrt(sq / np.bincount(cluster))
+    order = np.lexsort((cy, cx))
+    return [Ball((x, y), rad) for x, y, rad in zip(*(v[order].tolist() for v in (cx, cy, r)))]

@@ -1,9 +1,12 @@
-"""Shared helpers for the test suite, and the scalar references of the auxiliary cells.
+"""Shared helpers for the test suite, and the scalar references of the array code.
 
-The references work on one cell at a time, as lists of ``AuxTriangle``:
-the Lawson flips from a fan (``fan_triangulate_cell``), the oracle of the
-batched ``aux_triangulate_cells``, and the per-cell forms of the update
-and of ``F_I`` that the package evaluates on arrays.
+The aux-cell references work on one cell at a time, as lists of
+``AuxTriangle``: the Lawson flips from a fan (``fan_triangulate_cell``),
+the oracle of the batched ``aux_triangulate_cells``, and the per-cell forms
+of the update and of ``F_I`` that the package evaluates on arrays.  The
+recovery references (``recover_spheres_reference``,
+``vertex_cluster_merge_reference``) walk one triangle and one cluster at a
+time.
 """
 
 import math
@@ -11,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
 from radmesh import geom
 from radmesh.dirichlet import _incircle, _tie_tol, aux_triangulate_cells
-from radmesh.errors import CollinearPoints, DegenerateCell, RadmeshError
+from radmesh.errors import AllCollinear, CollinearPoints, DegenerateCell, RadmeshError
 from radmesh.geom import Ball
 from radmesh.triangulation import lawson_flip
 
@@ -173,3 +177,77 @@ def frozen_center_gradient(center, aux):
     gx = sum((center[0] - t.circumcenter[0]) * t.area for t in aux)
     gy = sum((center[1] - t.circumcenter[1]) * t.area for t in aux)
     return (gx, gy)
+
+
+def single_linkage_groups(points, eps):
+    """Member lists of the connected components of the graph joining points closer than eps."""
+    pairs = []
+    for i in range(len(points)):
+        xi, yi = points[i]
+        for j in range(i + 1, len(points)):
+            if math.hypot(points[j][0] - xi, points[j][1] - yi) <= eps:
+                pairs.append((i, j))
+    i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
+    labels = geom.components(len(points), i, j)
+    members = np.argsort(labels, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(labels)).tolist()
+    return [members[a:b] for a, b in zip([0] + ends, ends)]
+
+
+def vertex_cluster_merge_reference(points, vertex_eps):
+    """``vertex_cluster_merge`` one cluster at a time."""
+    merged = []
+    for group in single_linkage_groups(points, vertex_eps):
+        merged.append(
+            (
+                sum(points[i][0] for i in group) / len(group),
+                sum(points[i][1] for i in group) / len(group),
+            )
+        )
+    return merged
+
+
+def recover_spheres_reference(points, cluster_eps=None):
+    """``recover_spheres`` one triangle and one cluster at a time, on valid input.
+
+    Its squares are ``** 2`` on numpy scalars, which goes through libm
+    ``pow``, so a radius can differ from the array form's in the last bit.
+    """
+    diag = geom.bbox_diag(points)
+    if cluster_eps is None:
+        cluster_eps = 1e-6 * diag
+    pts = np.asarray(points, dtype=float)
+    tri = Delaunay(pts, qhull_options="Qbb Qc Qz")
+
+    centers, areas, members = [], [], []
+    for s in tri.simplices:
+        p1, p2, p3 = (tuple(pts[k]) for k in s)
+        area = abs(geom.triangle_area(p1, p2, p3))
+        if area < 1e-12 * diag * diag:
+            continue
+        lmax2 = max(
+            (p1[0] - p2[0]) ** 2 + (p1[1] - p2[1]) ** 2,
+            (p2[0] - p3[0]) ** 2 + (p2[1] - p3[1]) ** 2,
+            (p3[0] - p1[0]) ** 2 + (p3[1] - p1[1]) ** 2,
+        )
+        if area < 1e-7 * lmax2:
+            continue
+        centers.append(geom.circumcenter(p1, p2, p3))
+        areas.append(area)
+        members.append(tuple(int(k) for k in s))
+    if not centers:
+        raise AllCollinear("no stable triangle survived filtering")
+
+    balls = []
+    for group in single_linkage_groups(centers, cluster_eps):
+        wsum = sum(areas[i] for i in group)
+        cx = sum(centers[i][0] * areas[i] for i in group) / wsum
+        cy = sum(centers[i][1] * areas[i] for i in group) / wsum
+        verts = sorted({k for i in group for k in members[i]})
+        r = math.sqrt(
+            sum((pts[k][0] - cx) ** 2 + (pts[k][1] - cy) ** 2 for k in verts)
+            / len(verts)
+        )
+        balls.append(Ball((float(cx), float(cy)), r))
+    balls.sort(key=lambda b: (b.center[0], b.center[1]))
+    return balls

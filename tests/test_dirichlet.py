@@ -38,7 +38,6 @@ from radmesh.errors import (
     DegenerateScene,
     Diverged,
     TooFewBalls,
-    UnboundedCell,
 )
 from radmesh.geom import (
     Ball,
@@ -156,18 +155,18 @@ def test_aux_translation_invariance():
 
 
 def test_aux_unbounded_raises():
-    # a hull ball's cell has no vertex list to triangulate without a domain
+    # a hull ball's unbounded cell gets a vertex list once clipped to a domain
     balls = lattice_balls(3)
     d = extract_diagram(build_regular(balls), balls)
-    with pytest.raises(UnboundedCell):
-        _cell_points(d, 0, None)
+    assert not d.bounded[0]
     assert len(_cell_points(d, 0, [(-1.0, -1.0), (3.0, -1.0), (3.0, 3.0), (-1.0, 3.0)])) == 4
 
 
 def cell_points(d, domain=None):
     """Vertex lists of the cells of ``d`` usable with ``domain``, and their balls."""
     cells = np.flatnonzero(d.has_cell & (d.bounded | (domain is not None)))
-    return [_cell_points(d, i, domain) for i in cells.tolist()], cells
+    points = [d.points(i) if domain is None else _cell_points(d, i, domain) for i in cells.tolist()]
+    return points, cells
 
 
 def certify_one(pts, tris):

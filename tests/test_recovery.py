@@ -2,13 +2,20 @@
 
 import math
 
+import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
+from radmesh import geom
 from radmesh.errors import AllCollinear, TooFewPoints
 from radmesh.geom import Ball
 from radmesh.recovery import recover_spheres, vertex_cluster_merge
 
-from conftest import philox
+from conftest import (
+    philox,
+    recover_spheres_reference,
+    vertex_cluster_merge_reference,
+)
 
 
 def test_unit_square_corners_single_circle():
@@ -120,3 +127,59 @@ def test_recovered_balls_carry_python_floats():
     assert balls
     for b in balls:
         assert [type(v) for v in (*b.center, b.radius)] == [float, float, float]
+
+
+def jittered_lattice(seed, n, jitter, scale=1.0, offset=0.0):
+    rng = philox(seed)
+    return [
+        (scale * (i + float(dx)) + offset, scale * (j + float(dy)) + offset)
+        for i in range(n)
+        for j in range(n)
+        for dx, dy in [rng.uniform(-jitter, jitter, 2)]
+    ]
+
+
+def recovery_inputs():
+    for n, seeds in ((12, (0, 1, 2)), (20, (3,))):
+        for seed in seeds:
+            for jitter in (0.25, 1e-9):
+                yield jittered_lattice(seed, n, jitter)
+    yield [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.5, 1e-10)]  # a sliver
+    yield [(float(i), float(j)) for i in range(3) for j in range(3)]  # cocircular squares
+    yield jittered_lattice(4, 8, 0.25, offset=1e6)
+    yield jittered_lattice(5, 8, 0.25, scale=37.5)
+
+
+def test_recover_spheres_matches_the_reference():
+    for pts in recovery_inputs():
+        diag = geom.bbox_diag(pts)
+        # the shape guard implies circumcenters' conditioning guard on every survivor
+        arr = np.asarray(pts)
+        corners = arr[Delaunay(arr, qhull_options="Qbb Qc Qz").simplices]
+        area = np.abs(geom.triangle_area(*corners.transpose(1, 2, 0)))
+        edge = corners - corners[:, [1, 2, 0]]
+        lmax2 = (edge**2).sum(axis=2).max(axis=1)
+        kept = corners[(area >= 1e-12 * diag * diag) & (area >= 1e-7 * lmax2)]
+        assert len(kept) and geom.circumcenters(kept[:, 0], kept[:, 1], kept[:, 2])[1].all()
+        for eps in (0.0, None, 1e-12 * diag):
+            got, want = recover_spheres(pts, eps), recover_spheres_reference(pts, eps)
+            assert [b.center for b in got] == [b.center for b in want]
+            # the reference squares numpy scalars with ** 2, through libm pow, which
+            # rounds about one square in a thousand a unit apart from the product; the
+            # sums can widen that to 2 ulp of a radius (one circle of the 50 x 50
+            # lattice of the recover-lattice generator at scene seed 2)
+            for b, ref in zip(got, want):
+                assert abs(b.radius - ref.radius) <= 2 * np.spacing(ref.radius)
+
+
+def test_vertex_cluster_merge_matches_the_reference():
+    rng = philox(66)
+    base = jittered_lattice(6, 10, 0.25)
+    # each point doubled within 1.5e-4, and some doubles chained 1.5e-4 further on
+    shifts = rng.uniform(-1e-4, 1e-4, (100, 2)).tolist()
+    near = [(x + dx, y + dy) for (x, y), (dx, dy) in zip(base, shifts)]
+    chained = [(x + 1.5e-4, y) for x, y in near[::7]]
+    pts = [p for pair in zip(base, near) for p in pair] + chained
+    for eps in (0.0, 1e-5, 2e-4, 0.5):
+        assert vertex_cluster_merge(pts, eps) == vertex_cluster_merge_reference(pts, eps)
+    assert len(vertex_cluster_merge(pts, 2e-4)) == 100
