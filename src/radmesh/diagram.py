@@ -9,13 +9,16 @@ polygonal vertex of the paper's non-simplicial cells.  Each non-redundant
 ball owns a convex polygonal cell whose vertices follow the ball's corners
 counterclockwise through the table's half-edge twins; hull balls own
 unbounded cells.  All fans are ordered at once, by pointer jumping over
-the corners' counterclockwise successors (``_chain_ends``); only the
-outward rays of the hull balls' cells are computed ball by ball.
+the corners' counterclockwise successors (``_chain_ends``), and the
+outward rays of the hull balls' cells are computed for all of them at once.
 
 The result, ``PowerDiagram``, is one cell table of numpy arrays: the dual
 vertices' positions and power ``tau``, the dual vertex of each triangle,
 each ball's CCW cycle of dual vertex ids in CSR form, per-ball ``bounded``
-and ``free`` masks and the outward rays of unbounded cells.
+and ``free`` masks and the outward rays of unbounded cells.  Cells are
+handed on in one form, a CSR list of vertex positions ``(xy, offsets)``
+(``PowerDiagram.positions``); ``clip_cells`` intersects such a list with
+a convex domain, all cells at once.
 """
 
 from __future__ import annotations
@@ -78,6 +81,12 @@ class PowerDiagram:
         xy, ids, offsets = self._rows
         return [xy[v] for v in ids[offsets[i] : offsets[i + 1]]]
 
+    def positions(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The vertex positions of the cells of the balls ``cells`` in CSR form, ``(xy, offsets)``."""
+        counts = np.diff(self.offsets)[cells]
+        ids = self.cell_vertices[_ranges(self.offsets[cells], counts)]
+        return self.vertices[ids], np.concatenate([[0], np.cumsum(counts)])
+
     def vertex_ids(self, mask: np.ndarray) -> np.ndarray:
         """Sorted ids of the dual vertices on the cells of the balls in ``mask``."""
         return np.unique(self.cell_vertices[np.repeat(mask, np.diff(self.offsets))])
@@ -93,9 +102,25 @@ class PowerDiagram:
         """
         ids = self.vertex_ids(self.usable)
         if self.domain is not None:
-            tol = 1e-9 * geom.bbox_diag(self.domain)
-            ids = ids[_in_convex(self.vertices[ids], self.domain, tol)]
+            ids = ids[_in_convex(self.vertices[ids], self.domain, _domain_tol(self.domain))]
         return float(np.abs(self.tau[ids]).max(initial=0.0))
+
+
+def _domain_tol(domain: list[Point2]) -> float:
+    """The length tolerance of a domain polygon: 1e-9 times its bounding-box diagonal."""
+    return 1e-9 * geom.bbox_diag(domain)
+
+
+def _hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """``math.hypot`` elementwise; ``np.hypot`` can round an ulp away from it."""
+    out = map(math.hypot, dx.ravel().tolist(), dy.ravel().tolist())
+    return np.fromiter(out, float, dx.size).reshape(dx.shape)
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``starts[p] + arange(counts[p])`` for every p, concatenated."""
+    before = np.cumsum(counts) - counts
+    return np.repeat(starts - before, counts) + np.arange(int(counts.sum()))
 
 
 def _in_convex(p: np.ndarray, domain: list[Point2], tol: float) -> np.ndarray:
@@ -154,22 +179,6 @@ def _chain_ends(succ: np.ndarray, longest: int) -> tuple[np.ndarray, np.ndarray]
         togo = togo + togo[last]
         last = last[last]
     return last, togo
-
-
-def _outward_ray(rows, ball: int, other: int, third: int) -> Point2:
-    """Unit direction of the unbounded dual edge across hull edge (ball, other).
-
-    ``third`` is the third ball of the triangle on that edge, all rows of ``rows``.
-    """
-    ci, cj = rows[ball], rows[other]
-    dx, dy = cj[0] - ci[0], cj[1] - ci[1]
-    nrm = math.hypot(dx, dy)
-    n = (dy / nrm, -dx / nrm)
-    ck = rows[third]
-    mid = ((ci[0] + cj[0]) / 2, (ci[1] + cj[1]) / 2)
-    if n[0] * (ck[0] - mid[0]) + n[1] * (ck[1] - mid[1]) > 0:
-        n = (-n[0], -n[1])
-    return n
 
 
 def extract_diagram(
@@ -232,16 +241,21 @@ def extract_diagram(
     counts[owners] = kept - wrap
     ids = cycle[keep]
 
-    # the outward rays across the hull edges at both ends of each open fan
+    # the outward rays across the hull edges at both ends of each open fan,
+    # (start, next corner) and (previous corner, end): unit normals turned
+    # away from the third ball of the edge's triangle
     rays = np.full((n, 2, 2), np.nan)
     unbounded = ~bounded[owners]
     ends = np.stack([start[unbounded], last[start[unbounded]]], axis=1)
     f, k = ends // 3, ends % 3
-    others = np.stack([t.tris[f, (k - 2) % 3], t.tris[f, (k - 1) % 3]], axis=2).tolist()
-    rows = x.tolist()
-    for i, (a, b) in zip(owners[unbounded].tolist(), others):
-        rays[i, 0] = _outward_ray(rows, i, a[0], a[1])
-        rays[i, 1] = _outward_ray(rows, i, b[1], b[0])
+    ci = x[owners[unbounded], None, :2]
+    cj, ck = x[t.tris[f, (k + [1, 2]) % 3], :2], x[t.tris[f, (k + [2, 1]) % 3], :2]
+    d = cj - ci
+    nrm = _hypot(d[..., 0], d[..., 1])
+    normal = np.stack([d[..., 1] / nrm, -d[..., 0] / nrm], axis=-1)
+    mid = (ci + cj) / 2
+    away = normal[..., 0] * (ck[..., 0] - mid[..., 0]) + normal[..., 1] * (ck[..., 1] - mid[..., 1]) > 0
+    rays[owners[unbounded]] = np.where(away[..., None], -normal, normal)
     offsets = np.concatenate([[0], np.cumsum(counts)])
     return PowerDiagram(vertices, tau, vertex_of, offsets, ids, bounded, free.any(axis=1), rays, domain)
 
@@ -292,70 +306,90 @@ def delaunay_limit_violations(
     return out
 
 
-def clip_polygon(polygon: list[Point2], domain: list[Point2]) -> list[Point2]:
-    """Sutherland-Hodgman intersection of a polygon with a convex CCW domain."""
-    output = list(polygon)
-    n = len(domain)
-    for k in range(n):
-        if not output:
-            return []
-        a, b = domain[k], domain[(k + 1) % n]
-        ex, ey = b[0] - a[0], b[1] - a[1]
-
-        def inside(p):
-            return ex * (p[1] - a[1]) - ey * (p[0] - a[0]) >= 0
-
-        def intersect(p, q):
-            dx, dy = q[0] - p[0], q[1] - p[1]
-            denom = ex * dy - ey * dx
-            s = (ex * (a[1] - p[1]) - ey * (a[0] - p[0])) / denom
-            return (p[0] + s * dx, p[1] + s * dy)
-
-        result = []
-        prev = output[-1]
-        prev_in = inside(prev)
-        for cur in output:
-            cur_in = inside(cur)
-            if cur_in:
-                if not prev_in:
-                    result.append(intersect(prev, cur))
-                result.append(cur)
-            elif prev_in:
-                result.append(intersect(prev, cur))
-            prev, prev_in = cur, cur_in
-        output = result
-    return output
+def _previous(offsets: np.ndarray) -> np.ndarray:
+    """Each row's predecessor in its CSR cell, the cell's last row for its first."""
+    prev = np.arange(offsets[-1]) - 1
+    k = np.diff(offsets)
+    prev[offsets[:-1][k > 0]] = offsets[1:][k > 0] - 1
+    return prev
 
 
-def clip_cell(diagram: PowerDiagram, i: int, domain: list[Point2]) -> list[Point2]:
-    """Intersect ball ``i``'s cell with a convex CCW domain polygon.
+def _close_cells(xy, offsets, rays, domain):
+    """Close each unbounded cell of a CSR cell list far beyond the domain, counterclockwise.
 
-    Unbounded cells are first closed by extending their boundary rays well
-    beyond the domain.
+    ``rays[p]`` are cell p's rays, NaN if it is bounded.  Three vertices are
+    appended: out from the last vertex along the end ray, along the sum of
+    both rays (their normal if opposite), and out from the first vertex
+    along the start ray.  A closed cell that comes out clockwise is reversed.
     """
-    pts = diagram.points(i)
-    if not diagram.bounded[i]:
-        far = 10.0 * (
-            geom.bbox_diag(domain)
-            + max(
-                math.hypot(p[0] - domain[0][0], p[1] - domain[0][1]) for p in pts
-            )
-            + 1.0
-        )
-        ra, rb = diagram.rays[i].tolist()
-        a = pts[0]
-        b = pts[-1]
-        mx, my = ra[0] + rb[0], ra[1] + rb[1]
-        nrm = math.hypot(mx, my)
-        if nrm < 1e-12:
-            mx, my = -ra[1], ra[0]
-            nrm = 1.0
-        closure = [
-            (b[0] + far * rb[0], b[1] + far * rb[1]),
-            (a[0] + far * mx / nrm + far * rb[0], a[1] + far * my / nrm + far * rb[1]),
-            (a[0] + far * ra[0], a[1] + far * ra[1]),
-        ]
-        pts = pts + closure
-        if geom.polygon_area(pts) < 0:
-            pts.reverse()
-    return clip_polygon(pts, domain)
+    k, unbounded = np.diff(offsets), np.isfinite(rays[:, 0, 0])
+    u = np.flatnonzero(unbounded)
+    ra, rb = rays[u, 0], rays[u, 1]
+    a, b = xy[offsets[u]], xy[offsets[u + 1] - 1]
+    d = xy[_ranges(offsets[u], k[u])] - domain[0]
+    far = np.maximum.reduceat(_hypot(d[:, 0], d[:, 1]), np.cumsum(k[u]) - k[u])
+    far = 10.0 * (geom.bbox_diag(domain) + far + 1.0)[:, None]
+    m = ra + rb
+    nrm = _hypot(m[:, 0], m[:, 1])
+    opposite = nrm < 1e-12
+    m[opposite] = np.stack([-ra[opposite, 1], ra[opposite, 0]], axis=1)
+    nrm[opposite] = 1.0
+    closure = np.stack([b + far * rb, a + far * m / nrm[:, None] + far * rb, a + far * ra], axis=1)
+    xy = np.insert(xy, np.repeat(offsets[u + 1], 3), closure.reshape(-1, 2), axis=0)
+    k = k + 3 * unbounded
+    offsets = np.concatenate([[0], np.cumsum(k)])
+    # only the signs of the shoelace sums are read, and the far points make them large
+    rows = _ranges(offsets[u], k[u])
+    p, q = xy[rows], xy[_previous(offsets)[rows]]
+    cw = u[np.add.reduceat(q[:, 0] * p[:, 1] - p[:, 0] * q[:, 1], np.cumsum(k[u]) - k[u]) < 0]
+    rows, order = _ranges(offsets[cw], k[cw]), np.arange(len(xy))
+    order[rows] = np.repeat(2 * offsets[cw] + k[cw] - 1, k[cw]) - rows
+    return xy[order], offsets
+
+
+def _dedup(xy, offsets, tol):
+    """Drop each vertex within ``tol`` of the last kept one of its CSR cell, then the wrap duplicate.
+
+    Each decision reads the earlier ones: a round settles one more vertex of each chain of drops.
+    """
+    first = offsets[:-1][np.diff(offsets) > 0]
+    keep, now = np.zeros(len(xy), dtype=bool), np.ones(len(xy), dtype=bool)
+    while (now != keep).any():
+        keep = now
+        # the last kept row before each row; a cell's first row is kept
+        last = np.roll(np.maximum.accumulate(np.where(keep, np.arange(len(xy)), 0)), 1)
+        d = xy - xy[last]
+        now = _hypot(d[:, 0], d[:, 1]) > tol
+        now[first] = True
+    last = np.maximum.reduceat(np.where(keep, np.arange(len(xy)), -1), first)
+    d = xy[first] - xy[last]
+    wrap = (last != first) & (_hypot(d[:, 0], d[:, 1]) <= tol)
+    keep[last[wrap]] = False
+    return xy[keep], np.concatenate([[0], np.cumsum(keep)])[offsets]
+
+
+def clip_cells(xy, offsets, rays, domain: list[Point2]) -> tuple[np.ndarray, np.ndarray]:
+    """Intersect the cells of a CSR cell list with a convex CCW domain polygon.
+
+    Cell p has the CCW vertices ``xy[offsets[p]:offsets[p + 1]]`` and the
+    rays ``rays[p]`` of ``PowerDiagram.rays``; unbounded cells are closed
+    first.  Each domain edge cuts all cells at once, as Sutherland and
+    Hodgman (1974) cut one polygon: every vertex emits the crossing from its
+    predecessor, if any, then itself if inside.  A domain corner can come
+    out twice, so near-duplicate vertices, within ``_domain_tol``, are
+    dropped last.  Returns ``(xy, offsets)``; a cell outside is empty.
+    """
+    xy, offsets = _close_cells(xy, offsets, rays, domain)
+    for a, b in zip(domain, [*domain[1:], domain[0]]):
+        ex, ey = b[0] - a[0], b[1] - a[1]
+        inside = ex * (xy[:, 1] - a[1]) - ey * (xy[:, 0] - a[0]) >= 0
+        prev = _previous(offsets)
+        cross = inside != inside[prev]
+        p = xy[prev[cross]]
+        d = xy[cross] - p
+        # divide on the crossing rows only: elsewhere the denominator can be 0
+        s = (ex * (a[1] - p[:, 1]) - ey * (a[0] - p[:, 0])) / (ex * d[:, 1] - ey * d[:, 0])
+        at = np.flatnonzero(cross)
+        offsets = np.concatenate([[0], np.cumsum(cross.astype(int) + inside)])[offsets]
+        xy = np.insert(xy, at, p + s[:, None] * d, axis=0)[np.insert(inside, at, True)]
+    return _dedup(xy, offsets, _domain_tol(domain))

@@ -14,8 +14,9 @@ a free ball.
 
 ``aux_triangulate_cells`` builds the auxiliary triangulations of all cells
 of one diagram as arrays (an ``AuxMesh``).  It takes the cells in CSR
-form: without a domain, one gather of the diagram's ``vertices`` through
-its ``cell_vertices``; a domain clips each cell first.  There is one rule
+form: one gather of the diagram's ``vertices`` through its
+``cell_vertices``, clipped to the domain if the diagram has one
+(``diagram.clip_cells``).  There is one rule
 for every cell of 4 or more vertices, applied to all of them at once: one
 candidate triangulation by the largest-angle recursion over the chords of
 the convex cell (``_largest_angle``), and one certificate (``_certify``).
@@ -67,7 +68,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geom
-from .diagram import PowerDiagram, bbox_diag, clip_cell, default_merge_eps, extract_diagram
+from .diagram import PowerDiagram, _ranges, bbox_diag, clip_cells, default_merge_eps, extract_diagram
 from .errors import (
     CollinearPoints,
     DegenerateCell,
@@ -78,7 +79,7 @@ from .errors import (
     TopologyFlip,
 )
 from .geom import Ball, BallArrays, Point2
-from .triangulation import build_regular
+from .triangulation import _twins, build_regular
 
 
 @dataclass
@@ -192,25 +193,6 @@ def _tie_tol(span):
     return 1e-12 * s2 * s2
 
 
-def _cell_points(diagram: PowerDiagram, i: int, domain) -> list[Point2]:
-    """Ball ``i``'s cell vertex positions, the cell clipped to ``domain``."""
-    pts = clip_cell(diagram, i, domain)
-    # clipping can emit the same corner twice (intersections computed on
-    # both adjacent edges); drop near-duplicate consecutive vertices
-    if pts:
-        eps = 1e-9 * geom.bbox_diag(domain)
-        dedup = []
-        for p in pts:
-            if not dedup or math.hypot(p[0] - dedup[-1][0], p[1] - dedup[-1][1]) > eps:
-                dedup.append(p)
-        if len(dedup) > 1 and math.hypot(
-            dedup[0][0] - dedup[-1][0], dedup[0][1] - dedup[-1][1]
-        ) <= eps:
-            dedup.pop()
-        pts = dedup
-    return pts
-
-
 def aux_triangulate_cell(pts: list[Point2], ball: int) -> tuple[Point2, float]:
     """The auxiliary triangle of ball ``ball``'s 3-vertex cell ``pts``: its circumcenter and area.
 
@@ -229,12 +211,6 @@ def aux_triangulate_cell(pts: list[Point2], ball: int) -> tuple[Point2, float]:
         return geom.circumcenter(*pts), area
     except CollinearPoints as e:
         raise DegenerateCell(f"cell of ball {ball} has an ill-conditioned triangle") from e
-
-
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """``starts[p] + arange(counts[p])`` for every p, concatenated."""
-    before = np.cumsum(counts) - counts
-    return np.repeat(starts - before, counts) + np.arange(int(counts.sum()))
 
 
 def _largest_angle(xy, offsets, pos):
@@ -302,10 +278,9 @@ def _certify(xy, offsets, pos, local):
     """
     k = offsets[pos + 1] - offsets[pos]
     cell = np.repeat(np.arange(len(pos)), k - 2)  # cell of each triangle
-    i, j, l = local.T
-    base = offsets[pos][cell]
+    ids = offsets[pos][cell][:, None] + local  # (R, 3) rows of xy
     # (R, 3, 2); ``take`` gathers rows faster than indexing does
-    corners = xy.take(base[:, None] + local, axis=0)
+    corners = xy.take(ids, axis=0)
     # the tie tolerance of each cell, from its span about its first vertex
     at = np.cumsum(k) - k
     dist = xy.take(_ranges(offsets[pos], k), axis=0)
@@ -317,16 +292,12 @@ def _certify(xy, offsets, pos, local):
         area = geom.triangle_area(*corners.transpose(1, 2, 0))
         centers, ok = geom.circumcenters(corners[:, 0], corners[:, 1], corners[:, 2])
     # an interior edge (a, b), a < b, is the side (i, l) of the triangle
-    # (i, j, l) that holds the vertices between a and b, and the side (i, j)
-    # or (j, l) of the triangle on its other side: ``opposite`` holds that
-    # triangle's third vertex, one k x k table (a, b) per cell
-    table = np.cumsum(k * k) - k * k
-    key = lambda a, b: table[cell] + a * k[cell] + b
-    opposite = np.zeros(int((k * k).sum()), dtype=int)
-    opposite[key(i, j)] = l
-    opposite[key(j, l)] = i
-    edge = np.flatnonzero((i > 0) | (l < k[cell] - 1))
-    d = xy.take(base[edge] + opposite[key(i, l)[edge]], axis=0)
+    # (i, j, l) that holds the vertices between a and b, its half-edge from
+    # corner l to corner i; the twin of that half-edge lies on the triangle
+    # on the edge's other side, across from that triangle's third vertex
+    twin = _twins(ids)[:, 1]
+    edge = np.flatnonzero(twin >= 0)
+    d = xy.take(ids.ravel()[twin[edge]], axis=0)
     p, q, r = corners.take(edge, axis=0).transpose(1, 2, 0)
     with np.errstate(invalid="ignore"):
         val = _incircle(*p, *q, *r, *d.T)
@@ -347,7 +318,7 @@ def aux_triangulate_cells(xy: np.ndarray, offsets: np.ndarray, cells: np.ndarray
 
     The cells are in CSR form: ``xy[offsets[p]:offsets[p + 1]]`` are the
     vertices of the cell of ball ``cells[p]``, counterclockwise, as
-    ``_cell_points`` gives them.  Every cell of 4 or more vertices gets the
+    ``_cell_aux`` gives them.  Every cell of 4 or more vertices gets the
     ``_largest_angle`` triangulation, which ``_certify`` accepts, ties
     included, or refuses, in one pass over those cells; the cells accepted
     at a tie are counted in ``ties``.  Triangles go through
@@ -384,32 +355,21 @@ def aux_triangulate_cells(xy: np.ndarray, offsets: np.ndarray, cells: np.ndarray
     )
 
 
-def _cell_positions(diagram: PowerDiagram, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The vertex positions of the cells of ``cells`` in CSR form, ``(xy, offsets)``.
-
-    Without a domain they are one gather from the cell table; with one,
-    each cell is clipped to it (``_cell_points``).
-    """
-    if diagram.domain is None:
-        counts = np.diff(diagram.offsets)[cells]
-        ids = diagram.cell_vertices[_ranges(diagram.offsets[cells], counts)]
-        return diagram.vertices[ids], np.concatenate([[0], np.cumsum(counts)])
-    points = [_cell_points(diagram, i, diagram.domain) for i in cells.tolist()]
-    offsets = np.concatenate([[0], np.cumsum([len(p) for p in points], dtype=int)])
-    return np.array([p for pts in points for p in pts], dtype=float).reshape(-1, 2), offsets
-
-
 def _cell_aux(diagram: PowerDiagram) -> AuxMesh:
     """Auxiliary triangulations of the usable cells of free balls.
 
     Dead and redundant balls (which own no cell), fully fixed balls, and
     unbounded cells without a domain get none; degenerate cells get none
-    and are listed in ``degenerate``.  Computed once per diagram from the
-    diagram alone, and kept in ``diagram.aux``.
+    and are listed in ``degenerate``.  The cells are gathered from the cell
+    table and clipped to the domain if there is one.  Computed once per
+    diagram from the diagram alone, and kept in ``diagram.aux``.
     """
     if diagram.aux is None:
         cells = np.flatnonzero(diagram.usable)
-        diagram.aux = aux_triangulate_cells(*_cell_positions(diagram, cells), cells)
+        xy, offsets = diagram.positions(cells)
+        if diagram.domain is not None:
+            xy, offsets = clip_cells(xy, offsets, diagram.rays[cells], diagram.domain)
+        diagram.aux = aux_triangulate_cells(xy, offsets, cells)
     return diagram.aux
 
 
@@ -535,7 +495,8 @@ def fd_gradient(balls: list[Ball], diagram: PowerDiagram, h: float, on_flip="rai
 def _tau_system(x, free, triangulation, active):
     """Power residuals tau(v_k) and their Jacobian w.r.t. the free coordinates.
 
-    v_k solves the 2x2 dual-vertex system of its triangle; differentiating
+    v_k and tau(v_k) are read from ``triangulation``, the table of ``x``; v_k
+    solves the 2x2 dual-vertex system of its triangle, and differentiating
     that system gives closed-form rows, so no diagram rebuilds are needed.
     The unknowns are the free entries of ``x``: column k of J belongs to
     ``x.flat[cols[k]]``.
@@ -545,8 +506,7 @@ def _tau_system(x, free, triangulation, active):
     col_of[cols] = np.arange(len(cols))
     tris = triangulation.tris[active]
     centers, radii = x[:, :2], x[:, 2]
-    vx, vy, r = geom.orthocenters(centers, radii, tris)
-    v = np.stack([vx, vy], axis=1)
+    v, r = triangulation.orthocenters[active], triangulation.tau[active]
     ci, cj, cl = centers[tris[:, 0]], centers[tris[:, 1]], centers[tris[:, 2]]
     # w = A^{-T} (v - c_i), with the rows of A the edges c_j - c_i, c_l - c_i
     w = np.linalg.solve(np.stack([cj - ci, cl - ci], axis=2), (v - ci)[:, :, None])[:, :, 0]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import PowerDiagram, clip_cell
+from .diagram import PowerDiagram, clip_cells
 from .dirichlet import _cell_aux
 from .geom import Point2
 from .scene import Scene
@@ -84,8 +84,12 @@ def render_svg(
     if "domain" in spec.layers:
         body.append(_poly(scene.domain, COLORS["domain"], 2 * sw))
     if "power_diagram" in spec.layers and diagram is not None:
+        # bounded cells are drawn whole, unbounded ones clipped to the domain
+        unbounded = np.flatnonzero(diagram.has_cell & ~diagram.bounded)
+        xy, offsets = clip_cells(*diagram.positions(unbounded), diagram.rays[unbounded], scene.domain)
+        clipped = dict(zip(unbounded.tolist(), (c.tolist() for c in np.split(xy, offsets[1:-1]))))
         for i in np.flatnonzero(diagram.has_cell).tolist():
-            pts = diagram.points(i) if diagram.bounded[i] else clip_cell(diagram, i, scene.domain)
+            pts = clipped[i] if i in clipped else diagram.points(i)
             if len(pts) >= 3:
                 body.append(_poly(pts, COLORS["power_diagram"], sw))
     if "regular_triangulation" in spec.layers and triangulation is not None:

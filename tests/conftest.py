@@ -4,7 +4,8 @@ The aux-cell references work on one cell at a time, as lists of
 ``AuxTriangle``: the Lawson flips from a fan (``fan_triangulate_cell``),
 the oracle of the batched ``aux_triangulate_cells``, and the per-cell forms
 of the update and of ``F_I`` that the package evaluates on arrays.  The
-recovery references (``recover_spheres_reference``,
+domain clip reference (``clip_cell_reference``) closes and clips one cell
+at a time, one vertex at a time (``clip_polygon``).  The recovery references (``recover_spheres_reference``,
 ``vertex_cluster_merge_reference``) walk one triangle and one cluster at a
 time.
 """
@@ -251,3 +252,91 @@ def recover_spheres_reference(points, cluster_eps=None):
         balls.append(Ball((float(cx), float(cy)), r))
     balls.sort(key=lambda b: (b.center[0], b.center[1]))
     return balls
+
+
+def split_cells(xy, offsets):
+    """The cells of a CSR cell list as lists of ``(x, y)`` tuples."""
+    return [list(map(tuple, c.tolist())) for c in np.split(xy, offsets[1:-1])]
+
+
+def clip_polygon(polygon, domain):
+    """Sutherland-Hodgman intersection of a polygon with a convex CCW domain."""
+    output = list(polygon)
+    n = len(domain)
+    for k in range(n):
+        if not output:
+            return []
+        a, b = domain[k], domain[(k + 1) % n]
+        ex, ey = b[0] - a[0], b[1] - a[1]
+
+        def inside(p):
+            return ex * (p[1] - a[1]) - ey * (p[0] - a[0]) >= 0
+
+        def intersect(p, q):
+            dx, dy = q[0] - p[0], q[1] - p[1]
+            denom = ex * dy - ey * dx
+            s = (ex * (a[1] - p[1]) - ey * (a[0] - p[0])) / denom
+            return (p[0] + s * dx, p[1] + s * dy)
+
+        result = []
+        prev = output[-1]
+        prev_in = inside(prev)
+        for cur in output:
+            cur_in = inside(cur)
+            if cur_in:
+                if not prev_in:
+                    result.append(intersect(prev, cur))
+                result.append(cur)
+            elif prev_in:
+                result.append(intersect(prev, cur))
+            prev, prev_in = cur, cur_in
+        output = result
+    return output
+
+
+def clip_cell_reference(pts, rays, domain):
+    """``diagram.clip_cells`` on one cell ``pts``, one vertex at a time.
+
+    ``rays`` are the cell's (start, end) rays if it is unbounded, else
+    None; an unbounded cell is first closed by extending its rays well
+    beyond the domain.  Near-duplicate consecutive vertices are dropped
+    after the clip, each against the last one kept.
+    """
+    pts = list(pts)
+    if rays is not None:
+        far = 10.0 * (
+            geom.bbox_diag(domain)
+            + max(math.hypot(p[0] - domain[0][0], p[1] - domain[0][1]) for p in pts)
+            + 1.0
+        )
+        ra, rb = rays
+        a = pts[0]
+        b = pts[-1]
+        mx, my = ra[0] + rb[0], ra[1] + rb[1]
+        nrm = math.hypot(mx, my)
+        if nrm < 1e-12:
+            mx, my = -ra[1], ra[0]
+            nrm = 1.0
+        closure = [
+            (b[0] + far * rb[0], b[1] + far * rb[1]),
+            (a[0] + far * mx / nrm + far * rb[0], a[1] + far * my / nrm + far * rb[1]),
+            (a[0] + far * ra[0], a[1] + far * ra[1]),
+        ]
+        pts = pts + closure
+        if geom.polygon_area(pts) < 0:
+            pts.reverse()
+    pts = clip_polygon(pts, domain)
+    # clipping can emit the same corner twice (intersections computed on
+    # both adjacent edges); drop near-duplicate consecutive vertices
+    if pts:
+        eps = 1e-9 * geom.bbox_diag(domain)
+        dedup = []
+        for p in pts:
+            if not dedup or math.hypot(p[0] - dedup[-1][0], p[1] - dedup[-1][1]) > eps:
+                dedup.append(p)
+        if len(dedup) > 1 and math.hypot(
+            dedup[0][0] - dedup[-1][0], dedup[0][1] - dedup[-1][1]
+        ) <= eps:
+            dedup.pop()
+        pts = dedup
+    return pts

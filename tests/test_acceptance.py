@@ -254,11 +254,11 @@ def expected_lattice_circles(n):
 
 def clipped_cell_polygon(d, i, domain, eps):
     """Ball ``i``'s cell clipped to the domain with near-duplicate vertices removed."""
-    from radmesh.diagram import clip_cell
+    from radmesh.diagram import clip_cells
 
-    pts = clip_cell(d, i, domain)
+    xy, _ = clip_cells(*d.positions(np.array([i])), d.rays[[i]], domain)
     out = []
-    for p in pts:
+    for p in xy.tolist():
         if not out or math.hypot(p[0] - out[-1][0], p[1] - out[-1][1]) > eps:
             out.append(p)
     if len(out) > 1 and math.hypot(out[0][0] - out[-1][0], out[0][1] - out[-1][1]) <= eps:

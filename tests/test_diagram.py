@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radmesh import geom
 from radmesh.diagram import (
-    clip_polygon,
+    clip_cells,
     default_merge_eps,
     delaunay_limit_violations,
     dual_height,
@@ -17,7 +19,7 @@ from radmesh.errors import CollinearPoints, RadmeshError
 from radmesh.geom import Ball, power
 from radmesh.triangulation import build_regular
 
-from conftest import philox, random_balls
+from conftest import clip_cell_reference, philox, random_balls, split_cells
 
 
 def build_both(balls, **kw):
@@ -207,15 +209,94 @@ def test_max_abs_tau_matches_definition(with_domain):
         assert d.max_abs_tau() == (1.0 if v in counted else 0.0)
 
 
+def clip_one(pts, domain):
+    """``clip_cells`` on the one bounded cell ``pts``."""
+    rays = np.full((1, 2, 2), np.nan)
+    return split_cells(*clip_cells(np.array(pts, dtype=float), np.array([0, len(pts)]), rays, domain))[0]
+
+
 def test_clip_polygon_examples():
     square = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
     big = [(-5.0, -5.0), (5.0, -5.0), (5.0, 5.0), (-5.0, 5.0)]
-    assert clip_polygon(square, big) == square
+    assert clip_one(square, big) == square
     half = [(-5.0, -5.0), (0.5, -5.0), (0.5, 5.0), (-5.0, 5.0)]
-    clipped = clip_polygon(square, half)
+    clipped = clip_one(square, half)
     assert abs(geom.polygon_area(clipped)) == pytest.approx(0.5)
     far = [(10.0, 10.0), (11.0, 10.0), (11.0, 11.0), (10.0, 11.0)]
-    assert clip_polygon(square, far) == []
+    assert clip_one(square, far) == []
+
+
+@st.composite
+def clip_cases(draw):
+    """Cells and a convex CCW domain for ``clip_cells``: ``(cells, domain)``.
+
+    ``cells`` holds (vertices, rays or None) pairs: first a cell wholly
+    outside the domain; the cells of a random ball set or a lattice, hull
+    cells unbounded; random convex cells inside, across or outside the
+    domain; the domain itself, cells with a corner on a domain corner and
+    cells with an edge through one; a cell with opposite rays; and cells
+    with chains of near-duplicate vertices within the domain tolerance, one
+    of them across the wrap.
+    """
+    rng = philox(draw(st.integers(0, 10**6)))
+    box = 10.0
+    if draw(st.booleans()):
+        domain = [(0.0, 0.0), (box, 0.0), (box, box), (0.0, box)]
+    else:
+        ang = np.sort(rng.uniform(0.0, 2 * math.pi, draw(st.integers(3, 8))))
+        domain = list(map(tuple, (box / 2 * (1.0 + np.stack([np.cos(ang), np.sin(ang)], 1))).tolist()))
+    tol = 1e-9 * geom.bbox_diag(domain)
+
+    if draw(st.booleans()):
+        balls = random_balls(rng, draw(st.integers(3, 12)), box=box)
+    else:  # collinear hull balls: unbounded cells with parallel rays
+        step = box / draw(st.integers(2, 4))
+        balls = [Ball((i * step, j * step), 0.5 * step) for i in range(4) for j in range(4)]
+    _, d = build_both(balls)
+
+    def ellipse(center, k, size):
+        a = np.sort(rng.uniform(0.0, 2 * math.pi, k))
+        r = rng.uniform(0.2, 1.0, 2) * size
+        return list(map(tuple, (center + r * np.stack([np.cos(a), np.sin(a)], 1)).tolist()))
+
+    cells = [(ellipse(np.array([3 * box, 3 * box]), 5, box / 4), None)]  # wholly outside
+    cells += [
+        (d.points(i), None if d.bounded[i] else d.rays[i].tolist())
+        for i in np.flatnonzero(d.has_cell).tolist()
+    ]
+    for _ in range(draw(st.integers(1, 6))):
+        cells.append((ellipse(rng.uniform(-box, 2 * box, 2), draw(st.integers(3, 8)), box), None))
+    cells.append((list(domain), None))
+    for cx, cy in domain:
+        s = draw(st.sampled_from([0.5, 1.0, 4.0]))
+        cells.append(([(cx, cy), (cx + s, cy), (cx, cy + s)], None))
+        cells.append(([(cx - s, cy + s), (cx + s, cy - s), (cx + s, cy + s)], None))
+    for x0, y0 in [(-box / 2, -box / 2), (0.0, 0.0), (box / 2, box / 2)]:
+        cells.append(([(x0, y0), (x0 + box / 2, y0), (x0 + box / 2, y0 + box / 2), (x0, y0 + box / 2)], None))
+    cells.append(([(box / 2, box / 2)], [(-1.0, 0.0), (1.0, 0.0)]))
+
+    for wrap in (False, True):
+        pts = ellipse(np.array([box / 2, box / 2]), draw(st.integers(3, 8)), box * 0.7)
+        m = len(pts) - 1 if wrap else int(rng.integers(len(pts) - 1))
+        (px, py), (qx, qy) = pts[m], pts[(m + 1) % len(pts)]
+        e = np.array([qx - px, qy - py]) / math.hypot(qx - px, qy - py)
+        steps = np.cumsum(rng.uniform(0.3, 0.9, draw(st.integers(1, 4)))) * tol
+        chain = list(map(tuple, (np.array([px, py]) + steps[:, None] * e).tolist()))
+        cells.append((pts[: m + 1] + chain + pts[m + 1 :], None))
+    return cells, domain
+
+
+@settings(max_examples=100, deadline=None)
+@given(clip_cases())
+def test_clip_cells_matches_the_reference(case):
+    cells, domain = case
+    xy = np.array([p for pts, _ in cells for p in pts], dtype=float)
+    offsets = np.concatenate([[0], np.cumsum([len(pts) for pts, _ in cells])])
+    rays = np.array([np.full((2, 2), np.nan) if r is None else r for _, r in cells])
+    got = split_cells(*clip_cells(xy, offsets, rays, domain))
+    expect = [clip_cell_reference(pts, r, domain) for pts, r in cells]
+    assert got == expect
+    assert expect[0] == [] and any(expect)
 
 
 def test_delaunay_limit_check_on_lattice():
@@ -463,14 +544,28 @@ def test_extract_diagram_ends_on_overlapping_triangles():
         extract_diagram(t, balls)
 
 
+def outward_ray(rows, ball, other, third):
+    """Unit direction of the unbounded dual edge across hull edge (ball, other).
+
+    ``third`` is the third ball of the triangle on that edge, all rows of ``rows``.
+    """
+    ci, cj = rows[ball], rows[other]
+    dx, dy = cj[0] - ci[0], cj[1] - ci[1]
+    nrm = math.hypot(dx, dy)
+    n = (dy / nrm, -dx / nrm)
+    ck = rows[third]
+    mid = ((ci[0] + cj[0]) / 2, (ci[1] + cj[1]) / 2)
+    if n[0] * (ck[0] - mid[0]) + n[1] * (ck[1] - mid[1]) > 0:
+        n = (-n[0], -n[1])
+    return n
+
+
 def reference_walk(t, balls, vertex_of):
     """The per-ball fan walk that ``extract_diagram``'s pointer jumping replaced.
 
     Kept as the reference: returns ``offsets``, ``cell_vertices``,
     ``bounded`` and ``rays`` as the walk builds them, ball by ball.
     """
-    from radmesh.diagram import _outward_ray
-
     corner_ball = t.tris.ravel()
     g = t.twin[:, [1, 2, 0]].ravel()
     nxt = np.where(g < 0, -1, g - g % 3 + (g + 1) % 3).tolist()
@@ -502,9 +597,9 @@ def reference_walk(t, balls, vertex_of):
                 cycle.pop()
         else:
             f, k = divmod(fan[0], 3)
-            rays[i, 0] = _outward_ray(rows, i, tris[f][k - 2], tris[f][k - 1])
+            rays[i, 0] = outward_ray(rows, i, tris[f][k - 2], tris[f][k - 1])
             f, k = divmod(fan[-1], 3)
-            rays[i, 1] = _outward_ray(rows, i, tris[f][k - 1], tris[f][k - 2])
+            rays[i, 1] = outward_ray(rows, i, tris[f][k - 1], tris[f][k - 2])
         counts[i] = len(cycle)
         ids += cycle
     return np.concatenate([[0], np.cumsum(counts)]), np.array(ids, dtype=int), bounded, rays

@@ -8,12 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from radmesh.diagram import extract_diagram
+from radmesh.diagram import clip_cells, extract_diagram
 from radmesh.dirichlet import (
     OptimizerConfig,
     _active_triangles,
     _cell_aux,
-    _cell_points,
     _certify,
     _damped_steps,
     _gauss_newton_step,
@@ -61,6 +60,7 @@ from conftest import (
     heuristic_radius,
     jittered_grid,
     philox,
+    split_cells,
 )
 
 
@@ -159,14 +159,18 @@ def test_aux_unbounded_raises():
     balls = lattice_balls(3)
     d = extract_diagram(build_regular(balls), balls)
     assert not d.bounded[0]
-    assert len(_cell_points(d, 0, [(-1.0, -1.0), (3.0, -1.0), (3.0, 3.0), (-1.0, 3.0)])) == 4
+    domain = [(-1.0, -1.0), (3.0, -1.0), (3.0, 3.0), (-1.0, 3.0)]
+    xy, offsets = clip_cells(*d.positions(np.array([0])), d.rays[[0]], domain)
+    assert len(xy) == 4 and offsets.tolist() == [0, 4]
 
 
 def cell_points(d, domain=None):
     """Vertex lists of the cells of ``d`` usable with ``domain``, and their balls."""
     cells = np.flatnonzero(d.has_cell & (d.bounded | (domain is not None)))
-    points = [d.points(i) if domain is None else _cell_points(d, i, domain) for i in cells.tolist()]
-    return points, cells
+    xy, offsets = d.positions(cells)
+    if domain is not None:
+        xy, offsets = clip_cells(xy, offsets, d.rays[cells], domain)
+    return split_cells(xy, offsets), cells
 
 
 def certify_one(pts, tris):
