@@ -140,7 +140,6 @@ def _cmd_recover(args) -> int:
 
 def _cmd_render(args) -> int:
     sc = scene_mod.load_scene(args.scene)
-    scene_mod.check_domain(sc.domain)  # clipping to a clockwise domain drops cells silently
     t = build_regular(sc.balls)
     d = extract_diagram(t, sc.balls, domain=sc.domain)
     layers = tuple(args.layers.split(","))

@@ -17,20 +17,22 @@ vertices' positions and power ``tau``, the dual vertex of each triangle,
 each ball's CCW cycle of dual vertex ids in CSR form, per-ball ``bounded``
 and ``free`` masks and the outward rays of unbounded cells.  Cells are
 handed on in one form, a CSR list of vertex positions ``(xy, offsets)``
-(``PowerDiagram.positions``); ``clip_cells`` intersects such a list with
-a convex domain, all cells at once.
+(``PowerDiagram.positions``), which the auxiliary triangulations and the
+renderer read; ``clip_cells`` intersects such a list with a convex CCW
+domain, all cells at once, and checks the domain first (``check_domain``).
+The Delaunay-limit check (``delaunay_limit_violations``) reads the same
+cell table, every circle of every cell at once.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import geom
-from .errors import CollinearPoints, RadmeshError
+from .errors import InconsistentGeometry, RadmeshError
 from .geom import Ball, BallArrays, Point2, paraboloid
 from .triangulation import RegularTriangulation
 
@@ -69,17 +71,6 @@ class PowerDiagram:
     def usable(self) -> np.ndarray:
         """(N,) mask of the cells of free balls, bounded ones unless a domain clips them."""
         return self.has_cell & self.free & (self.bounded | (self.domain is not None))
-
-    @functools.cached_property
-    def _rows(self) -> tuple[list, list, list]:
-        """``vertices`` (as tuples), ``cell_vertices``, ``offsets`` as lists, converted once."""
-        xy = list(map(tuple, self.vertices.tolist()))
-        return xy, self.cell_vertices.tolist(), self.offsets.tolist()
-
-    def points(self, i: int) -> list[Point2]:
-        """Vertex positions of ball ``i``'s cell, CCW, as pairs of Python floats."""
-        xy, ids, offsets = self._rows
-        return [xy[v] for v in ids[offsets[i] : offsets[i + 1]]]
 
     def positions(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The vertex positions of the cells of the balls ``cells`` in CSR form, ``(xy, offsets)``."""
@@ -274,36 +265,45 @@ def delaunay_limit_violations(
     """Empty-circumcircle check of a (near-)Delaunay partition.
 
     For every bounded cell of a free ball, the circle through each triple of
-    consecutive cell vertices must contain no non-incident ball center deeper
-    than ``margin``.  Redundant (hidden) balls own no cell and are not part
-    of the partition, so their centers are exempt.  Returns violating
-    (cell ball, other ball) pairs.
+    consecutive cell vertices (the one circle of a triangle) must contain no
+    non-incident ball center deeper than ``margin``; a triple that
+    ``geom.circumcenters`` finds collinear gives no circle.  Redundant
+    (hidden) balls own no cell and are not part of the partition, so their
+    centers are exempt.  Returns violating (cell ball, other ball) pairs by
+    cell, then circle, then other ball; a ball inside two circles of a cell
+    is listed twice.
     """
     x, _, alive = geom.ball_arrays(balls)
-    alive = alive & diagram.has_cell
-    out = []
-    positions, ids, offsets = diagram._rows
-    cells = diagram.bounded & diagram.free & (np.diff(diagram.offsets) >= 3)
-    for i in np.flatnonzero(cells).tolist():
-        verts = ids[offsets[i] : offsets[i + 1]]
-        m = len(verts)
-        # balls sharing a vertex with the cell are its neighbors; their
-        # centers may lie inside the circumcircle when circles overlap
-        # (protecting rings), which is fine for a Delaunay partition
-        others = alive.copy()
-        others[t.tris[np.isin(diagram.vertex_of, verts)]] = False
-        others = np.flatnonzero(others)
-        for k in range(m if m > 3 else 1):
-            triple = [positions[verts[(k + d) % m]] for d in range(3)]
-            try:
-                cc = geom.circumcenter(*triple)
-            except CollinearPoints:
-                continue
-            rad = math.hypot(triple[0][0] - cc[0], triple[0][1] - cc[1])
-            dc = x[others, :2] - cc
-            inside = others[np.hypot(dc[:, 0], dc[:, 1]) < rad - margin]
-            out += [(i, j) for j in inside.tolist()]
-    return out
+    n, others = len(x), np.flatnonzero(alive & diagram.has_cell)
+    cells = np.flatnonzero(diagram.bounded & diagram.free & (np.diff(diagram.offsets) >= 3))
+    m = np.diff(diagram.offsets)[cells]
+    # circle k of a cell passes through its vertices k, k + 1 and k + 2
+    circles = np.where(m > 3, m, 1)
+    owner, k, size = np.repeat(cells, circles), _ranges(np.zeros_like(m), circles), np.repeat(m, circles)
+    ids = diagram.cell_vertices[diagram.offsets[owner] + (k + np.arange(3)[:, None]) % size]
+    p1, p2, p3 = diagram.vertices[ids]
+    cc, ok = geom.circumcenters(p1, p2, p3)
+    owner, p1, cc = owner[ok], p1[ok], cc[ok]
+    limit = _hypot(p1[:, 0] - cc[:, 0], p1[:, 1] - cc[:, 1]) - margin
+    # balls sharing a vertex with the cell are its neighbors: the balls of the
+    # triangles of each of its dual vertices.  Their centers may lie inside the
+    # circles when circles overlap (protecting rings), which is fine for a
+    # Delaunay partition
+    v = diagram.cell_vertices[_ranges(diagram.offsets[cells], m)]
+    tris = np.bincount(diagram.vertex_of, minlength=len(diagram.vertices))
+    first = np.cumsum(tris) - tris
+    near = np.argsort(diagram.vertex_of, kind="stable")[_ranges(first[v], tris[v])]
+    neighbors = np.repeat(np.repeat(cells, m), tris[v])[:, None] * n + t.tris[near]
+    hits = [np.zeros(0, dtype=int)]
+    step = max(1, 2**16 // max(1, len(others)))  # bounds the (circles, balls) arrays
+    for s in range(0, len(cc), step):
+        e = slice(s, s + step)
+        dc = x[others, :2] - cc[e, None]
+        c, j = np.nonzero(np.hypot(dc[..., 0], dc[..., 1]) < limit[e, None])
+        hits.append(owner[e][c] * n + others[j])
+    hits = np.concatenate(hits)
+    i, j = np.divmod(hits[~np.isin(hits, neighbors)], n)
+    return list(zip(i.tolist(), j.tolist()))
 
 
 def _previous(offsets: np.ndarray) -> np.ndarray:
@@ -368,6 +368,16 @@ def _dedup(xy, offsets, tol):
     return xy[keep], np.concatenate([[0], np.cumsum(keep)])[offsets]
 
 
+def check_domain(domain: list[Point2]) -> None:
+    """Raise ``InconsistentGeometry`` unless ``domain`` is a convex CCW polygon, as clipping needs."""
+    n = len(domain)
+    if n < 3:
+        raise InconsistentGeometry("domain polygon needs >= 3 vertices")
+    for i in range(n):
+        if geom.orient2d(domain[i], domain[(i + 1) % n], domain[(i + 2) % n]) < 0:
+            raise InconsistentGeometry("domain polygon must be convex and CCW")
+
+
 def clip_cells(xy, offsets, rays, domain: list[Point2]) -> tuple[np.ndarray, np.ndarray]:
     """Intersect the cells of a CSR cell list with a convex CCW domain polygon.
 
@@ -378,7 +388,9 @@ def clip_cells(xy, offsets, rays, domain: list[Point2]) -> tuple[np.ndarray, np.
     predecessor, if any, then itself if inside.  A domain corner can come
     out twice, so near-duplicate vertices, within ``_domain_tol``, are
     dropped last.  Returns ``(xy, offsets)``; a cell outside is empty.
+    Raises ``InconsistentGeometry`` if the domain is not convex and CCW.
     """
+    check_domain(domain)
     xy, offsets = _close_cells(xy, offsets, rays, domain)
     for a, b in zip(domain, [*domain[1:], domain[0]]):
         ex, ey = b[0] - a[0], b[1] - a[1]

@@ -84,14 +84,12 @@ def render_svg(
     if "domain" in spec.layers:
         body.append(_poly(scene.domain, COLORS["domain"], 2 * sw))
     if "power_diagram" in spec.layers and diagram is not None:
-        # bounded cells are drawn whole, unbounded ones clipped to the domain
-        unbounded = np.flatnonzero(diagram.has_cell & ~diagram.bounded)
-        xy, offsets = clip_cells(*diagram.positions(unbounded), diagram.rays[unbounded], scene.domain)
-        clipped = dict(zip(unbounded.tolist(), (c.tolist() for c in np.split(xy, offsets[1:-1]))))
-        for i in np.flatnonzero(diagram.has_cell).tolist():
-            pts = clipped[i] if i in clipped else diagram.points(i)
+        # every cell clipped to the domain, the part of it F_I is evaluated on
+        cells = np.flatnonzero(diagram.has_cell)
+        xy, offsets = clip_cells(*diagram.positions(cells), diagram.rays[cells], scene.domain)
+        for pts in np.split(xy, offsets[1:-1]):
             if len(pts) >= 3:
-                body.append(_poly(pts, COLORS["power_diagram"], sw))
+                body.append(_poly(pts.tolist(), COLORS["power_diagram"], sw))
     if "regular_triangulation" in spec.layers and triangulation is not None:
         for tri in triangulation.tris.tolist():
             pts = [scene.balls[i].center for i in tri]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geom
+from .diagram import check_domain
 from .dirichlet import OptimizerConfig
 from .errors import InconsistentGeometry, ParseError
 from .geom import Ball, Point2
@@ -242,16 +242,6 @@ def gen_masked_lattice(
             f"spacing {spacing:g} leaves {len(balls)} lattice point(s) in the domain, fewer than 3"
         )
     return Scene(balls, list(domain), OptimizerConfig(), rng_seed=seed)
-
-
-def check_domain(dom: list[Point2]) -> None:
-    """Raise ``InconsistentGeometry`` unless ``dom`` is a convex CCW polygon, as clipping needs."""
-    if len(dom) < 3:
-        raise InconsistentGeometry("domain polygon needs >= 3 vertices")
-    n = len(dom)
-    for i in range(n):
-        if geom.orient2d(dom[i], dom[(i + 1) % n], dom[(i + 2) % n]) < 0:
-            raise InconsistentGeometry("domain polygon must be convex and CCW")
 
 
 def validate_scene(scene: Scene) -> None:

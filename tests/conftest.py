@@ -5,7 +5,9 @@ The aux-cell references work on one cell at a time, as lists of
 the oracle of the batched ``aux_triangulate_cells``, and the per-cell forms
 of the update and of ``F_I`` that the package evaluates on arrays.  The
 domain clip reference (``clip_cell_reference``) closes and clips one cell
-at a time, one vertex at a time (``clip_polygon``).  The recovery references (``recover_spheres_reference``,
+at a time, one vertex at a time (``clip_polygon``), and the Delaunay-limit
+reference (``delaunay_limit_violations_reference``) draws one circle at a
+time.  The recovery references (``recover_spheres_reference``,
 ``vertex_cluster_merge_reference``) walk one triangle and one cluster at a
 time.
 """
@@ -257,6 +259,41 @@ def recover_spheres_reference(points, cluster_eps=None):
 def split_cells(xy, offsets):
     """The cells of a CSR cell list as lists of ``(x, y)`` tuples."""
     return [list(map(tuple, c.tolist())) for c in np.split(xy, offsets[1:-1])]
+
+
+def cell_polygon(d, i):
+    """Vertex positions of ball ``i``'s cell in the diagram ``d``, CCW, as ``(x, y)`` tuples."""
+    return split_cells(*d.positions(np.array([i])))[0]
+
+
+def delaunay_limit_violations_reference(t, diagram, balls, margin):
+    """``diagram.delaunay_limit_violations`` one cell and one circle at a time."""
+    x, _, alive = geom.ball_arrays(balls)
+    alive = alive & diagram.has_cell
+    out = []
+    positions = list(map(tuple, diagram.vertices.tolist()))
+    ids, offsets = diagram.cell_vertices.tolist(), diagram.offsets.tolist()
+    cells = diagram.bounded & diagram.free & (np.diff(diagram.offsets) >= 3)
+    for i in np.flatnonzero(cells).tolist():
+        verts = ids[offsets[i] : offsets[i + 1]]
+        m = len(verts)
+        # balls sharing a vertex with the cell are its neighbors; their
+        # centers may lie inside the circumcircle when circles overlap
+        # (protecting rings), which is fine for a Delaunay partition
+        others = alive.copy()
+        others[t.tris[np.isin(diagram.vertex_of, verts)]] = False
+        others = np.flatnonzero(others)
+        for k in range(m if m > 3 else 1):
+            triple = [positions[verts[(k + d) % m]] for d in range(3)]
+            try:
+                cc = geom.circumcenter(*triple)
+            except CollinearPoints:
+                continue
+            rad = math.hypot(triple[0][0] - cc[0], triple[0][1] - cc[1])
+            dc = x[others, :2] - cc
+            inside = others[np.hypot(dc[:, 0], dc[:, 1]) < rad - margin]
+            out += [(i, j) for j in inside.tolist()]
+    return out
 
 
 def clip_polygon(polygon, domain):

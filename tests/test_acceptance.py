@@ -30,6 +30,7 @@ from radmesh.triangulation import build_regular, verify_regular
 
 from conftest import (
     cell_fi,
+    cell_polygon,
     cell_triangles,
     frozen_center_gradient,
     jittered_grid,
@@ -142,7 +143,7 @@ def test_criterion_4_square_with_circle_convergence():
     # here is the depth the check reads.
     final, margin = state.balls, 1e-6 * scale
     cell = int(np.flatnonzero(d.bounded & d.free & (np.diff(d.offsets) == 3))[0])
-    pts = d.points(cell)
+    pts = cell_polygon(d, cell)
     cx, cy = geom.circumcenter(*pts)
     rad = math.hypot(pts[0][0] - cx, pts[0][1] - cy)
     verts = d.cell_vertices[d.offsets[cell] : d.offsets[cell + 1]]
@@ -174,7 +175,7 @@ def test_criterion_5_frozen_gradient_matches_fd():
         for i in np.flatnonzero(d.bounded).tolist():
             if checked >= 50:
                 break
-            aux = cell_triangles(d.points(i), i)
+            aux = cell_triangles(cell_polygon(d, i), i)
             c = balls[i].center
             gx, gy = frozen_center_gradient(c, aux)
             fdx = (cell_fi((c[0] + h, c[1]), aux) - cell_fi((c[0] - h, c[1]), aux)) / (2 * h)
@@ -227,7 +228,7 @@ def test_criterion_6_radius_update_zero_sum(monkeypatch):
     def spy(diagram, ids, centers):
         radii = orig(diagram, ids, centers)
         for i, c, r in zip(ids.tolist(), centers.tolist(), radii.tolist()):
-            calls.append((c, diagram.points(i), r))
+            calls.append((c, cell_polygon(diagram, i), r))
         return radii
 
     monkeypatch.setattr(dmod, "_radii", spy)

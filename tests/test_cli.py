@@ -197,18 +197,23 @@ def test_render_command(tmp_path, capsys):
 
 
 def test_render_clockwise_domain_one_line_error(tmp_path, capsys):
-    # clipping needs a CCW domain: a clockwise one is refused, not mis-clipped
+    # clipping needs a CCW domain: a clockwise one is refused, not mis-clipped,
+    # by the renderer and by the optimizer's frames
     scene = tmp_path / "scene.json"
     out = tmp_path / "pic.svg"
     assert main(gen_args(scene, seed=4)) == 0
     data = json.loads(scene.read_text())
     data["domain"].reverse()
     scene.write_text(json.dumps(data))
-    capsys.readouterr()
-    assert main(["render", str(scene), "-o", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.splitlines() == ["error: InconsistentGeometry: domain polygon must be convex and CCW"]
+    frames = tmp_path / "frames"
+    for args in (["render", str(scene), "-o", str(out)],
+                 ["optimize", str(scene), "-o", str(frames), "--max-iters", "1", "--frames", "1"]):
+        capsys.readouterr()
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: InconsistentGeometry: domain polygon must be convex and CCW"]
     assert not out.exists()
+    assert not list(frames.glob("*.svg"))
 
 
 def test_optimize_frames(tmp_path):

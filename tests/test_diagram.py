@@ -19,7 +19,14 @@ from radmesh.errors import CollinearPoints, RadmeshError
 from radmesh.geom import Ball, power
 from radmesh.triangulation import build_regular
 
-from conftest import clip_cell_reference, philox, random_balls, split_cells
+from conftest import (
+    cell_polygon,
+    clip_cell_reference,
+    delaunay_limit_violations_reference,
+    philox,
+    random_balls,
+    split_cells,
+)
 
 
 def build_both(balls, **kw):
@@ -42,7 +49,7 @@ def test_lattice_interior_cell_is_unit_square():
         i for i, b in enumerate(balls) if b.center == (1.0, 1.0)
     )
     assert d.bounded[center_idx]
-    pts = sorted(d.points(center_idx))
+    pts = sorted(cell_polygon(d, center_idx))
     expect = sorted([(0.5, 0.5), (1.5, 0.5), (1.5, 1.5), (0.5, 1.5)])
     assert pts == pytest.approx(expect)
 
@@ -110,7 +117,7 @@ def test_bounded_cells_convex_ccw():
     saw_bounded = False
     for i in np.flatnonzero(d.bounded).tolist():
         saw_bounded = True
-        pts = d.points(i)
+        pts = cell_polygon(d, i)
         m = len(pts)
         assert geom.polygon_area(pts) > 0
         for k in range(m):
@@ -129,7 +136,7 @@ def test_center_containment_for_disjoint_balls():
     ]
     _, d = build_both(balls)
     for i in np.flatnonzero(d.bounded).tolist():
-        pts = d.points(i)
+        pts = cell_polygon(d, i)
         cx, cy = balls[i].center
         m = len(pts)
         for k in range(m):
@@ -261,7 +268,7 @@ def clip_cases(draw):
 
     cells = [(ellipse(np.array([3 * box, 3 * box]), 5, box / 4), None)]  # wholly outside
     cells += [
-        (d.points(i), None if d.bounded[i] else d.rays[i].tolist())
+        (cell_polygon(d, i), None if d.bounded[i] else d.rays[i].tolist())
         for i in np.flatnonzero(d.has_cell).tolist()
     ]
     for _ in range(draw(st.integers(1, 6))):
@@ -335,7 +342,7 @@ def circle_depth(d, cell, p):
     Those are the circles through each triple of consecutive cell vertices
     (one for a triangle) whose circumcenter is conditioned.
     """
-    pts = d.points(cell)
+    pts = cell_polygon(d, cell)
     m = len(pts)
     depth = -math.inf
     for k in range(m if m > 3 else 1):
@@ -370,14 +377,14 @@ def test_delaunay_limit_check_margin_at_441_balls():
     cells = np.flatnonzero(d.bounded & d.free)
 
     def min_gap(i):
-        pts = np.array(d.points(i))
+        pts = np.array(cell_polygon(d, i))
         return np.hypot(*(np.roll(pts, -1, axis=0) - pts).T).min() / np.ptp(pts, axis=0).max()
 
     triangle = int(cells[np.diff(d.offsets)[cells] == 3][0])
     pair = int(min(cells.tolist(), key=min_gap))
-    assert min_gap(pair) < 1e-6 and len(d.points(pair)) > 3
+    assert min_gap(pair) < 1e-6 and len(cell_polygon(d, pair)) > 3
     for cell in (triangle, pair):
-        pts = d.points(cell)
+        pts = cell_polygon(d, cell)
         cx, cy = np.mean(pts, axis=0).tolist()
         verts = d.cell_vertices[d.offsets[cell] : d.offsets[cell + 1]]
         incident = set(t.tris[np.isin(d.vertex_of, verts)].ravel().tolist())
@@ -411,6 +418,45 @@ def test_delaunay_limit_check_flags_generic_diagram():
     balls = random_balls(rng, 30)
     t, d = build_both(balls)
     assert delaunay_limit_violations(t, d, balls, 1e-9) != []
+
+
+def test_delaunay_limit_violations_matches_the_reference():
+    # the same pairs in the same order, duplicates kept, as the scalar loop:
+    # the lattice with its margin probes and with a dual vertex moved onto
+    # the line through its cell neighbours (a triple without a circle), random
+    # diagrams with redundant balls, and the 233-ball square-with-circle
+    # scene before and after convergence (fixed balls own cells the check skips)
+    from radmesh.dirichlet import OptimizerConfig, run
+    from radmesh.scene import gen_square_with_circle
+
+    cases = []
+    lattice = [Ball((float(i), float(j)), math.sqrt(2.0) / 2.0) for i in range(4) for j in range(4)]
+    margin = 1e-6 * geom.bbox_diag([b.center for b in lattice])
+    for depth in (2.0, 0.5):
+        probe = list(lattice)
+        probe[13] = Ball((1.0 + math.sqrt(2.0) / 2.0 - depth * margin, 1.0), lattice[13].radius)
+        cases.append((*build_both(lattice), probe, margin))
+    t, d = build_both(lattice)
+    v = d.cell_vertices[d.offsets[5] : d.offsets[6]]
+    d.vertices[v[1]] = 2 * d.vertices[v[2]] - d.vertices[v[0]]
+    cases.append((t, d, lattice, margin))
+    rng = philox(31)
+    for _ in range(20):
+        balls = random_balls(rng, 60)
+        cases.append((*build_both(balls), balls, 1e-9))
+    scene = gen_square_with_circle(10.0, 2.0, 0.8, interior_spacing=0.45, seed=7)
+    assert len(scene.balls) == 233
+    diag = geom.bbox_diag([b.center for b in scene.balls])
+    state = run(scene.balls, OptimizerConfig(theta=0.5, max_iters=2000, tau_tol=1e-8 * diag * diag))
+    assert state.converged
+    for balls in (scene.balls, state.balls):
+        cases.append((*build_both(balls), balls, 1e-6 * diag))
+    found = []
+    for t, d, probe, margin in cases:
+        expect = delaunay_limit_violations_reference(t, d, probe, margin)
+        assert delaunay_limit_violations(t, d, probe, margin) == expect
+        found += expect
+    assert len(found) > len(set(found)) > 0  # pairs found, some of them twice
 
 
 def _on_hull(p, points):

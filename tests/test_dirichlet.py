@@ -51,6 +51,7 @@ from radmesh.triangulation import build_regular
 from conftest import (
     AuxTriangle,
     cell_fi,
+    cell_polygon,
     cell_span,
     cell_triangles,
     fan_delaunay,
@@ -75,7 +76,7 @@ def center_cell():
     balls = lattice_balls(3)
     idx = next(i for i, b in enumerate(balls) if b.center == (1.0, 1.0))
     d = extract_diagram(build_regular(balls), balls)
-    return balls, idx, d.points(idx), d
+    return balls, idx, cell_polygon(d, idx), d
 
 
 def test_config_validation():
@@ -108,7 +109,7 @@ def test_aux_triangle_cell_is_itself():
     ]
     t = build_regular(balls)
     d = extract_diagram(t, balls)
-    pts = d.points(3)
+    pts = cell_polygon(d, 3)
     assert d.bounded[3] and len(pts) == 3
     center, area = aux_triangulate_cell(pts, 3)
     assert center == circumcenter(*pts) and area == triangle_area(*pts) > 0
@@ -635,7 +636,7 @@ def test_radii_match_heuristic_radius_bit_for_bit():
     centers = rng.uniform(-2.0, 2.0, (len(balls), 2))
     radii = _radii(d, balls, centers).tolist()
     for i, c, r in zip(balls.tolist(), centers.tolist(), radii):
-        assert r == heuristic_radius(tuple(c), d.points(i))
+        assert r == heuristic_radius(tuple(c), cell_polygon(d, i))
 
 
 def test_fi_and_proposals_match_per_cell_reference():
@@ -647,7 +648,7 @@ def test_fi_and_proposals_match_per_cell_reference():
     rng = philox(63)
     balls = jittered_grid(rng, 7)
     d = extract_diagram(build_regular(balls), balls)
-    ref = {i: cell_triangles(d.points(i), i) for i in np.flatnonzero(d.bounded).tolist()}
+    ref = {i: cell_triangles(cell_polygon(d, i), i) for i in np.flatnonzero(d.bounded).tolist()}
     want = sum(cell_fi(balls[i].center, aux) for i, aux in ref.items())
     fi = evaluate_FI(balls, d)
     assert sorted(ref) == np.unique(d.aux.ball).tolist()
@@ -656,7 +657,7 @@ def test_fi_and_proposals_match_per_cell_reference():
     assert ids.tolist() == sorted(ref)
     for i, row in zip(ids.tolist(), rows.tolist()):
         assert tuple(row[:2]) == heuristic_center(ref[i])
-        assert row[2] == heuristic_radius(tuple(row[:2]), d.points(i))
+        assert row[2] == heuristic_radius(tuple(row[:2]), cell_polygon(d, i))
 
 
 def test_collapsed_cell_is_recorded_not_triangulated():
@@ -679,7 +680,7 @@ def test_collapsed_cell_is_recorded_not_triangulated():
     assert aux.degenerate == [1]
     assert aux.ball.tolist() == [0, 0]
     with pytest.raises(DegenerateCell, match="collapsed"):
-        aux_triangulate_cell(d.points(1), 1)
+        aux_triangulate_cell(cell_polygon(d, 1), 1)
 
 
 def test_ill_conditioned_aux_triangle_is_a_degenerate_cell():
@@ -1351,7 +1352,7 @@ def test_radius_zero_sum_invariant():
     def spy(diagram, ids, centers):
         radii = orig(diagram, ids, centers)
         for i, c, r in zip(ids.tolist(), centers.tolist(), radii.tolist()):
-            calls.append((c, diagram.points(i), r))
+            calls.append((c, cell_polygon(diagram, i), r))
         return radii
 
     dmod._radii = spy
