@@ -75,8 +75,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_optimize(args) -> int:
     sc = scene_mod.load_scene(args.scene)
-    names = ("theta", "tau_tol", "max_iters", "eliminate_redundant")
-    overrides = {n: getattr(args, n) for n in names if getattr(args, n) is not None}
+    overrides = {n: getattr(args, n) for n in scene_mod.PARAMS if getattr(args, n) is not None}
     try:
         cfg = dataclasses.replace(sc.params, **overrides)  # validates the flags
         if args.frames < 0:
@@ -110,7 +109,6 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_verify(args) -> int:
     sc = scene_mod.load_scene(args.scene)
-    scene_mod.validate_scene(sc)
     t = build_regular(sc.balls)
     violations = verify_regular(t, sc.balls)
     if violations:

@@ -373,6 +373,8 @@ def check_domain(domain: list[Point2]) -> None:
     n = len(domain)
     if n < 3:
         raise InconsistentGeometry("domain polygon needs >= 3 vertices")
+    if not all(math.isfinite(v) for p in domain for v in p):
+        raise InconsistentGeometry("domain polygon needs finite vertices")
     for i in range(n):
         if geom.orient2d(domain[i], domain[(i + 1) % n], domain[(i + 2) % n]) < 0:
             raise InconsistentGeometry("domain polygon must be convex and CCW")

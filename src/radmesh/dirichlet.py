@@ -649,16 +649,6 @@ def run(
             return state
 
         hist = state.history
-        # the residual polish minimizes sum tau^2, under which F_I may rise
-        # transiently, so the F_I divergence guard only applies before it
-        if not polish and len(hist) >= 20:
-            window = [h.fi for h in hist[-20:]] + [fi]
-            if fi > 10 * window[0] and all(
-                b >= a for a, b in zip(window, window[1:])
-            ):
-                raise Diverged(
-                    f"F_I grew from {window[0]:.3e} to {fi:.3e} over 20 iterations"
-                )
         if not polish and len(hist) >= 10:
             # switch to the polishing phase once the relaxation has truly
             # plateaued (< 5% progress over 10 iterations), or after a long
@@ -701,7 +691,6 @@ def run(
 
         state.history.append(HistoryRecord(it, fi, max_tau, moved, eliminated_total))
         x = x_new
-    return state
 
 
 def write_history_csv(history: list[HistoryRecord], path) -> None:

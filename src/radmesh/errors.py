@@ -38,7 +38,7 @@ class TopologyFlip(RadmeshError):
 
 
 class Diverged(RadmeshError):
-    """Optimization is diverging (sustained growth of the functional)."""
+    """F_I or a ball coordinate stopped being finite during optimization."""
 
 
 class DegenerateScene(RadmeshError):

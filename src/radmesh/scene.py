@@ -4,13 +4,20 @@ Scenes follow the square-with-circle and masked-lattice experiment setups:
 fixed protecting circles cover every boundary curve (adjacent protecting
 circles overlap, so their intersection points pin the boundary Delaunay
 vertices), optional quadrilateral buffer rings surround internal
-boundaries, and the interior is a jittered lattice of free circles.
+boundaries, and the interior is a jittered lattice of free circles
+(``_jittered``, shared by both generators).  Both generators then apply
+the removal rule: no free center strictly inside a protecting circle
+(``_protected``).  The rule holds for generated scenes and
+``validate_scene`` checks it; the optimizer may break it on the way to the
+Delaunay limit, so nothing that reads a scene file asks for it.
 
 The scene file is UTF-8 JSON; floats are written with 17 significant
-digits so that save -> load is bit-exact.  All randomness comes from a
-seeded counter-based generator (numpy Philox), so generation is
-reproducible across platforms.
-"""
+digits so that save -> load is bit-exact.  ``load_scene`` refuses a domain
+that is not convex and CCW (``diagram.check_domain``), so every command
+that reads a scene does.  The ``params`` block is the ``PARAMS`` table of
+``OptimizerConfig`` fields.  All randomness comes from a seeded
+counter-based generator (numpy Philox), so generation is reproducible
+across platforms."""
 
 from __future__ import annotations
 
@@ -61,21 +68,6 @@ def _point_in_polygon(p: Point2, poly: list[Point2]) -> bool:
     return inside
 
 
-def _square_perimeter_points(side: float, spacing: float) -> list[Point2]:
-    m = max(2, round(side / spacing))
-    s = side / m
-    pts = []
-    for k in range(m):
-        pts.append((k * s, 0.0))
-    for k in range(m):
-        pts.append((side, k * s))
-    for k in range(m):
-        pts.append((side - k * s, side))
-    for k in range(m):
-        pts.append((0.0, side - k * s))
-    return pts
-
-
 def _check_finite(values: dict) -> None:
     """Raise for a generator parameter that is not a finite number (None means unset)."""
     for name, v in values.items():
@@ -90,6 +82,20 @@ def _check_jitter(jitter: float, spacing: float) -> None:
         raise InconsistentGeometry(
             f"jitter must be >= 0 and < spacing / 2 = {spacing / 2:g}, got {jitter:g}"
         )
+
+
+def _jittered(rng, centers: list[Point2], spacing: float, jitter: float) -> list[Ball]:
+    """Free lattice circles of radius spacing / sqrt(2) at ``centers``.
+
+    With ``jitter`` > 0, one draw per circle, in order, moves its center by
+    up to ``jitter`` per coordinate and scales its radius by up to 10%.
+    """
+    xy = np.array(centers, dtype=float).reshape(-1, 2)
+    r = np.full(len(xy), spacing / math.sqrt(2.0))
+    if jitter > 0:
+        d = rng.uniform([-jitter, -jitter, -0.1], [jitter, jitter, 0.1], size=(len(xy), 3))
+        xy, r = xy + d[:, :2], r * (1 + d[:, 2])
+    return [Ball(c, rc) for c, rc in zip(map(tuple, xy.tolist()), r.tolist())]
 
 
 def gen_square_with_circle(
@@ -134,13 +140,13 @@ def gen_square_with_circle(
     rng = _rng(seed)
     L = square_side
     cx = cy = L / 2
-    balls: list[Ball] = []
 
     # outer boundary: fixed centers, slightly adjustable radii
     m = max(2, round(L / boundary_spacing))
     s = L / m
-    for p in _square_perimeter_points(L, boundary_spacing):
-        balls.append(Ball(p, PROTECT_RATIO * s, fix_center=True, fix_radius=False))
+    perimeter = [(k * s, 0.0) for k in range(m)] + [(L, k * s) for k in range(m)]
+    perimeter += [(L - k * s, L) for k in range(m)] + [(0.0, L - k * s) for k in range(m)]
+    balls = [Ball(p, PROTECT_RATIO * s, fix_center=True, fix_radius=False) for p in perimeter]
 
     # inner circle and its quadrilateral buffer rings
     if inner_radius > 0:
@@ -156,36 +162,21 @@ def gen_square_with_circle(
                     Ball(c, radius, fix_center=True, fix_radius=(j == 0))
                 )
 
-    protecting = list(balls)
-
-    # interior lattice of free circles
+    # interior lattice of free circles, kept inside the square and outside
+    # the inner circle
     a = interior_spacing
-    base_r = a / math.sqrt(2.0)
     n_lat = int(L / a)
-    for j in range(n_lat):
-        for i in range(n_lat):
-            c = ((i + 0.5) * a, (j + 0.5) * a)
-            if jitter_amplitude > 0:
-                c = (
-                    c[0] + rng.uniform(-jitter_amplitude, jitter_amplitude),
-                    c[1] + rng.uniform(-jitter_amplitude, jitter_amplitude),
-                )
-                r = base_r * (1 + rng.uniform(-0.1, 0.1))
-            else:
-                r = base_r
-            if not (0 < c[0] < L and 0 < c[1] < L):
-                continue
-            if inner_radius > 0 and math.hypot(c[0] - cx, c[1] - cy) <= inner_radius:
-                continue
-            if any(
-                math.hypot(c[0] - p.center[0], c[1] - p.center[1]) < p.radius
-                for p in protecting
-            ):
-                continue
-            balls.append(Ball(c, r))
+    lattice = [((i + 0.5) * a, (j + 0.5) * a) for j in range(n_lat) for i in range(n_lat)]
+    for b in _jittered(rng, lattice, a, jitter_amplitude):
+        x, y = b.center
+        if 0 < x < L and 0 < y < L and not (
+            inner_radius > 0 and math.hypot(x - cx, y - cy) <= inner_radius
+        ):
+            balls.append(b)
 
+    drop = {id(b) for b in _protected(balls)}
     domain = [(0.0, 0.0), (L, 0.0), (L, L), (0.0, L)]
-    return Scene(balls, domain, OptimizerConfig(), rng_seed=seed)
+    return Scene([b for b in balls if id(b) not in drop], domain, OptimizerConfig(), rng_seed=seed)
 
 
 def gen_masked_lattice(
@@ -206,37 +197,24 @@ def gen_masked_lattice(
     _check_jitter(jitter, spacing)
     if domain is None:
         domain = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
-    xs = [p[0] for p in domain]
-    ys = [p[1] for p in domain]
-    for mask in masks:
-        for p in mask:
-            if not (min(xs) <= p[0] <= max(xs) and min(ys) <= p[1] <= max(ys)):
-                raise InconsistentGeometry("mask polygon extends outside the domain")
-    rng = _rng(seed)
-    balls = []
-    base_r = spacing / math.sqrt(2.0)
-    nx = int((max(xs) - min(xs)) / spacing)
-    ny = int((max(ys) - min(ys)) / spacing)
-    for j in range(ny + 1):
-        for i in range(nx + 1):
-            c = (min(xs) + i * spacing, min(ys) + j * spacing)
-            if not _point_in_polygon(c, domain):
-                continue
-            if any(_point_in_polygon(c, mask) for mask in masks):
-                balls.append(
-                    Ball(c, PROTECT_RATIO * spacing, fix_center=True, fix_radius=True)
-                )
-                continue
-            cc = c
-            r = base_r
-            if jitter > 0:
-                cc = (
-                    c[0] + rng.uniform(-jitter, jitter),
-                    c[1] + rng.uniform(-jitter, jitter),
-                )
-                r = base_r * (1 + rng.uniform(-0.1, 0.1))
-            if _point_in_polygon(cc, domain):
-                balls.append(Ball(cc, r))
+    check_domain(domain)
+    xs, ys = [p[0] for p in domain], [p[1] for p in domain]
+    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    if not all(x0 <= x <= x1 and y0 <= y <= y1 for mask in masks for x, y in mask):
+        raise InconsistentGeometry("mask polygon extends outside the domain")
+    nx, ny = int((x1 - x0) / spacing), int((y1 - y0) / spacing)
+    sites = [(x0 + i * spacing, y0 + j * spacing) for j in range(ny + 1) for i in range(nx + 1)]
+    sites = [c for c in sites if _point_in_polygon(c, domain)]
+    masked = [any(_point_in_polygon(c, mask) for mask in masks) for c in sites]
+    free = iter(_jittered(_rng(seed), [c for c, m in zip(sites, masked) if not m], spacing, jitter))
+    balls = [
+        Ball(c, PROTECT_RATIO * spacing, fix_center=True, fix_radius=True) if m else next(free)
+        for c, m in zip(sites, masked)
+    ]
+    # free centers the jitter moved out of the domain or into a protector go
+    balls = [b for b in balls if b.fix_center or _point_in_polygon(b.center, domain)]
+    drop = {id(b) for b in _protected(balls)}
+    balls = [b for b in balls if id(b) not in drop]
     if len(balls) < 3:
         raise InconsistentGeometry(
             f"spacing {spacing:g} leaves {len(balls)} lattice point(s) in the domain, fewer than 3"
@@ -244,23 +222,24 @@ def gen_masked_lattice(
     return Scene(balls, list(domain), OptimizerConfig(), rng_seed=seed)
 
 
+def _protected(balls: list[Ball]) -> list[Ball]:
+    """The removal rule's offenders: alive free balls centered strictly inside an alive fixed-center circle."""
+    protecting = [p for p in balls if p.alive and p.fix_center]
+    return [
+        b for b in balls
+        if b.alive and not b.fix_center and any(
+            math.hypot(b.center[0] - p.center[0], b.center[1] - p.center[1]) < p.radius
+            for p in protecting
+        )
+    ]
+
+
 def validate_scene(scene: Scene) -> None:
-    """Domain convexity, flag consistency, and the removal rule."""
+    """Domain convexity and orientation, and the generators' removal rule (``_protected``)."""
     check_domain(scene.domain)
-    protecting = [b for b in scene.balls if b.alive and b.fix_center]
-    for b in scene.balls:
-        if not b.alive or b.fix_center:
-            continue
-        for p in protecting:
-            if (
-                math.hypot(
-                    b.center[0] - p.center[0], b.center[1] - p.center[1]
-                )
-                < p.radius
-            ):
-                raise InconsistentGeometry(
-                    f"free ball at {b.center} lies inside a protecting circle"
-                )
+    inside = _protected(scene.balls)
+    if inside:
+        raise InconsistentGeometry(f"free ball at {inside[0].center} lies inside a protecting circle")
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +258,36 @@ def _fmt(x) -> str:
     return json.dumps(x)
 
 
+_BALL_FIELDS = {"c", "r", "fix_center", "fix_radius", "alive"}
+
+
+def _number(value, what: str, integral: bool = False):
+    """A JSON number: ``float()`` and ``int()`` would take "0.5" and true, ``int()`` 12.9."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+        integral and isinstance(value, float) and not value.is_integer()
+    ):
+        raise TypeError(f"{what} must be {'an integer' if integral else 'a number'}, got {value!r}")
+    return int(value) if integral else float(value)
+
+
+def _boolean(value, key: str) -> bool:
+    """A JSON boolean; ``bool()`` would read the string "false" as true."""
+    if not isinstance(value, bool):
+        raise TypeError(f"field '{key}' must be true or false, got {value!r}")
+    return value
+
+
+# the "params" block: the OptimizerConfig fields a scene file holds, in file
+# order, each with the reader of its JSON value; a field the file omits
+# keeps its OptimizerConfig default
+PARAMS = {
+    "theta": lambda v: _number(v, "theta"),
+    "max_iters": lambda v: _number(v, "max_iters", integral=True),
+    "tau_tol": lambda v: None if v is None else _number(v, "tau_tol"),
+    "eliminate_redundant": lambda v: _boolean(v, "eliminate_redundant"),
+}
+
+
 def scene_to_json(scene: Scene) -> str:
     lines = ["{", '  "balls": [']
     for i, b in enumerate(scene.balls):
@@ -293,14 +302,8 @@ def scene_to_json(scene: Scene) -> str:
     lines.append("  ],")
     dom = ", ".join(f"[{_fmt(x)}, {_fmt(y)}]" for x, y in scene.domain)
     lines.append(f'  "domain": [{dom}],')
-    p = scene.params
-    lines.append(
-        '  "params": {'
-        f'"theta": {_fmt(p.theta)}, '
-        f'"max_iters": {_fmt(p.max_iters)}, '
-        f'"tau_tol": {_fmt(p.tau_tol)}, '
-        f'"eliminate_redundant": {_fmt(p.eliminate_redundant)}}},'
-    )
+    params = ", ".join(f'"{k}": {_fmt(getattr(scene.params, k))}' for k in PARAMS)
+    lines.append(f'  "params": {{{params}}},')
     lines.append(f'  "rng_seed": {_fmt(scene.rng_seed)}')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -309,27 +312,6 @@ def scene_to_json(scene: Scene) -> str:
 def save_scene(scene: Scene, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write(scene_to_json(scene))
-
-
-_BALL_FIELDS = {"c", "r", "fix_center", "fix_radius", "alive"}
-_PARAM_FIELDS = {"theta", "max_iters", "tau_tol", "eliminate_redundant"}
-
-
-def _number(value, what: str, integral: bool = False):
-    """A JSON number: ``float()`` and ``int()`` would take "0.5" and true, ``int()`` 12.9."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-        integral and isinstance(value, float) and not value.is_integer()
-    ):
-        raise TypeError(f"{what} must be {'an integer' if integral else 'a number'}, got {value!r}")
-    return int(value) if integral else float(value)
-
-
-def _flag(rec: dict, key: str, default: bool) -> bool:
-    """A JSON boolean field; ``bool()`` would read the string "false" as true."""
-    value = rec.get(key, default)
-    if not isinstance(value, bool):
-        raise TypeError(f"field '{key}' must be true or false, got {value!r}")
-    return value
 
 
 def load_scene(path) -> Scene:
@@ -369,9 +351,9 @@ def load_scene(path) -> Scene:
                 Ball(
                     (_number(c[0], "field 'c'"), _number(c[1], "field 'c'")),
                     _number(rec["r"], "field 'r'"),
-                    _flag(rec, "fix_center", False),
-                    _flag(rec, "fix_radius", False),
-                    _flag(rec, "alive", True),
+                    _boolean(rec.get("fix_center", False), "fix_center"),
+                    _boolean(rec.get("fix_radius", False), "fix_radius"),
+                    _boolean(rec.get("alive", True), "alive"),
                 )
             )
         except (TypeError, ValueError, OverflowError) as e:
@@ -383,18 +365,14 @@ def load_scene(path) -> Scene:
     pd = data.get("params", {})
     if not isinstance(pd, dict):
         raise ParseError("field 'params' must be an object")
-    extra = set(pd) - _PARAM_FIELDS
+    extra = set(pd) - PARAMS.keys()
     if extra:
         warnings.warn(f"params: ignoring unknown fields {sorted(extra)}")
     try:
-        params = OptimizerConfig(
-            theta=_number(pd.get("theta", 0.5), "theta"),
-            max_iters=_number(pd.get("max_iters", 2000), "max_iters", integral=True),
-            tau_tol=None if pd.get("tau_tol") is None else _number(pd["tau_tol"], "tau_tol"),
-            eliminate_redundant=_flag(pd, "eliminate_redundant", False),
-        )
+        params = OptimizerConfig(**{k: read(pd[k]) for k, read in PARAMS.items() if k in pd})
     except (TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"params: {e}") from e
+    check_domain(domain)
     try:
         return Scene(balls, domain, params, _number(data.get("rng_seed", 0), "value", True))
     except TypeError as e:

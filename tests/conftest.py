@@ -9,10 +9,14 @@ at a time, one vertex at a time (``clip_polygon``), and the Delaunay-limit
 reference (``delaunay_limit_violations_reference``) draws one circle at a
 time.  The recovery references (``recover_spheres_reference``,
 ``vertex_cluster_merge_reference``) walk one triangle and one cluster at a
-time.
+time.  ``masked_lattice_reference`` jitters one lattice point at a time and
+applies no removal rule.
 """
 
+import importlib.util
 import math
+import pathlib
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +27,7 @@ from radmesh import geom
 from radmesh.dirichlet import _incircle, _tie_tol, aux_triangulate_cells
 from radmesh.errors import AllCollinear, CollinearPoints, DegenerateCell, RadmeshError
 from radmesh.geom import Ball
+from radmesh.scene import PROTECT_RATIO, _point_in_polygon
 from radmesh.triangulation import lawson_flip
 
 
@@ -56,6 +61,41 @@ def jittered_grid(rng, n, jitter=0.15, radius=None, fix_boundary=False):
 @pytest.fixture
 def rng():
     return philox(0)
+
+
+def perfbench_workloads():
+    """The benchmark's ``perfbench/workloads.py`` module, loaded once."""
+    module = "perfbench_workloads"
+    workloads = sys.modules.get(module)
+    if workloads is None:
+        path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(module, path)
+        workloads = sys.modules[module] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+    return workloads
+
+
+def masked_lattice_reference(masks, spacing, jitter, seed=0):
+    """``scene.gen_masked_lattice`` on the unit square, one lattice point at a time, without the removal rule."""
+    domain = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+    rng = philox(seed)
+    balls = []
+    n = int(1.0 / spacing)
+    for j in range(n + 1):
+        for i in range(n + 1):
+            c = (i * spacing, j * spacing)
+            if not _point_in_polygon(c, domain):
+                continue
+            if any(_point_in_polygon(c, mask) for mask in masks):
+                balls.append(Ball(c, PROTECT_RATIO * spacing, fix_center=True, fix_radius=True))
+                continue
+            r = spacing / math.sqrt(2.0)
+            if jitter > 0:
+                c = (c[0] + rng.uniform(-jitter, jitter), c[1] + rng.uniform(-jitter, jitter))
+                r *= 1 + rng.uniform(-0.1, 0.1)
+            if _point_in_polygon(c, domain):
+                balls.append(Ball(c, r))
+    return balls
 
 
 class ZeroArea(RadmeshError):

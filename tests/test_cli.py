@@ -166,9 +166,16 @@ def test_unknown_flag_exit_2(tmp_path, capsys):
 
 
 def test_verify_command(tmp_path, capsys):
-    scene = tmp_path / "scene.json"
+    scene, out = tmp_path / "scene.json", tmp_path / "out"
     assert main(gen_args(scene, seed=3)) == 0
     assert main(["verify", str(scene)]) == 0
+    assert "no regularity violations" in capsys.readouterr().out
+    # the converged scene holds a free center inside a protecting circle that
+    # overlaps its cell (at (2.80, 0.41)); the removal rule binds the
+    # generators, and verify checks regularity alone
+    assert main(["optimize", str(scene), "-o", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("converged")
+    assert main(["verify", str(out / "final_scene.json")]) == 0
     assert "no regularity violations" in capsys.readouterr().out
 
 
@@ -198,22 +205,27 @@ def test_render_command(tmp_path, capsys):
 
 def test_render_clockwise_domain_one_line_error(tmp_path, capsys):
     # clipping needs a CCW domain: a clockwise one is refused, not mis-clipped,
-    # by the renderer and by the optimizer's frames
+    # when the scene is loaded, so by every command that reads one, before it
+    # writes anything
     scene = tmp_path / "scene.json"
     out = tmp_path / "pic.svg"
     assert main(gen_args(scene, seed=4)) == 0
     data = json.loads(scene.read_text())
     data["domain"].reverse()
     scene.write_text(json.dumps(data))
-    frames = tmp_path / "frames"
+    frames, plain, circles = tmp_path / "frames", tmp_path / "plain", tmp_path / "circles.json"
     for args in (["render", str(scene), "-o", str(out)],
-                 ["optimize", str(scene), "-o", str(frames), "--max-iters", "1", "--frames", "1"]):
+                 ["optimize", str(scene), "-o", str(frames), "--max-iters", "1", "--frames", "1"],
+                 ["optimize", str(scene), "-o", str(plain)],
+                 ["recover", str(scene), "-o", str(circles)],
+                 ["verify", str(scene)]):
         capsys.readouterr()
         assert main(args) == 1
         err = capsys.readouterr().err
         assert err.splitlines() == ["error: InconsistentGeometry: domain polygon must be convex and CCW"]
     assert not out.exists()
     assert not list(frames.glob("*.svg"))
+    assert not plain.exists() and not circles.exists()
 
 
 def test_optimize_frames(tmp_path):

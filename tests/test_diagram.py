@@ -23,6 +23,7 @@ from conftest import (
     cell_polygon,
     clip_cell_reference,
     delaunay_limit_violations_reference,
+    perfbench_workloads,
     philox,
     random_balls,
     split_cells,
@@ -680,18 +681,7 @@ def test_extract_diagram_matches_reference_walk_on_filter_cases():
 
 def benchmark_inputs(name):
     """The balls of a benchmark workload under the benchmark seed 1, and its iteration budget."""
-    import importlib.util
-    import pathlib
-    import sys
-
-    module = "perfbench_workloads"
-    workloads = sys.modules.get(module)
-    if workloads is None:
-        path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location(module, path)
-        workloads = sys.modules[module] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
-    w = workloads.WORKLOADS[name]
+    w = perfbench_workloads().WORKLOADS[name]
     return w.inputs(w.generate(w.scene_seed), 1), getattr(w, "max_iters", 2000)
 
 

@@ -1,5 +1,6 @@
 """Scene generators, validation, and scene-file round trips."""
 
+import hashlib
 import math
 
 import pytest
@@ -16,6 +17,8 @@ from radmesh.scene import (
     scene_to_json,
     validate_scene,
 )
+
+from conftest import masked_lattice_reference, perfbench_workloads
 
 
 def ball_key(b):
@@ -150,6 +153,56 @@ def test_masked_lattice_too_few_balls_raises(spacing, left):
         gen_masked_lattice([], spacing, 0.02)
 
 
+SQUARE_MASK = [(0.3, 0.3), (0.7, 0.3), (0.7, 0.7), (0.3, 0.7)]
+PINNED_SCENES = {
+    # scene: (generator, balls, SHA-256 prefix of its scene_to_json)
+    "square-hybrid": (lambda: gen_square_with_circle(10.0, 2.0, 0.8, interior_spacing=0.30, seed=7),
+                      441, "6bb0ba7c9adb7dd0"),
+    "ci-square": (lambda: gen_square_with_circle(10.0, 2.0, 0.8, interior_spacing=0.45, seed=7),
+                  233, "d3fd4824954d9e9d"),
+    "mask-plateau": (lambda: perfbench_workloads().MaskPlateau().generate(0), 255, "8d38343bf0699c28"),
+    "ci-masked-lattice": (lambda: gen_masked_lattice([SQUARE_MASK], 0.1, 0.02, seed=1),
+                          101, "1432859c88891b22"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SCENES))
+def test_generated_scene_bytes_are_pinned(name):
+    # the benchmark's and CI's scenes, byte for byte: a change to the lattice,
+    # the jitter draws or the removal rule shows here first
+    generate, n, digest = PINNED_SCENES[name]
+    scene = generate()
+    assert len(scene.balls) == n
+    assert hashlib.sha256(scene_to_json(scene).encode()).hexdigest()[:16] == digest
+
+
+def test_masked_lattice_drops_free_balls_inside_protectors():
+    # a legal jitter moves a free center into a mask's protecting circle; the
+    # generator drops that ball, as gen_square_with_circle does, and nothing else
+    reference = masked_lattice_reference([SQUARE_MASK], 0.1, 0.049, seed=4)
+    with pytest.raises(InconsistentGeometry, match="inside a protecting circle"):
+        validate_scene(Scene(reference, [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]))
+    scene = gen_masked_lattice([SQUARE_MASK], 0.1, 0.049, seed=4)
+    validate_scene(scene)
+    protectors = [p for p in reference if p.fix_center]
+    kept = [
+        b for b in reference
+        if b.fix_center or all(
+            math.hypot(b.center[0] - p.center[0], b.center[1] - p.center[1]) >= p.radius
+            for p in protectors
+        )
+    ]
+    assert len(kept) < len(reference)
+    assert [ball_key(b) for b in scene.balls] == [ball_key(b) for b in kept]
+
+
+def test_masked_lattice_rejects_bad_domain():
+    with pytest.raises(InconsistentGeometry, match="convex and CCW"):
+        gen_masked_lattice([], 0.1, 0.0, domain=[(0.0, 1.0), (1.0, 1.0), (1.0, 0.0), (0.0, 0.0)])
+    with pytest.raises(InconsistentGeometry, match="finite"):
+        gen_masked_lattice([], 0.1, 0.0, domain=[(0.0, 0.0), (math.inf, 0.0), (1.0, 1.0)])
+
+
 def test_validate_scene_rejects_bad_domain():
     ball_scene = gen_square_with_circle(4.0, 0.0, 1.0)
     with pytest.raises(InconsistentGeometry):
@@ -172,6 +225,27 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.rng_seed == scene.rng_seed
     # serialization itself is deterministic
     assert scene_to_json(loaded) == p.read_text(encoding="utf-8")
+
+
+def test_load_without_params_takes_the_optimizer_defaults(tmp_path):
+    p = tmp_path / "scene.json"
+    p.write_text(scene_text(), encoding="utf-8")
+    assert load_scene(p).params == OptimizerConfig()
+    p.write_text(scene_text('"params": {"max_iters": 7}'), encoding="utf-8")
+    assert load_scene(p).params == OptimizerConfig(max_iters=7)
+
+
+def test_load_rejects_bad_domain(tmp_path):
+    # every scene file needs a convex CCW domain, whatever reads it
+    p = tmp_path / "scene.json"
+    # (Python's json reads NaN and Infinity; exact orientation would raise
+    # ValueError and OverflowError on them)
+    for domain in ('"domain": [[0, 0], [1, 1], [1, 0]]', '"domain": [[0, 0], [1, 0]]',
+                   '"domain": [[0, 0], [2, 0], [1, 0.5], [2, 2], [0, 2]]',
+                   '"domain": [[0, 0], [NaN, 0], [1, 1]]', '"domain": [[0, 0], [1, 0], [1, Infinity]]'):
+        p.write_text(scene_text(domain), encoding="utf-8")
+        with pytest.raises(InconsistentGeometry, match="domain polygon"):
+            load_scene(p)
 
 
 def test_load_errors(tmp_path):

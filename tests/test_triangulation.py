@@ -615,6 +615,14 @@ def test_warm_start_refuses_what_two_two_flips_cannot_mend():
         return [Ball(p, 1.0) for p in corners] + [Ball((0.5, 0.5), r)]
 
     hidden, shown = square(math.sqrt(0.4)), square(1.0)
+    # a ball hidden in the square of side 2 whose corners lift onto the plane
+    # z = 2x + 2y - 4: at (1, 0.5) the plane is at -1 and the ball at
+    # 1.25 - R^2, so R = 1.5 lies on it exactly (the float filter cannot
+    # decide the tie, so geom.power_test does); moved to (1, -0.5), its
+    # center is in no triangle
+    big = [Ball((2.0 * x, 2.0 * y), 2.0) for x, y in corners]
+    low = big + [Ball((1.0, 0.5), 1.0)]
+    tie, out_of_hull = big + [Ball((1.0, 0.5), 1.5)], big + [Ball((1.0, -0.5), 1.0)]
     rng = philox(15)
     balls = random_balls(rng, 25)
     t = build_regular(balls)
@@ -628,9 +636,13 @@ def test_warm_start_refuses_what_two_two_flips_cannot_mend():
         (balls, t, _step(philox(16), balls, t, "invert"), False),
         (balls, t, _step(philox(17), balls, t, "middle"), False),
         (balls, t, dead, False),
+        (low, build_regular(low), tie, False),  # on the lifted plane
+        (low, build_regular(low), out_of_hull, False),  # leaves the hull
     ]
     for before, start, after, warm in cases:
         assert start.warm is False
         out = build_regular(after, start=start)
         assert out.warm is warm
         assert_same_table(out, build_regular(after))
+        assert verify_regular(out, after) == []
+        assert verify_hull(out, after) == []
