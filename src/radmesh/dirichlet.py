@@ -56,8 +56,7 @@ counted in ``aux_tie_cells``.
 There is one optimizer.  The update is the heuristic area-weighted center /
 least-squares radius proposal, relaxed by ``theta``; once that relaxation
 plateaus, a damped Gauss-Newton step on the dual-vertex power residuals
-takes over, falling back to relaxation whenever it fails.  ``fd_gradient``
-is a rebuild-based finite-difference oracle for tests; the loop never uses it.
+takes over, falling back to relaxation whenever it fails.
 """
 
 from __future__ import annotations
@@ -76,10 +75,9 @@ from .errors import (
     Diverged,
     TooFewBalls,
     AllCollinear,
-    TopologyFlip,
 )
 from .geom import Ball, BallArrays, Point2
-from .triangulation import _twins, build_regular
+from .triangulation import build_regular
 
 
 @dataclass
@@ -214,7 +212,7 @@ def aux_triangulate_cell(pts: list[Point2], ball: int) -> tuple[Point2, float]:
 
 
 def _largest_angle(xy, offsets, pos):
-    """A candidate Delaunay triangulation of each cell ``pos`` of a CSR cell list.
+    """A candidate Delaunay triangulation of each cell ``pos`` of a CSR cell list, ``pos`` ascending.
 
     On points in convex position, the Delaunay triangle on the inner side
     of a chord (a, b) has the apex that sees the chord at the largest angle
@@ -226,49 +224,66 @@ def _largest_angle(xy, offsets, pos):
     may choose another apex, one the certificate accepts within the tie.
 
     Returns the k - 2 increasing local corner triples of each cell, cell
-    after cell, each cell's sorted: the canonical order.
+    after cell, each cell's sorted: the canonical order.  Next to them, per
+    triangle (i, j, l), the twin of its half-edge from corner l to corner i
+    (``triangulation._twins``' numbering): the side of the triangle that
+    opened the chord (i, l), or -1 for the chord (0, k - 1), a side of the
+    cell.
     """
     first, k = offsets[pos], offsets[pos + 1] - offsets[pos]
     z = xy[:, 0] + 1j * xy[:, 1]
-    cell, a, b = np.arange(len(pos)), np.zeros(len(pos), dtype=int), k - 1
-    found = []
-    while len(cell):
-        base = first[cell]
+    # the chords' ends as rows of xy: the cells' rows are disjoint and
+    # ascending, so sorting the triangles by their rows sorts them cell
+    # after cell
+    a, b = first, first + k - 1
+    back = np.full(len(pos), -1)  # per open chord, the half-edge that opened it
+    found, done = [], 0  # the triangles of each round, and how many
+    while len(a):
         # the apexes a + 1 .. b - 1 of each chord, padded with copies of b - 1
         m = np.minimum(a[:, None] + np.arange(1, int((b - a).max())), b[:, None] - 1)
-        p = z[base[:, None] + m]
+        p = z[m]
         # conj(a - m) (b - m): the dot product of the two sides as the real
         # part, their cross product (negative) as the imaginary part, so
         # the largest real / imaginary is the smallest cotangent.  An apex
         # on the chord or, by rounding, beyond it would make a triangle
         # that is not counterclockwise and never wins
-        w = np.conj(z[base + a][:, None] - p) * (z[base + b][:, None] - p)
+        w = np.conj(z[a][:, None] - p) * (z[b][:, None] - p)
         with np.errstate(divide="ignore", invalid="ignore"):  # a collapsed corner: refused later
             cot = np.where(w.imag < 0, w.real / w.imag, -np.inf)
-        apex = m[np.arange(len(cell)), cot.argmax(axis=1)]
-        found.append((cell, a, apex, b))
-        cell, a, b = np.tile(cell, 2), np.concatenate([a, apex]), np.concatenate([apex, b])
+        apex = m[np.arange(len(a)), cot.argmax(axis=1)]
+        # triangle t = (a, apex, b) opens (a, apex), its half-edge 3 t + 2,
+        # and (apex, b), its half-edge 3 t
+        t = 3 * (done + np.arange(len(a)))
+        found.append((a, apex, b, back))
+        done += len(a)
+        a, b, back = np.concatenate([a, apex]), np.concatenate([apex, b]), np.concatenate([t + 2, t])
         open_ = b - a > 1
-        cell, a, b = cell[open_], a[open_], b[open_]
-    cell, i, j, l = (np.concatenate(x) for x in zip(*found))
-    return np.stack([i, j, l], axis=1)[np.lexsort((l, j, i, cell))]
+        a, b, back = a[open_], b[open_], back[open_]
+    i, j, l, back = (np.concatenate(x) for x in zip(*found))
+    order = np.lexsort((l, j, i))
+    rank = np.empty(len(order), dtype=int)
+    rank[order] = np.arange(len(order))
+    back = back[order]
+    local = np.stack([i, j, l], axis=1)[order] - np.repeat(first, k - 2)[:, None]
+    return local, np.where(back >= 0, 3 * rank[back // 3] + back % 3, -1)
 
 
-def _certify(xy, offsets, pos, local):
+def _certify(xy, offsets, pos, local, twin):
     """The Delaunay triangles of the cells ``pos`` of a CSR cell list, from the candidates ``local``.
 
     ``local`` holds k - 2 increasing local corner triples for each cell of
-    k vertices, cell after cell, as ``_largest_angle`` builds them; k - 2
-    non-crossing triangles on k points in convex position triangulate them
-    (which is not checked here).  By Lawson's lemma a triangulation whose
-    interior edges are all locally Delaunay is the Delaunay triangulation;
-    one whose k - 3 interior edges all have an in-circle value at most the
-    cell's tie tolerance is Delaunay within it, and is accepted.  A triangle
-    at or under the area guard (``|area| <= 1e-14 span^2``) is dropped and
-    the rest of its cell kept.  A cell is refused when no triangle is left,
-    a kept triangle fails the circumcenter conditioning guard or has a
-    negative area (a clockwise cell), or an interior edge is illegal beyond
-    the tie.
+    k vertices, cell after cell, and ``twin`` the twin of each triple's
+    half-edge from corner l to corner i, as ``_largest_angle`` builds them;
+    k - 2 non-crossing triangles on k points in convex position
+    triangulate them (which is not checked here).  By Lawson's lemma a
+    triangulation whose interior edges are all locally Delaunay is the
+    Delaunay triangulation; one whose k - 3 interior edges all have an
+    in-circle value at most the cell's tie tolerance is Delaunay within
+    it, and is accepted.  A triangle at or under the area guard
+    (``|area| <= 1e-14 span^2``) is dropped and the rest of its cell kept.
+    A cell is refused when no triangle is left, a kept triangle fails the
+    circumcenter conditioning guard or has a negative area (a clockwise
+    cell), or an interior edge is illegal beyond the tie.
 
     Returns, over ``pos``, the masks of the refused cells and of the cells
     accepted with an interior edge within the tie tolerance of cocircular;
@@ -295,7 +310,6 @@ def _certify(xy, offsets, pos, local):
     # (i, j, l) that holds the vertices between a and b, its half-edge from
     # corner l to corner i; the twin of that half-edge lies on the triangle
     # on the edge's other side, across from that triangle's third vertex
-    twin = _twins(ids)[:, 1]
     edge = np.flatnonzero(twin >= 0)
     d = xy.take(ids.ravel()[twin[edge]], axis=0)
     p, q, r = corners.take(edge, axis=0).transpose(1, 2, 0)
@@ -332,7 +346,7 @@ def aux_triangulate_cells(xy: np.ndarray, offsets: np.ndarray, cells: np.ndarray
     ties = 0
     pos = np.flatnonzero(k >= 4)
     if len(pos):  # _largest_angle fails on an empty cell set
-        refused, tie, *tris = _certify(xy, offsets, pos, _largest_angle(xy, offsets, pos))
+        refused, tie, *tris = _certify(xy, offsets, pos, *_largest_angle(xy, offsets, pos))
         degenerate[pos[refused]] = True
         ties = int(tie.sum())
         parts.append(tris)
@@ -454,42 +468,6 @@ def relax_step(x, free, proposals, theta: float):
     proposed = np.zeros(len(x), dtype=bool)
     proposed[ids] = True
     return np.where(free & proposed[:, None], x * (1 - theta) + target * theta, x)
-
-
-def fd_gradient(balls: list[Ball], diagram: PowerDiagram, h: float, on_flip="raise"):
-    """Central-difference gradient of F_I with full diagram rebuilds.
-
-    Returns one (dF/dcx, dF/dcy, dF/dR) triple per ball; entries for fixed
-    coordinates are zero.  With ``on_flip="raise"`` a probe that changes the
-    triangulation combinatorics raises TopologyFlip (shrink h).  Near a
-    Delaunay partition every multi-vertex cell is an exact cocircularity, so
-    probes flip its tie diagonals for any h; ``on_flip="ignore"`` accepts
-    those probes, which is sound because F_I is continuous across tie flips.
-    """
-    if h <= 0:
-        raise ValueError("fd step must be > 0")
-    if on_flip not in ("raise", "ignore"):
-        raise ValueError("on_flip must be 'raise' or 'ignore'")
-    x, free, alive = geom.ball_arrays(balls)
-    base_edges = build_regular(balls).edge_set()
-
-    def probe(k, delta):
-        probed = BallArrays(x.copy(), free, alive)
-        probed.x.flat[k] += delta
-        t, d = _rebuild(probed)
-        if on_flip == "raise" and t.edge_set() != base_edges:
-            raise TopologyFlip(
-                f"triangulation changed while probing ball {k // 3} ({'xyr'[k % 3]}{delta:+g})"
-            )
-        return evaluate_FI(probed, d)
-
-    grads = np.zeros(x.shape)
-    for k in np.flatnonzero(free).tolist():
-        if k % 3 < 2 or x.flat[k] >= h:
-            grads.flat[k] = (probe(k, h) - probe(k, -h)) / (2 * h)
-        else:  # a radius below h: one-sided, so it stays >= 0
-            grads.flat[k] = (probe(k, h) - evaluate_FI(balls, diagram)) / h
-    return [tuple(g) for g in grads.tolist()]
 
 
 def _tau_system(x, free, triangulation, active):

@@ -4,12 +4,13 @@ Decisions (orient2d, power_test) use a floating-point filter with a
 conservative error bound and fall back to exact rational arithmetic, so the
 returned sign is always correct for representable inputs; each filter also
 takes arrays, for the batched filters of ``triangulation``.  Constructions
-(orthocenter, circumcenter) are plain double precision with a conditioning
-guard on the 2x2 system determinant; ``circumcenters`` evaluates
-circumcenter's expressions on arrays, bit for bit.  ``orthocenters`` is
-the one orthocenter kernel: the regular triangulation runs it on all its
-triangles, ``orthocenter`` on one.  ``bbox_diag`` is the one scale measure,
-and ``components`` the one connected-components (union-find) helper.
+are plain double precision.  ``circumcenter`` guards the conditioning of
+its 2x2 system determinant, and ``circumcenters`` evaluates its
+expressions on arrays, bit for bit.  ``orthocenters`` is the one
+orthocenter kernel, run on all triangles of a table at once, without a
+guard (the tests keep a one-triangle form with one as a reference).
+``bbox_diag`` is the one scale measure, and ``components`` the one
+connected-components (union-find) helper.
 
 ``ball_arrays`` converts a ``Ball`` list, the API form of a ball set, to
 the ``[cx, cy, R]`` rows and masks the package works on.
@@ -201,7 +202,7 @@ def orthocenters(centers, radii, tris):
     index triples into them.  Each triangle solves v . (c_i - c_1) =
     h_i - h_1 for i = 2, 3, with h the lifted heights; tau is the mean
     power of v to the three balls.  Returns the arrays (vx, vy, tau).
-    No conditioning guard: ``orthocenter`` adds one for a single triangle.
+    No conditioning guard.
     """
     idx = np.array(tris, dtype=int)
     c, r = centers, radii
@@ -224,23 +225,6 @@ def orthocenters(centers, radii, tris):
         tau += (ci[:, 0] - vx) ** 2 + (ci[:, 1] - vy) ** 2 - ri**2
     tau /= 3.0
     return vx, vy, tau
-
-
-def orthocenter(b1: Ball, b2: Ball, b3: Ball) -> tuple[Point2, float]:
-    """Point with equal power to three balls, and that common power value.
-
-    The one-triangle call of ``orthocenters``.  For equal radii this is the
-    circumcenter of the three centers.
-    """
-    c1, c2, c3 = b1.center, b2.center, b3.center
-    a11, a12 = c2[0] - c1[0], c2[1] - c1[1]
-    a21, a22 = c3[0] - c1[0], c3[1] - c1[1]
-    scale_sq = max(a11 * a11 + a12 * a12, a21 * a21 + a22 * a22)
-    if abs(a11 * a22 - a12 * a21) <= CONDITIONING_GUARD * scale_sq:
-        raise CollinearCenters("orthocenter: centers are (nearly) collinear")
-    x = ball_arrays([b1, b2, b3]).x
-    vx, vy, tau = orthocenters(x[:, :2], x[:, 2], [(0, 1, 2)])
-    return (float(vx[0]), float(vy[0])), float(tau[0])
 
 
 def circumcenter(p1: Point2, p2: Point2, p3: Point2) -> Point2:
@@ -285,17 +269,6 @@ def triangle_area(p1: Point2, p2: Point2, p3: Point2) -> float:
     return 0.5 * (
         (p2[0] - p1[0]) * (p3[1] - p1[1]) - (p2[1] - p1[1]) * (p3[0] - p1[0])
     )
-
-
-def polygon_area(vertices) -> float:
-    """Signed shoelace area of a polygon given as a vertex sequence."""
-    area = 0.0
-    n = len(vertices)
-    for i in range(n):
-        x1, y1 = vertices[i]
-        x2, y2 = vertices[(i + 1) % n]
-        area += x1 * y2 - x2 * y1
-    return 0.5 * area
 
 
 def bbox_diag(points) -> float:

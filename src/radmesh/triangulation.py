@@ -30,7 +30,9 @@ triangle; they are flagged redundant and kept in the ball set.
 
 Inside this module the ball set is the ``(N, 3)`` array ``coords`` of
 ``geom.ball_arrays``' ``[cx, cy, R]`` rows; the exact predicates read the
-rows the filters leave open as Python floats (``tolist``).
+rows the filters leave open as Python floats: the pass after qhull
+converts the whole table at once (``tolist``), a warm pass each row as it
+reaches it (``_Items``), and writes back only the rows it flipped.
 
 ``build_regular(balls, start=t)`` warm-starts from ``t``, an earlier table
 of the same ball list with the same alive set (the optimizer's previous
@@ -47,7 +49,11 @@ hull one convex cycle holding every alive center on its closed left
 edge illegal, and every ball the table misses strictly redundant against
 the triangle holding its center (the triangles found are kept in
 ``hidden_in``, the next start's first guess).  Where it fails, the table
-is built from qhull as without ``start``, and ``warm`` is False.
+is built from qhull as without ``start``, and ``warm`` is False.  An
+accepted table records in ``hull_at`` the centers at which its hull was
+proved; 2-2 flips keep the hull edges, so a start carrying ``hull_at``
+whose hull balls are still at those centers is not proved again.  A table
+built by qhull carries none and is checked in full.
 
 Both paths end in one canonical order (``_canonical``): each row rotated
 to lead with its lowest ball index, the rows sorted, ``twin`` renumbered to
@@ -84,9 +90,10 @@ class RegularTriangulation:
     # center in (-1 for the other balls, and where that triangle has flipped
     # since); None for a table built by qhull
     hidden_in: np.ndarray | None = None
-
-    def edge_set(self) -> set[frozenset[int]]:
-        return {frozenset(e) for e in self.tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2).tolist()}
+    # the (N, 2) centers at which the warm start's certificate proved the
+    # hull (part 2 of ``_repair``'s), read at the hull balls only; None for a
+    # table built by qhull
+    hull_at: np.ndarray | None = None
 
 
 def _check_not_collinear(coords, idx):
@@ -184,20 +191,28 @@ def lawson_flip(tris, twin, illegal, left_turn, queue):
     """Lawson flips (Lawson 1977) on ``tris`` until no queued edge is illegal.
 
     ``tris`` (CCW vertex triples) and ``twin`` (the flat ``_twins``) are
-    lists, kept up to date.  ``illegal(a, b, c, q)`` says whether the edge of
+    read and written item by item, so lists and ``_Items`` both serve; they
+    are kept up to date.  ``illegal(a, b, c, q)`` says whether the edge of
     triangle ``(a, b, c)`` facing vertex ``q`` must flip; ``left_turn(p, u,
     q)`` whether ``p, u, q`` turn strictly left, so only strictly convex
     quads flip.  ``queue`` holds the suspect half-edges, the last examined
     first.  A flip of the quad ``p, u, q, v`` writes ``[p, u, q]`` and ``[p,
     q, v]`` and queues the quad's four sides and new diagonal; a queued
     half-edge whose triangle has flipped since is dropped, as its quad's
-    edges were queued again.  Raises ``FlipBudgetExhausted`` instead of
-    returning a triangulation that may still be illegal.
+    edges were queued again.  The stamps are two flat lists, one entry per
+    triangle and per half-edge: a pair of dicts would hold only what the
+    pass touches, but slows the cold pass, whose queue is the whole table.
+    Raises ``FlipBudgetExhausted`` instead of returning a triangulation
+    that may still be illegal.
 
     Returns the half-edges found illegal on a quad that is not strictly
-    convex, in the order examined.  Every edge a flip changes is queued
-    again, so an edge left illegal at the end is one of these.
+    convex, in the order examined, and the triangles flipped, in the order
+    of their first flip.  Every edge a flip changes is queued again, so an
+    edge left illegal at the end is one of the former.  A flip rewrites the
+    twins of its two triangles' half-edges and, across the quad's sides,
+    of the half-edges paired with them, and no others.
     """
+    flipped = []  # the triangles flipped, in the order of their first flip
     stamp = [0] * len(tris)  # flips of each triangle
     stack = [(h, 0) for h in queue]
     queued = [-1] * len(twin)  # per half-edge, the stamp it is queued with
@@ -229,20 +244,22 @@ def lawson_flip(tris, twin, illegal, left_turn, queue):
         c, d = twin[3 * t2 + (k2 + 1) % 3], twin[3 * t2 + (k2 + 2) % 3]
         tris[t1] = [p, u, q]
         tris[t2] = [p, q, v]
-        twin[3 * t1 : 3 * t1 + 3] = [c, 3 * t2 + 2, a]
-        twin[3 * t2 : 3 * t2 + 3] = [d, b, 3 * t1 + 1]
+        twin[3 * t1], twin[3 * t1 + 1], twin[3 * t1 + 2] = c, 3 * t2 + 2, a
+        twin[3 * t2], twin[3 * t2 + 1], twin[3 * t2 + 2] = d, b, 3 * t1 + 1
         for g, back in ((c, 3 * t1), (a, 3 * t1 + 2), (d, 3 * t2), (b, 3 * t2 + 1)):
             if g >= 0:
                 twin[g] = back
-        stamp[t1] += 1
-        stamp[t2] += 1
+        for t in (t1, t2):
+            if not stamp[t]:
+                flipped.append(t)
+            stamp[t] += 1
         # each side as seen from outside the quad, then the diagonal from t1;
         # a side already queued from its unflipped outer triangle stays put
         for g in (c, 3 * t1 + 1, a, d, b):
             if g >= 0 and queued[g] != stamp[g // 3]:
                 queued[g] = stamp[g // 3]
                 stack.append((g, queued[g]))
-    return stuck
+    return stuck, flipped
 
 
 def _power_filter(coords, abc, q):
@@ -300,13 +317,31 @@ def _legalize(rows, tris, twin, queue):
     """Exact Lawson legalization of ``tris`` under the power test (``_illegal``).
 
     ``rows`` are ``_illegal``'s; ``tris``, ``twin``, ``queue`` and the
-    returned half-edges left illegal on non-convex quads ``lawson_flip``'s.
+    returned half-edges and triangles ``lawson_flip``'s.
     """
 
     def left_turn(p, u, q):
         return geom.orient2d(rows[p], rows[u], rows[q]) > 0
 
     return lawson_flip(tris, twin, _illegal(rows), left_turn, queue)
+
+
+class _Items(dict):
+    """Items of a table read as Python values on first use, ``read(i)``; writes stay here.
+
+    ``len`` is ``n``, the table's length, which ``lawson_flip``'s flip budget reads.
+    """
+
+    def __init__(self, read, n):
+        super().__init__()
+        self.read, self.n = read, n
+
+    def __missing__(self, i):
+        item = self[i] = self.read(i)
+        return item
+
+    def __len__(self):
+        return self.n
 
 
 def _legalized(tris, twin, coords, moved=None):
@@ -317,22 +352,34 @@ def _legalized(tris, twin, coords, moved=None):
     changes, so only the edges ``lawson_flip`` found illegal on a quad that
     is not convex can be left illegal, and those are tested again.  The
     input arrays are not changed.  Flips keep every triangle CCW.
+
+    Without ``moved`` every edge is suspect, and the ball rows and the
+    table are read as lists at once.  With it, the pass reads the rows it
+    reaches as it reaches them, and only the flipped rows and the twins
+    they rewrote are written back, so the conversions follow the queue.
     """
     queue = _suspect_edges(tris, twin, coords, moved)
     if not queue:
         return tris, twin, True
-    rows = coords.tolist()
-    before, flat = tris.tolist(), twin.ravel().tolist()
-    flipped = list(before)  # a flip replaces a row's list, so ``is`` finds the new rows
-    stuck = _legalize(rows, flipped, flat, queue)
+    if moved is None:
+        rows, table, flat = coords.tolist(), tris.tolist(), twin.ravel().tolist()
+    else:
+        rows = _Items(lambda i: coords[i].tolist(), len(coords))
+        table = _Items(lambda f: tris[f].tolist(), len(tris))
+        flat = _Items(twin.item, twin.size)
+    stuck, flipped = _legalize(rows, table, flat, queue)
     illegal = _illegal(rows)
-    legal = not any(flat[h] >= 0 and illegal(*flipped[h // 3], flipped[flat[h] // 3][flat[h] % 3]) for h in stuck)
-    new = [f for f, (a, b) in enumerate(zip(before, flipped)) if a is not b]
-    if not new:
+    legal = not any(flat[h] >= 0 and illegal(*table[h // 3], table[flat[h] // 3][flat[h] % 3]) for h in stuck)
+    if not flipped:
         return tris, twin, legal
-    tris = tris.copy()
-    tris[new] = [flipped[f] for f in new]
-    return tris, np.array(flat).reshape(-1, 3), legal
+    tris, twin = tris.copy(), twin.copy()
+    tris[flipped] = [table[f] for f in flipped]
+    # the half-edges of the flipped rows, and their twins pointing back
+    h = (3 * np.array(flipped)[:, None] + np.arange(3)).ravel()
+    g = np.array([flat[i] for i in h.tolist()])
+    twin.flat[h] = g
+    twin.flat[g[g >= 0]] = h[g >= 0]
+    return tris, twin, legal
 
 
 def _hull_edges(tris, twin):
@@ -395,16 +442,19 @@ def _canonical(tris, twin):
 def _repair(start, coords, alive):
     """``start`` legalized for the rows ``coords`` of ``[cx, cy, R]``, or None where the certificate fails.
 
-    Returns the new ``tris`` and ``twin`` and, per hidden ball, the triangle
-    that holds its center, -1 where that triangle has flipped.  ``start``
-    must be a table of the same ball list with the same alive set.  The
-    certificate, all of it exact:
+    Returns the new ``tris`` and ``twin``; per hidden ball, the triangle
+    that holds its center, -1 where that triangle has flipped; and the
+    centers at which part 2 below holds, the new table's ``hull_at``.
+    ``start`` must be a table of the same ball list with the same alive
+    set.  The certificate, all of it exact:
 
     1. every triangle is strictly CCW (checked before the pass; a flip makes
        only strictly CCW triangles);
     2. the hull half-edges form one cycle through balls at distinct
        centers, each on the closed left of every hull half-edge
-       (``_outside_hull``; flips keep the hull);
+       (``_outside_hull``; flips keep the hull).  Where ``start`` carries
+       it (``start.hull_at``) and its hull balls have not moved since, it
+       holds as it did: flips kept the hull edges it was proved on;
     3. no interior edge is still illegal after the pass (``_legalized``);
        an edge whose quad kept its balls where ``start`` had them legal
        (``start.legal_at``) is legal still, and is not tested;
@@ -428,21 +478,29 @@ def _repair(start, coords, alive):
         return None
     is_alive = np.zeros(len(coords), dtype=bool)
     is_alive[alive] = True
-    was_alive = np.array(start.redundant, dtype=bool)
+    is_hidden = np.array(start.redundant, dtype=bool)
+    was_alive = is_hidden.copy()
     was_alive[start.tris.ravel()] = True
     if not np.array_equal(was_alive, is_alive):
         return None
     tris, twin = start.tris, start.twin
     if (_orient_signs(coords, *tris.T) <= 0).any():
         return None
-    hull = _hull_cycle(tris, twin)
-    if (
-        hull is None
-        or len(set(map(tuple, coords[hull, :2].tolist()))) < len(hull)
-        or _outside_hull(coords, tris, twin, hull)
-    ):
-        return None
-    hidden = np.flatnonzero(np.array(start.redundant, dtype=bool))
+    hull_at = start.hull_at
+    if hull_at is not None:
+        _, u, _ = _hull_edges(tris, twin)
+        if not np.array_equal(coords[u, :2], hull_at[u]):
+            hull_at = None
+    if hull_at is None:
+        hull = _hull_cycle(tris, twin)
+        if (
+            hull is None
+            or len(set(map(tuple, coords[hull, :2].tolist()))) < len(hull)
+            or _outside_hull(coords, tris, twin, hull)
+        ):
+            return None
+        hull_at = coords[:, :2].copy()
+    hidden = np.flatnonzero(is_hidden)
     guess = None if start.hidden_in is None else start.hidden_in[hidden]
     where = _above(coords, tris, hidden, guess)
     if where is None:
@@ -456,7 +514,7 @@ def _repair(start, coords, alive):
         return None
     if flipped is not tris:
         where[(flipped[where] != tris[where]).any(axis=1)] = -1
-    return flipped, twin, where
+    return flipped, twin, where, hull_at
 
 
 def _above(coords, tris, hidden, guess=None):
@@ -474,6 +532,8 @@ def _above(coords, tris, hidden, guess=None):
     is no guess.
     """
     f = np.full(len(hidden), -1)
+    if not len(hidden):
+        return f
     if guess is not None:
         known = np.flatnonzero(guess >= 0)
         abc = tris[guess[known]]
@@ -519,13 +579,13 @@ def build_regular(
     if len(idx) < 3:
         raise TooFewBalls(f"need >= 3 alive balls, got {len(idx)}")
     repaired = None if start is None else _repair(start, coords, idx)
-    legal = True
+    legal, hull_at = True, None
     if repaired is None:
         _check_not_collinear(coords, idx)
         tris = _lower_hull_triangles(coords, idx)
         tris, twin, legal = _legalized(tris, _twins(tris), coords)
     else:
-        tris, twin, where = repaired
+        tris, twin, where, hull_at = repaired
     tris, twin, rank = _canonical(tris, twin)
     vx, vy, tau = geom.orthocenters(coords[:, :2], coords[:, 2], tris)
     hidden = alive.copy()
@@ -543,6 +603,7 @@ def build_regular(
         coords.copy() if legal else None,  # a copy: the next ``_repair`` compares rows with it
         repaired is not None,
         hidden_in,
+        hull_at,
     )
 
 

@@ -10,7 +10,14 @@ reference (``delaunay_limit_violations_reference``) draws one circle at a
 time.  The recovery references (``recover_spheres_reference``,
 ``vertex_cluster_merge_reference``) walk one triangle and one cluster at a
 time.  ``masked_lattice_reference`` jitters one lattice point at a time and
-applies no removal rule.
+applies no removal rule.  ``certify_reference`` is the aux certificate
+pairing its candidates' half-edges by one sort (``triangulation._twins``)
+instead of taking the twins the largest-angle recursion opened.
+
+The test-only oracles live here too: ``fd_gradient``, the finite-difference
+gradient of ``F_I`` with full rebuilds (criterion 5), ``edge_set`` of a
+triangle table, the one-triangle ``orthocenter`` with its conditioning
+guard, and the shoelace ``polygon_area``.
 """
 
 import importlib.util
@@ -24,11 +31,19 @@ import pytest
 from scipy.spatial import Delaunay
 
 from radmesh import geom
-from radmesh.dirichlet import _incircle, _tie_tol, aux_triangulate_cells
-from radmesh.errors import AllCollinear, CollinearPoints, DegenerateCell, RadmeshError
-from radmesh.geom import Ball
+from radmesh.diagram import _ranges
+from radmesh.dirichlet import _incircle, _rebuild, _tie_tol, aux_triangulate_cells, evaluate_FI
+from radmesh.errors import (
+    AllCollinear,
+    CollinearCenters,
+    CollinearPoints,
+    DegenerateCell,
+    RadmeshError,
+    TopologyFlip,
+)
+from radmesh.geom import Ball, BallArrays
 from radmesh.scene import PROTECT_RATIO, _point_in_polygon
-from radmesh.triangulation import lawson_flip
+from radmesh.triangulation import _twins, build_regular, lawson_flip
 
 
 def philox(seed):
@@ -400,7 +415,7 @@ def clip_cell_reference(pts, rays, domain):
             (a[0] + far * ra[0], a[1] + far * ra[1]),
         ]
         pts = pts + closure
-        if geom.polygon_area(pts) < 0:
+        if polygon_area(pts) < 0:
             pts.reverse()
     pts = clip_polygon(pts, domain)
     # clipping can emit the same corner twice (intersections computed on
@@ -417,3 +432,115 @@ def clip_cell_reference(pts, rays, domain):
             dedup.pop()
         pts = dedup
     return pts
+
+def orthocenter(b1, b2, b3):
+    """Point with equal power to three balls, and that common power value.
+
+    The one-triangle call of ``geom.orthocenters``, behind a conditioning
+    guard.  For equal radii this is the circumcenter of the three centers.
+    """
+    c1, c2, c3 = b1.center, b2.center, b3.center
+    a11, a12 = c2[0] - c1[0], c2[1] - c1[1]
+    a21, a22 = c3[0] - c1[0], c3[1] - c1[1]
+    scale_sq = max(a11 * a11 + a12 * a12, a21 * a21 + a22 * a22)
+    if abs(a11 * a22 - a12 * a21) <= geom.CONDITIONING_GUARD * scale_sq:
+        raise CollinearCenters("orthocenter: centers are (nearly) collinear")
+    x = geom.ball_arrays([b1, b2, b3]).x
+    vx, vy, tau = geom.orthocenters(x[:, :2], x[:, 2], [(0, 1, 2)])
+    return (float(vx[0]), float(vy[0])), float(tau[0])
+
+
+def polygon_area(vertices):
+    """Signed shoelace area of a polygon given as a vertex sequence."""
+    area = 0.0
+    n = len(vertices)
+    for i in range(n):
+        x1, y1 = vertices[i]
+        x2, y2 = vertices[(i + 1) % n]
+        area += x1 * y2 - x2 * y1
+    return 0.5 * area
+
+
+def edge_set(t):
+    """The edges of the triangle table ``t``, each a frozenset of two ball indices."""
+    return {frozenset(e) for e in t.tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2).tolist()}
+
+
+def fd_gradient(balls, diagram, h, on_flip="raise"):
+    """Central-difference gradient of F_I with full diagram rebuilds.
+
+    Returns one (dF/dcx, dF/dcy, dF/dR) triple per ball; entries for fixed
+    coordinates are zero.  With ``on_flip="raise"`` a probe that changes the
+    triangulation combinatorics raises TopologyFlip (shrink h).  Near a
+    Delaunay partition every multi-vertex cell is an exact cocircularity, so
+    probes flip its tie diagonals for any h; ``on_flip="ignore"`` accepts
+    those probes, which is sound because F_I is continuous across tie flips.
+    """
+    if h <= 0:
+        raise ValueError("fd step must be > 0")
+    if on_flip not in ("raise", "ignore"):
+        raise ValueError("on_flip must be 'raise' or 'ignore'")
+    x, free, alive = geom.ball_arrays(balls)
+    base_edges = edge_set(build_regular(balls))
+
+    def probe(k, delta):
+        probed = BallArrays(x.copy(), free, alive)
+        probed.x.flat[k] += delta
+        t, d = _rebuild(probed)
+        if on_flip == "raise" and edge_set(t) != base_edges:
+            raise TopologyFlip(
+                f"triangulation changed while probing ball {k // 3} ({'xyr'[k % 3]}{delta:+g})"
+            )
+        return evaluate_FI(probed, d)
+
+    grads = np.zeros(x.shape)
+    for k in np.flatnonzero(free).tolist():
+        if k % 3 < 2 or x.flat[k] >= h:
+            grads.flat[k] = (probe(k, h) - probe(k, -h)) / (2 * h)
+        else:  # a radius below h: one-sided, so it stays >= 0
+            grads.flat[k] = (probe(k, h) - evaluate_FI(balls, diagram)) / h
+    return [tuple(g) for g in grads.tolist()]
+
+
+def certify_reference(xy, offsets, pos, local):
+    """``dirichlet._certify`` on the candidates ``local`` alone, its six outputs.
+
+    The interior edges come from pairing every half-edge of the candidates
+    by one sort (``triangulation._twins``), not from twins the caller
+    passes in.
+    """
+    k = offsets[pos + 1] - offsets[pos]
+    cell = np.repeat(np.arange(len(pos)), k - 2)  # cell of each triangle
+    ids = offsets[pos][cell][:, None] + local  # (R, 3) rows of xy
+    # (R, 3, 2); ``take`` gathers rows faster than indexing does
+    corners = xy.take(ids, axis=0)
+    # the tie tolerance of each cell, from its span about its first vertex
+    at = np.cumsum(k) - k
+    dist = xy.take(_ranges(offsets[pos], k), axis=0)
+    dist = np.abs(dist - np.repeat(dist[at], k, axis=0))
+    span = np.maximum.reduceat(np.maximum(dist[:, 0], dist[:, 1]), at)
+    # a cell that overflows gets NaN values: refused, or a NaN F_I that
+    # ``run`` reports as Diverged
+    with np.errstate(invalid="ignore"):
+        area = geom.triangle_area(*corners.transpose(1, 2, 0))
+        centers, ok = geom.circumcenters(corners[:, 0], corners[:, 1], corners[:, 2])
+    # an interior edge (a, b), a < b, is the side (i, l) of the triangle
+    # (i, j, l) that holds the vertices between a and b, its half-edge from
+    # corner l to corner i; the twin of that half-edge lies on the triangle
+    # on the edge's other side, across from that triangle's third vertex
+    twin = _twins(ids)[:, 1]
+    edge = np.flatnonzero(twin >= 0)
+    d = xy.take(ids.ravel()[twin[edge]], axis=0)
+    p, q, r = corners.take(edge, axis=0).transpose(1, 2, 0)
+    with np.errstate(invalid="ignore"):
+        val = _incircle(*p, *q, *r, *d.T)
+    tol = _tie_tol(span)[cell[edge]]
+    kept = np.abs(area) > 1e-14 * span[cell] * span[cell]
+    refused = np.ones(len(pos), dtype=bool)
+    refused[cell[kept]] = False
+    refused[cell[kept & ~(ok & (area > 0))]] = True
+    refused[cell[edge][~(val <= tol)]] = True
+    tie = np.zeros(len(pos), dtype=bool)
+    tie[cell[edge][val > -tol]] = True
+    rows = kept & ~refused[cell]
+    return refused, tie & ~refused, pos[cell[rows]], corners[rows], centers[rows], area[rows]

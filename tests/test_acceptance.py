@@ -20,10 +20,9 @@ from radmesh.dirichlet import (
     OptimizerConfig,
     bbox_diag,
     evaluate_FI,
-    fd_gradient,
     run,
 )
-from radmesh.geom import Ball, orthocenter, power
+from radmesh.geom import Ball, power
 from radmesh.recovery import recover_spheres
 from radmesh.scene import gen_square_with_circle
 from radmesh.triangulation import build_regular, verify_regular
@@ -32,8 +31,11 @@ from conftest import (
     cell_fi,
     cell_polygon,
     cell_triangles,
+    edge_set,
+    fd_gradient,
     frozen_center_gradient,
     jittered_grid,
+    orthocenter,
     philox,
     random_balls,
 )
@@ -56,7 +58,7 @@ def test_criterion_1_triangulation_oracle():
             # equal radii: the regular triangulation is the plain Delaunay
             eq = [Ball(b.center, 1.0) for b in balls]
             te = build_regular(eq)
-            assert te.edge_set() == delaunay_edge_oracle([b.center for b in eq])
+            assert edge_set(te) == delaunay_edge_oracle([b.center for b in eq])
     assert time.perf_counter() - t0 < 10.0
 
 

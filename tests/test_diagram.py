@@ -23,8 +23,10 @@ from conftest import (
     cell_polygon,
     clip_cell_reference,
     delaunay_limit_violations_reference,
+    orthocenter,
     perfbench_workloads,
     philox,
+    polygon_area,
     random_balls,
     split_cells,
 )
@@ -71,7 +73,7 @@ def test_dual_height_examples():
     b1 = Ball((0.0, 0.0), math.sqrt(2.0))
     b2 = Ball((2.0, 0.0), 0.0)
     b3 = Ball((0.0, 2.0), 0.0)
-    v, tau = geom.orthocenter(b1, b2, b3)
+    v, tau = orthocenter(b1, b2, b3)
     z = dual_height(v, tau)
     assert z == pytest.approx(1.0)
     trio = (b1, b2, b3)
@@ -120,7 +122,7 @@ def test_bounded_cells_convex_ccw():
         saw_bounded = True
         pts = cell_polygon(d, i)
         m = len(pts)
-        assert geom.polygon_area(pts) > 0
+        assert polygon_area(pts) > 0
         for k in range(m):
             assert (
                 geom.orient2d(pts[k], pts[(k + 1) % m], pts[(k + 2) % m]) >= 0
@@ -229,7 +231,7 @@ def test_clip_polygon_examples():
     assert clip_one(square, big) == square
     half = [(-5.0, -5.0), (0.5, -5.0), (0.5, 5.0), (-5.0, 5.0)]
     clipped = clip_one(square, half)
-    assert abs(geom.polygon_area(clipped)) == pytest.approx(0.5)
+    assert abs(polygon_area(clipped)) == pytest.approx(0.5)
     far = [(10.0, 10.0), (11.0, 10.0), (11.0, 11.0), (10.0, 11.0)]
     assert clip_one(square, far) == []
 

@@ -26,7 +26,6 @@ from radmesh.dirichlet import (
     aux_triangulate_cells,
     bbox_diag,
     evaluate_FI,
-    fd_gradient,
     relax_step,
     run,
     write_history_csv,
@@ -46,7 +45,7 @@ from radmesh.geom import (
     orthocenters,
     triangle_area,
 )
-from radmesh.triangulation import build_regular
+from radmesh.triangulation import _twins, build_regular
 
 from conftest import (
     AuxTriangle,
@@ -54,8 +53,10 @@ from conftest import (
     cell_polygon,
     cell_span,
     cell_triangles,
+    certify_reference,
     fan_delaunay,
     fan_triangulate_cell,
+    fd_gradient,
     frozen_center_gradient,
     heuristic_center,
     heuristic_radius,
@@ -177,7 +178,8 @@ def cell_points(d, domain=None):
 def certify_one(pts, tris):
     """``_certify`` on the one cell ``pts`` with the triangulation ``tris`` (local corners)."""
     xy, offsets = np.array(pts, dtype=float), np.array([0, len(pts)])
-    return _certify(xy, offsets, np.array([0]), np.array(tris).reshape(-1, 3))
+    local = np.array(tris).reshape(-1, 3)
+    return _certify(xy, offsets, np.array([0]), local, _twins(local)[:, 1])
 
 
 def certified(pts, tris):
@@ -189,7 +191,7 @@ def certified(pts, tris):
 def construction(pts):
     """The ``_largest_angle`` triangulation of the one cell ``pts``, as local corner triples."""
     xy, offsets = np.array(pts, dtype=float), np.array([0, len(pts)])
-    return [tuple(t) for t in _largest_angle(xy, offsets, np.array([0])).tolist()]
+    return [tuple(t) for t in _largest_angle(xy, offsets, np.array([0]))[0].tolist()]
 
 
 def edge_values(pts, tris):
@@ -497,13 +499,25 @@ def test_largest_angle_triangulates_each_cell(cells, data):
     # that they triangulate the cell: the construction must give each cell
     # of k vertices k - 2 increasing triples, in canonical order, with
     # distinct chords (i, l), no two sides crossing, every side of the
-    # polygon once, every diagonal twice and every vertex covered
+    # polygon once, every diagonal twice and every vertex covered.  The
+    # twins it opens the chords with are the one-sort pairing of the same
+    # triangles, and _certify on them gives the reference's outputs
     pos = np.array(sorted(data.draw(st.sets(st.integers(0, len(cells) - 1), min_size=1))))
     xy = np.array([p for pts in cells for p in pts], dtype=float)
     offsets = np.concatenate([[0], np.cumsum([len(pts) for pts in cells])])
-    found = _largest_angle(xy, offsets, pos).tolist()
+    local, twin = _largest_angle(xy, offsets, pos)
+    found = local.tolist()
     counts = [len(cells[p]) - 2 for p in pos.tolist()]
     assert len(found) == sum(counts)
+    ids = np.repeat(offsets[pos], counts)[:, None] + local
+    paired = np.full(ids.shape, -1)
+    paired[:, 1] = twin
+    inner = np.flatnonzero(twin >= 0)
+    paired.flat[twin[inner]] = 3 * inner + 1
+    assert paired.tobytes() == _twins(ids).tobytes()
+    got, want = _certify(xy, offsets, pos, local, twin), certify_reference(xy, offsets, pos, local)
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
     for k, tris in zip((n + 2 for n in counts), np.split(found, np.cumsum(counts)[:-1])):
         tris = [tuple(t) for t in tris.tolist()]
         assert tris == sorted(tris) and all(0 <= i < j < l < k for i, j, l in tris)

@@ -14,11 +14,12 @@ from radmesh.geom import (
     circumcenter,
     lifted_heights,
     orient2d,
-    orthocenter,
     paraboloid,
     power,
     power_test,
 )
+
+from conftest import orthocenter, polygon_area
 
 coord = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
 radius = st.floats(0.0, 10.0, allow_nan=False)
@@ -203,7 +204,7 @@ def test_areas():
     assert geom.triangle_area((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)) == 0.5
     assert geom.triangle_area((0.0, 0.0), (0.0, 1.0), (1.0, 0.0)) == -0.5
     square = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
-    assert geom.polygon_area(square) == 1.0
+    assert polygon_area(square) == 1.0
 
 
 def test_circumcenters_match_circumcenter_bit_for_bit():

@@ -26,7 +26,7 @@ from radmesh.triangulation import (
     verify_regular,
 )
 
-from conftest import philox, random_balls
+from conftest import edge_set, orthocenter, philox, random_balls
 
 
 def delaunay_edge_oracle(points):
@@ -82,7 +82,7 @@ def test_equal_radii_match_delaunay_oracle():
     ]
     balls = [Ball(p, 1.0) for p in pts]
     t = build_regular(balls)
-    assert t.edge_set() == delaunay_edge_oracle(pts)
+    assert edge_set(t) == delaunay_edge_oracle(pts)
 
 
 def test_verify_regular_on_random_scenes():
@@ -133,7 +133,7 @@ def test_triangles_ccw_and_orthocenter_consistency(seed):
     for tr, o, s in zip(t.tris.tolist(), t.orthocenters.tolist(), t.tau.tolist()):
         c1, c2, c3 = (balls[i].center for i in tr)
         assert geom.orient2d(c1, c2, c3) == 1
-        v, tau = geom.orthocenter(*(balls[i] for i in tr))
+        v, tau = orthocenter(*(balls[i] for i in tr))
         assert tuple(o) == v
         assert s == tau
 
@@ -167,7 +167,7 @@ def test_euler_relation():
         balls = random_balls(rng, int(rng.integers(4, 41)))
         t = build_regular(balls)
         verts = set(t.tris.ravel().tolist())
-        edges = t.edge_set()
+        edges = edge_set(t)
         faces = len(t.tris) + 1  # outer face
         assert len(verts) - len(edges) + faces == 2
 
@@ -193,8 +193,8 @@ def test_permutation_independence(seed):
     perm = [int(p) for p in rng.permutation(len(balls))]
     t2 = build_regular([balls[p] for p in perm])
     # map edge indices of the permuted build back to the original labels
-    back = {frozenset(perm[i] for i in e) for e in t2.edge_set()}
-    assert t1.edge_set() == back
+    back = {frozenset(perm[i] for i in e) for e in edge_set(t2)}
+    assert edge_set(t1) == back
 
 
 @settings(max_examples=30, deadline=None)
@@ -218,7 +218,7 @@ def test_translation_equivariance(seed):
     moved = [Ball((b.center[0] + tx, b.center[1] + ty), b.radius) for b in balls]
     t1 = build_regular(balls)
     t2 = build_regular(moved)
-    assert t1.edge_set() == t2.edge_set()
+    assert edge_set(t1) == edge_set(t2)
     by_idx = {tuple(sorted(tr)): f for f, tr in enumerate(t2.tris.tolist())}
     u = 2.0**-53
     for a, tr in enumerate(t1.tris.tolist()):
@@ -538,9 +538,17 @@ def _step(rng, balls, t, kind):
             Ball((b.center[0] + float(dx), b.center[1] + float(dy)), b.radius * float(s))
             for b, (dx, dy), s in zip(balls, rng.uniform(-0.05, 0.05, (n, 2)), rng.uniform(0.95, 1.05, n))
         ]
-    hull = np.unique(t.tris.ravel()[np.flatnonzero(t.twin.ravel() < 0)])
+    h = np.flatnonzero(t.twin.ravel() < 0)
+    hull = np.unique(t.tris[h // 3, (h + 1) % 3])  # the first ball of each hull half-edge
     used = np.unique(t.tris)
     hidden = np.flatnonzero(t.redundant)
+    if kind == "hull_fixed":  # the hull centers stay; the others move a little, every radius changes
+        d, s = rng.uniform(-0.01, 0.01, (n, 2)), rng.uniform(0.95, 1.05, n)
+        d[hull] = 0.0
+        return [
+            Ball((b.center[0] + float(dx), b.center[1] + float(dy)), b.radius * float(r))
+            for b, (dx, dy), r in zip(balls, d, s)
+        ]
     if kind == "hide":  # an inner vertex loses its weight, its neighbours swallow its center
         inner = np.setdiff1d(used, hull)
         if len(inner):
@@ -561,6 +569,15 @@ def _step(rng, balls, t, kind):
         s = ((a[0] - b[0]) * ex + (a[1] - b[1]) * ey) / (ex * ex + ey * ey)
         foot = (b[0] + s * ex, b[1] + s * ey)
         balls[i] = Ball((2.2 * foot[0] - 1.2 * a[0], 2.2 * foot[1] - 1.2 * a[1]), balls[i].radius)
+    elif kind == "dent":  # a hull vertex moves just inside the chord joining its hull neighbours
+        u, v = t.tris[h // 3, (h + 1) % 3].tolist(), t.tris[h // 3, (h + 2) % 3].tolist()
+        i = int(rng.choice(hull))
+        (px, py), (qx, qy) = balls[u[v.index(i)]].center, balls[v[u.index(i)]].center
+        x, y = balls[i].center
+        ex, ey = qx - px, qy - py
+        s = ((x - px) * ex + (y - py) * ey) / (ex * ex + ey * ey)
+        fx, fy = px + s * ex, py + s * ey  # the foot on the chord
+        balls[i] = Ball((fx + 0.01 * (fx - x), fy + 0.01 * (fy - y)), balls[i].radius)
     elif kind in ("inward", "middle"):  # a hull vertex moves toward the middle, or onto it
         i = int(rng.choice(hull))
         mx, my = np.mean([b.center for b in balls], axis=0).tolist()
@@ -639,10 +656,27 @@ def test_warm_start_refuses_what_two_two_flips_cannot_mend():
         (low, build_regular(low), tie, False),  # on the lifted plane
         (low, build_regular(low), out_of_hull, False),  # leaves the hull
     ]
+    # starts that are warm tables themselves, with a certified hull: the
+    # certificate is carried while the hull balls stay, and a moved hull
+    # ball is checked again
+    settled = _step(philox(18), balls, t, "hull_fixed")
+    carried = build_regular(settled, start=t)
+    assert carried.warm and carried.hull_at is not None
+    cases += [
+        (settled, carried, _step(philox(19), settled, carried, "hull_fixed"), True),
+        (settled, carried, _step(philox(20), settled, carried, "inward"), False),
+        (settled, carried, _step(philox(17), settled, carried, "middle"), False),
+        # every triangle stays CCW and only the hull certificate sees the dent
+        (settled, carried, _step(philox(21), settled, carried, "dent"), False),
+    ]
     for before, start, after, warm in cases:
-        assert start.warm is False
+        assert start.warm is (start is carried)
         out = build_regular(after, start=start)
         assert out.warm is warm
+        if warm:  # the hull certificate is proved, or carried from a warm start
+            assert (out.hull_at is start.hull_at) == (start is carried)
+        else:
+            assert out.hull_at is None
         assert_same_table(out, build_regular(after))
         assert verify_regular(out, after) == []
         assert verify_hull(out, after) == []
