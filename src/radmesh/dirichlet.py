@@ -477,7 +477,7 @@ def _tau_system(x, free, triangulation, active):
     solves the 2x2 dual-vertex system of its triangle, and differentiating
     that system gives closed-form rows, so no diagram rebuilds are needed.
     The unknowns are the free entries of ``x``: column k of J belongs to
-    ``x.flat[cols[k]]``.
+    ``x.flat[cols[k]]``.  J comes as its COO gather ``(rows, col, vals)``, no entry repeated.
     """
     cols = np.flatnonzero(free.ravel())
     col_of = np.full(free.size, -1)
@@ -497,9 +497,7 @@ def _tau_system(x, free, triangulation, active):
     col = col_of[3 * tris[:, :, None] + np.arange(3)]
     keep = col >= 0
     rows = np.broadcast_to(np.arange(len(tris))[:, None, None], col.shape)
-    J = np.zeros((len(tris), len(cols)))
-    J[rows[keep], col[keep]] += vals[keep]
-    return r, J, cols
+    return r, (rows[keep], col[keep], vals[keep]), cols
 
 
 def _active_triangles(diagram):
@@ -509,32 +507,35 @@ def _active_triangles(diagram):
     return np.flatnonzero(usable[diagram.vertex_of])
 
 
-def _damped_steps(J, r, lam):
-    """Steps ``argmin |J dx + r|^2 + lam |dx|^2`` for ``lam``, ``100 lam``, ... (8 levels).
+def _damped_steps(coo, r, n):
+    """Steps ``argmin |J dx + r|^2 + lam |dx|^2`` for lam = 1e-10, 1e-8, ..., 1e4 (8 levels).
 
-    The minimizer lies in range(J^T), so with the reduced QR ``J^T = Q R``
-    (``Q`` has k = min(m, n) orthonormal columns) each level solves
-    ``[R^T; sqrt(lam) I_k] z = [-r; 0]`` by least squares in k unknowns and
-    yields ``Q z``.  The one factorization serves every level; it is made
-    when the first step is asked for.
+    The m x n ``J`` comes as its COO gather; J and r are in units of its largest
+    |entry| (lam of its square), so nothing underflows at any scene scale.  Each level
+    is one lstsq in min(m, n) unknowns: for m >= n the primal ``[J; sqrt(lam) I] dx =
+    [-r; 0]``; for m < n, as the minimizer lies in range(J^T), the dual
+    ``[J^T; sqrt(lam) I] y = [0; -r / sqrt(lam)]`` and ``dx = J^T y`` (not for m >= n,
+    where 1 / lam amplifies its roundoff in the left null space of J).
     """
-    Q, R = np.linalg.qr(J.T)
-    k = R.shape[0]
-    rhs = np.concatenate([-r, np.zeros(k)])
-    for _ in range(8):
-        lhs = np.vstack([R.T, math.sqrt(lam) * np.eye(k)])
-        z, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-        yield Q @ z
-        lam *= 100.0
+    rows, col, vals = coo
+    scale = float(np.abs(vals).max(initial=0.0)) or 1.0
+    vals, r = vals / scale, r / scale
+    dual = len(r) < n
+    lhs = np.zeros((len(r) + n, min(len(r), n)))
+    lhs[(col, rows) if dual else (rows, col)] = vals
+    rhs = np.concatenate([np.zeros(n), -r] if dual else [-r, np.zeros(n)])
+    for root in (1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0):  # sqrt(lam)
+        np.fill_diagonal(lhs[-lhs.shape[1] :], root)
+        z, *_ = np.linalg.lstsq(lhs, rhs / root if dual else rhs, rcond=None)
+        yield np.bincount(col, vals * z[rows], minlength=n) if dual else z
 
 
 def _gauss_newton_step(x, free, alive, triangulation, diagram, merge_eps, state=None):
     """Damped Gauss-Newton step driving all active tau(v_k) to zero.
 
     The m x n Jacobian ``J`` of the m active residuals in the n free
-    coordinates is factored once per step as ``J^T = Q R``, so
-    ``J = R^T Q^T`` and every damping level is a least-squares solve in
-    min(m, n) unknowns (``_damped_steps``).
+    coordinates is gathered as COO entries, never as a dense matrix, and
+    every damping level is one lstsq filled from them (``_damped_steps``).
     Each trial rebuilds the rows with the masks ``free`` and ``alive``,
     starts from ``triangulation`` and counts a refused start in ``state``.
     A trial whose rows are not finite counts as failed.
@@ -547,12 +548,11 @@ def _gauss_newton_step(x, free, alive, triangulation, diagram, merge_eps, state=
     active = _active_triangles(diagram)
     if not len(active):
         return x, 0, None, "no_active"
-    r, J, cols = _tau_system(x, free, triangulation, active)
+    r, coo, cols = _tau_system(x, free, triangulation, active)
     if not len(cols):
         return x, 0, None, "no_free"
     base = float(r @ r)
-    scale = float(np.abs(J).max()) or 1.0
-    for dx in _damped_steps(J, r, 1e-10 * scale * scale):
+    for dx in _damped_steps(coo, r, len(cols)):
         alpha = 1.0
         for _ in range(6):
             trial = x.copy()

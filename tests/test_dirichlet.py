@@ -870,7 +870,8 @@ def test_tau_system_jacobian_matches_central_differences():
     t = build_regular(balls)
     active = _active_triangles(extract_diagram(t, balls))
     x, free, _ = ball_arrays(balls)
-    r, J, cols = _tau_system(x, free, t, active)
+    r, coo, cols = _tau_system(x, free, t, active)
+    J = dense(coo, (len(r), len(cols)))
     tris = t.tris[active]
 
     def tau(x):
@@ -894,13 +895,22 @@ def test_tau_system_jacobian_matches_central_differences():
         np.testing.assert_allclose(J[:, k], fd, rtol=1e-6, atol=1e-7)
 
 
+def dense(coo, shape):
+    """The matrix of the COO gather ``coo`` (no entry repeated)."""
+    rows, col, vals = coo
+    assert len(set(zip(rows.tolist(), col.tolist()))) == len(vals)
+    out = np.zeros(shape)
+    out[rows, col] = vals
+    return out
+
+
 def mixed_flags_tau_system():
     balls = mixed_flags_grid()
     t = build_regular(balls)
     d = extract_diagram(t, balls)
     x, free, alive = ball_arrays(balls)
-    r, J, _ = _tau_system(x, free, t, _active_triangles(d))
-    return alive, t, d, x, free, r, J
+    r, coo, cols = _tau_system(x, free, t, _active_triangles(d))
+    return alive, t, d, x, free, r, dense(coo, (len(r), len(cols)))
 
 
 def damped_system(kind):
@@ -920,9 +930,15 @@ def damped_system(kind):
     return J, rng.standard_normal(J.shape[0])
 
 
+def damped_steps(J, r):
+    """``_damped_steps`` fed the COO gather of the dense ``J``."""
+    rows, col = np.nonzero(J)
+    return list(_damped_steps((rows, col, J[rows, col]), r, J.shape[1]))
+
+
 @pytest.mark.parametrize("kind", ["wide", "tall", "rank_deficient", "tau_system"])
 def test_damped_steps_match_unreduced_lstsq(kind):
-    # the reduced solve in min(m, n) unknowns against lstsq on the stacked
+    # the solve in min(m, n) unknowns against lstsq on the stacked
     # [J; sqrt(lam) I_n] system, at each of the 8 damping levels
     J, r = damped_system(kind)
     m, n = J.shape
@@ -930,9 +946,9 @@ def test_damped_steps_match_unreduced_lstsq(kind):
     smax = float(np.linalg.norm(J, 2))
     eps = np.finfo(float).eps
     lam = 1e-10 * scale * scale
-    steps = list(_damped_steps(J, r, lam))
+    steps = damped_steps(J, r)
     assert len(steps) == 8
-    for dx in steps:
+    for level, dx in enumerate(steps):
         lhs = np.vstack([J, math.sqrt(lam) * np.eye(n)])
         ref, *_ = np.linalg.lstsq(lhs, np.concatenate([-r, np.zeros(n)]), rcond=None)
         # A = [J; sqrt(lam) I] has |A| = hypot(smax, sqrt(lam)) and smallest
@@ -948,11 +964,24 @@ def test_damped_steps_match_unreduced_lstsq(kind):
         )
         assert bound < 1e-3 * np.linalg.norm(ref)  # tight enough to tell a wrong step
         assert np.linalg.norm(dx - ref) <= bound
+        if m >= n:
+            # the primal solve is this same stacked system in units of the
+            # largest |J| entry, so the same lstsq call gives the same bits
+            root = 10.0 ** (level - 5)  # sqrt(lam / scale^2)
+            lhs = np.vstack([J / scale, root * np.eye(n)])
+            rhs = np.concatenate([-r / scale, np.zeros(n)])
+            assert np.array_equal(dx, np.linalg.lstsq(lhs, rhs, rcond=None)[0])
         lam *= 100.0
+    # the solve works in units of the largest |J| entry: scaling the system
+    # by a power of two changes no bit, and (warnings being errors) nothing
+    # under- or overflows on the way
+    for s in (2.0**500, 2.0**-500):
+        for dx, ds in zip(steps, damped_steps(s * J, s * r), strict=True):
+            assert np.array_equal(dx, ds)
 
 
-def test_gauss_newton_step_factors_once_per_step():
-    # one QR of J^T serves every damping level a Gauss-Newton step tries
+def test_gauss_newton_step_solves_once_per_damping_level():
+    # no QR: each damping level a Gauss-Newton step tries is one lstsq
     import radmesh.dirichlet as dmod
 
     alive, t, d, x, free, _, _ = mixed_flags_tau_system()
@@ -976,14 +1005,14 @@ def test_gauss_newton_step_factors_once_per_step():
         x_new, moved, built, exit_ = _gauss_newton_step(x, free, alive, t, d, None)
         assert moved > 0 and built is not None and not np.array_equal(x_new, x)
         assert exit_ is None
-        assert calls == {"qr": 1, "lstsq": 1}
+        assert calls == {"qr": 0, "lstsq": 1}
         # no trial rebuilds, so the step tries all 8 levels
         calls.update(qr=0, lstsq=0)
         dmod._rebuild = failing_rebuild
         x_new, moved, built, exit_ = _gauss_newton_step(x, free, alive, t, d, None)
         assert x_new is x and moved == 0 and built is None
         assert exit_ == "no_descent"
-        assert calls == {"qr": 1, "lstsq": 8}
+        assert calls == {"qr": 0, "lstsq": 8}
     finally:
         np.linalg.qr, np.linalg.lstsq, dmod._rebuild = orig_qr, orig_lstsq, orig_rebuild
 
