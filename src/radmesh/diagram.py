@@ -34,7 +34,7 @@ import numpy as np
 from . import geom
 from .errors import InconsistentGeometry, RadmeshError
 from .geom import Ball, BallArrays, Point2, paraboloid
-from .triangulation import RegularTriangulation
+from .triangulation import RegularTriangulation, _orient_signs
 
 
 @dataclass(eq=False)
@@ -138,8 +138,8 @@ def _merge_orthocenters(t: RegularTriangulation, x, merge_eps):
     """Dual vertices: components of adjacent triangles with coincident orthocenters.
 
     Each vertex sits at the area-weighted mean of its triangles' orthocenters
-    and power values (the plain mean if they have no area).  Returns the
-    (V, 2) positions, the (V,) powers and each triangle's vertex number.
+    and power values (``geom.group_means``).  Returns the (V, 2) positions,
+    the (V,) powers and each triangle's vertex number.
     """
     f, k = np.nonzero(t.twin > np.arange(t.twin.size).reshape(-1, 3))
     nb = t.twin[f, k] // 3
@@ -148,12 +148,8 @@ def _merge_orthocenters(t: RegularTriangulation, x, merge_eps):
     labels = geom.components(len(t.tris), f[close], nb[close])
 
     w = np.abs(geom.triangle_area(*(x[t.tris[:, m], :2].T for m in range(3))))
-    n = int(labels.max(initial=-1)) + 1
-    w = np.where(np.bincount(labels, w, n)[labels] > 0, w, 1.0)  # no area: plain mean
-    wsum = np.bincount(labels, w, n)
-    x, y = (np.bincount(labels, w * t.orthocenters[:, m], n) / wsum for m in range(2))
-    tau = np.bincount(labels, w * t.tau, n) / wsum
-    return np.stack([x, y], axis=1), tau, labels
+    mean = geom.group_means(labels, w, np.column_stack([t.orthocenters, t.tau]))
+    return mean[:, :2], mean[:, 2], labels
 
 
 def _chain_ends(succ: np.ndarray, longest: int) -> tuple[np.ndarray, np.ndarray]:
@@ -369,15 +365,19 @@ def _dedup(xy, offsets, tol):
 
 
 def check_domain(domain: list[Point2]) -> None:
-    """Raise ``InconsistentGeometry`` unless ``domain`` is a convex CCW polygon, as clipping needs."""
+    """Raise ``InconsistentGeometry`` unless ``domain`` is a convex CCW polygon, as clipping needs.
+
+    Every vertex must be on the closed left of every edge (exact), one strictly: a pentagram fails.
+    """
     n = len(domain)
     if n < 3:
         raise InconsistentGeometry("domain polygon needs >= 3 vertices")
     if not all(math.isfinite(v) for p in domain for v in p):
         raise InconsistentGeometry("domain polygon needs finite vertices")
-    for i in range(n):
-        if geom.orient2d(domain[i], domain[(i + 1) % n], domain[(i + 2) % n]) < 0:
-            raise InconsistentGeometry("domain polygon must be convex and CCW")
+    i = np.arange(n)[:, None]  # edge i -> i + 1 against the other vertices
+    side = _orient_signs(np.array(domain, dtype=float), i, (i + 1) % n, (i + np.arange(2, n)) % n)
+    if (side < 0).any() or not (side > 0).any():
+        raise InconsistentGeometry("domain polygon must be convex and CCW")
 
 
 def clip_cells(xy, offsets, rays, domain: list[Point2]) -> tuple[np.ndarray, np.ndarray]:

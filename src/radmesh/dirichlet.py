@@ -31,8 +31,10 @@ through ``aux_triangulate_cell`` one cell at a time, the per-cell site
 the benchmark traces.  Nothing reads an earlier iteration, so F_I is a
 function of the current diagram alone.  ``evaluate_FI`` and the proposals
 are reductions over the triangle arrays: the proposals are one array of
-target rows, whose radii are one column-by-column sum over the cells' CSR
-vertices (``_radii``).
+target rows, whose centers are the area-weighted means of the cells'
+auxiliary circumcenters and whose radii the root mean square distances to
+the cells' CSR vertices, both by ``geom``'s group fit (``group_means``,
+``rms_distances``).
 
 ``run`` keeps the ball set as a ``geom.BallArrays``: one ``(N, 3)`` array
 of ``[cx, cy, R]`` rows, a ``free`` mask of the same shape (alive and not
@@ -416,19 +418,11 @@ def _rebuild(balls, merge_eps=None, start=None, state=None):
 def _radii(diagram: PowerDiagram, ids: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Least-squares radius of the cell of each ball in ``ids`` about its row of ``centers``.
 
-    That is the root mean square distance to the cell's vertices.  Each
-    cell's squared distances fill one row, padded with zeros, and
-    ``np.cumsum`` adds along the row strictly in order, so a scalar loop
-    over the vertices gives the same bits.
+    That is the root mean square distance to the cell's vertices
+    (``geom.rms_distances``); every ball in ``ids`` owns a cell.
     """
-    first = diagram.offsets[ids]
-    m = diagram.offsets[ids + 1] - first
-    col = np.arange(int(m.max(initial=1)))
-    inside = col < m[:, None]
-    d = diagram.vertices[diagram.cell_vertices[np.where(inside, first[:, None] + col, 0)]]
-    d -= centers[:, None]
-    sq = np.where(inside, d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1], 0.0)
-    return np.sqrt(np.cumsum(sq, axis=1)[:, -1] / m)
+    xy, offsets = diagram.positions(ids)
+    return geom.rms_distances(np.repeat(np.arange(len(ids)), np.diff(offsets)), xy, centers)
 
 
 def _proposals(balls: BallArrays, diagram):
@@ -436,21 +430,18 @@ def _proposals(balls: BallArrays, diagram):
 
     Returns the ascending ball indices and one target row each.  The
     center is the area-weighted mean of the auxiliary circumcenters of each
-    usable cell; fixed-center balls with unbounded cells (boundary
-    protectors) keep their centers and still adapt their free radii to the
-    finite dual vertices of their fan.  Every radius is the least-squares
+    usable cell (``geom.group_means``); fixed-center balls with unbounded
+    cells (boundary protectors) keep their centers and still adapt their
+    free radii to the finite dual vertices of their fan.  Every radius is the least-squares
     radius about the new center, for all balls at once (``_radii``).
     """
     x, free, _ = balls
     aux = _cell_aux(diagram)
-    cells = np.unique(aux.ball)
-    area = np.bincount(aux.ball, aux.area)[cells]
-    cx = np.bincount(aux.ball, aux.circumcenter[:, 0] * aux.area)[cells] / area
-    cy = np.bincount(aux.ball, aux.circumcenter[:, 1] * aux.area)[cells] / area
+    cells, label = np.unique(aux.ball, return_inverse=True)
     hull = np.flatnonzero(diagram.has_cell & ~diagram.bounded & ~free[:, 0] & free[:, 2])
     ids = np.union1d(cells, hull)
     centers = np.empty((len(ids), 2))
-    centers[np.searchsorted(ids, cells)] = np.stack([cx, cy], axis=1)
+    centers[np.searchsorted(ids, cells)] = geom.group_means(label, aux.area, aux.circumcenter)
     centers[np.searchsorted(ids, hull)] = x[hull, :2]
     return ids, np.column_stack([centers, _radii(diagram, ids, centers)])
 

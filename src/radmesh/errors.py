@@ -33,10 +33,6 @@ class DegenerateCell(RadmeshError):
     """Power cell has collapsed (all vertices coincide within tolerance)."""
 
 
-class TopologyFlip(RadmeshError):
-    """Diagram combinatorics changed inside the finite-difference stencil."""
-
-
 class Diverged(RadmeshError):
     """F_I or a ball coordinate stopped being finite during optimization."""
 

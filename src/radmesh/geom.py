@@ -10,7 +10,10 @@ expressions on arrays, bit for bit.  ``orthocenters`` is the one
 orthocenter kernel, run on all triangles of a table at once, without a
 guard (the tests keep a one-triangle form with one as a reference).
 ``bbox_diag`` is the one scale measure, and ``components`` the one
-connected-components (union-find) helper.
+connected-components (union-find) helper.  ``group_means`` and
+``rms_distances`` are the one group fit (a weighted mean, an RMS radius);
+``np.bincount`` adds each group sequentially, in row order, so a Python
+loop over the rows gives the same bits.
 
 ``ball_arrays`` converts a ``Ball`` list, the API form of a ball set, to
 the ``[cx, cy, R]`` rows and masks the package works on.
@@ -279,6 +282,22 @@ def bbox_diag(points) -> float:
         return 1.0
     d = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
     return d if d > 0 else 1.0
+
+
+def group_means(labels, weights, values):
+    """Per dense label 0 to G - 1, the weighted mean of the (M, k) ``values`` rows, a (G, k) array.
+
+    A group whose weights sum to zero takes the plain mean.
+    """
+    weights = np.where(np.bincount(labels, weights)[labels] > 0, weights, 1.0)
+    sums = np.stack([np.bincount(labels, weights * v) for v in values.T], axis=-1)
+    return sums / np.bincount(labels, weights)[:, None]
+
+
+def rms_distances(labels, points, centers):
+    """Per center g, the root mean square distance to the (M, 2) ``points`` with dense label g."""
+    d = points - centers[labels]
+    return np.sqrt(np.bincount(labels, d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) / np.bincount(labels))
 
 
 def components(n: int, i, j):

@@ -4,10 +4,12 @@ All Delaunay triangles of the input points are filtered at once: tiny ones,
 and slivers too flat for a well-conditioned circumcenter, are excluded.
 The survivors' circumcenters (one ``geom.circumcenters`` call) are
 clustered by single linkage into the ``geom.components`` labels of the
-center pairs within the tolerance, and ``np.bincount`` reduces each cluster
-to one circle: the area-weighted center, and the root mean square distance
-to the member triangles' vertices.  The pair test stays O(n^2) until the
-benchmark keeps one fingerprint per run.
+center pairs within the tolerance, and ``geom``'s group fit reduces each
+cluster to one circle: the area-weighted center (``group_means``), and the
+root mean square distance to the member triangles' vertices
+(``rms_distances``).  ``vertex_cluster_merge`` glues points by the same
+single linkage into their ``group_means`` centroids.  The pair test stays
+O(n^2) until the benchmark keeps one fingerprint per run.
 """
 
 from __future__ import annotations
@@ -47,10 +49,7 @@ def vertex_cluster_merge(points: list[Point2], vertex_eps: float) -> list[Point2
     _check_eps("vertex_eps", vertex_eps)
     labels = _single_linkage(points, vertex_eps)
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    count = np.bincount(labels)
-    x = np.bincount(labels, pts[:, 0]) / count
-    y = np.bincount(labels, pts[:, 1]) / count
-    return list(zip(x.tolist(), y.tolist()))
+    return list(map(tuple, geom.group_means(labels, np.ones(len(pts)), pts).tolist()))
 
 
 def recover_spheres(points: list[Point2], cluster_eps: float | None = None) -> list[Ball]:
@@ -86,15 +85,10 @@ def recover_spheres(points: list[Point2], cluster_eps: float | None = None) -> l
     centers, _ = geom.circumcenters(kept[:, 0], kept[:, 1], kept[:, 2])
 
     labels = _single_linkage(centers.tolist(), cluster_eps)
-    wsum = np.bincount(labels, area)
-    cx = np.bincount(labels, centers[:, 0] * area) / wsum
-    cy = np.bincount(labels, centers[:, 1] * area) / wsum
+    c = geom.group_means(labels, area, centers)
     # each (cluster, vertex) pair once, clusters ascending and each cluster's
     # vertices ascending, so every radius sums its squares in vertex order
-    key = np.unique(labels[:, None] * len(pts) + tri.simplices[keep])
-    cluster, vertex = np.divmod(key, len(pts))
-    d = pts[vertex] - np.stack([cx, cy], axis=1)[cluster]
-    sq = np.bincount(cluster, d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
-    r = np.sqrt(sq / np.bincount(cluster))
-    order = np.lexsort((cy, cx))
-    return [Ball((x, y), rad) for x, y, rad in zip(*(v[order].tolist() for v in (cx, cy, r)))]
+    cluster, vertex = np.divmod(np.unique(labels[:, None] * len(pts) + tri.simplices[keep]), len(pts))
+    r = geom.rms_distances(cluster, pts[vertex], c)
+    order = np.lexsort((c[:, 1], c[:, 0]))
+    return [Ball(tuple(xy), rad) for xy, rad in zip(c[order].tolist(), r[order].tolist())]

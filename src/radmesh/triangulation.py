@@ -50,10 +50,10 @@ edge illegal, and every ball the table misses strictly redundant against
 the triangle holding its center (the triangles found are kept in
 ``hidden_in``, the next start's first guess).  Where it fails, the table
 is built from qhull as without ``start``, and ``warm`` is False.  An
-accepted table records in ``hull_at`` the centers at which its hull was
-proved; 2-2 flips keep the hull edges, so a start carrying ``hull_at``
-whose hull balls are still at those centers is not proved again.  A table
-built by qhull carries none and is checked in full.
+accepted table is legal at its ``legal_at`` rows, the rows its hull was
+proved at; 2-2 flips keep the hull edges, so a warm start whose hull balls
+are still at their ``legal_at`` centers is not proved again.  A start
+built by qhull is checked in full.
 
 Both paths end in one canonical order (``_canonical``): each row rotated
 to lead with its lowest ball index, the rows sorted, ``twin`` renumbered to
@@ -83,17 +83,15 @@ class RegularTriangulation:
     tau: np.ndarray  # (F,) power of each dual vertex
     twin: np.ndarray  # (F, 3) twin of the half-edge facing each corner, -1 on the hull
     redundant: list[bool]  # per-ball; True = alive but hidden
-    # the [cx, cy, R] rows at which every interior edge is legal; None if one is not
+    # the [cx, cy, R] rows at which every interior edge is legal, None if one
+    # is not; a warm table's hull certificate holds at them too
     legal_at: np.ndarray | None = None
     warm: bool = False  # repaired from a start table rather than built by qhull
-    # per ball, the triangle the warm start's certificate found its hidden
-    # center in (-1 for the other balls, and where that triangle has flipped
-    # since); None for a table built by qhull
+    # (N,) per ball, the triangle the warm start's certificate found its
+    # hidden center in; -1 for the other balls, where that triangle has
+    # flipped since, and for every ball of a table built by qhull.
+    # ``build_regular`` sets it on every table it makes
     hidden_in: np.ndarray | None = None
-    # the (N, 2) centers at which the warm start's certificate proved the
-    # hull (part 2 of ``_repair``'s), read at the hull balls only; None for a
-    # table built by qhull
-    hull_at: np.ndarray | None = None
 
 
 def _check_not_collinear(coords, idx):
@@ -442,19 +440,18 @@ def _canonical(tris, twin):
 def _repair(start, coords, alive):
     """``start`` legalized for the rows ``coords`` of ``[cx, cy, R]``, or None where the certificate fails.
 
-    Returns the new ``tris`` and ``twin``; per hidden ball, the triangle
-    that holds its center, -1 where that triangle has flipped; and the
-    centers at which part 2 below holds, the new table's ``hull_at``.
-    ``start`` must be a table of the same ball list with the same alive
-    set.  The certificate, all of it exact:
+    Returns the new ``tris`` and ``twin`` and, per hidden ball, the
+    triangle that holds its center, -1 where that triangle has flipped.
+    ``start`` must be a table ``build_regular`` made of the same ball list
+    with the same alive set.  The certificate, all of it exact:
 
     1. every triangle is strictly CCW (checked before the pass; a flip makes
        only strictly CCW triangles);
     2. the hull half-edges form one cycle through balls at distinct
        centers, each on the closed left of every hull half-edge
-       (``_outside_hull``; flips keep the hull).  Where ``start`` carries
-       it (``start.hull_at``) and its hull balls have not moved since, it
-       holds as it did: flips kept the hull edges it was proved on;
+       (``_outside_hull``; flips keep the hull).  A warm ``start`` passed
+       it at its ``legal_at`` rows, so where its hull balls are still at
+       those centers it holds as it did: flips kept the hull edges;
     3. no interior edge is still illegal after the pass (``_legalized``);
        an edge whose quad kept its balls where ``start`` had them legal
        (``start.legal_at``) is legal still, and is not tested;
@@ -486,12 +483,8 @@ def _repair(start, coords, alive):
     tris, twin = start.tris, start.twin
     if (_orient_signs(coords, *tris.T) <= 0).any():
         return None
-    hull_at = start.hull_at
-    if hull_at is not None:
-        _, u, _ = _hull_edges(tris, twin)
-        if not np.array_equal(coords[u, :2], hull_at[u]):
-            hull_at = None
-    if hull_at is None:
+    _, u, _ = _hull_edges(tris, twin)
+    if not (start.warm and np.array_equal(coords[u, :2], start.legal_at[u, :2])):
         hull = _hull_cycle(tris, twin)
         if (
             hull is None
@@ -499,10 +492,8 @@ def _repair(start, coords, alive):
             or _outside_hull(coords, tris, twin, hull)
         ):
             return None
-        hull_at = coords[:, :2].copy()
     hidden = np.flatnonzero(is_hidden)
-    guess = None if start.hidden_in is None else start.hidden_in[hidden]
-    where = _above(coords, tris, hidden, guess)
+    where = _above(coords, tris, hidden, start.hidden_in[hidden])
     if where is None:
         return None
     moved = None if start.legal_at is None else (coords != start.legal_at).any(axis=1)
@@ -514,10 +505,10 @@ def _repair(start, coords, alive):
         return None
     if flipped is not tris:
         where[(flipped[where] != tris[where]).any(axis=1)] = -1
-    return flipped, twin, where, hull_at
+    return flipped, twin, where
 
 
-def _above(coords, tris, hidden, guess=None):
+def _above(coords, tris, hidden, guess):
     """The triangle of ``tris`` that holds each center of ``hidden``, if each is strictly redundant against it.
 
     Returns an array of triangle numbers, or None when a center lies in no
@@ -534,11 +525,10 @@ def _above(coords, tris, hidden, guess=None):
     f = np.full(len(hidden), -1)
     if not len(hidden):
         return f
-    if guess is not None:
-        known = np.flatnonzero(guess >= 0)
-        abc = tris[guess[known]]
-        inside = (_orient_signs(coords, abc, abc[:, [1, 2, 0]], hidden[known, None]) >= 0).all(axis=1)
-        f[known[inside]] = guess[known[inside]]
+    known = np.flatnonzero(guess >= 0)
+    abc = tris[guess[known]]
+    inside = (_orient_signs(coords, abc, abc[:, [1, 2, 0]], hidden[known, None]) >= 0).all(axis=1)
+    f[known[inside]] = guess[known[inside]]
     rest = np.flatnonzero(f < 0)
     if len(rest):
         x, y = coords[:, 0], coords[:, 1]
@@ -579,20 +569,19 @@ def build_regular(
     if len(idx) < 3:
         raise TooFewBalls(f"need >= 3 alive balls, got {len(idx)}")
     repaired = None if start is None else _repair(start, coords, idx)
-    legal, hull_at = True, None
+    legal = True
     if repaired is None:
         _check_not_collinear(coords, idx)
         tris = _lower_hull_triangles(coords, idx)
         tris, twin, legal = _legalized(tris, _twins(tris), coords)
     else:
-        tris, twin, where, hull_at = repaired
+        tris, twin, where = repaired
     tris, twin, rank = _canonical(tris, twin)
     vx, vy, tau = geom.orthocenters(coords[:, :2], coords[:, 2], tris)
     hidden = alive.copy()
     hidden[tris.ravel()] = False
-    hidden_in = None
+    hidden_in = np.full(len(coords), -1)
     if repaired is not None:
-        hidden_in = np.full(len(coords), -1)
         hidden_in[hidden] = np.where(where >= 0, rank[where], -1)
     return RegularTriangulation(
         tris,
@@ -603,7 +592,6 @@ def build_regular(
         coords.copy() if legal else None,  # a copy: the next ``_repair`` compares rows with it
         repaired is not None,
         hidden_in,
-        hull_at,
     )
 
 

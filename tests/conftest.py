@@ -39,7 +39,6 @@ from radmesh.errors import (
     CollinearPoints,
     DegenerateCell,
     RadmeshError,
-    TopologyFlip,
 )
 from radmesh.geom import Ball, BallArrays
 from radmesh.scene import PROTECT_RATIO, _point_in_polygon
@@ -115,6 +114,10 @@ def masked_lattice_reference(masks, spacing, jitter, seed=0):
 
 class ZeroArea(RadmeshError):
     """Auxiliary triangulation has zero total area."""
+
+
+class TopologyFlip(RadmeshError):
+    """Diagram combinatorics changed inside the finite-difference stencil (``fd_gradient``)."""
 
 
 @dataclass

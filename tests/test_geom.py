@@ -19,7 +19,7 @@ from radmesh.geom import (
     power_test,
 )
 
-from conftest import orthocenter, polygon_area
+from conftest import orthocenter, philox, polygon_area
 
 coord = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
 radius = st.floats(0.0, 10.0, allow_nan=False)
@@ -223,3 +223,35 @@ def test_circumcenters_match_circumcenter_bit_for_bit():
             continue
         assert good and tuple(row) == want
     assert ok.sum() >= 200 and not ok.all()
+
+
+def test_group_fit_adds_each_group_in_row_order():
+    # group_means and rms_distances add each group's rows in row order, so a
+    # Python loop over the rows gives the same bits
+    rng = philox(66)
+    labels = rng.permutation(np.repeat(np.arange(40), rng.integers(1, 100, 40)))
+    m = len(labels)
+    values = rng.choice([-1.0, 1.0], (m, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, (m, 3))
+    weights = 10.0 ** rng.uniform(-3.0, 3.0, m)
+    weights[labels == 7] = 0.0  # no weight: the plain mean
+    means = geom.group_means(labels, weights, values)
+    radii = geom.rms_distances(labels, values[:, :2], means[:, :2])
+    assert means.shape == (40, 3) and radii.shape == (40,)
+    rows, w = values.tolist(), weights.tolist()
+    for g in range(40):
+        group = np.flatnonzero(labels == g).tolist()
+        wg = [w[k] for k in group] if g != 7 else [1.0] * len(group)
+        wsum = 0.0
+        for x in wg:
+            wsum += x
+        for col in range(3):
+            s = 0.0
+            for k, x in zip(group, wg):
+                s += x * rows[k][col]
+            assert means[g, col] == s / wsum
+        ssum = 0.0
+        cx, cy = means[g, :2].tolist()
+        for k in group:
+            dx, dy = rows[k][0] - cx, rows[k][1] - cy
+            ssum += dx * dx + dy * dy
+        assert radii[g] == math.sqrt(ssum / len(group))

@@ -212,6 +212,14 @@ def test_validate_scene_rejects_bad_domain():
         validate_scene(
             Scene(ball_scene.balls, [(0.0, 4.0), (4.0, 4.0), (4.0, 0.0), (0.0, 0.0)])
         )
+    # a regular pentagon listed as a pentagram turns left at every vertex but
+    # winds twice; three collinear points enclose no area
+    pentagram = [
+        (2.0 + 2.0 * math.cos(0.8 * math.pi * k), 2.0 + 2.0 * math.sin(0.8 * math.pi * k)) for k in range(5)
+    ]
+    for domain in (pentagram, [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]):
+        with pytest.raises(InconsistentGeometry, match="convex and CCW"):
+            validate_scene(Scene(ball_scene.balls, domain))
 
 
 def test_save_load_round_trip(tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, Delaunay
 
 from radmesh import geom
+from radmesh import triangulation as tmod
 from radmesh.diagram import extract_diagram
 from radmesh.dirichlet import evaluate_FI
 from radmesh.errors import AllCollinear, FlipBudgetExhausted, TooFewBalls
@@ -623,7 +624,7 @@ def test_warm_start_equals_fresh_build(seed, n, kinds):
         t = warm
 
 
-def test_warm_start_refuses_what_two_two_flips_cannot_mend():
+def test_warm_start_refuses_what_two_two_flips_cannot_mend(monkeypatch):
     # moves flips can follow are repaired; a ball turning redundant or coming
     # back, an inverted triangle, a dented hull or a new alive set are not
     corners = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
@@ -646,37 +647,41 @@ def test_warm_start_refuses_what_two_two_flips_cannot_mend():
     jiggled = _step(rng, balls, t, "jiggle")
     dead = list(balls)
     dead[3] = Ball(balls[3].center, balls[3].radius, alive=False)
+    # the last entry is the number of hull proofs (part 2 of the certificate):
+    # none where an earlier part refuses the start (a new alive set, or an
+    # inverted triangle, which "invert", "middle" and "inward" make)
     cases = [
-        (balls, t, jiggled, True),
-        (hidden, build_regular(hidden), shown, False),  # comes back
-        (shown, build_regular(shown), hidden, False),  # turns redundant
-        (balls, t, _step(philox(16), balls, t, "invert"), False),
-        (balls, t, _step(philox(17), balls, t, "middle"), False),
-        (balls, t, dead, False),
-        (low, build_regular(low), tie, False),  # on the lifted plane
-        (low, build_regular(low), out_of_hull, False),  # leaves the hull
+        (balls, t, jiggled, True, 1),
+        (hidden, build_regular(hidden), shown, False, 1),  # comes back
+        (shown, build_regular(shown), hidden, False, 1),  # turns redundant
+        (balls, t, _step(philox(16), balls, t, "invert"), False, 0),
+        (balls, t, _step(philox(17), balls, t, "middle"), False, 0),
+        (balls, t, dead, False, 0),
+        (low, build_regular(low), tie, False, 1),  # on the lifted plane
+        (low, build_regular(low), out_of_hull, False, 1),  # leaves the hull
     ]
-    # starts that are warm tables themselves, with a certified hull: the
-    # certificate is carried while the hull balls stay, and a moved hull
-    # ball is checked again
+    # starts that are warm tables themselves, legal and with a certified hull
+    # at their legal_at rows: the certificate is carried while the hull balls
+    # stay there, and a moved hull ball is checked again
     settled = _step(philox(18), balls, t, "hull_fixed")
     carried = build_regular(settled, start=t)
-    assert carried.warm and carried.hull_at is not None
+    assert carried.warm and carried.legal_at is not None
     cases += [
-        (settled, carried, _step(philox(19), settled, carried, "hull_fixed"), True),
-        (settled, carried, _step(philox(20), settled, carried, "inward"), False),
-        (settled, carried, _step(philox(17), settled, carried, "middle"), False),
+        (settled, carried, _step(philox(19), settled, carried, "hull_fixed"), True, 0),
+        (settled, carried, _step(philox(20), settled, carried, "inward"), False, 0),
+        (settled, carried, _step(philox(17), settled, carried, "middle"), False, 0),
         # every triangle stays CCW and only the hull certificate sees the dent
-        (settled, carried, _step(philox(21), settled, carried, "dent"), False),
+        (settled, carried, _step(philox(21), settled, carried, "dent"), False, 1),
     ]
-    for before, start, after, warm in cases:
+    proofs = []
+    hull_cycle = tmod._hull_cycle
+    monkeypatch.setattr(tmod, "_hull_cycle", lambda *a: proofs.append(1) or hull_cycle(*a))
+    for before, start, after, warm, proved in cases:
         assert start.warm is (start is carried)
+        proofs.clear()
         out = build_regular(after, start=start)
         assert out.warm is warm
-        if warm:  # the hull certificate is proved, or carried from a warm start
-            assert (out.hull_at is start.hull_at) == (start is carried)
-        else:
-            assert out.hull_at is None
+        assert len(proofs) == proved
         assert_same_table(out, build_regular(after))
         assert verify_regular(out, after) == []
         assert verify_hull(out, after) == []
