@@ -34,7 +34,7 @@ import numpy as np
 from . import geom
 from .errors import InconsistentGeometry, RadmeshError
 from .geom import Ball, BallArrays, Point2, paraboloid
-from .triangulation import RegularTriangulation, _orient_signs
+from .triangulation import RegularTriangulation
 
 
 @dataclass(eq=False)
@@ -375,7 +375,7 @@ def check_domain(domain: list[Point2]) -> None:
     if not all(math.isfinite(v) for p in domain for v in p):
         raise InconsistentGeometry("domain polygon needs finite vertices")
     i = np.arange(n)[:, None]  # edge i -> i + 1 against the other vertices
-    side = _orient_signs(np.array(domain, dtype=float), i, (i + 1) % n, (i + np.arange(2, n)) % n)
+    side = geom.orient_signs(np.array(domain, dtype=float), i, (i + 1) % n, (i + np.arange(2, n)) % n)
     if (side < 0).any() or not (side > 0).any():
         raise InconsistentGeometry("domain polygon must be convex and CCW")
 

@@ -2,12 +2,12 @@
 
 Decisions (orient2d, power_test) use a floating-point filter with a
 conservative error bound and fall back to exact rational arithmetic, so the
-returned sign is always correct for representable inputs; each filter also
-takes arrays, for the batched filters of ``triangulation``.  Constructions
-are plain double precision.  ``circumcenter`` guards the conditioning of
-its 2x2 system determinant, and ``circumcenters`` evaluates its
-expressions on arrays, bit for bit.  ``orthocenters`` is the one
-orthocenter kernel, run on all triangles of a table at once, without a
+returned sign is always correct for representable inputs; ``orient_signs``
+and ``power_signs`` take many at once, on index arrays into rows.
+Constructions are plain double precision.  ``circumcenter`` guards the
+conditioning of its 2x2 system determinant, and ``circumcenters``
+evaluates its expressions on arrays, bit for bit.  ``orthocenters`` is the
+one orthocenter kernel, run on all triangles of a table at once, without a
 guard (the tests keep a one-triangle form with one as a reference).
 ``bbox_diag`` is the one scale measure, and ``components`` the one
 connected-components (union-find) helper.  ``group_means`` and
@@ -171,6 +171,44 @@ def _power_test_exact(p1, p2, p3, p4) -> int:
     (a1, b1y, z1), (a2, b2y, z2), (a3, b3y, z3) = rows
     det = z1 * (a2 * b3y - a3 * b2y) + z2 * (a3 * b1y - a1 * b3y) + z3 * (a1 * b2y - a2 * b1y)
     return (det > 0) - (det < 0)
+
+
+def orient_signs(coords, a, b, c):
+    """Exact ``orient2d`` signs of the triples ``(a, b, c)`` of ``[x, y, ...]`` rows of ``coords``.
+
+    The index arrays broadcast to one shape, the result's.
+    """
+    x, y = coords[:, 0], coords[:, 1]
+    # gathered per coordinate, so the filter runs on contiguous arrays
+    ax, ay, bx, by, cx, cy = x[a], y[a], x[b], y[b], x[c], y[c]
+    det, errbound = orient2d_filter((ax, ay), (bx, by), (cx, cy))
+    sign = (np.sign(det) * (np.abs(det) > errbound)).astype(int)
+    # orient2d decides the rest, except a determinant whose two products each
+    # have an exactly zero factor: it is 0 (a repeated point, an axis-parallel line)
+    open_ = np.nonzero((sign == 0) & ~(((bx == ax) | (cy == ay)) & ((by == ay) | (cx == ax))))
+    if open_[0].size:
+        idx = np.stack([i[open_] for i in np.broadcast_arrays(a, b, c)], axis=-1)
+        for k, rows in zip(zip(*open_), coords[idx].tolist()):
+            sign[k] = orient2d(*rows)
+    return sign
+
+
+def power_signs(coords, a, b, c, q):
+    """Exact ``power_test`` signs of strictly CCW triangles ``(a, b, c)`` against balls ``q``.
+
+    The indices into the ``[x, y, R]`` rows ``coords`` broadcast to one shape, the result's;
+    ``power_test`` decides the signs ``power_test_filter`` leaves open.
+    """
+    x, y, r = coords[:, 0], coords[:, 1], coords[:, 2]
+    det, errbound = power_test_filter(*((x[i], y[i], r[i]) for i in (a, b, c, q)))
+    # det > 0 <=> q lifted below the face plane, a violation (orient is +1)
+    sign = np.where(np.abs(det) > errbound, -np.sign(det), 0.0).astype(int)
+    open_ = np.nonzero(sign == 0)
+    if open_[0].size:
+        idx = np.stack([i[open_] for i in np.broadcast_arrays(a, b, c, q)], axis=-1)
+        for k, rows in zip(zip(*open_), coords[idx].tolist()):
+            sign[k] = power_test(*rows)
+    return sign
 
 
 class BallArrays(NamedTuple):

@@ -2,7 +2,7 @@
 
 The triangulation is the projection of the lower convex envelope of the
 ball centers lifted to height (|c|^2 - R^2)/2.  The heavy lifting is done
-by qhull on the lifted 3D point set; an exact legalization pass afterwards
+by qhull on the lifted 3D point set; an exact Lawson pass afterwards
 repairs any rounding-induced facet misclassification and settles exact
 power ties in favour of the lowest ball index (a tied polygon is fanned from
 it), so the result is a deterministic function of the input indices.
@@ -15,15 +15,14 @@ corner k; its twin is the same edge seen from the other triangle, or -1 on
 the hull.  ``_twins``, one sort of the half-edges, is the one edge pairing.
 ``diagram.extract_diagram`` and the Gauss-Newton step read these arrays.
 
-Before the exact pass, batched numpy float filters (``geom.orient2d_filter``
-and ``geom.power_test_filter`` on arrays, Shewchuk 1997) orient every
-lower-hull facet and test every interior edge at once.  Only the edges they
-leave undecided or find illegal seed the legalization queue, and the exact
-decision on those stays with ``geom.power_test``.
+``geom.orient_signs`` orients every lower-hull facet at once, and
+``geom.power_test_filter`` (Shewchuk 1997) tests every interior edge; only
+the edges it leaves undecided or finds illegal seed the Lawson queue, and
+the exact decision on those stays with ``geom.power_test``.
 
 ``lawson_flip`` is the one Lawson flip loop in radmesh, and it runs on the
-twin array, which it keeps up to date; its caller is the legalization,
-with the exact power test.
+twin array, which it keeps up to date; its caller is ``_legalized``, with
+the exact power test (``_illegal``).
 
 Balls whose lifted point lies strictly above the lower envelope own no
 triangle; they are flagged redundant and kept in the ball set.
@@ -90,7 +89,7 @@ class RegularTriangulation:
     # (N,) per ball, the triangle the warm start's certificate found its
     # hidden center in; -1 for the other balls, where that triangle has
     # flipped since, and for every ball of a table built by qhull.
-    # ``build_regular`` sets it on every table it makes
+    # ``build_regular`` sets it on every table; None (by hand) is no guess
     hidden_in: np.ndarray | None = None
 
 
@@ -100,50 +99,14 @@ def _check_not_collinear(coords, idx):
     other = np.flatnonzero((c != c[0]).any(axis=1))
     if not len(other):
         raise AllCollinear("all ball centers coincide")
-    if not _orient_signs(coords, idx[0], idx[other[0]], idx).any():
+    if not geom.orient_signs(coords, idx[0], idx[other[0]], idx).any():
         raise AllCollinear("all ball centers are collinear")
-
-
-def _orient_filter(coords, a, b, c):
-    """``geom.orient2d``'s float filter for the center triples ``(a, b, c)`` at once.
-
-    ``a``, ``b`` and ``c`` are index arrays into the (N, 3) ``coords`` rows
-    that broadcast to one shape, the shape of the result.  Returns the
-    signs the filter decides, 0 where it cannot: filters are conservative,
-    so every nonzero entry is the exact sign.
-    """
-    x, y = coords[:, 0], coords[:, 1]
-    # gathered per coordinate, so the filter runs on contiguous arrays
-    det, errbound = geom.orient2d_filter(*((x[i], y[i]) for i in (a, b, c)))
-    return (np.sign(det) * (np.abs(det) > errbound)).astype(int)
-
-
-def _orient_signs(coords, a, b, c):
-    """Exact ``geom.orient2d`` signs of the ball triples ``(a, b, c)``, shaped as ``_orient_filter``'s.
-
-    The float filter decides most signs.  Of the rest, a determinant whose
-    two products each have an exactly zero factor is exactly zero (a
-    repeated point, or three points on one axis-parallel line); only the
-    others go to ``geom.orient2d``, on the rows as Python floats.
-    """
-    sign = _orient_filter(coords, a, b, c)
-    open_ = np.nonzero(sign == 0)
-    if open_[0].size:
-        a, b, c = (i[open_] for i in np.broadcast_arrays(a, b, c))
-        x, y = coords[:, 0], coords[:, 1]
-        ax, ay, bx, by, cx, cy = x[a], y[a], x[b], y[b], x[c], y[c]
-        zero = ((bx == ax) | (cy == ay)) & ((by == ay) | (cx == ax))
-        todo = np.flatnonzero(~zero)
-        rows = coords[np.stack([a[todo], b[todo], c[todo]], axis=1)].tolist()
-        for m, pts in zip(todo.tolist(), rows):
-            sign[tuple(i[m] for i in open_)] = geom.orient2d(*pts)
-    return sign
 
 
 def _lower_hull_triangles(coords, idx):
     """The lifted lower hull's triangles: an (F, 3) array of ball indices, CCW.
 
-    The orientation of every facet comes from ``_orient_signs``.  Flat
+    The orientation of every facet comes from ``geom.orient_signs``.  Flat
     facets (vertical slivers of the lifted hull) are dropped.
     """
     pts = coords[idx, :2]
@@ -156,7 +119,7 @@ def _lower_hull_triangles(coords, idx):
         # the centers is regular; start from the plain Delaunay one.
         simplices = Delaunay(pts, qhull_options="Qbb Qc Qz").simplices
     tris = np.asarray(idx)[simplices].reshape(-1, 3)
-    sign = _orient_signs(coords, *tris.T)
+    sign = geom.orient_signs(coords, *tris.T)
     tris = tris[sign != 0]
     cw = sign[sign != 0] < 0
     tris[cw] = tris[cw][:, [0, 2, 1]]
@@ -260,21 +223,8 @@ def lawson_flip(tris, twin, illegal, left_turn, queue):
     return stuck, flipped
 
 
-def _power_filter(coords, abc, q):
-    """``geom.power_test``'s float filter for many (triangle, ball) pairs at once.
-
-    ``abc`` is an (E, 3) array of CCW triangles and ``q`` an (E,) array of
-    balls, indices into the rows ``coords``.  Returns power_test's sign
-    where the filter decides it (conservatively, so it is exact) and 0
-    where it cannot.
-    """
-    det, errbound = geom.power_test_filter(*(coords[i].T for i in (*abc.T, q)))
-    # det > 0 <=> q lifted below the face plane, a violation (orient is +1)
-    return np.where(np.abs(det) > errbound, -np.sign(det), 0.0).astype(int)
-
-
 def _suspect_edges(tris, twin, coords, moved=None) -> list[int]:
-    """Interior half-edges of ``tris`` whose edge ``_power_filter`` cannot show legal.
+    """Interior half-edges of ``tris`` whose edge ``geom.power_test_filter`` cannot show legal.
 
     Each edge is tested, and returned, as its lower half-edge, the one
     ``lawson_flip`` tests: its triangle against the twin's opposite ball.
@@ -286,7 +236,9 @@ def _suspect_edges(tris, twin, coords, moved=None) -> list[int]:
     if moved is not None:
         keep = moved[abc].any(axis=1) | moved[q]
         first, abc, q = first[keep], abc[keep], q[keep]
-    return first[_power_filter(coords, abc, q) <= 0].tolist()
+    det, errbound = geom.power_test_filter(*(coords[i].T for i in (*abc.T, q)))
+    # legal where q is surely lifted above the face plane; a NaN stays queued
+    return first[~(det < -errbound)].tolist()
 
 
 def _illegal(rows):
@@ -311,19 +263,6 @@ def _illegal(rows):
     return illegal
 
 
-def _legalize(rows, tris, twin, queue):
-    """Exact Lawson legalization of ``tris`` under the power test (``_illegal``).
-
-    ``rows`` are ``_illegal``'s; ``tris``, ``twin``, ``queue`` and the
-    returned half-edges and triangles ``lawson_flip``'s.
-    """
-
-    def left_turn(p, u, q):
-        return geom.orient2d(rows[p], rows[u], rows[q]) > 0
-
-    return lawson_flip(tris, twin, _illegal(rows), left_turn, queue)
-
-
 class _Items(dict):
     """Items of a table read as Python values on first use, ``read(i)``; writes stay here.
 
@@ -343,7 +282,7 @@ class _Items(dict):
 
 
 def _legalized(tris, twin, coords, moved=None):
-    """``tris`` and ``twin`` after ``_legalize`` from the edges ``_suspect_edges`` leaves open.
+    """``tris`` and ``twin`` after ``lawson_flip`` from the edges ``_suspect_edges`` leaves open.
 
     Returns the new arrays and whether every interior edge is legal: the
     filter shows the unqueued edges legal, and a flip queues every edge it
@@ -365,8 +304,10 @@ def _legalized(tris, twin, coords, moved=None):
         rows = _Items(lambda i: coords[i].tolist(), len(coords))
         table = _Items(lambda f: tris[f].tolist(), len(tris))
         flat = _Items(twin.item, twin.size)
-    stuck, flipped = _legalize(rows, table, flat, queue)
     illegal = _illegal(rows)
+    stuck, flipped = lawson_flip(
+        table, flat, illegal, lambda p, u, q: geom.orient2d(rows[p], rows[u], rows[q]) > 0, queue
+    )
     legal = not any(flat[h] >= 0 and illegal(*table[h // 3], table[flat[h] // 3][flat[h] % 3]) for h in stuck)
     if not flipped:
         return tris, twin, legal
@@ -402,7 +343,7 @@ def _outside_hull(coords, tris, twin, points) -> list[tuple[int, int]]:
     """(triangle, ball) pairs: a ball of ``points`` strictly right of a hull half-edge of the table.
 
     The triangle is the one the hull half-edge belongs to; the signs are
-    ``_orient_signs``'s, so exact.
+    ``geom.orient_signs``', so exact.
     """
     f, u, v = _hull_edges(tris, twin)
     points = np.asarray(points, dtype=int)
@@ -410,7 +351,7 @@ def _outside_hull(coords, tris, twin, points) -> list[tuple[int, int]]:
     step = max(1, 2**16 // max(1, len(points)))  # bounds the (edges, balls) arrays
     for s in range(0, len(f), step):
         e = slice(s, s + step)
-        hull, ball = np.nonzero(_orient_signs(coords, u[e, None], v[e, None], points) < 0)
+        hull, ball = np.nonzero(geom.orient_signs(coords, u[e, None], v[e, None], points) < 0)
         out += zip(f[e][hull].tolist(), points[ball].tolist())
     return out
 
@@ -442,8 +383,8 @@ def _repair(start, coords, alive):
 
     Returns the new ``tris`` and ``twin`` and, per hidden ball, the
     triangle that holds its center, -1 where that triangle has flipped.
-    ``start`` must be a table ``build_regular`` made of the same ball list
-    with the same alive set.  The certificate, all of it exact:
+    ``start`` must be a table of the same ball list with the same alive
+    set.  The certificate, all of it exact:
 
     1. every triangle is strictly CCW (checked before the pass; a flip makes
        only strictly CCW triangles);
@@ -457,7 +398,7 @@ def _repair(start, coords, alive):
        (``start.legal_at``) is legal still, and is not tested;
     4. every alive ball the table misses is strictly redundant against the
        triangle that contains its center (``_above``, which first tries the
-       triangle ``start.hidden_in`` names).  It is checked on ``start``
+       triangle ``start.hidden_in`` names, if any).  It is checked on ``start``
        before the pass, which turns away early the starts the pass cannot
        mend because a hidden ball comes back.  A flip only lowers the lifted
        surface, so a ball above it before the pass is above it after.
@@ -481,7 +422,7 @@ def _repair(start, coords, alive):
     if not np.array_equal(was_alive, is_alive):
         return None
     tris, twin = start.tris, start.twin
-    if (_orient_signs(coords, *tris.T) <= 0).any():
+    if (geom.orient_signs(coords, *tris.T) <= 0).any():
         return None
     _, u, _ = _hull_edges(tris, twin)
     if not (start.warm and np.array_equal(coords[u, :2], start.legal_at[u, :2])):
@@ -493,7 +434,8 @@ def _repair(start, coords, alive):
         ):
             return None
     hidden = np.flatnonzero(is_hidden)
-    where = _above(coords, tris, hidden, start.hidden_in[hidden])
+    guess = np.full(len(hidden), -1) if start.hidden_in is None else start.hidden_in[hidden]
+    where = _above(coords, tris, hidden, guess)
     if where is None:
         return None
     moved = None if start.legal_at is None else (coords != start.legal_at).any(axis=1)
@@ -513,8 +455,8 @@ def _above(coords, tris, hidden, guess):
 
     Returns an array of triangle numbers, or None when a center lies in no
     triangle or a ball is not strictly above its triangle's lifted plane
-    (exact, by ``geom.power_test``).  Containment is exact
-    (``_orient_signs``), and any triangle whose closed area holds the
+    (exact, by ``geom.power_signs``).  Containment is exact
+    (``geom.orient_signs``), and any triangle whose closed area holds the
     center will do: where the center lies on an edge or a vertex, the
     lifted planes of the triangles there agree at it.  The triangles in
     ``guess`` are tried first; for the other centers, the candidates are
@@ -523,11 +465,9 @@ def _above(coords, tris, hidden, guess):
     is no guess.
     """
     f = np.full(len(hidden), -1)
-    if not len(hidden):
-        return f
     known = np.flatnonzero(guess >= 0)
     abc = tris[guess[known]]
-    inside = (_orient_signs(coords, abc, abc[:, [1, 2, 0]], hidden[known, None]) >= 0).all(axis=1)
+    inside = (geom.orient_signs(coords, abc, abc[:, [1, 2, 0]], hidden[known, None]) >= 0).all(axis=1)
     f[known[inside]] = guess[known[inside]]
     rest = np.flatnonzero(f < 0)
     if len(rest):
@@ -540,15 +480,12 @@ def _above(coords, tris, hidden, guess):
             px, py = x[hidden[r], None], y[hidden[r], None]
             m, t = np.nonzero((px >= x0) & (px <= x1) & (py >= y0) & (py <= y1))
             abc = tris[t]
-            inside = (_orient_signs(coords, abc, abc[:, [1, 2, 0]], hidden[r[m], None]) >= 0).all(axis=1)
+            inside = (geom.orient_signs(coords, abc, abc[:, [1, 2, 0]], hidden[r[m], None]) >= 0).all(axis=1)
             found, first = np.unique(m[inside], return_index=True)
             if len(found) < len(r):
                 return None
             f[r] = t[inside][first]
-    sign = _power_filter(coords, tris[f], hidden)
-    for k in np.flatnonzero(sign == 0).tolist():
-        sign[k] = geom.power_test(*coords[[*tris[f[k]], hidden[k]]].tolist())
-    return None if (sign <= 0).any() else f
+    return None if (geom.power_signs(coords, *tris[f].T, hidden) <= 0).any() else f
 
 
 def build_regular(

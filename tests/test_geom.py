@@ -125,6 +125,52 @@ def test_power_test_collinear_raises():
         )
 
 
+# the twelve integer points of the circle x^2 + y^2 = 25, and its center
+RING = sorted(
+    {(float(sx * a), float(sy * b))
+     for a, b in ((0, 5), (3, 4), (4, 3), (5, 0)) for sx in (1, -1) for sy in (1, -1)}
+) + [(0.0, 0.0)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["lattice", "ring"]),
+    st.sampled_from([0.0, 1.0, 1e4, 1e8]),
+    st.booleans(),
+    st.sampled_from(["unit", "zero", "mixed"]),
+    st.integers(0, 10**6),
+)
+def test_batched_signs_equal_scalar_predicates(shape, offset, nudge, radii, seed):
+    # orient_signs and power_signs equal orient2d and power_test on every
+    # entry, the filter's and the rest, on the inputs hardest for the
+    # filters: exact ties (lattices, cocircular rings), 1-ulp nudges,
+    # offsets up to 1e8, duplicate centers and zero radii; the index arrays
+    # broadcast, (24, 1) against (24,)
+    rng = philox(seed)
+    pts = [(float(i), float(j)) for i in range(4) for j in range(4)] if shape == "lattice" else RING
+    pts = pts + [pts[k] for k in rng.integers(0, len(pts), 3).tolist()]  # duplicate centers
+    xy = np.array(pts) + [offset, -offset]
+    if nudge:
+        xy[:, 0] = np.where(rng.random(len(xy)) < 0.5, np.nextafter(xy[:, 0], np.inf), xy[:, 0])
+    r = {"unit": np.ones(len(xy)), "zero": np.zeros(len(xy)), "mixed": rng.choice([0.0, 0.5, 1.0], len(xy))}
+    coords = np.column_stack([xy, r[radii]])
+    rows = coords.tolist()
+    a, b = rng.integers(0, len(rows), (2, 24, 1))
+    c = rng.integers(0, len(rows), 24)
+    sign = geom.orient_signs(coords, a, b, c)
+    assert sign.shape == (24, 24)
+    pairs = zip(a.ravel().tolist(), b.ravel().tolist())
+    assert sign.tolist() == [[orient2d(rows[i], rows[j], rows[k]) for k in c.tolist()] for i, j in pairs]
+    # power_test asks for strictly CCW triangles: the turning triples, made CCW
+    abc = np.stack(np.broadcast_arrays(a, b, c), axis=-1)[sign != 0][:30]
+    cw = sign[sign != 0][:30] < 0
+    abc[cw] = abc[cw][:, [0, 2, 1]]
+    q = np.arange(len(rows))
+    sign = geom.power_signs(coords, abc[:, 0, None], abc[:, 1, None], abc[:, 2, None], q)
+    expected = [[power_test(*(rows[i] for i in t), rows[j]) for j in q.tolist()] for t in abc.tolist()]
+    assert sign.tolist() == expected
+
+
 def test_orthocenter_equal_radii_is_circumcenter():
     v, tau = orthocenter(
         Ball((0.0, 0.0), 1.0), Ball((1.0, 0.0), 1.0), Ball((0.0, 1.0), 1.0)

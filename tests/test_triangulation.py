@@ -18,7 +18,7 @@ from radmesh.geom import Ball
 from radmesh.triangulation import (
     RegularTriangulation,
     _canonical,
-    _legalize,
+    _illegal,
     _lower_hull_triangles,
     _twins,
     build_regular,
@@ -244,6 +244,15 @@ def test_exact_tie_canonical_fan():
     assert tris == [(0, 1, 2), (0, 2, 3)]
 
 
+def legalize(rows, tris, twin, queue):
+    """``build_regular``'s exact Lawson pass on the lists ``tris`` and ``twin``, from ``queue``."""
+
+    def left_turn(p, u, q):
+        return geom.orient2d(rows[p], rows[u], rows[q]) > 0
+
+    return lawson_flip(tris, twin, _illegal(rows), left_turn, queue)
+
+
 def test_legalize_breaks_ties_by_lowest_index():
     # the tied square of test_exact_tie_canonical_fan, started from each
     # diagonal in each triangle order: the lowest index 0 is off the edge
@@ -258,7 +267,7 @@ def test_legalize_breaks_ties_by_lowest_index():
     ):
         tris = [list(t) for t in start]
         twin = _twins(np.array(start)).ravel().tolist()
-        _legalize(geom.ball_arrays(balls).x.tolist(), tris, twin, range(6))
+        legalize(geom.ball_arrays(balls).x.tolist(), tris, twin, range(6))
         interior = [{tris[h // 3][h % 3 - 2], tris[h // 3][h % 3 - 1]} for h in range(6)]
         assert [e for e, g in zip(interior, twin) if g >= 0] == [{0, 2}, {0, 2}]
         assert sorted(tuple(sorted(t)) for t in tris) == [(0, 1, 2), (0, 2, 3)]
@@ -332,7 +341,7 @@ def test_legalize_in_any_order_gives_build_regular(nx, ny, radii, seed):
     twin = _twins(start).ravel()
     queue = rng.permutation(np.flatnonzero(twin >= 0)).tolist()
     tris, twin = start.tolist(), twin.tolist()
-    _legalize(coords.tolist(), tris, twin, queue)
+    legalize(coords.tolist(), tris, twin, queue)
     # the flips kept the twins, which a fresh pairing reproduces
     assert twin == _twins(np.array(tris)).ravel().tolist()
     expected = sorted(tuple(sorted(tr)) for tr in build_regular(balls).tris.tolist())
@@ -395,10 +404,9 @@ def filter_cases():
 
 @pytest.mark.parametrize("name,balls", filter_cases(), ids=[n for n, _ in filter_cases()])
 def test_batched_filters_agree_with_exact_predicates(name, balls):
-    # every sign the batched float filters decide is the exact predicate's,
-    # on the qhull triangles before legalization and on the final ones
-    from radmesh.triangulation import _orient_filter, _power_filter
-
+    # every sign the float filters decide on the gathered rows is the exact
+    # predicate's, and the batched kernels give the exact sign everywhere, on
+    # the qhull triangles before the Lawson pass and on the final ones
     coords, _, alive = geom.ball_arrays(balls)
     rows = coords.tolist()
     final = build_regular(balls).tris
@@ -406,18 +414,23 @@ def test_batched_filters_agree_with_exact_predicates(name, balls):
     for tris in (_lower_hull_triangles(coords, np.flatnonzero(alive)), final):
         # both orientations of every triangle, plus collinear triples
         triples = np.concatenate([tris, tris[:, [0, 2, 1]], [[0, 1, 2], [0, 5, 10]]])
-        sign = _orient_filter(coords, *triples.T)
-        for s, tri in zip(sign.tolist(), triples.tolist()):
-            if s:
-                assert s == geom.orient2d(*(balls[i].center for i in tri))
+        exact = [geom.orient2d(*(balls[i].center for i in tri)) for tri in triples.tolist()]
+        det, errbound = geom.orient2d_filter(*(coords[i, :2].T for i in triples.T))
+        for d, e, s in zip(det.tolist(), errbound.tolist(), exact):
+            if abs(d) > e:
+                assert s == (1 if d > 0 else -1)
+        assert geom.orient_signs(coords, *triples.T).tolist() == exact
         twin = _twins(tris).ravel()
         first = np.flatnonzero(twin > np.arange(twin.size))
         abc, q = tris[first // 3], tris.ravel()[twin[first]]
-        sign = _power_filter(coords, abc, q)
-        for s, tri, other in zip(sign.tolist(), abc.tolist(), q.tolist()):
-            if s:
+        exact = [geom.power_test(*(rows[i] for i in t), rows[j]) for t, j in zip(abc.tolist(), q.tolist())]
+        det, errbound = geom.power_test_filter(*(coords[i].T for i in (*abc.T, q)))
+        for d, e, s in zip(det.tolist(), errbound.tolist(), exact):
+            if abs(d) > e:
                 decided += 1
-                assert s == geom.power_test(*(rows[i] for i in tri), rows[other])
+                # det > 0: q lifted below the face plane of the CCW triangle
+                assert s == (-1 if d > 0 else 1)
+        assert geom.power_signs(coords, *abc.T, q).tolist() == exact
     if name not in ("ring", "lattice_offset_1e8", "ring_offset_1e8"):
         # ties, and rounding at 1e8, leave every edge there to the exact path
         assert decided > 0
@@ -622,6 +635,24 @@ def test_warm_start_equals_fresh_build(seed, n, kinds):
         assert_same_diagram(d, d_arrays)
         assert evaluate_FI(flagged, d) == evaluate_FI(arrays, d_arrays)
         t = warm
+
+
+def test_hand_built_start_is_certified_without_guesses():
+    # a table assembled by hand carries no hidden_in, so its hidden center
+    # goes to the bounding-box search; from either diagonal of the tied
+    # square the start is certified, and flipped where it must be
+    corners = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+    balls = [Ball(p, 1.0) for p in corners] + [Ball((0.5, 0.5), 0.1)]
+    fresh = build_regular(balls)
+    assert fresh.redundant == [False] * 4 + [True]
+    coords = geom.ball_arrays(balls).x
+    for diagonal in ([[0, 1, 2], [0, 2, 3]], [[0, 1, 3], [1, 2, 3]]):
+        tris = np.array(diagonal)
+        vx, vy, tau = geom.orthocenters(coords[:, :2], coords[:, 2], tris)
+        start = RegularTriangulation(tris, np.column_stack([vx, vy]), tau, _twins(tris), fresh.redundant)
+        out = build_regular(balls, start=start)
+        assert out.warm
+        assert_same_table(out, fresh)
 
 
 def test_warm_start_refuses_what_two_two_flips_cannot_mend(monkeypatch):
