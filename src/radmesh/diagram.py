@@ -80,7 +80,8 @@ class PowerDiagram:
 
     def vertex_ids(self, mask: np.ndarray) -> np.ndarray:
         """Sorted ids of the dual vertices on the cells of the balls in ``mask``."""
-        return np.unique(self.cell_vertices[np.repeat(mask, np.diff(self.offsets))])
+        ids = self.cell_vertices[np.repeat(mask, np.diff(self.offsets))]
+        return np.flatnonzero(np.bincount(ids, minlength=len(self.vertices)))
 
     def max_abs_tau(self) -> float:
         """Largest |tau| over dual vertices of bounded cells of free balls.
@@ -143,11 +144,12 @@ def _merge_orthocenters(t: RegularTriangulation, x, merge_eps):
     """
     f, k = np.nonzero(t.twin > np.arange(t.twin.size).reshape(-1, 3))
     nb = t.twin[f, k] // 3
-    d = t.orthocenters[f] - t.orthocenters[nb]
-    close = np.hypot(d[:, 0], d[:, 1]) <= merge_eps
+    vx, vy = t.orthocenters.T
+    close = np.hypot(vx[f] - vx[nb], vy[f] - vy[nb]) <= merge_eps
     labels = geom.components(len(t.tris), f[close], nb[close])
 
-    w = np.abs(geom.triangle_area(*(x[t.tris[:, m], :2].T for m in range(3))))
+    corners = t.tris.T
+    w = np.abs(geom.triangle_area(*zip(x[:, 0][corners], x[:, 1][corners])))
     mean = geom.group_means(labels, w, np.column_stack([t.orthocenters, t.tau]))
     return mean[:, :2], mean[:, 2], labels
 
@@ -191,15 +193,24 @@ def extract_diagram(
     corner_ball = t.tris.ravel()
     # the same ball's corner in the next triangle counterclockwise, -1 past the
     # hull: the twin g of the half-edge into the ball starts at the corner after g's
-    g = t.twin[:, [1, 2, 0]].ravel()
-    nxt = np.where(g < 0, -1, g - g % 3 + (g + 1) % 3)
-    owners, first, owner, m = np.unique(
-        corner_ball, return_index=True, return_inverse=True, return_counts=True
-    )
-    start = nxt[first]
+    twin = t.twin.ravel()
+    after = np.arange(1, len(twin) + 1)  # the next corner in each corner's triangle
+    after[2::3] -= 3
+    g = twin[after]
+    nxt = np.where(g < 0, -1, after[g])
+    # the balls are dense, so counts and a scatter group the corners: each
+    # owner's corner count, its rank among the owners and its first corner
+    per_ball = np.bincount(corner_ball, minlength=n)
+    owners = np.flatnonzero(per_ball)
+    m = per_ball[owners]
+    lo = np.cumsum(m) - m
+    owner = (np.cumsum(per_ball > 0) - 1)[corner_ball]
+    first = np.full(n, len(twin))
+    np.minimum.at(first, corner_ball, np.arange(len(twin)))
+    start = nxt[first[owners]]
     # a corner with the hull clockwise of it starts its ball's open fan (a
     # ball with two lies on two open fans, and raises below either way)
-    hull = np.flatnonzero(t.twin[:, [2, 0, 1]].ravel() < 0)
+    hull = np.flatnonzero(twin[after[after]] < 0)
     start[owner[hull]] = hull
     # each fan is the chain of successors from its start, cut where it closes
     head = start[owner]
@@ -215,7 +226,6 @@ def extract_diagram(
     bounded[owners] = nxt[last[start]] == start
     # each ball's dual vertices in fan order, consecutive duplicates dropped,
     # and a closed cycle's last one if it is the first again
-    lo = np.concatenate([[0], np.cumsum(m)[:-1]])
     cycle = np.empty(len(corner_ball), dtype=int)
     cycle[lo[owner] + togo[head] - togo] = np.repeat(vertex_of, 3)
     keep = np.ones(len(cycle), dtype=bool)

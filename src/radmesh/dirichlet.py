@@ -249,20 +249,26 @@ def _largest_angle(xy, offsets, pos):
         # the largest real / imaginary is the smallest cotangent.  An apex
         # on the chord or, by rounding, beyond it would make a triangle
         # that is not counterclockwise and never wins
-        w = np.conj(z[a][:, None] - p) * (z[b][:, None] - p)
-        with np.errstate(divide="ignore", invalid="ignore"):  # a collapsed corner: refused later
-            cot = np.where(w.imag < 0, w.real / w.imag, -np.inf)
-        apex = m[np.arange(len(a)), cot.argmax(axis=1)]
+        w = z[a][:, None] - p
+        np.conjugate(w, out=w)
+        w *= z[b][:, None] - p
+        cross = w.imag
+        # divided only where negative, so a collapsed corner (refused later) never divides
+        cot = np.divide(w.real, cross, out=np.full(cross.shape, -np.inf), where=cross < 0)
+        # the first largest, and a padded copy only repeats b - 1
+        apex = np.minimum(a + 1 + cot.argmax(axis=1), b - 1)
         # triangle t = (a, apex, b) opens (a, apex), its half-edge 3 t + 2,
         # and (apex, b), its half-edge 3 t
-        t = 3 * (done + np.arange(len(a)))
+        t = 3 * np.arange(done, done + len(a))
         found.append((a, apex, b, back))
         done += len(a)
         a, b, back = np.concatenate([a, apex]), np.concatenate([apex, b]), np.concatenate([t + 2, t])
         open_ = b - a > 1
         a, b, back = a[open_], b[open_], back[open_]
     i, j, l, back = (np.concatenate(x) for x in zip(*found))
-    order = np.lexsort((l, j, i))
+    # no two triangles of a triangulation of a convex polygon share their
+    # first two corners, so the keys are distinct and any sort orders them
+    order = np.argsort(i * len(xy) + j)
     rank = np.empty(len(order), dtype=int)
     rank[order] = np.arange(len(order))
     back = back[order]
@@ -437,12 +443,17 @@ def _proposals(balls: BallArrays, diagram):
     """
     x, free, _ = balls
     aux = _cell_aux(diagram)
-    cells, label = np.unique(aux.ball, return_inverse=True)
+    # aux.ball is ascending: each run of one ball is one cell, labelled in order
+    new = np.ones(len(aux.ball), dtype=bool)
+    new[1:] = aux.ball[1:] != aux.ball[:-1]
+    cells, label = aux.ball[new], np.cumsum(new) - 1
     hull = np.flatnonzero(diagram.has_cell & ~diagram.bounded & ~free[:, 0] & free[:, 2])
-    ids = np.union1d(cells, hull)
+    proposed = np.zeros(len(x), dtype=bool)
+    proposed[cells] = proposed[hull] = True
+    ids, row = np.flatnonzero(proposed), np.cumsum(proposed) - 1
     centers = np.empty((len(ids), 2))
-    centers[np.searchsorted(ids, cells)] = geom.group_means(label, aux.area, aux.circumcenter)
-    centers[np.searchsorted(ids, hull)] = x[hull, :2]
+    centers[row[cells]] = geom.group_means(label, aux.area, aux.circumcenter)
+    centers[row[hull]] = x[hull, :2]
     return ids, np.column_stack([centers, _radii(diagram, ids, centers)])
 
 

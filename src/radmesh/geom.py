@@ -42,6 +42,7 @@ _EPS = math.ulp(1.0) / 2  # unit roundoff, 2^-53
 # straightforward determinant evaluations below.
 _ORIENT_BOUND = 8 * _EPS
 _POWER_BOUND = 64 * _EPS
+_SIGNIFICAND = 2.0**53  # frexp's fraction times this is the integer significand
 
 
 @dataclass
@@ -102,12 +103,14 @@ def orient2d_filter(a, b, c):
 def _exact_ints(values):
     """Exact integer images of floats under a common power-of-two scaling.
 
-    Floats are dyadic rationals, so this is lossless; the determinants below
-    are homogeneous, so uniform scaling preserves their signs.
+    ``math.frexp`` splits each float into a 53-bit integer significand and
+    an exponent; shifting each significand by its exponent above the lowest
+    nonzero value's is lossless, subnormals included.  The determinants
+    below are homogeneous, so uniform scaling preserves their signs.
     """
-    pairs = [v.as_integer_ratio() for v in values]
-    shift = max(d.bit_length() - 1 for _, d in pairs)
-    return [n << (shift - d.bit_length() + 1) for n, d in pairs]
+    parts = [math.frexp(v) for v in values]
+    low = min((e for m, e in parts if m), default=0)
+    return [int(m * _SIGNIFICAND) << (e - low) if m else 0 for m, e in parts]
 
 
 def _orient2d_exact(a: Point2, b: Point2, c: Point2) -> int:
@@ -245,25 +248,19 @@ def orthocenters(centers, radii, tris):
     power of v to the three balls.  Returns the arrays (vx, vy, tau).
     No conditioning guard.
     """
-    idx = np.array(tris, dtype=int)
-    c, r = centers, radii
-    h = lifted_heights(c, r)
-    c1, c2, c3 = c[idx[:, 0]], c[idx[:, 1]], c[idx[:, 2]]
-    h1, h2, h3 = h[idx[:, 0]], h[idx[:, 1]], h[idx[:, 2]]
-    a11 = c2[:, 0] - c1[:, 0]
-    a12 = c2[:, 1] - c1[:, 1]
-    a21 = c3[:, 0] - c1[:, 0]
-    a22 = c3[:, 1] - c1[:, 1]
+    x, y, h = centers[:, 0], centers[:, 1], lifted_heights(centers, radii)
+    corners = np.array(tris, dtype=int).T
+    (x1, x2, x3), (y1, y2, y3) = x[corners], y[corners]
+    h1 = h[corners[0]]
+    a11, a12 = x2 - x1, y2 - y1
+    a21, a22 = x3 - x1, y3 - y1
     det = a11 * a22 - a12 * a21
-    rhs1 = h2 - h1
-    rhs2 = h3 - h1
+    rhs1, rhs2 = h[corners[1]] - h1, h[corners[2]] - h1
     vx = (rhs1 * a22 - rhs2 * a12) / det
     vy = (a11 * rhs2 - a21 * rhs1) / det
-    tau = np.zeros(len(idx))
-    for col in range(3):
-        ci = c[idx[:, col]]
-        ri = r[idx[:, col]]
-        tau += (ci[:, 0] - vx) ** 2 + (ci[:, 1] - vy) ** 2 - ri**2
+    tau = np.zeros(len(det))
+    for xi, yi, ri in zip((x1, x2, x3), (y1, y2, y3), radii[corners]):
+        tau += (xi - vx) ** 2 + (yi - vy) ** 2 - ri**2
     tau /= 3.0
     return vx, vy, tau
 
@@ -352,4 +349,5 @@ def components(n: int, i, j):
         np.minimum.at(root, np.maximum(ri, rj), np.minimum(ri, rj))
         while not np.array_equal(root[root], root):
             root = root[root]
-    return np.unique(root, return_inverse=True)[1]
+    # the roots in ascending order are the components in order
+    return (np.cumsum(root == np.arange(n)) - 1)[root]

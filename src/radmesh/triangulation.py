@@ -232,11 +232,14 @@ def _suspect_edges(tris, twin, coords, moved=None) -> list[int]:
     moved ball are tested; the others must be known legal.
     """
     first = np.flatnonzero(twin.ravel() > np.arange(twin.size))
-    abc, q = tris[first // 3], tris.ravel()[twin.ravel()[first]]
+    a, b, c = tris[first // 3].T
+    q = tris.ravel()[twin.ravel()[first]]
     if moved is not None:
-        keep = moved[abc].any(axis=1) | moved[q]
-        first, abc, q = first[keep], abc[keep], q[keep]
-    det, errbound = geom.power_test_filter(*(coords[i].T for i in (*abc.T, q)))
+        keep = moved[a] | moved[b] | moved[c] | moved[q]
+        first, a, b, c, q = first[keep], a[keep], b[keep], c[keep], q[keep]
+    # gathered per coordinate, so the filter runs on contiguous arrays
+    x, y, r = coords.T
+    det, errbound = geom.power_test_filter(*((x[i], y[i], r[i]) for i in (a, b, c, q)))
     # legal where q is surely lifted above the face plane; a NaN stays queued
     return first[~(det < -errbound)].tolist()
 
