@@ -11,6 +11,10 @@ counterclockwise through the table's half-edge twins; hull balls own
 unbounded cells.  All fans are ordered at once, by pointer jumping over
 the corners' counterclockwise successors (``_chain_ends``), and the
 outward rays of the hull balls' cells are computed for all of them at once.
+Ball and vertex ids are dense integers, so fans and vertex sets are
+grouped by counts, not sorts: ``np.bincount`` gives each ball's corner
+count and each cell set's vertex ids (``PowerDiagram.vertex_ids``), and a
+scatter minimum each ball's first corner.
 
 The result, ``PowerDiagram``, is one cell table of numpy arrays: the dual
 vertices' positions and power ``tau``, the dual vertex of each triangle,

@@ -1,9 +1,10 @@
 """Geometric kernel: balls, lifting, and exact-decision predicates.
 
 Decisions (orient2d, power_test) use a floating-point filter with a
-conservative error bound and fall back to exact rational arithmetic, so the
-returned sign is always correct for representable inputs; ``orient_signs``
-and ``power_signs`` take many at once, on index arrays into rows.
+conservative error bound and fall back to exact integer arithmetic on the
+floats' ``math.frexp`` significands, so the returned sign is always
+correct for representable inputs; ``orient_signs`` and ``power_signs``
+take many at once, on index arrays into rows.
 Constructions are plain double precision.  ``circumcenter`` guards the
 conditioning of its 2x2 system determinant, and ``circumcenters``
 evaluates its expressions on arrays, bit for bit.  ``orthocenters`` is the
@@ -14,6 +15,10 @@ connected-components (union-find) helper.  ``group_means`` and
 ``rms_distances`` are the one group fit (a weighted mean, an RMS radius);
 ``np.bincount`` adds each group sequentially, in row order, so a Python
 loop over the rows gives the same bits.
+
+The batched kernels gather each coordinate on its own: one contiguous 1-D
+gather per coordinate and index array (``x[i]``, ``y[i]``, ``r[i]``), not
+an ``(n, 2)`` or ``(n, 3)`` row gather whose columns are then read strided.
 
 ``ball_arrays`` converts a ``Ball`` list, the API form of a ball set, to
 the ``[cx, cy, R]`` rows and masks the package works on.
@@ -341,7 +346,8 @@ def components(n: int, i, j):
     Returns the (n,) array of component numbers, numbered in the order of
     their smallest node.  Each round hooks the larger root of every edge
     under the smaller one, then points every node at its root (Shiloach and
-    Vishkin 1982), so a root is always the smallest node of its tree.
+    Vishkin 1982), so a root is always the smallest node of its tree, and a
+    count of the roots up to it numbers each component.
     """
     root = np.arange(n)
     while not np.array_equal(root[i], root[j]):
@@ -349,5 +355,4 @@ def components(n: int, i, j):
         np.minimum.at(root, np.maximum(ri, rj), np.minimum(ri, rj))
         while not np.array_equal(root[root], root):
             root = root[root]
-    # the roots in ascending order are the components in order
     return (np.cumsum(root == np.arange(n)) - 1)[root]

@@ -17,7 +17,8 @@ instead of taking the twins the largest-angle recursion opened.
 The test-only oracles live here too: ``fd_gradient``, the finite-difference
 gradient of ``F_I`` with full rebuilds (criterion 5), ``edge_set`` of a
 triangle table, the one-triangle ``orthocenter`` with its conditioning
-guard, and the shoelace ``polygon_area``.
+guard, the shoelace ``polygon_area`` and ``exact_ints_reference``, the
+exact predicates' integer scaling by ``float.as_integer_ratio``.
 """
 
 import importlib.util
@@ -451,6 +452,13 @@ def orthocenter(b1, b2, b3):
     x = geom.ball_arrays([b1, b2, b3]).x
     vx, vy, tau = geom.orthocenters(x[:, :2], x[:, 2], [(0, 1, 2)])
     return (float(vx[0]), float(vy[0])), float(tau[0])
+
+
+def exact_ints_reference(values):
+    """``geom._exact_ints`` from ``float.as_integer_ratio``: each value times the largest denominator."""
+    pairs = [v.as_integer_ratio() for v in values]
+    shift = max(d.bit_length() - 1 for _, d in pairs)
+    return [n << (shift - d.bit_length() + 1) for n, d in pairs]
 
 
 def polygon_area(vertices):

@@ -219,6 +219,22 @@ def test_max_abs_tau_matches_definition(with_domain):
         assert d.max_abs_tau() == (1.0 if v in counted else 0.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+def test_vertex_ids_counts_equal_the_sorted_unique_ids(seed, density):
+    # vertex_ids counts the ids on the masked cells; sorting them and
+    # dropping repeats is the reference, for an all-False mask too (density 0)
+    rng = philox(seed)
+    balls = random_balls(rng, 40)
+    _, d = build_both(balls)
+    mask = rng.random(len(balls)) < density
+    want = np.unique(d.cell_vertices[np.repeat(mask, np.diff(d.offsets))])
+    got = d.vertex_ids(mask)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    if not mask.any():
+        assert got.size == 0
+
+
 def clip_one(pts, domain):
     """``clip_cells`` on the one bounded cell ``pts``."""
     rays = np.full((1, 2, 2), np.nan)

@@ -373,12 +373,18 @@ def test_aux_batched_matches_scalar_on_adversarial_cells():
             if k % 2:  # clockwise ones too
                 clockwise.append(len(polygons))
             polygons.append(pts[::-1] if k % 2 else pts)
-    mesh, ties = assert_batched_matches_oracle(polygons)
-    assert set(near_ties) <= set(ties)
-    assert sorted(mesh.degenerate) == sorted([flat] + clockwise)
-    assert (mesh.ball == dent).sum() == 2
-    assert straight not in ties and (mesh.ball == straight).sum() == 4
-    assert (mesh.ball == reflex).sum() == 3
+    # the cells in random order, under random ascending ball indices with
+    # gaps, as _cell_aux lists the usable cells: the triangles come out in
+    # ascending ball order, the runs _proposals labels the cells by
+    order = rng.permutation(len(polygons))
+    balls = np.sort(rng.choice(10 * len(polygons), len(polygons), replace=False))
+    ball = dict(zip(order.tolist(), balls.tolist()))  # of each cell as built above
+    mesh, ties = assert_batched_matches_oracle([polygons[p] for p in order], balls)
+    assert {ball[p] for p in near_ties} <= set(ties)
+    assert sorted(mesh.degenerate) == sorted(ball[p] for p in [flat] + clockwise)
+    assert (mesh.ball == ball[dent]).sum() == 2
+    assert ball[straight] not in ties and (mesh.ball == ball[straight]).sum() == 4
+    assert (mesh.ball == ball[reflex]).sum() == 3
 
 
 def test_aux_batched_matches_scalar_on_scenes():

@@ -1,6 +1,8 @@
 """Kernel tests: power, lifting, exact predicates, constructions."""
 
 import math
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from radmesh.geom import (
     power_test,
 )
 
-from conftest import orthocenter, philox, polygon_area
+from conftest import exact_ints_reference, orthocenter, philox, polygon_area
 
 coord = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
 radius = st.floats(0.0, 10.0, allow_nan=False)
@@ -113,6 +115,34 @@ def test_power_test_exponent_scaling(k):
     assert power_test(*scaled) == power_test(*balls)
     pts = [(0.1, 0.2), (1.7, 0.3), (0.4, 1.9)]
     assert orient2d(*[(x * s, y * s) for x, y in pts]) == orient2d(*pts)
+
+
+# floats across the whole range: signed zeros, subnormals, exponents of
+# +-1000, and small integers, whose repeats make exact ties
+wide_float = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0]),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 1000)),
+    st.integers(-3, 3).map(float),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(wide_float, min_size=12, max_size=12))
+def test_exact_ints_scale_like_the_ratio_reference(values):
+    # _exact_ints takes each float's frexp significand and exponent: an exact,
+    # uniform, positive power-of-two scaling, as the as_integer_ratio
+    # reference is, so the exact signs agree on both forms
+    ints = geom._exact_ints(values)
+    nonzero = [k for k, v in enumerate(values) if v]
+    assert [k for k, n in enumerate(ints) if n] == nonzero
+    if nonzero:
+        k = nonzero[0]
+        assert (ints[k] > 0) == (values[k] > 0)
+        assert all(Fraction(n, ints[k]) == Fraction(v) / Fraction(values[k]) for n, v in zip(ints, values))
+    rows = [values[3 * i : 3 * i + 3] for i in range(4)]
+    got = geom._orient2d_exact(*rows[:3]), geom._power_test_exact(*rows)
+    with mock.patch.object(geom, "_exact_ints", exact_ints_reference):
+        assert got == (geom._orient2d_exact(*rows[:3]), geom._power_test_exact(*rows))
 
 
 def test_power_test_collinear_raises():
