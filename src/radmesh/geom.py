@@ -255,12 +255,11 @@ def orthocenters(centers, radii, tris):
     """
     x, y, h = centers[:, 0], centers[:, 1], lifted_heights(centers, radii)
     corners = np.array(tris, dtype=int).T
-    (x1, x2, x3), (y1, y2, y3) = x[corners], y[corners]
-    h1 = h[corners[0]]
+    (x1, x2, x3), (y1, y2, y3), (h1, h2, h3) = x[corners], y[corners], h[corners]
     a11, a12 = x2 - x1, y2 - y1
     a21, a22 = x3 - x1, y3 - y1
     det = a11 * a22 - a12 * a21
-    rhs1, rhs2 = h[corners[1]] - h1, h[corners[2]] - h1
+    rhs1, rhs2 = h2 - h1, h3 - h1
     vx = (rhs1 * a22 - rhs2 * a12) / det
     vy = (a11 * rhs2 - a21 * rhs1) / det
     tau = np.zeros(len(det))
