@@ -10,7 +10,7 @@ import sys
 from . import dirichlet, recovery, render, scene as scene_mod
 from .diagram import extract_diagram
 from .errors import ParseError, RadmeshError
-from .triangulation import build_regular, verify_regular
+from .triangulation import build_regular, verify_hull, verify_regular
 
 
 def _add_generate(sub):
@@ -111,12 +111,18 @@ def _cmd_verify(args) -> int:
     sc = scene_mod.load_scene(args.scene)
     t = build_regular(sc.balls)
     violations = verify_regular(t, sc.balls)
+    outside = verify_hull(t, sc.balls)
     if violations:
         print(f"FAIL: {len(violations)} regularity violations", file=sys.stderr)
         for ti, bi in violations[:20]:
             print(f"  triangle {ti} vs ball {bi}", file=sys.stderr)
+    if outside:
+        print(f"FAIL: {len(outside)} centers outside the hull", file=sys.stderr)
+        for ti, bi in outside[:20]:
+            print(f"  ball {bi} right of the hull edge of triangle {ti}", file=sys.stderr)
+    if violations or outside:
         return 1
-    print(f"ok: {len(t.tris)} triangles, no regularity violations")
+    print(f"ok: {len(t.tris)} triangles, no regularity violations, no center outside the hull")
     return 0
 
 
@@ -159,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_generate(sub)
     _add_optimize(sub)
 
-    v = sub.add_parser("verify", help="check a scene's regular triangulation")
+    v = sub.add_parser("verify", help="check a scene's regular triangulation and its hull")
     v.add_argument("scene")
 
     r = sub.add_parser("recover", help="recover circles from a point scene")

@@ -51,10 +51,12 @@ diagram, and the update proposals are computed once and shared by the
 elimination bookkeeping and ``relax_step``.  Every rebuild goes through
 ``_rebuild`` and warm-starts ``build_regular`` from a table the loop
 already has: the previous iteration's, or for a Gauss-Newton trial the
-table of the point it steps from.  A start the triangulation's certificate
-refuses is rebuilt from qhull and counted in
-``OptimizerState.rebuild_fallbacks``; the aux cells accepted at a tie are
-counted in ``aux_tie_cells``.
+table of the point it steps from.  The triangulation mends that start by
+exact flips, insertions and removals, so it follows balls that move,
+change radius, turn redundant or come back; only a start with an inverted
+triangle or a hull that is not one convex cycle is refused, rebuilt from
+qhull and counted in ``OptimizerState.rebuild_fallbacks``.  The aux cells
+accepted at a tie are counted in ``aux_tie_cells``.
 There is one optimizer.  The update is the heuristic area-weighted center /
 least-squares radius proposal, relaxed by ``theta``; once that relaxation
 plateaus, a damped Gauss-Newton step on the dual-vertex power residuals
@@ -148,7 +150,8 @@ class OptimizerState:
     )
     # degenerate cells skipped by F_I and the proposals, summed over the iterations
     degenerate_cells: int = 0
-    # rebuilds whose start table build_regular refused, rebuilding from qhull
+    # rebuilds whose start table build_regular refused (an inverted triangle,
+    # or a hull that is not one convex cycle), rebuilding from qhull
     rebuild_fallbacks: int = 0
     # aux cells accepted with an interior edge at a tie, summed over the iterations
     aux_tie_cells: int = 0

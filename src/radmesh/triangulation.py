@@ -1,11 +1,10 @@
 """Weighted Delaunay (regular) triangulation of a ball set.
 
 The triangulation is the projection of the lower convex envelope of the
-ball centers lifted to height (|c|^2 - R^2)/2.  The heavy lifting is done
-by qhull on the lifted 3D point set; an exact Lawson pass afterwards
-repairs any rounding-induced facet misclassification and settles exact
-power ties in favour of the lowest ball index (a tied polygon is fanned from
-it), so the result is a deterministic function of the input indices.
+ball centers lifted to height (|c|^2 - R^2)/2.  Exact power ties are
+settled by simulation of simplicity in favour of the lowest ball index (a
+tied polygon is fanned from it), so the result is a deterministic function
+of the input indices.
 
 The result, ``RegularTriangulation``, is one triangle table: per triangle
 its CCW ball indices, its dual vertex and power value (both from
@@ -29,36 +28,42 @@ triangle; they are flagged redundant and kept in the ball set.
 
 Inside this module the ball set is the ``(N, 3)`` array ``coords`` of
 ``geom.ball_arrays``' ``[cx, cy, R]`` rows; the exact predicates read the
-rows the filters leave open as Python floats: the pass after qhull
-converts the whole table at once (``tolist``), a warm pass each row as it
-reaches it (``_Items``), and writes back only the rows it flipped.
+rows the filters leave open as Python floats: a pass over every edge
+converts the whole table at once (``tolist``), a pass over the quads of
+moved balls each row as it reaches it (``_Items``), and writes back only
+the rows it flipped.
 
-``build_regular(balls, start=t)`` warm-starts from ``t``, an earlier table
-of the same ball list with the same alive set (the optimizer's previous
-iteration, or the table a Gauss-Newton trial moves away from): qhull and
-``_twins`` are skipped, and the exact Lawson pass starts from ``t`` with
-the edges the filters cannot show legal under the new coordinates, or only
-those of quads with a moved ball when ``t.legal_at`` says where ``t`` was
-legal (Edelsbrunner and Shah 1996 flip from a previous triangulation too).
-Only 2-2 flips are made, so a ball that turns redundant, comes back or
-crosses a triangle is beyond the pass.  ``_repair`` therefore accepts the
-result only under an exact certificate: every triangle strictly CCW, the
-hull one convex cycle holding every alive center on its closed left
-(``_outside_hull``, also behind the ``verify_hull`` oracle), no interior
-edge illegal, and every ball the table misses strictly redundant against
-the triangle holding its center (the triangles found are kept in
-``hidden_in``, the next start's first guess).  Where it fails, the table
-is built from qhull as without ``start``, and ``warm`` is False.  An
-accepted table is legal at its ``legal_at`` rows, the rows its hull was
-proved at; 2-2 flips keep the hull edges, so a warm start whose hull balls
-are still at their ``legal_at`` centers is not proved again.  A start
-built by qhull is checked in full.
+``build_regular`` has one path, a loop over starts: ``start`` if given, an
+earlier table of the same ball list with the same alive set (the
+optimizer's previous iteration, or the table a Gauss-Newton trial moves
+away from), then the table of qhull's lower hull of the lifted centers.
+Each goes through one exact certify-and-mend step, ``_repair``, and the
+first that passes is returned.  The certificate: every triangle strictly
+CCW, the hull one convex cycle holding every alive center on its closed
+left (``_outside_hull``, also behind the ``verify_hull`` oracle), no
+interior edge illegal, and every ball the table misses strictly redundant
+against the triangle holding its center (the triangles found are kept in
+``hidden_in``, the next start's first guess).  The mend makes the flips of
+Edelsbrunner and Shah (1996): the Lawson pass's 2-2 flips, from the edges
+the filters cannot show legal under the new coordinates, or only those of
+quads with a moved ball when ``legal_at`` says where the start was legal;
+an exact insertion of each hidden ball that is not strictly above the
+lifted surface (``_insert``); and the removal of a reflex corner a stuck
+edge shows above it (``_remove``: a 3-1 flip, or a 4-2 or 2-1 flip where
+the corner lies on a segment).  So the table follows a ball
+that moves or changes radius, one that turns redundant and one that comes
+back.  An inverted triangle or a hull that is not one convex cycle is not
+mended: a warm start goes to qhull then, and ``warm`` is False.  qhull's
+table fails only where it misses part of a hull side dented by an ulp; it
+is then returned after the Lawson pass, with ``legal_at`` None.  A
+certified table is legal at its ``legal_at`` rows, the rows its hull was
+proved at; the mend keeps the hull, so a start whose hull balls are still
+at their ``legal_at`` centers is not proved again.
 
-Both paths end in one canonical order (``_canonical``): each row rotated
+Every start ends in one canonical order (``_canonical``): each row rotated
 to lead with its lowest ball index, the rows sorted, ``twin`` renumbered to
-match.  Simulation of simplicity makes the triangulation of a vertex set
-unique, so wherever qhull keeps the balls the certificate keeps, a
-certified warm start equals the fresh build array for array.
+match.  Simulation of simplicity makes the regular triangulation unique, so
+every certified start gives the same arrays.
 """
 
 from __future__ import annotations
@@ -82,13 +87,12 @@ class RegularTriangulation:
     tau: np.ndarray  # (F,) power of each dual vertex
     twin: np.ndarray  # (F, 3) twin of the half-edge facing each corner, -1 on the hull
     redundant: list[bool]  # per-ball; True = alive but hidden
-    # the [cx, cy, R] rows at which every interior edge is legal, None if one
-    # is not; a warm table's hull certificate holds at them too
+    # the [cx, cy, R] rows at which the table passed the certificate, None
+    # if it did not (qhull's table of a hull dented by an ulp)
     legal_at: np.ndarray | None = None
-    warm: bool = False  # repaired from a start table rather than built by qhull
-    # (N,) per ball, the triangle the warm start's certificate found its
-    # hidden center in; -1 for the other balls, where that triangle has
-    # flipped since, and for every ball of a table built by qhull.
+    warm: bool = False  # mended from a start table rather than built by qhull
+    # (N,) per ball, the triangle the certificate found its hidden center
+    # in; -1 for the other balls, and for every ball of an uncertified table.
     # ``build_regular`` sets it on every table; None (by hand) is no guess
     hidden_in: np.ndarray | None = None
 
@@ -248,20 +252,26 @@ def _illegal(rows):
     """The exact power test as ``lawson_flip``'s ``illegal``, ties settled by simulation of simplicity.
 
     ``rows`` is ``coords.tolist()``.  An exact tie is decided by simulation
-    of simplicity (Edelsbrunner and Mucke 1990): the lifted point of the
-    quad's lowest ball index counts as infinitesimally lower, so a tied edge
-    is illegal exactly when that ball is off the edge, and a tied polygon
-    ends up fanned from its lowest index.
+    of simplicity (Edelsbrunner and Mucke 1990): each lifted point counts as
+    infinitesimally lower, by far more the lower its ball index, so the
+    lowest index of the quad that moves ``q`` against the plane decides:
+    ``q`` itself, which lies below then, or a corner whose barycentric
+    weight at ``q``'s center is not zero, whose sign says on which side.
+    A tied edge of a convex quad is thus illegal exactly when the quad's
+    lowest ball is off the edge, and a tied polygon ends up fanned from its
+    lowest index.
     """
 
     def illegal(a, b, c, q):
         s = geom.power_test(rows[a], rows[b], rows[c], rows[q])
         if s != 0:
             return s < 0
-        low = min(a, b, c, q)
-        if low == q:
-            return True
-        return geom.orient2d(*(rows[q if i == low else i] for i in (a, b, c))) < 0
+        for low in sorted((a, b, c, q)):
+            if low == q:
+                return True
+            w = geom.orient2d(*(rows[q if i == low else i] for i in (a, b, c)))
+            if w:
+                return w < 0
 
     return illegal
 
@@ -287,11 +297,12 @@ class _Items(dict):
 def _legalized(tris, twin, coords, moved=None):
     """``tris`` and ``twin`` after ``lawson_flip`` from the edges ``_suspect_edges`` leaves open.
 
-    Returns the new arrays and whether every interior edge is legal: the
-    filter shows the unqueued edges legal, and a flip queues every edge it
-    changes, so only the edges ``lawson_flip`` found illegal on a quad that
-    is not convex can be left illegal, and those are tested again.  The
-    input arrays are not changed.  Flips keep every triangle CCW.
+    Returns the new arrays and the half-edges still illegal, none where
+    every interior edge is legal: the filter shows the unqueued edges
+    legal, and a flip queues every edge it changes, so only the edges
+    ``lawson_flip`` found illegal on a quad that is not convex can be left
+    illegal, and those are tested again.  The input arrays are not
+    changed.  Flips keep every triangle CCW.
 
     Without ``moved`` every edge is suspect, and the ball rows and the
     table are read as lists at once.  With it, the pass reads the rows it
@@ -300,7 +311,7 @@ def _legalized(tris, twin, coords, moved=None):
     """
     queue = _suspect_edges(tris, twin, coords, moved)
     if not queue:
-        return tris, twin, True
+        return tris, twin, []
     if moved is None:
         rows, table, flat = coords.tolist(), tris.tolist(), twin.ravel().tolist()
     else:
@@ -311,9 +322,9 @@ def _legalized(tris, twin, coords, moved=None):
     stuck, flipped = lawson_flip(
         table, flat, illegal, lambda p, u, q: geom.orient2d(rows[p], rows[u], rows[q]) > 0, queue
     )
-    legal = not any(flat[h] >= 0 and illegal(*table[h // 3], table[flat[h] // 3][flat[h] % 3]) for h in stuck)
+    stuck = [h for h in stuck if flat[h] >= 0 and illegal(*table[h // 3], table[flat[h] // 3][flat[h] % 3])]
     if not flipped:
-        return tris, twin, legal
+        return tris, twin, stuck
     tris, twin = tris.copy(), twin.copy()
     tris[flipped] = [table[f] for f in flipped]
     # the half-edges of the flipped rows, and their twins pointing back
@@ -321,7 +332,7 @@ def _legalized(tris, twin, coords, moved=None):
     g = np.array([flat[i] for i in h.tolist()])
     twin.flat[h] = g
     twin.flat[g[g >= 0]] = h[g >= 0]
-    return tris, twin, legal
+    return tris, twin, stuck
 
 
 def _hull_edges(tris, twin):
@@ -334,6 +345,8 @@ def _hull_edges(tris, twin):
 def _hull_cycle(tris, twin):
     """The balls along the table's hull half-edges in order, or None unless they form one cycle."""
     _, u, v = _hull_edges(tris, twin)
+    if not len(u):  # a table without triangles
+        return None
     after = dict(zip(u.tolist(), v.tolist()))
     cycle = [int(u[0])]
     while len(cycle) <= len(after):
@@ -382,29 +395,43 @@ def _canonical(tris, twin):
 
 
 def _repair(start, coords, alive):
-    """``start`` legalized for the rows ``coords`` of ``[cx, cy, R]``, or None where the certificate fails.
+    """``start`` certified and mended for the rows ``coords`` of ``[cx, cy, R]``, or None where it cannot be.
 
-    Returns the new ``tris`` and ``twin`` and, per hidden ball, the
-    triangle that holds its center, -1 where that triangle has flipped.
-    ``start`` must be a table of the same ball list with the same alive
-    set.  The certificate, all of it exact:
+    Returns the new ``tris`` and ``twin`` and, per ball, the triangle that
+    holds its center if it is hidden, -1 otherwise.  ``start`` must be a
+    table of the same ball list with the same alive set.  The certificate,
+    all of it exact:
 
-    1. every triangle is strictly CCW (checked before the pass; a flip makes
-       only strictly CCW triangles);
+    1. every triangle is strictly CCW;
     2. the hull half-edges form one cycle through balls at distinct
        centers, each on the closed left of every hull half-edge
-       (``_outside_hull``; flips keep the hull).  A warm ``start`` passed
-       it at its ``legal_at`` rows, so where its hull balls are still at
-       those centers it holds as it did: flips kept the hull edges;
-    3. no interior edge is still illegal after the pass (``_legalized``);
+       (``_outside_hull``).  A ``start`` with ``legal_at`` passed it at
+       those rows, so where its hull balls are still at those centers it
+       holds as it did;
+    3. no interior edge is illegal after the Lawson pass (``_legalized``);
        an edge whose quad kept its balls where ``start`` had them legal
        (``start.legal_at``) is legal still, and is not tested;
     4. every alive ball the table misses is strictly redundant against the
        triangle that contains its center (``_above``, which first tries the
-       triangle ``start.hidden_in`` names, if any).  It is checked on ``start``
-       before the pass, which turns away early the starts the pass cannot
-       mend because a hidden ball comes back.  A flip only lowers the lifted
-       surface, so a ball above it before the pass is above it after.
+       triangle ``start.hidden_in`` names, if any).
+
+    Parts 1 and 2 are checked on ``start`` and not mended: a start that
+    fails them is refused.  The mend keeps them, as its operations make
+    only strictly CCW triangles, flips keep the hull edges, a ball inserted
+    on a hull edge lies on it and a removal takes an interior corner or one
+    on a hull side.  Parts 3 and 4 are mended, in turn until both hold.  An
+    edge the pass leaves illegal on a quad that is not convex removes the
+    reflex corner where it can (``_remove``): the corner turns hidden, and
+    the pass runs again from the edges it touched.  Then each hidden ball
+    that is not strictly above goes in (``_insert``), an exact tie settled
+    by simulation of simplicity as in ``_illegal``: the ball stays hidden
+    iff a corner with positive barycentric weight at its center has a lower
+    index.  The pass runs again from the inserted balls' quads.  A start
+    whose pass is left with an edge no removal mends, that exhausts the flip
+    budget or whose hidden center lies in no triangle is refused.  Every
+    operation only lowers the lifted surface, so each ball goes in and
+    turns hidden at most once; a mend that takes more operations than that
+    is refused too.
 
     Part 2 makes the boundary a convex polygon wound once, so with part 1
     every point inside it lies in exactly one triangle (the degree of the
@@ -428,7 +455,7 @@ def _repair(start, coords, alive):
     if (geom.orient_signs(coords, *tris.T) <= 0).any():
         return None
     _, u, _ = _hull_edges(tris, twin)
-    if not (start.warm and np.array_equal(coords[u, :2], start.legal_at[u, :2])):
+    if start.legal_at is None or not np.array_equal(coords[u, :2], start.legal_at[u, :2]):
         hull = _hull_cycle(tris, twin)
         if (
             hull is None
@@ -436,41 +463,78 @@ def _repair(start, coords, alive):
             or _outside_hull(coords, tris, twin, hull)
         ):
             return None
-    hidden = np.flatnonzero(is_hidden)
-    guess = np.full(len(hidden), -1) if start.hidden_in is None else start.hidden_in[hidden]
-    where = _above(coords, tris, hidden, guess)
-    if where is None:
-        return None
     moved = None if start.legal_at is None else (coords != start.legal_at).any(axis=1)
-    try:
-        flipped, twin, legal = _legalized(tris, twin, coords, moved)
-    except FlipBudgetExhausted:
-        return None
-    if not legal:
-        return None
-    if flipped is not tris:
-        where[(flipped[where] != tris[where]).any(axis=1)] = -1
-    return flipped, twin, where
+    hidden = np.flatnonzero(is_hidden)
+    at = np.full(len(hidden), -1) if start.hidden_in is None else start.hidden_in[hidden]
+    # each round but the last inserts or removes a ball, and as the surface
+    # only lowers, a ball goes in at most once and turns hidden at most once
+    for _ in range(2 * len(coords) + 1):
+        try:
+            tris, twin, stuck = _legalized(tris, twin, coords, moved)
+        except FlipBudgetExhausted:
+            return None
+        moved = np.zeros(len(coords), dtype=bool)
+        if stuck:
+            # every edge the removal makes, and every edge left stuck, has a
+            # ball of a stuck quad at an end or across it
+            moved[tris[np.asarray(stuck) // 3]] = True
+            moved[tris.ravel()[twin.ravel()[stuck]]] = True
+            removed = _remove(tris, twin, coords, stuck)
+            if removed is None:
+                return None
+            tris, out = removed
+            twin = _twins(tris)
+            hidden, at = np.append(hidden, out), np.append(at, len(tris) - 1)
+            continue
+        at, sign = _above(coords, tris, hidden, at)
+        if (at < 0).any():
+            return None
+        tie = np.flatnonzero(sign == 0)
+        if len(tie):
+            abc, h = tris[at[tie]], hidden[tie]
+            sign[tie] = np.where(((_weights(coords, abc, h) > 0) & (abc < h[:, None])).any(axis=1), 1, -1)
+        below = np.flatnonzero(sign < 0)
+        if not len(below):
+            hidden_in = np.full(len(coords), -1)
+            hidden_in[hidden] = at
+            return tris, twin, hidden_in
+        tris, went, out = _insert(tris, twin, coords, hidden[below], at[below])
+        twin = _twins(tris)
+        moved[hidden[below[went]]] = True
+        stay = np.ones(len(hidden), dtype=bool)
+        stay[below[went]] = False
+        # a replaced ball is hidden now
+        hidden, at = np.concatenate([hidden[stay], out]), np.concatenate([at[stay], np.full(len(out), -1)])
+    return None
+
+
+def _weights(coords, abc, points):
+    """Exact signs of the barycentric weights of the corners of each triangle ``abc`` at its ball's center.
+
+    ``points`` holds one ball per row of ``abc``.  Corner k's weight has
+    the sign of the orientation of the edge facing k, run CCW, with the
+    center: an (n, 3) array, all >= 0 where the closed triangle holds it.
+    """
+    return geom.orient_signs(coords, abc[:, [1, 2, 0]], abc[:, [2, 0, 1]], points[:, None])
 
 
 def _above(coords, tris, hidden, guess):
-    """The triangle of ``tris`` that holds each center of ``hidden``, if each is strictly redundant against it.
+    """The triangle of ``tris`` that holds each center of ``hidden``, and the ball's exact sign against it.
 
-    Returns an array of triangle numbers, or None when a center lies in no
-    triangle or a ball is not strictly above its triangle's lifted plane
-    (exact, by ``geom.power_signs``).  Containment is exact
-    (``geom.orient_signs``), and any triangle whose closed area holds the
-    center will do: where the center lies on an edge or a vertex, the
-    lifted planes of the triangles there agree at it.  The triangles in
-    ``guess`` are tried first; for the other centers, the candidates are
-    the triangles whose bounding box holds them (float comparisons, so
-    exact), and the first that holds the center is taken.  A guess of -1
-    is no guess.
+    Returns an array of triangle numbers, -1 where no triangle holds the
+    center, and the sign of each ball against its triangle's lifted plane
+    (``geom.power_signs``: 1 strictly above, 0 on it, -1 below; 0 where no
+    triangle holds it).  Containment is exact (``_weights``), and any
+    triangle whose closed area holds the center will do: where the center
+    lies on an edge or a vertex, the lifted planes of the triangles there
+    agree at it.  The triangles in ``guess`` are tried first; for the other
+    centers, the candidates are the triangles whose bounding box holds them
+    (float comparisons, so exact), and the first that holds the center is
+    taken.  A guess of -1, or past the table's end, is no guess.
     """
     f = np.full(len(hidden), -1)
-    known = np.flatnonzero(guess >= 0)
-    abc = tris[guess[known]]
-    inside = (geom.orient_signs(coords, abc, abc[:, [1, 2, 0]], hidden[known, None]) >= 0).all(axis=1)
+    known = np.flatnonzero((guess >= 0) & (guess < len(tris)))
+    inside = (_weights(coords, tris[guess[known]], hidden[known]) >= 0).all(axis=1)
     f[known[inside]] = guess[known[inside]]
     rest = np.flatnonzero(f < 0)
     if len(rest):
@@ -482,13 +546,108 @@ def _above(coords, tris, hidden, guess):
             r = rest[s : s + step]
             px, py = x[hidden[r], None], y[hidden[r], None]
             m, t = np.nonzero((px >= x0) & (px <= x1) & (py >= y0) & (py <= y1))
-            abc = tris[t]
-            inside = (geom.orient_signs(coords, abc, abc[:, [1, 2, 0]], hidden[r[m], None]) >= 0).all(axis=1)
+            inside = (_weights(coords, tris[t], hidden[r[m]]) >= 0).all(axis=1)
             found, first = np.unique(m[inside], return_index=True)
-            if len(found) < len(r):
-                return None
-            f[r] = t[inside][first]
-    return None if (geom.power_signs(coords, *tris[f].T, hidden) <= 0).any() else f
+            f[r[found]] = t[inside][first]
+    sign = np.zeros(len(hidden), dtype=int)
+    held = f >= 0
+    sign[held] = geom.power_signs(coords, *tris[f[held]].T, hidden[held])
+    return f, sign
+
+
+def _insert(tris, twin, coords, h, f):
+    """``tris`` with the balls ``h`` inserted at their centers, which the triangles ``f`` hold.
+
+    Returns the new table, a mask of the balls that went in, and the balls
+    they replaced.  Where a center is a corner's, the ball takes that
+    corner's place in every triangle.  Elsewhere each triangle whose closed
+    area holds the center is split into the triangles the center makes with
+    its edges facing corners of positive weight: ``f`` alone where the
+    center is inside it (a 1-3 split), ``f`` and its neighbour across the
+    edge the center lies on (a 2-4 split), or ``f`` alone on a hull edge (a
+    1-2 split).  A ball whose rows an earlier ball of the batch changed
+    waits for the next batch.  The new triangles, all strictly CCW, take the
+    split rows and are appended after them, so the other rows keep their
+    numbers; ``twin`` pairs the half-edges of ``tris`` and is read only to
+    find those neighbours.
+    """
+    w = _weights(coords, tris[f], h)
+    base, tris = tris, tris.copy()
+    fresh = np.ones(len(tris), dtype=bool)  # rows no ball of the batch has changed
+    went, replaced, new = np.zeros(len(h), dtype=bool), [], []
+    for i, (b, t) in enumerate(zip(h.tolist(), f.tolist())):
+        corners = np.flatnonzero(w[i] > 0)
+        if len(corners) == 1:  # at the center of a corner
+            v = base[t, corners[0]]
+            rows = np.flatnonzero((base == v).any(axis=1))
+        else:  # each split row, with its corner facing the center's edge (-1: none)
+            k = int(np.argmin(w[i])) if (w[i] == 0).any() else -1
+            split = [(t, k)]
+            if k >= 0 and twin[t, k] >= 0:
+                split.append(divmod(int(twin[t, k]), 3))
+            rows = [r for r, _ in split]
+        if not fresh[rows].all():
+            continue
+        fresh[rows], went[i] = False, True
+        if len(corners) == 1:
+            tris[rows] = np.where(base[rows] == v, b, base[rows])
+            replaced.append(v)
+            continue
+        sub = [[base[r, (m + 1) % 3], base[r, (m + 2) % 3], b] for r, skip in split for m in range(3) if m != skip]
+        tris[rows] = sub[: len(rows)]
+        new += sub[len(rows) :]
+    return np.concatenate([tris, np.array(new, dtype=tris.dtype).reshape(-1, 3)]), went, np.array(replaced, dtype=int)
+
+
+def _remove(tris, twin, coords, stuck):
+    """``tris`` with the reflex corner of a ``stuck`` half-edge removed, and that corner; None if none can be.
+
+    The quad ``p, u, q, v`` of a stuck half-edge (``p`` its triangle's
+    corner facing it, ``q`` its twin's) is not strictly convex: ``u`` or
+    ``v`` lies in the triangle of the other three corners.  The edge is
+    illegal, so that corner's lifted point lies above the other three's
+    plane (ties by simulation of simplicity, as ``_illegal`` decided them),
+    and removing it lowers the surface.  It is removed where its triangles
+    merge into the triangles of its neighbours: where it lies strictly
+    inside and has three triangles, their three neighbours' triangle takes
+    their place (a 3-1 flip); where it lies on the segment ``p, q``, each
+    side of the segment with two of its triangles becomes one triangle (a
+    4-2 flip, or a 2-1 flip on the hull), provided no side holds more.  The
+    first stuck half-edge whose corner can be removed is taken; the
+    corner's rows are removed and the new ones appended.
+    """
+    t, k = np.divmod(np.asarray(stuck), 3)
+    p, u, v = tris[t, k], tris[t, (k + 1) % 3], tris[t, (k + 2) % 3]
+    q = tris.ravel()[twin.ravel()[stuck]]
+    at_u, at_v = geom.orient_signs(coords, p, u, q), geom.orient_signs(coords, p, q, v)
+    for i in range(len(stuck)):
+        r, flat = (u[i], at_u[i] == 0) if at_u[i] <= 0 else (v[i], at_v[i] == 0)
+        ring = np.flatnonzero((tris == r).any(axis=1))
+        # r's link: each of its triangles (r, x, y) gives the edge x -> y
+        lead = np.argmax(tris[ring] == r, axis=1)
+        x, y = (tris[ring, (lead + j) % 3].tolist() for j in (1, 2))
+        after = dict(zip(x, y))
+        if not flat:
+            new = [[x[0], after[x[0]], after[after[x[0]]]]] if len(ring) == 3 else []
+        else:
+            new = [[a, after[a], b] for a, b in ((p[i], q[i]), (q[i], p[i])) if a in after]
+            if 2 * len(new) != len(ring) or any(after.get(m) != b for _, m, b in new):
+                new = []
+        if new:
+            return np.concatenate([np.delete(tris, ring, axis=0), new]), int(r)
+    return None
+
+
+def _starts(start, coords, idx):
+    """The tables ``build_regular`` tries, in order: ``start``, if any, then qhull's lower hull."""
+    if start is not None:
+        yield start
+    _check_not_collinear(coords, idx)
+    tris = _lower_hull_triangles(coords, idx)
+    hidden = np.zeros(len(coords), dtype=bool)
+    hidden[idx] = True
+    hidden[tris.ravel()] = False
+    yield RegularTriangulation(tris, None, None, _twins(tris), hidden.tolist())
 
 
 def build_regular(
@@ -496,42 +655,43 @@ def build_regular(
 ) -> RegularTriangulation:
     """Build the regular triangulation of the alive balls, a ``Ball`` list or its ``geom.ball_arrays``.
 
-    With ``start``, a previous table of the same ball list, the table is
-    first repaired from it (``_repair``); where its certificate fails, or
-    without ``start``, it is built from qhull's lower hull.  Batched float
-    filters decide the facet orientations and the legality of most edges;
-    only the edges they leave undecided or find illegal seed the exact
-    Lawson pass.  The table comes in canonical order (``_canonical``), so
-    both paths give the same arrays.
+    One loop over starts: ``start``, a previous table of the same ball
+    list, if given, then qhull's lower hull.  Each goes through one exact
+    certify-and-mend step (``_repair``), and the first that passes is
+    returned, with ``legal_at`` the rows it was certified at and ``warm``
+    True if it came from ``start``.  Batched float filters decide most
+    signs; only the edges they leave undecided or find illegal seed the
+    exact Lawson pass.  qhull's table fails the certificate only where it
+    misses part of the hull (a hull side dented by an ulp); it is then
+    returned after the Lawson pass, with ``legal_at`` None and no guesses in
+    ``hidden_in``.  The table comes in canonical order (``_canonical``), so
+    every certified start gives the same arrays.
     """
     coords, _, alive = geom.ball_arrays(balls)
     idx = np.flatnonzero(alive)
     if len(idx) < 3:
         raise TooFewBalls(f"need >= 3 alive balls, got {len(idx)}")
-    repaired = None if start is None else _repair(start, coords, idx)
-    legal = True
-    if repaired is None:
-        _check_not_collinear(coords, idx)
-        tris = _lower_hull_triangles(coords, idx)
-        tris, twin, legal = _legalized(tris, _twins(tris), coords)
+    for begin in _starts(start, coords, idx):
+        mended = _repair(begin, coords, idx)
+        if mended is not None:
+            tris, twin, hidden_in = mended
+            break
     else:
-        tris, twin, where = repaired
+        tris, twin, _ = _legalized(begin.tris, begin.twin, coords)
+        hidden_in = None
     tris, twin, rank = _canonical(tris, twin)
     vx, vy, tau = geom.orthocenters(coords[:, :2], coords[:, 2], tris)
     hidden = alive.copy()
     hidden[tris.ravel()] = False
-    hidden_in = np.full(len(coords), -1)
-    if repaired is not None:
-        hidden_in[hidden] = np.where(where >= 0, rank[where], -1)
     return RegularTriangulation(
         tris,
         np.column_stack([vx, vy]),
         tau,
         twin,
         hidden.tolist(),
-        coords.copy() if legal else None,  # a copy: the next ``_repair`` compares rows with it
-        repaired is not None,
-        hidden_in,
+        None if hidden_in is None else coords.copy(),  # a copy: the next ``_repair`` compares rows with it
+        begin is start,
+        np.full(len(coords), -1) if hidden_in is None else np.where(hidden_in >= 0, rank[hidden_in], -1),
     )
 
 
@@ -560,7 +720,7 @@ def verify_hull(t: RegularTriangulation, balls: list[Ball]) -> list[tuple[int, i
 
     Returns (triangle index, ball index) pairs, the triangle being the one
     the hull half-edge belongs to (``_outside_hull``, the helper
-    ``build_regular``'s warm-start certificate checks the hull with).  An
+    ``build_regular``'s certificate checks every start's hull with).  An
     empty list and CCW triangles mean the table covers the convex hull of
     the alive centers.
     """

@@ -176,7 +176,22 @@ def test_verify_command(tmp_path, capsys):
     assert main(["optimize", str(scene), "-o", str(out)]) == 0
     assert capsys.readouterr().out.startswith("converged")
     assert main(["verify", str(out / "final_scene.json")]) == 0
-    assert "no regularity violations" in capsys.readouterr().out
+    out_text = capsys.readouterr().out
+    assert "no regularity violations" in out_text and "no center outside the hull" in out_text
+    # verify reports either oracle's failure: on a lattice whose hull side is
+    # dented by an ulp the table misses part of the hull (verify_hull), and
+    # with the side shuffled it is not regular either (verify_regular)
+    from test_triangulation import filter_cases
+
+    cases = dict(filter_cases())
+    square = [(-1.0, -1.0), (6.0, -1.0), (6.0, 6.0), (-1.0, 6.0)]
+    for name, regular in (("lattice_ulp", True), ("lattice_ulp_hull_side", False)):
+        bad = tmp_path / f"{name}.json"
+        save_scene(Scene(cases[name], square, OptimizerConfig()), bad)
+        assert main(["verify", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "centers outside the hull" in err and "right of the hull edge of triangle" in err
+        assert ("regularity violations" in err) is not regular
 
 
 def test_recover_command(tmp_path, capsys):

@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, Delaunay
 
@@ -322,11 +322,16 @@ def test_lattice_ties_fan_from_lowest_index(nx, ny, radii, seed):
     st.sampled_from(["equal", "mixed", "random"]),
     st.integers(0, 10**6),
 )
+# ball 0, at (0, 3) with radius 0, lies exactly on the lifted hull side
+# between its neighbours of radius 1; qhull drops it, and it goes in
+@example(3, 5, "mixed", 103)
 def test_legalize_in_any_order_gives_build_regular(nx, ny, radii, seed):
-    # simulation of simplicity makes the regular triangulation unique, so
-    # legalizing the qhull start from a shuffled queue of every interior
-    # half-edge ends at build_regular's triangle set, on lattices whose
-    # exact ties make the flip order matter most
+    # simulation of simplicity makes the regular triangulation of a ball set
+    # unique, so legalizing the qhull start from a shuffled queue of every
+    # interior half-edge ends at build_regular's triangle set for the balls
+    # qhull keeps, on lattices whose exact ties make the flip order matter
+    # most.  build_regular also inserts the balls qhull drops at an exact tie
+    # that simulation of simplicity keeps, and only those
     rng = philox(seed)
     pts = [(float(i), float(j)) for i in range(nx) for j in range(ny)]
     if radii == "equal":
@@ -344,8 +349,13 @@ def test_legalize_in_any_order_gives_build_regular(nx, ny, radii, seed):
     legalize(coords.tolist(), tris, twin, queue)
     # the flips kept the twins, which a fresh pairing reproduces
     assert twin == _twins(np.array(tris)).ravel().tolist()
-    expected = sorted(tuple(sorted(tr)) for tr in build_regular(balls).tris.tolist())
+    kept = set(start.ravel().tolist())
+    subset = [b if k in kept else Ball(b.center, b.radius, alive=False) for k, b in enumerate(balls)]
+    expected = sorted(tuple(sorted(tr)) for tr in build_regular(subset).tris.tolist())
     assert sorted(tuple(sorted(tr)) for tr in tris) == expected
+    added = np.setdiff1d(build_regular(balls).tris, start)
+    where, sign = tmod._above(coords, np.array(tris), added, np.full(len(added), -1))
+    assert (where >= 0).all() and (sign == 0).all()
 
 
 def test_flip_budget_exhaustion_raises():
@@ -436,14 +446,12 @@ def test_batched_filters_agree_with_exact_predicates(name, balls):
         assert decided > 0
 
 
-# Known defects of the qhull start, which the 2-2 flips of the Lawson pass
-# cannot repair because they never add or remove a vertex: far from the
-# origin the lifted heights swamp qhull's resolution and its lower hull
-# loses vertices; along a hull side dented by 1 ulp it leaves overlapping
-# slivers.  The triangulation is then not regular.
+# A known defect of the qhull start that the certificate refuses and the mend
+# cannot reach: along a hull side dented by 1 ulp qhull leaves overlapping
+# slivers, whose hull is not one cycle.  The table is then returned after the
+# Lawson pass, and is not regular.  (Far from the origin, where qhull drops
+# vertices, the mend inserts them again.)
 _QHULL_START = {
-    "lattice_offset_1e8": "qhull drops vertices at offset 1e8",
-    "ring_offset_1e8": "qhull drops vertices at offset 1e8",
     "lattice_ulp_hull_side": "qhull leaves overlapping slivers along the dented hull side",
 }
 
@@ -485,6 +493,18 @@ _HULL_DENT = {
 )
 def test_filter_cases_cover_the_hull(name, balls):
     assert verify_hull(build_regular(balls), balls) == []
+
+
+@pytest.mark.parametrize("name,balls", filter_cases(), ids=[n for n, _ in filter_cases()])
+def test_filter_cases_are_certified(name, balls):
+    # qhull's table passes the certificate, mended where it dropped a ball
+    # (at offset 1e8); only the dented hulls fail it and come back uncertified
+    t = build_regular(balls)
+    assert (t.legal_at is None) == (name in _HULL_DENT)
+    if name == "duplicates":
+        # ball 25 ties ball 7 (same center, same radius) and the lower index
+        # stays; ball 27 lies below ball 12 at its center, and ball 26 above
+        assert [i for i, r in enumerate(t.redundant) if r] == [12, 25, 26]
 
 
 def test_verify_hull_detects_missing_triangle():
@@ -637,6 +657,36 @@ def test_warm_start_equals_fresh_build(seed, n, kinds):
         t = warm
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 6), st.integers(0, 10**6))
+# a tie the lowest index of the quad cannot settle, as its barycentric
+# weight is zero: the next index decides
+@example(3, 362881)
+def test_mend_follows_radius_changes_on_tied_lattices(n, seed):
+    # balls on an n x n lattice, several at one center, with radii from a
+    # set of four, so exact ties of every kind abound: centers on the lifted
+    # planes and hull sides, and duplicates that replace one another.  Each
+    # build starts from the previous table after some radii change; every
+    # table is certified, equals the fresh build and passes both oracles
+    rng = philox(seed)
+    pts = [(float(i), float(j)) for i in range(n) for j in range(n)]
+    radii = [0.0, 0.5, 1.0, 1.5]
+    balls = [Ball(pts[i], float(rng.choice(radii))) for i in rng.integers(0, len(pts), len(pts) + 4)]
+    assume(len({b.center for b in balls}) >= 3)
+    try:
+        t = build_regular(balls)
+    except AllCollinear:
+        assume(False)
+    for _ in range(4):
+        balls = [Ball(b.center, float(rng.choice(radii)) if rng.random() < 0.3 else b.radius) for b in balls]
+        warm = build_regular(balls, start=t)
+        assert warm.warm and warm.legal_at is not None
+        assert_same_table(warm, build_regular(balls))
+        assert verify_regular(warm, balls) == []
+        assert verify_hull(warm, balls) == []
+        t = warm
+
+
 def test_hand_built_start_is_certified_without_guesses():
     # a table assembled by hand carries no hidden_in, so its hidden center
     # goes to the bounding-box search; from either diagonal of the tied
@@ -656,8 +706,12 @@ def test_hand_built_start_is_certified_without_guesses():
 
 
 def test_warm_start_refuses_what_two_two_flips_cannot_mend(monkeypatch):
-    # moves flips can follow are repaired; a ball turning redundant or coming
-    # back, an inverted triangle, a dented hull or a new alive set are not
+    # moves that flips, insertions and removals can follow are mended: a
+    # ball coming back goes in by a 1-3 split, one turning redundant leaves
+    # by a 4-2 flip (it lies on the square's diagonal), one at an exact tie
+    # stays hidden.  An inverted triangle, a dented hull, a hidden center
+    # leaving the hull or a new alive set are refused, and the table is
+    # built from qhull
     corners = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
 
     def square(r):  # the corners of test_center_ball_redundant around a center ball
@@ -667,7 +721,8 @@ def test_warm_start_refuses_what_two_two_flips_cannot_mend(monkeypatch):
     # a ball hidden in the square of side 2 whose corners lift onto the plane
     # z = 2x + 2y - 4: at (1, 0.5) the plane is at -1 and the ball at
     # 1.25 - R^2, so R = 1.5 lies on it exactly (the float filter cannot
-    # decide the tie, so geom.power_test does); moved to (1, -0.5), its
+    # decide the tie, so geom.power_test does, and simulation of simplicity
+    # keeps ball 4, the highest index, hidden); moved to (1, -0.5), its
     # center is in no triangle
     big = [Ball((2.0 * x, 2.0 * y), 2.0) for x, y in corners]
     low = big + [Ball((1.0, 0.5), 1.0)]
@@ -678,41 +733,69 @@ def test_warm_start_refuses_what_two_two_flips_cannot_mend(monkeypatch):
     jiggled = _step(rng, balls, t, "jiggle")
     dead = list(balls)
     dead[3] = Ball(balls[3].center, balls[3].radius, alive=False)
-    # the last entry is the number of hull proofs (part 2 of the certificate):
-    # none where an earlier part refuses the start (a new alive set, or an
-    # inverted triangle, which "invert", "middle" and "inward" make)
+    # after the start, whether it is mended (warm), then the hull proofs
+    # (part 2 of the certificate), the balls inserted and the balls removed.
+    # Every certified table carries legal_at, qhull's too, so a start whose
+    # hull balls kept their centers is not proved again; a refused start
+    # costs the proof of the qhull table built instead, after its own where
+    # it reaches part 2
     cases = [
-        (balls, t, jiggled, True, 1),
-        (hidden, build_regular(hidden), shown, False, 1),  # comes back
-        (shown, build_regular(shown), hidden, False, 1),  # turns redundant
-        (balls, t, _step(philox(16), balls, t, "invert"), False, 0),
-        (balls, t, _step(philox(17), balls, t, "middle"), False, 0),
-        (balls, t, dead, False, 0),
-        (low, build_regular(low), tie, False, 1),  # on the lifted plane
-        (low, build_regular(low), out_of_hull, False, 1),  # leaves the hull
+        (balls, t, jiggled, True, 1, 0, 0),
+        (hidden, build_regular(hidden), shown, True, 0, 1, 0),  # comes back
+        (shown, build_regular(shown), hidden, True, 0, 0, 1),  # turns redundant
+        (balls, t, _step(philox(16), balls, t, "invert"), False, 1, 0, 0),
+        (balls, t, _step(philox(17), balls, t, "middle"), False, 1, 0, 0),
+        (balls, t, dead, False, 1, 0, 0),
+        (low, build_regular(low), tie, True, 0, 0, 0),  # on the lifted plane
+        (low, build_regular(low), out_of_hull, False, 1, 0, 0),  # leaves the hull
     ]
-    # starts that are warm tables themselves, legal and with a certified hull
-    # at their legal_at rows: the certificate is carried while the hull balls
-    # stay there, and a moved hull ball is checked again
+    # starts that are warm tables themselves: the certificate is carried
+    # while the hull balls stay at their legal_at rows, and a moved hull ball
+    # is checked again
     settled = _step(philox(18), balls, t, "hull_fixed")
     carried = build_regular(settled, start=t)
     assert carried.warm and carried.legal_at is not None
     cases += [
-        (settled, carried, _step(philox(19), settled, carried, "hull_fixed"), True, 0),
-        (settled, carried, _step(philox(20), settled, carried, "inward"), False, 0),
-        (settled, carried, _step(philox(17), settled, carried, "middle"), False, 0),
+        (settled, carried, _step(philox(19), settled, carried, "hull_fixed"), True, 0, 0, 0),
+        (settled, carried, _step(philox(20), settled, carried, "inward"), False, 1, 0, 0),
+        (settled, carried, _step(philox(17), settled, carried, "middle"), False, 1, 0, 0),
         # every triangle stays CCW and only the hull certificate sees the dent
-        (settled, carried, _step(philox(21), settled, carried, "dent"), False, 1),
+        (settled, carried, _step(philox(21), settled, carried, "dent"), False, 2, 0, 0),
     ]
-    proofs = []
-    hull_cycle = tmod._hull_cycle
+    proofs, inserted, removed = [], [], []
+    hull_cycle, insert, remove = tmod._hull_cycle, tmod._insert, tmod._remove
+
+    def spy_insert(*args):
+        out = insert(*args)
+        inserted.append(int(out[1].sum()))
+        return out
+
+    def spy_remove(*args):
+        out = remove(*args)
+        removed.append(out is not None)
+        return out
+
     monkeypatch.setattr(tmod, "_hull_cycle", lambda *a: proofs.append(1) or hull_cycle(*a))
-    for before, start, after, warm, proved in cases:
+    monkeypatch.setattr(tmod, "_insert", spy_insert)
+    monkeypatch.setattr(tmod, "_remove", spy_remove)
+    for before, start, after, warm, proved, ins, rem in cases:
         assert start.warm is (start is carried)
-        proofs.clear()
+        assert start.legal_at is not None
+        proofs.clear(), inserted.clear(), removed.clear()
         out = build_regular(after, start=start)
         assert out.warm is warm
-        assert len(proofs) == proved
+        assert (len(proofs), sum(inserted), sum(removed)) == (proved, ins, rem)
         assert_same_table(out, build_regular(after))
         assert verify_regular(out, after) == []
         assert verify_hull(out, after) == []
+
+
+def test_empty_start_is_refused():
+    # a start with no triangles, every alive ball marked redundant, has no
+    # hull cycle: it is refused and the table built from qhull
+    balls = [Ball(p, 1.0) for p in [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]]
+    none = np.zeros((0, 3), dtype=int)
+    start = RegularTriangulation(none, np.zeros((0, 2)), np.zeros(0), none, [True] * 3)
+    out = build_regular(balls, start=start)
+    assert not out.warm and out.legal_at is not None
+    assert_same_table(out, build_regular(balls))
