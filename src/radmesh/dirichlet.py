@@ -588,6 +588,8 @@ def run(
     """Drive the four-step iteration until convergence or exhaustion.
 
     ``on_iteration`` is called with the state after each diagram rebuild.
+    Raises ``DegenerateScene`` when free balls are left but none owns a
+    usable cell: F_I and max|tau| would then measure nothing.
     """
     x, free, alive = geom.ball_arrays(initial_balls)
     scale = bbox_diag(initial_balls)
@@ -611,6 +613,8 @@ def run(
             if it == 0:
                 raise  # the input scene itself is unusable
             raise DegenerateScene(str(e)) from e
+        if diagram.free.any() and not diagram.usable.any():
+            raise DegenerateScene(f"no free ball owns a usable cell at iteration {it}")
         fi = evaluate_FI(balls, diagram)
         if not math.isfinite(fi):
             raise Diverged(f"F_I is {fi} at iteration {it}")

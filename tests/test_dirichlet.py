@@ -33,6 +33,8 @@ from radmesh.dirichlet import (
 from radmesh.errors import (
     CollinearPoints,
     DegenerateCell,
+    DegenerateScene,
+    Diverged,
     TooFewBalls,
 )
 from radmesh.geom import (
@@ -1291,22 +1293,27 @@ def test_run_counts_degenerate_cells():
     assert state.degenerate_cells == sum(seen) > 0
 
 
+# the radii overflow on their way to infinity; those warnings are the
+# divergence this test is about
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_run_stops_diverging_fixed_center_grid():
-    # every center fixed, the radii free: the radii run off (0.71 -> 633 ->
-    # 6.1e7 by iteration 2), and the run must stop, not fail with the
-    # CollinearPoints of an ill-conditioned aux triangle.  At iteration 2 the
-    # regular triangulation hides 11 of the 16 balls and leaves no bounded
-    # cell, so F_I and max|tau| read 0 and the run stops as converged, on a
-    # table both oracles pass
-    from radmesh.triangulation import verify_hull, verify_regular
-
+    # every center fixed, the radii free: the radii run off within a few
+    # iterations (0.71 -> 633 -> 6.1e7), cells turn ill-conditioned and F_I
+    # blows up; the run must stop with a domain error, not with the
+    # CollinearPoints of an ill-conditioned aux triangle, and not as converged:
+    # at 6.1e7 the regular triangulation hides 11 of the 16 balls and leaves
+    # no bounded cell, where F_I and max|tau| would read 0 with nothing measured
     balls = [Ball(b.center, b.radius, fix_center=True) for b in jittered_grid(philox(40), 4)]
-    state = run(balls, OptimizerConfig(max_iters=40))
-    assert state.converged and state.iteration == 2
-    assert not state.diagram.bounded.any() and state.fi == 0.0 and state.max_abs_tau == 0.0
-    t = build_regular(state.balls)
-    assert sum(t.redundant) == 11
-    assert verify_regular(t, state.balls) == [] and verify_hull(t, state.balls) == []
+    with pytest.raises((Diverged, DegenerateScene)):
+        run(balls, OptimizerConfig(max_iters=40))
+
+
+def test_run_refuses_free_balls_without_usable_cell():
+    # four free balls at the corners of a square own only unbounded cells:
+    # F_I and max|tau| measure nothing, which is no convergence
+    balls = [Ball((float(x), float(y)), 0.3) for x, y in ((0, 0), (1, 0), (1, 1), (0, 1))]
+    with pytest.raises(DegenerateScene, match="usable cell at iteration 0"):
+        run(balls, OptimizerConfig(max_iters=5))
 
 
 def test_run_warm_starts_every_rebuild():
