@@ -2,9 +2,9 @@
 
 The triangulation is the projection of the lower convex envelope of the
 ball centers lifted to height (|c|^2 - R^2)/2.  Exact power ties are
-settled by simulation of simplicity in favour of the lowest ball index (a
-tied polygon is fanned from it), so the result is a deterministic function
-of the input indices.
+settled by simulation of simplicity in favour of the lowest ball index
+(``_tie_below``, for the Lawson pass and the hidden balls alike), so the
+result is a deterministic function of the input indices.
 
 The result, ``RegularTriangulation``, is one triangle table: per triangle
 its CCW ball indices, its dual vertex and power value (both from
@@ -86,7 +86,7 @@ class RegularTriangulation:
     orthocenters: np.ndarray  # (F, 2) dual vertices
     tau: np.ndarray  # (F,) power of each dual vertex
     twin: np.ndarray  # (F, 3) twin of the half-edge facing each corner, -1 on the hull
-    redundant: list[bool]  # per-ball; True = alive but hidden
+    redundant: np.ndarray  # (N,) bool per ball; True = alive but hidden
     # the [cx, cy, R] rows at which the table passed the certificate, None
     # if it did not (qhull's table of a hull dented by an ulp)
     legal_at: np.ndarray | None = None
@@ -249,31 +249,35 @@ def _suspect_edges(tris, twin, coords, moved=None) -> list[int]:
 
 
 def _illegal(rows):
-    """The exact power test as ``lawson_flip``'s ``illegal``, ties settled by simulation of simplicity.
+    """The exact power test as ``lawson_flip``'s ``illegal``, an exact tie settled by ``_tie_below``.
 
-    ``rows`` is ``coords.tolist()``.  An exact tie is decided by simulation
-    of simplicity (Edelsbrunner and Mucke 1990): each lifted point counts as
-    infinitesimally lower, by far more the lower its ball index, so the
-    lowest index of the quad that moves ``q`` against the plane decides:
-    ``q`` itself, which lies below then, or a corner whose barycentric
-    weight at ``q``'s center is not zero, whose sign says on which side.
-    A tied edge of a convex quad is thus illegal exactly when the quad's
-    lowest ball is off the edge, and a tied polygon ends up fanned from its
-    lowest index.
+    ``rows`` is ``coords.tolist()``.  A tied convex quad keeps or flips to
+    the diagonal through its lowest ball: a tied polygon is fanned from it.
     """
 
     def illegal(a, b, c, q):
         s = geom.power_test(rows[a], rows[b], rows[c], rows[q])
         if s != 0:
             return s < 0
-        for low in sorted((a, b, c, q)):
-            if low == q:
-                return True
-            w = geom.orient2d(*(rows[q if i == low else i] for i in (a, b, c)))
-            if w:
-                return w < 0
+        w = [geom.orient2d(*(rows[q if i == k else i] for i in (a, b, c))) if k < q else 0 for k in (a, b, c)]
+        return bool(_tie_below([(a, b, c)], [q], [w])[0])
 
     return illegal
+
+
+def _tie_below(abc, q, w):
+    """Per row, whether ball ``q`` counts as below triangle ``abc``'s lifted plane, on which it lies exactly.
+
+    ``w`` holds the corners' barycentric weights at ``q``'s center, or their
+    signs (``_weights``).  Simulation of simplicity (Edelsbrunner and Mucke
+    1990) lowers each lifted point infinitesimally, by far more the lower
+    its index, so the lowest index among ``q`` and the corners of nonzero
+    weight decides: ``q`` is below, a corner puts it below iff its weight
+    is negative.  Only the weights of corners below ``q`` are read.  A
+    Python loop, as most calls are one Lawson quad's.
+    """
+    first = (next((s < 0 for i, s in sorted(zip(t, ws)) if i < b and s), True) for t, b, ws in zip(abc, q, w))
+    return np.fromiter(first, dtype=bool)
 
 
 class _Items(dict):
@@ -424,14 +428,12 @@ def _repair(start, coords, alive):
     reflex corner where it can (``_remove``): the corner turns hidden, and
     the pass runs again from the edges it touched.  Then each hidden ball
     that is not strictly above goes in (``_insert``), an exact tie settled
-    by simulation of simplicity as in ``_illegal``: the ball stays hidden
-    iff a corner with positive barycentric weight at its center has a lower
-    index.  The pass runs again from the inserted balls' quads.  A start
-    whose pass is left with an edge no removal mends, that exhausts the flip
-    budget or whose hidden center lies in no triangle is refused.  Every
-    operation only lowers the lifted surface, so each ball goes in and
-    turns hidden at most once; a mend that takes more operations than that
-    is refused too.
+    by ``_tie_below``, the rule of ``_illegal``.  The pass runs again from
+    the inserted balls' quads.  A start whose pass is left with an edge no
+    removal mends, that exhausts the flip budget or whose hidden center
+    lies in no triangle is refused.  Every operation only lowers the lifted
+    surface, so each ball goes in and turns hidden at most once; a mend
+    that takes more operations than that is refused too.
 
     Part 2 makes the boundary a convex polygon wound once, so with part 1
     every point inside it lies in exactly one triangle (the degree of the
@@ -444,12 +446,10 @@ def _repair(start, coords, alive):
     """
     if len(start.redundant) != len(coords):
         return None
-    is_alive = np.zeros(len(coords), dtype=bool)
-    is_alive[alive] = True
-    is_hidden = np.array(start.redundant, dtype=bool)
-    was_alive = is_hidden.copy()
-    was_alive[start.tris.ravel()] = True
-    if not np.array_equal(was_alive, is_alive):
+    hidden = np.flatnonzero(start.redundant)  # a hand-built start may hold a list
+    was_alive = np.zeros(len(coords), dtype=bool)
+    was_alive[np.concatenate([hidden, start.tris.ravel()])] = True
+    if not np.array_equal(np.flatnonzero(was_alive), alive):
         return None
     tris, twin = start.tris, start.twin
     if (geom.orient_signs(coords, *tris.T) <= 0).any():
@@ -464,7 +464,6 @@ def _repair(start, coords, alive):
         ):
             return None
     moved = None if start.legal_at is None else (coords != start.legal_at).any(axis=1)
-    hidden = np.flatnonzero(is_hidden)
     at = np.full(len(hidden), -1) if start.hidden_in is None else start.hidden_in[hidden]
     # each round but the last inserts or removes a ball, and as the surface
     # only lowers, a ball goes in at most once and turns hidden at most once
@@ -486,19 +485,17 @@ def _repair(start, coords, alive):
             twin = _twins(tris)
             hidden, at = np.append(hidden, out), np.append(at, len(tris) - 1)
             continue
-        at, sign = _above(coords, tris, hidden, at)
+        at, sign, w = _above(coords, tris, hidden, at)
         if (at < 0).any():
             return None
         tie = np.flatnonzero(sign == 0)
-        if len(tie):
-            abc, h = tris[at[tie]], hidden[tie]
-            sign[tie] = np.where(((_weights(coords, abc, h) > 0) & (abc < h[:, None])).any(axis=1), 1, -1)
+        sign[tie[_tie_below(tris[at[tie]], hidden[tie], w[tie])]] = -1
         below = np.flatnonzero(sign < 0)
         if not len(below):
             hidden_in = np.full(len(coords), -1)
             hidden_in[hidden] = at
             return tris, twin, hidden_in
-        tris, went, out = _insert(tris, twin, coords, hidden[below], at[below])
+        tris, went, out = _insert(tris, twin, hidden[below], at[below], w[below])
         twin = _twins(tris)
         moved[hidden[below[went]]] = True
         stay = np.ones(len(hidden), dtype=bool)
@@ -519,12 +516,13 @@ def _weights(coords, abc, points):
 
 
 def _above(coords, tris, hidden, guess):
-    """The triangle of ``tris`` that holds each center of ``hidden``, and the ball's exact sign against it.
+    """The triangle of ``tris`` that holds each center of ``hidden``, the ball's exact sign and weights there.
 
     Returns an array of triangle numbers, -1 where no triangle holds the
-    center, and the sign of each ball against its triangle's lifted plane
+    center, the sign of each ball against its triangle's lifted plane
     (``geom.power_signs``: 1 strictly above, 0 on it, -1 below; 0 where no
-    triangle holds it).  Containment is exact (``_weights``), and any
+    triangle holds it) and the ``_weights`` of its triangle's corners at its
+    center (0 where none holds it).  Containment is exact, and any
     triangle whose closed area holds the center will do: where the center
     lies on an edge or a vertex, the lifted planes of the triangles there
     agree at it.  The triangles in ``guess`` are tried first; for the other
@@ -532,10 +530,11 @@ def _above(coords, tris, hidden, guess):
     (float comparisons, so exact), and the first that holds the center is
     taken.  A guess of -1, or past the table's end, is no guess.
     """
-    f = np.full(len(hidden), -1)
+    f, w = np.full(len(hidden), -1), np.zeros((len(hidden), 3), dtype=int)
     known = np.flatnonzero((guess >= 0) & (guess < len(tris)))
-    inside = (_weights(coords, tris[guess[known]], hidden[known]) >= 0).all(axis=1)
-    f[known[inside]] = guess[known[inside]]
+    wk = _weights(coords, tris[guess[known]], hidden[known])
+    inside = (wk >= 0).all(axis=1)
+    f[known[inside]], w[known[inside]] = guess[known[inside]], wk[inside]
     rest = np.flatnonzero(f < 0)
     if len(rest):
         x, y = coords[:, 0], coords[:, 1]
@@ -546,17 +545,18 @@ def _above(coords, tris, hidden, guess):
             r = rest[s : s + step]
             px, py = x[hidden[r], None], y[hidden[r], None]
             m, t = np.nonzero((px >= x0) & (px <= x1) & (py >= y0) & (py <= y1))
-            inside = (_weights(coords, tris[t], hidden[r[m]]) >= 0).all(axis=1)
+            wt = _weights(coords, tris[t], hidden[r[m]])
+            inside = (wt >= 0).all(axis=1)
             found, first = np.unique(m[inside], return_index=True)
-            f[r[found]] = t[inside][first]
+            f[r[found]], w[r[found]] = t[inside][first], wt[inside][first]
     sign = np.zeros(len(hidden), dtype=int)
     held = f >= 0
     sign[held] = geom.power_signs(coords, *tris[f[held]].T, hidden[held])
-    return f, sign
+    return f, sign, w
 
 
-def _insert(tris, twin, coords, h, f):
-    """``tris`` with the balls ``h`` inserted at their centers, which the triangles ``f`` hold.
+def _insert(tris, twin, h, f, w):
+    """``tris`` with the balls ``h`` inserted at their centers, which the triangles ``f`` hold (weights ``w``).
 
     Returns the new table, a mask of the balls that went in, and the balls
     they replaced.  Where a center is a corner's, the ball takes that
@@ -571,7 +571,6 @@ def _insert(tris, twin, coords, h, f):
     numbers; ``twin`` pairs the half-edges of ``tris`` and is read only to
     find those neighbours.
     """
-    w = _weights(coords, tris[f], h)
     base, tris = tris, tris.copy()
     fresh = np.ones(len(tris), dtype=bool)  # rows no ball of the batch has changed
     went, replaced, new = np.zeros(len(h), dtype=bool), [], []
@@ -647,7 +646,7 @@ def _starts(start, coords, idx):
     hidden = np.zeros(len(coords), dtype=bool)
     hidden[idx] = True
     hidden[tris.ravel()] = False
-    yield RegularTriangulation(tris, None, None, _twins(tris), hidden.tolist())
+    yield RegularTriangulation(tris, None, None, _twins(tris), hidden)
 
 
 def build_regular(
@@ -688,7 +687,7 @@ def build_regular(
         np.column_stack([vx, vy]),
         tau,
         twin,
-        hidden.tolist(),
+        hidden,
         None if hidden_in is None else coords.copy(),  # a copy: the next ``_repair`` compares rows with it
         begin is start,
         np.full(len(coords), -1) if hidden_in is None else np.where(hidden_in >= 0, rank[hidden_in], -1),

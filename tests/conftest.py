@@ -19,6 +19,8 @@ gradient of ``F_I`` with full rebuilds (criterion 5), ``edge_set`` of a
 triangle table, the one-triangle ``orthocenter`` with its conditioning
 guard, the shoelace ``polygon_area`` and ``exact_ints_reference``, the
 exact predicates' integer scaling by ``float.as_integer_ratio``.
+``tie_below_reference`` is the simulation-of-simplicity tie rule as a
+scalar loop over one (triangle, ball) pair.
 """
 
 import importlib.util
@@ -452,6 +454,23 @@ def orthocenter(b1, b2, b3):
     x = geom.ball_arrays([b1, b2, b3]).x
     vx, vy, tau = geom.orthocenters(x[:, :2], x[:, 2], [(0, 1, 2)])
     return (float(vx[0]), float(vy[0])), float(tau[0])
+
+
+def tie_below_reference(rows, a, b, c, q):
+    """``triangulation._tie_below`` as a scalar loop over one (triangle, ball) pair.
+
+    ``rows`` are ``[cx, cy, R]`` lists, and ball ``q`` lies exactly on the
+    lifted plane of the CCW triangle ``(a, b, c)``.  The indices are walked
+    from the lowest: ``q`` itself is below, and the first corner whose
+    barycentric weight at ``q``'s center (the orientation with ``q`` in the
+    corner's place) is not zero puts ``q`` below iff that weight is negative.
+    """
+    for low in sorted((a, b, c, q)):
+        if low == q:
+            return True
+        w = geom.orient2d(*(rows[q if i == low else i] for i in (a, b, c)))
+        if w:
+            return w < 0
 
 
 def exact_ints_reference(values):

@@ -1,5 +1,6 @@
 """Regular triangulation construction, oracle, and structural invariants."""
 
+import itertools
 import math
 from collections import Counter
 
@@ -27,7 +28,7 @@ from radmesh.triangulation import (
     verify_regular,
 )
 
-from conftest import edge_set, orthocenter, philox, random_balls
+from conftest import edge_set, orthocenter, philox, random_balls, tie_below_reference
 
 
 def delaunay_edge_oracle(points):
@@ -69,7 +70,7 @@ def test_center_ball_redundant():
     ]
     t = build_regular(balls)
     assert len(t.tris) == 2
-    assert t.redundant == [False, False, False, False, True]
+    assert t.redundant.tolist() == [False, False, False, False, True]
     assert verify_regular(t, balls) == []
 
 
@@ -354,8 +355,78 @@ def test_legalize_in_any_order_gives_build_regular(nx, ny, radii, seed):
     expected = sorted(tuple(sorted(tr)) for tr in build_regular(subset).tris.tolist())
     assert sorted(tuple(sorted(tr)) for tr in tris) == expected
     added = np.setdiff1d(build_regular(balls).tris, start)
-    where, sign = tmod._above(coords, np.array(tris), added, np.full(len(added), -1))
+    where, sign, _ = tmod._above(coords, np.array(tris), added, np.full(len(added), -1))
     assert (where >= 0).all() and (sign == 0).all()
+
+
+def tie_lattice(rng, nx, ny, radii, dups):
+    """An integer lattice of balls with ``dups`` duplicate centers, in random order.
+
+    Radii are all 1 (``equal``), all 0 (``zero``) or drawn from 0, 1 and 2
+    (``mixed``); a duplicate keeps its center's radius, or under ``mixed``
+    draws its own.
+    """
+    pts = [(float(i), float(j)) for i in range(nx) for j in range(ny)]
+    pick = {"equal": [1.0], "zero": [0.0], "mixed": [0.0, 1.0, 2.0]}[radii]
+    balls = [Ball(p, float(rng.choice(pick))) for p in pts]
+    for k in rng.integers(0, len(pts), dups).tolist():
+        r = float(rng.choice(pick)) if rng.random() < 0.5 else balls[k].radius
+        balls.append(Ball(pts[k], r))
+    return [balls[k] for k in rng.permutation(len(balls))]
+
+
+def tied_pairs(rng, balls):
+    """Every (strictly CCW triangle, other ball) of ``balls`` at an exact power tie.
+
+    Returns the ball rows, the triangles (each row turned to a random
+    corner), the balls and the signs of the corners' weights at each ball's
+    center.
+    """
+    coords = geom.ball_arrays(balls).x
+    abc = np.array(list(itertools.combinations(range(len(balls)), 3)))
+    sign = geom.orient_signs(coords, *abc.T)
+    abc = abc[sign != 0]
+    cw = sign[sign != 0] < 0
+    abc[cw] = abc[cw][:, [0, 2, 1]]
+    abc = np.take_along_axis(abc, (rng.integers(0, 3, len(abc))[:, None] + np.arange(3)) % 3, axis=1)
+    on = geom.power_signs(coords, *(abc[:, k, None] for k in range(3)), np.arange(len(balls))) == 0
+    t, q = np.nonzero(on & (abc[:, :, None] != np.arange(len(balls))).all(axis=1))
+    return coords, abc[t], q, tmod._weights(coords, abc[t], q)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(2, 4),
+    st.integers(2, 4),
+    st.sampled_from(["equal", "zero", "mixed"]),
+    st.integers(0, 4),
+    st.integers(0, 10**6),
+)
+def test_tie_rule_matches_scalar_reference(nx, ny, radii, dups, seed):
+    # the one tie rule, batched in _tie_below and called by _illegal one
+    # quad at a time, against the scalar reference, on every tied pair of
+    # the lattice: a ball across an edge, as in the Lawson pass, or
+    # inside a triangle, on an edge or at a corner, as a hidden ball is
+    rng = philox(seed)
+    coords, abc, q, w = tied_pairs(rng, tie_lattice(rng, nx, ny, radii, dups))
+    rows = coords.tolist()
+    expected = [tie_below_reference(rows, *t, b) for t, b in zip(abc.tolist(), q.tolist())]
+    assert tmod._tie_below(abc, q, w).tolist() == expected
+    illegal = _illegal(rows)
+    assert [illegal(*t, b) for t, b in zip(abc.tolist(), q.tolist())] == expected
+
+
+def test_tie_rule_cases_cover_every_kind():
+    # the lattices of test_tie_rule_matches_scalar_reference reach every
+    # kind of tied pair, and the rule puts balls both below and above
+    rng = philox(2)
+    coords, abc, q, w = tied_pairs(rng, tie_lattice(rng, 4, 4, "mixed", 4))
+    below = tmod._tie_below(abc, q, w)
+    # where each center lies against its triangle, from its weights' signs
+    inner = np.array(["inside", "on an edge", "at a corner"])[(w == 0).sum(axis=1)]
+    kinds = np.where((w < 0).any(axis=1), "across an edge", inner)
+    for kind in ("across an edge", "inside", "on an edge", "at a corner"):
+        assert below[kinds == kind].any() and not below[kinds == kind].all(), kind
 
 
 def test_flip_budget_exhaustion_raises():
@@ -500,6 +571,7 @@ def test_filter_cases_are_certified(name, balls):
     # qhull's table passes the certificate, mended where it dropped a ball
     # (at offset 1e8); only the dented hulls fail it and come back uncertified
     t = build_regular(balls)
+    assert t.redundant.dtype == bool and t.redundant.shape == (len(balls),)
     assert (t.legal_at is None) == (name in _HULL_DENT)
     if name == "duplicates":
         # ball 25 ties ball 7 (same center, same radius) and the lower index
@@ -526,7 +598,7 @@ def assert_same_table(a, b):
     for name in ("tris", "twin", "orthocenters", "tau"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
-    assert a.redundant == b.redundant
+    assert a.redundant.dtype == b.redundant.dtype == bool and np.array_equal(a.redundant, b.redundant)
     assert (a.legal_at is None) == (b.legal_at is None)
     if a.legal_at is not None:
         assert a.legal_at.tobytes() == b.legal_at.tobytes()
@@ -689,17 +761,18 @@ def test_mend_follows_radius_changes_on_tied_lattices(n, seed):
 
 def test_hand_built_start_is_certified_without_guesses():
     # a table assembled by hand carries no hidden_in, so its hidden center
-    # goes to the bounding-box search; from either diagonal of the tied
-    # square the start is certified, and flipped where it must be
+    # goes to the bounding-box search, and its redundant flags may be a
+    # list; from either diagonal of the tied square the start is certified,
+    # and flipped where it must be
     corners = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
     balls = [Ball(p, 1.0) for p in corners] + [Ball((0.5, 0.5), 0.1)]
     fresh = build_regular(balls)
-    assert fresh.redundant == [False] * 4 + [True]
+    assert fresh.redundant.tolist() == [False] * 4 + [True]
     coords = geom.ball_arrays(balls).x
     for diagonal in ([[0, 1, 2], [0, 2, 3]], [[0, 1, 3], [1, 2, 3]]):
         tris = np.array(diagonal)
         vx, vy, tau = geom.orthocenters(coords[:, :2], coords[:, 2], tris)
-        start = RegularTriangulation(tris, np.column_stack([vx, vy]), tau, _twins(tris), fresh.redundant)
+        start = RegularTriangulation(tris, np.column_stack([vx, vy]), tau, _twins(tris), fresh.redundant.tolist())
         out = build_regular(balls, start=start)
         assert out.warm
         assert_same_table(out, fresh)
